@@ -12,9 +12,10 @@ requirement.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence
+from fractions import Fraction
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
@@ -49,23 +50,31 @@ class OverallMinimum(NamedTuple):
     min_correct_total: int
 
 
-def min_count_above(total: int, threshold, strict: bool = True) -> int:
+def min_count_above(
+    total: int, threshold: Fraction | int | float, strict: bool = True
+) -> int:
     """Smallest correct count on ``total`` items whose accuracy clears a
     threshold.
 
     With ``strict`` the accuracy must exceed the threshold, otherwise
     meeting it is enough.  An empty item set needs nothing.  The result
     can exceed ``total`` (an unmeetable requirement, e.g. strictly above
-    1), which callers observe as an empty safe interval.
+    1), which callers observe as an empty safe interval.  Integer
+    arithmetic on the threshold's numerator and denominator; an ``int``
+    or ``Fraction`` is used as is (the spec classes hold ``Fraction``),
+    any other number, such as a float, at its exact value
+    ``Fraction(threshold)``.
     """
     if total < 0:
         raise SketchError("total must be non-negative")
     if total == 0:
         return 0
-    scaled = threshold * total
+    if not isinstance(threshold, (int, Fraction)):
+        threshold = Fraction(threshold)
+    scaled = threshold.numerator * total
     if strict:
-        return math.floor(scaled) + 1
-    return max(0, math.ceil(scaled))
+        return scaled // threshold.denominator + 1
+    return max(0, -(-scaled // threshold.denominator))
 
 
 def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | OverallMinimum:
@@ -79,23 +88,72 @@ def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | Overal
 
 
 def _safe_subinterval(
-    q: int, q_a: int, marginals: Marginals, spec: SafetySpec
+    q: int, q_a: int, marginals: Marginals, need: LabelMinimums | OverallMinimum
 ) -> IntInterval:
     """Correct-on-true-a counts that are feasible and meet the spec.
 
-    Uses the fact that the true-b count is an increasing affine function
-    of the true-a count, so every requirement becomes a lower bound on
-    the a-axis and the safe set stays an interval.
+    ``need`` is :func:`safe_threshold` at this hypothesis.  Uses the fact
+    that the true-b count is an increasing affine function of the true-a
+    count, so every requirement becomes a lower bound on the a-axis and
+    the safe set stays an interval.
     """
     ia = feasible_interval_label_a(q, q_a, marginals)
     offset = q - q_a - marginals.r_a
-    if isinstance(spec, PerLabelSpec):
-        need = safe_threshold(spec, q, q_a)
+    if isinstance(need, LabelMinimums):
         lo = max(ia.lo, need.min_correct_a, need.min_correct_b - offset)
     else:
-        need_total = safe_threshold(spec, q, q_a).min_correct_total
-        lo = max(ia.lo, -(-(need_total - offset) // 2))
+        lo = max(ia.lo, -(-(need.min_correct_total - offset) // 2))
     return IntInterval(lo, ia.hi)
+
+
+def _last_true(holds: Callable[[int], bool], hi: int) -> int:
+    """Largest t in [0, hi] with ``holds(t)``, for a predicate that holds
+    exactly on a prefix [0, k] of [0, hi] with k >= 0."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
+    """First and last hypothesis q_a at which one classifier, saying "a"
+    ``r_a`` times, can meet the spec on its own; first > last when none.
+
+    The hypotheses where its safe subinterval (:func:`_safe_subinterval`)
+    is non-empty form an interval.  Proof: write u = q - q_a for the
+    number of true-b items and r_b = q - r_a.  With 0 <= r_a <= q the
+    feasibility bound max(0, r_a - u) never exceeds the upper end
+    min(q_a, r_a), so the subinterval is non-empty iff every spec bound
+    stays at or below min(q_a, r_a).  need(t) = min_count_above(t, T,
+    strict) is non-decreasing in t, and {t : need(t) <= t} is every t,
+    or only t = 0 when T = 1 and the spec is strict.
+
+    Per-label spec.  The label-a bound need_a(q_a) <= min(q_a, r_a)
+    holds on a prefix of q_a: need_a(q_a) <= r_a by monotonicity, and
+    need_a(q_a) <= q_a everywhere or at 0 only; both contain q_a = 0.
+    The label-b bound need_b(u) - (u - r_a) <= min(q_a, r_a) rearranges
+    to need_b(u) <= min(u, r_b), a prefix of u by the same argument,
+    so a suffix of q_a.  A prefix meets a suffix in an interval, found
+    here with O(log q) evaluations of need per label.
+
+    Overall spec.  need = need(q) does not depend on q_a, and the bound
+    ceil((need - u + r_a) / 2) <= min(q_a, r_a) unfolds to
+    need - q + r_a <= q_a <= q + r_a - need.
+    """
+    if not 0 <= r_a <= q:
+        return 1, 0  # no correct count is feasible at any hypothesis
+    if isinstance(spec, OverallSpec):
+        need = min_count_above(q, spec.threshold, spec.strict)
+        return max(0, need - q + r_a), min(q, q + r_a - need)
+    r_b = q - r_a
+    t_a, t_b, strict = spec.threshold_a, spec.threshold_b, spec.strict
+    last = _last_true(lambda t: min_count_above(t, t_a, strict) <= min(t, r_a), q)
+    span_b = _last_true(lambda u: min_count_above(u, t_b, strict) <= min(u, r_b), q)
+    return q - span_b, last
 
 
 @dataclass(frozen=True)
@@ -183,6 +241,79 @@ def _refined_safe_exists(
     return search(0, [])
 
 
+class _Sweep:
+    """The one alarm sweep: everything a run needs that does not depend
+    on the hypothesis, computed once.
+
+    Each audited classifier's marginals are taken once, and so is its
+    interval of hypotheses where it can meet the spec on its own
+    (:func:`_safe_qa_bounds`).  Their intersection, ``window``, is
+    exactly the set of unrefined-safe hypotheses.  With refinement the
+    pair tables are taken once too, on the first hypothesis searched,
+    and only hypotheses inside the window are searched, because a
+    refined-safe hypothesis is also unrefined-safe.
+    """
+
+    def __init__(
+        self,
+        sketch: EvaluationSketch,
+        spec: SafetySpec,
+        ids: tuple[str, ...],
+        refine: bool,
+    ) -> None:
+        q = sketch.q
+        self.sketch, self.q, self.spec, self.ids = sketch, q, spec, ids
+        self.refine = refine
+        self.coupled = refine and len(ids) > 1
+        self.margs = tuple(marginalize(sketch, cid) for cid in ids)
+        lo, hi = 0, q
+        for m in self.margs:
+            first, last = _safe_qa_bounds(q, m.r_a, spec)
+            lo, hi = max(lo, first), min(hi, last)
+        self.window = IntInterval(lo, hi)
+
+    @cached_property
+    def tables(self) -> dict[tuple[int, int], Mapping[str, int]]:
+        ids = self.ids
+        return {
+            (i, j): pair_counts(self.sketch, ids[i], ids[j])
+            for i in range(len(ids))
+            for j in range(i + 1, len(ids))
+        }
+
+    def is_safe(self, q_a: int) -> bool:
+        if q_a not in self.window:
+            return False
+        if not self.coupled:
+            return True
+        need = safe_threshold(self.spec, self.q, q_a)
+        safe = [_safe_subinterval(self.q, q_a, m, need) for m in self.margs]
+        return _refined_safe_exists(self.q, q_a, safe, self.tables)
+
+    def _candidates(self, lo: int, hi: int) -> range:
+        return range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
+
+    def count_safe(self, lo: int, hi: int) -> int:
+        """Safe hypotheses in [lo, hi]; closed form unless refining."""
+        candidates = self._candidates(lo, hi)
+        if not self.coupled:
+            return len(candidates)
+        return sum(map(self.is_safe, candidates))
+
+    def any_safe(self, lo: int, hi: int) -> bool:
+        return any(map(self.is_safe, self._candidates(lo, hi)))
+
+    def slice(self, q_a: int) -> QaSlice:
+        q, margs = self.q, self.margs
+        return QaSlice(
+            q_a,
+            tuple(feasible_interval_label_a(q, q_a, m) for m in margs),
+            tuple(feasible_interval_label_b(q, q_a, m) for m in margs),
+            self.is_safe(q_a),
+            self.refine,
+        )
+
+
 def evaluate_qa(
     sketch: EvaluationSketch,
     q_a: int,
@@ -194,19 +325,7 @@ def evaluate_qa(
     ids = tuple(classifiers) if classifiers is not None else sketch.classifiers
     if not 0 <= q_a <= sketch.q:
         raise SketchError(f"q_a={q_a} outside [0, {sketch.q}]")
-    margs = [marginalize(sketch, cid) for cid in ids]
-    intervals_a = tuple(feasible_interval_label_a(sketch.q, q_a, m) for m in margs)
-    intervals_b = tuple(feasible_interval_label_b(sketch.q, q_a, m) for m in margs)
-    safe = [_safe_subinterval(sketch.q, q_a, m, spec) for m in margs]
-    exists = all(not iv.is_empty for iv in safe)
-    if exists and refine and len(ids) > 1:
-        tables = {
-            (i, j): pair_counts(sketch, ids[i], ids[j])
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        }
-        exists = _refined_safe_exists(sketch.q, q_a, safe, tables)
-    return QaSlice(q_a, intervals_a, intervals_b, exists, refine)
+    return _Sweep(sketch, spec, ids, refine).slice(q_a)
 
 
 def _resolve_roster(
@@ -222,31 +341,40 @@ def _resolve_roster(
     return ids, "pair"
 
 
+def _open_sweep(
+    sketch: EvaluationSketch,
+    spec: SafetySpec,
+    pair: Sequence[str] | None,
+    refine: bool,
+) -> tuple[_Sweep, str]:
+    problems = validate_sketch(sketch)
+    if problems:
+        raise SketchError("invalid sketch: " + "; ".join(problems))
+    ids, mode = _resolve_roster(sketch, pair)
+    return _Sweep(sketch, spec, ids, refine), mode
+
+
+def _verdict(slices: Sequence[QaSlice]) -> Verdict:
+    if any(s.safe_exists for s in slices):
+        return Verdict.NOT_TRIGGERED
+    return Verdict.TRIGGERED
+
+
 def run_alarm(
     sketch: EvaluationSketch,
     spec: SafetySpec,
     pair: Sequence[str] | None = None,
     refine: bool = False,
 ) -> AlarmTrace:
-    """Scan every hypothesis and record the full trace.
+    """Judge every hypothesis and record the full trace, O(q·N).
 
     The alarm fires (verdict TRIGGERED) exactly when no hypothesis
     admits a ground truth under which all audited classifiers meet the
     requirement.
     """
-    problems = validate_sketch(sketch)
-    if problems:
-        raise SketchError("invalid sketch: " + "; ".join(problems))
-    ids, mode = _resolve_roster(sketch, pair)
-    slices = tuple(
-        evaluate_qa(sketch, q_a, spec, ids, refine) for q_a in range(sketch.q + 1)
-    )
-    verdict = (
-        Verdict.NOT_TRIGGERED
-        if any(s.safe_exists for s in slices)
-        else Verdict.TRIGGERED
-    )
-    return AlarmTrace(sketch.q, spec, mode, ids, slices, verdict)
+    sweep, mode = _open_sweep(sketch, spec, pair, refine)
+    slices = tuple(sweep.slice(q_a) for q_a in range(sketch.q + 1))
+    return AlarmTrace(sketch.q, spec, mode, sweep.ids, slices, _verdict(slices))
 
 
 def alarm_verdict(
@@ -257,15 +385,23 @@ def alarm_verdict(
     qa_range: tuple[int, int] | None = None,
 ) -> Verdict:
     """Verdict without the trace; stops at the first safe hypothesis."""
-    problems = validate_sketch(sketch)
-    if problems:
-        raise SketchError("invalid sketch: " + "; ".join(problems))
-    ids, _ = _resolve_roster(sketch, pair)
+    sweep, _ = _open_sweep(sketch, spec, pair, refine)
     lo, hi = _check_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
-    for q_a in range(lo, hi + 1):
-        if evaluate_qa(sketch, q_a, spec, ids, refine).safe_exists:
-            return Verdict.NOT_TRIGGERED
-    return Verdict.TRIGGERED
+    return Verdict.NOT_TRIGGERED if sweep.any_safe(lo, hi) else Verdict.TRIGGERED
+
+
+def count_safe_hypotheses(
+    sketch: EvaluationSketch,
+    spec: SafetySpec,
+    pair: Sequence[str] | None = None,
+    refine: bool = False,
+    qa_range: tuple[int, int] | None = None,
+) -> int:
+    """Number of safe hypotheses in ``qa_range`` (default all), without
+    the trace.  O(N·patterns + N log q) unless refining."""
+    sweep, _ = _open_sweep(sketch, spec, pair, refine)
+    lo, hi = _check_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
+    return sweep.count_safe(lo, hi)
 
 
 def _check_range(q: int, qa_range: tuple[int, int]) -> tuple[int, int]:
@@ -283,9 +419,4 @@ def restrict_qa_range(trace: AlarmTrace, lo: int, hi: int) -> AlarmTrace:
     """
     _check_range(trace.q, (lo, hi))
     kept = tuple(s for s in trace.slices if lo <= s.q_a <= hi)
-    verdict = (
-        Verdict.NOT_TRIGGERED
-        if any(s.safe_exists for s in kept)
-        else Verdict.TRIGGERED
-    )
-    return replace(trace, slices=kept, verdict=verdict)
+    return replace(trace, slices=kept, verdict=_verdict(kept))

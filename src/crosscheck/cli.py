@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from .alarm import Verdict, alarm_verdict, restrict_qa_range, run_alarm
+from .alarm import Verdict, count_safe_hypotheses, restrict_qa_range, run_alarm
 from .axioms import pspace_stats
 from .independent import solve_independent
 from .model import (
@@ -68,6 +68,16 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -145,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--claims", help="claims file (marginals and/or a point)")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_non_negative,
         default=DEFAULT_SPLIT_BUDGET,
         help="max ground-truth combinations to enumerate",
     )
@@ -245,11 +255,16 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
         )
         spec = PerLabelSpec(threshold, threshold, args.strict)
     pair = tuple(args.pair) if args.pair else None
-    trace = run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
-    effective = trace
+    lo, hi = args.qa_range if args.qa_range else (0, sketch.q)
+    if args.trace or args.plot:
+        trace = run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
+        kept = restrict_qa_range(trace, lo, hi).slices
+        safe = sum(1 for s in kept if s.safe_exists)
+    else:
+        safe = count_safe_hypotheses(
+            sketch, spec, pair=pair, refine=args.refine_pairs, qa_range=(lo, hi)
+        )
     if args.qa_range:
-        lo, hi = args.qa_range
-        effective = restrict_qa_range(trace, lo, hi)
         print(f"hypotheses restricted to [{lo}, {hi}]")
     if args.trace:
         fmt = _trace_format(args.trace)
@@ -262,10 +277,10 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
             raise FormatError("--plot writes svg; use --trace for csv or json")
         emit_trace(trace, "svg", args.plot)
         print(f"wrote {args.plot}")
-    safe = sum(1 for s in effective.slices if s.safe_exists)
-    print(f"safe hypotheses: {safe} of {len(effective.slices)}")
-    print(f"verdict: {effective.verdict.value}")
-    return EXIT_TRIGGERED if effective.verdict is Verdict.TRIGGERED else EXIT_OK
+    verdict = Verdict.NOT_TRIGGERED if safe else Verdict.TRIGGERED
+    print(f"safe hypotheses: {safe} of {hi - lo + 1}")
+    print(f"verdict: {verdict.value}")
+    return EXIT_TRIGGERED if verdict is Verdict.TRIGGERED else EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -253,10 +253,33 @@ def emit_trace(trace: AlarmTrace, fmt: str, path: str) -> None:
 
 # ------------------------------------------------------------- claims/params
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value: object, length: int | None, what: str) -> list[int]:
+    """A JSON list of integers, of ``length`` entries if given."""
+    if (
+        not isinstance(value, list)
+        or (length is not None and len(value) != length)
+        or not all(map(_is_int, value))
+    ):
+        size = "a list" if length is None else f"a {length}-element list"
+        raise FormatError(f"{what} must be {size} of integers")
+    return value
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return value
+
+
 def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
     """Claims file: optional marginal totals and an optional full point.
 
     The sketch supplies the roster so pair keys can be index pairs.
+    Every claimed count must be a JSON integer.
     """
     try:
         obj = json.loads(text)
@@ -264,33 +287,35 @@ def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
         raise FormatError(f"not valid JSON: {exc}") from None
     _require_keys(obj, (), ("marginals", "point"), "claims file")
     marginals: dict[str, Marginals] = {}
-    for cid, entry in obj.get("marginals", {}).items():
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise FormatError(f"marginals for {cid!r} must be a two-element list")
-        marginals[cid] = Marginals(entry[0], entry[1])
+    for cid, entry in _object(obj.get("marginals", {}), "'marginals'").items():
+        marginals[cid] = Marginals(*_int_list(entry, 2, f"marginals for {cid!r}"))
     point = None
     if "point" in obj:
         raw = obj["point"]
         _require_keys(
             raw, ("q_a", "correct_a", "correct_b"), ("pair_correct",), "claimed point"
         )
+        if not _is_int(raw["q_a"]):
+            raise FormatError("claimed q_a must be an integer")
         pair_correct = None
         if "pair_correct" in raw:
             pair_correct = {}
-            for key, entry in raw["pair_correct"].items():
+            for key, entry in _object(raw["pair_correct"], "'pair_correct'").items():
                 ids = key.split(",")
                 if len(ids) != 2:
                     raise FormatError(
                         f"pair key {key!r} must be 'first,second' classifier ids"
                     )
-                if not isinstance(entry, list) or len(entry) != 2:
-                    raise FormatError(f"pair claim {key!r} must be a two-element list")
+                joint = _int_list(entry, 2, f"pair claim {key!r}")
                 i, j = (sketch.index_of(cid.strip()) for cid in ids)
                 # joint correctness is symmetric, so order only normalizes the key
-                pair_correct[(min(i, j), max(i, j))] = (entry[0], entry[1])
+                pair_correct[(min(i, j), max(i, j))] = (joint[0], joint[1])
         try:
             point = EvaluationPoint(
-                raw["q_a"], tuple(raw["correct_a"]), tuple(raw["correct_b"]), pair_correct
+                raw["q_a"],
+                tuple(_int_list(raw["correct_a"], None, "claimed correct_a")),
+                tuple(_int_list(raw["correct_b"], None, "claimed correct_b")),
+                pair_correct,
             )
         except SketchError as exc:
             raise FormatError(str(exc)) from None

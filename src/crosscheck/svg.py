@@ -9,7 +9,6 @@ module where floats appear, and only for layout coordinates.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .alarm import AlarmTrace
 from .model import SketchError
@@ -21,6 +20,11 @@ _BOTTOM = 42
 _PLOT_W = 720
 _ROW_H = 26
 _ROW_GAP = 14
+
+
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape would do, but importing it pulls in urllib
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _coord(value: float) -> str:
@@ -92,7 +96,7 @@ def render_traces(
         y = _TOP + row * (_ROW_H + _ROW_GAP)
         parts.append(
             f'<text class="row-label" x="{_LEFT - 10}" y="{_coord(y + _ROW_H / 2)}" '
-            f'text-anchor="end">{escape(label)}</text>'
+            f'text-anchor="end">{_escape(label)}</text>'
         )
         for first, last, safe in _runs(trace):
             x = _LEFT + first * cell_w

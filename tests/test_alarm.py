@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -7,21 +9,31 @@ from hypothesis import strategies as st
 
 from crosscheck import (
     EvaluationSketch,
+    IntInterval,
     LabelMinimums,
+    Marginals,
     OverallMinimum,
     OverallSpec,
     PerLabelSpec,
+    QaSlice,
     SketchError,
     Verdict,
     alarm_verdict,
     enumerate_variety,
     evaluate_qa,
+    feasible_interval_label_a,
+    feasible_interval_label_b,
+    marginalize,
     min_count_above,
+    pair_counts,
     restrict_qa_range,
     run_alarm,
     safe_threshold,
+    save_sketch,
     sketch_point,
 )
+from crosscheck.alarm import _refined_safe_exists, _safe_qa_bounds, count_safe_hypotheses
+from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
 from ._strategies import point_meets, random_sketch, sketches
 
@@ -61,6 +73,12 @@ class TestMinCountAbove:
     def test_negative_total(self):
         with pytest.raises(SketchError):
             min_count_above(-1, HALF)
+
+    def test_float_threshold_at_its_exact_value(self):
+        assert min_count_above(10, 0.5) == 6
+        assert min_count_above(10, 0.5, strict=False) == 5
+        # 0.7 is stored just below 7/10, so 7 of 10 already exceeds it
+        assert min_count_above(10, 0.7) == min_count_above(10, Fraction(0.7)) == 7
 
     @given(
         st.integers(1, 60),
@@ -268,3 +286,201 @@ class TestNeverFiresOnTruth:
         if point_meets(real, spec, sketch.q):
             bare = EvaluationSketch(sketch.classifiers, sketch.q, dict(sketch.counts))
             assert alarm_verdict(bare, spec, refine=True) is Verdict.NOT_TRIGGERED
+
+
+# ---------------------------------------------------------------- referees
+#
+# The sweep core decides unrefined safety in closed form and refines only
+# inside that window.  The referee is the per-hypothesis scan it replaced:
+# marginals, spec bounds and the safe subinterval recomputed at every q_a.
+
+THRESHOLDS = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), HALF)),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+SPECS = st.one_of(
+    st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()),
+    st.builds(OverallSpec, THRESHOLDS, st.booleans()),
+)
+
+
+def scan_subinterval(q, q_a, r_a, spec):
+    """The safe subinterval at one hypothesis, exactly as the scan did it."""
+    ia = feasible_interval_label_a(q, q_a, Marginals(r_a, q - r_a))
+    offset = q - q_a - r_a
+    if isinstance(spec, PerLabelSpec):
+        need = safe_threshold(spec, q, q_a)
+        lo = max(ia.lo, need.min_correct_a, need.min_correct_b - offset)
+    else:
+        need_total = safe_threshold(spec, q, q_a).min_correct_total
+        lo = max(ia.lo, -(-(need_total - offset) // 2))
+    return IntInterval(lo, ia.hi)
+
+
+def scan_slice(sketch, q_a, spec, ids, refine=False):
+    """One hypothesis judged from scratch, as the scan judged each one."""
+    margs = [marginalize(sketch, cid) for cid in ids]
+    safe = [scan_subinterval(sketch.q, q_a, m.r_a, spec) for m in margs]
+    exists = all(not iv.is_empty for iv in safe)
+    if exists and refine and len(ids) > 1:
+        tables = {
+            (i, j): pair_counts(sketch, ids[i], ids[j])
+            for i in range(len(ids))
+            for j in range(i + 1, len(ids))
+        }
+        exists = _refined_safe_exists(sketch.q, q_a, safe, tables)
+    return QaSlice(
+        q_a,
+        tuple(feasible_interval_label_a(sketch.q, q_a, m) for m in margs),
+        tuple(feasible_interval_label_b(sketch.q, q_a, m) for m in margs),
+        exists,
+        refine,
+    )
+
+
+def scan_safe(sketch, spec, ids, refine=False):
+    return [
+        q_a
+        for q_a in range(sketch.q + 1)
+        if scan_slice(sketch, q_a, spec, ids, refine).safe_exists
+    ]
+
+
+class TestClosedForm:
+    @given(st.integers(1, 60), st.data(), SPECS)
+    @settings(max_examples=400, deadline=None)
+    def test_classifier_interval_matches_scan(self, q, data, spec):
+        r_a = data.draw(st.sampled_from((0, q, q // 2)) | st.integers(0, q))
+        first, last = _safe_qa_bounds(q, r_a, spec)
+        scanned = [
+            q_a
+            for q_a in range(q + 1)  # both ends, q_a = 0 and q_a = q, included
+            if not scan_subinterval(q, q_a, r_a, spec).is_empty
+        ]
+        assert scanned == list(range(first, last + 1))
+
+    def test_edge_thresholds_exhaustive(self):
+        edges = (Fraction(0), Fraction(1), HALF, Fraction(1, 3))
+        specs = [PerLabelSpec(a, b, s) for a in edges for b in edges for s in (True, False)]
+        specs += [OverallSpec(t, s) for t in edges for s in (True, False)]
+        for q in range(1, 13):
+            for r_a in range(q + 1):
+                for spec in specs:
+                    first, last = _safe_qa_bounds(q, r_a, spec)
+                    scanned = [
+                        q_a
+                        for q_a in range(q + 1)
+                        if not scan_subinterval(q, q_a, r_a, spec).is_empty
+                    ]
+                    assert scanned == list(range(first, last + 1)), (q, r_a, spec)
+
+    @given(sketches(max_size=3, max_count=5), SPECS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_trace_matches_scan(self, sketch, spec, refine):
+        trace = run_alarm(sketch, spec, refine=refine)
+        ids = sketch.classifiers
+        assert trace.slices == tuple(
+            scan_slice(sketch, q_a, spec, ids, refine) for q_a in range(sketch.q + 1)
+        )
+
+    @given(sketches(min_size=2, max_size=3, max_count=5), SPECS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_and_verdicts_match_scan(self, sketch, spec, data):
+        refine = data.draw(st.booleans())
+        lo = data.draw(st.integers(0, sketch.q))
+        hi = data.draw(st.integers(lo, sketch.q))
+        pair = data.draw(st.none() | st.just(sketch.classifiers[:2]))
+        ids = pair or sketch.classifiers
+        safe = [q_a for q_a in scan_safe(sketch, spec, ids, refine) if lo <= q_a <= hi]
+        kw = dict(pair=pair, refine=refine, qa_range=(lo, hi))
+        assert count_safe_hypotheses(sketch, spec, **kw) == len(safe)
+        want = Verdict.NOT_TRIGGERED if safe else Verdict.TRIGGERED
+        assert alarm_verdict(sketch, spec, **kw) is want
+
+    @given(sketches(min_size=2, max_size=3, max_count=5), SPECS)
+    @settings(max_examples=100, deadline=None)
+    def test_refined_safe_within_unrefined_safe(self, sketch, spec):
+        plain = {s.q_a for s in run_alarm(sketch, spec).slices if s.safe_exists}
+        refined = {
+            s.q_a for s in run_alarm(sketch, spec, refine=True).slices if s.safe_exists
+        }
+        assert refined <= plain
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import crosscheck.alarm as alarm_module
+
+        calls = {"marginalize": 0, "pair_counts": 0}
+        for name in calls:
+            original = getattr(alarm_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(alarm_module, name, counted)
+        return calls
+
+    def test_marginals_once_per_run(self, grading_sketch, calls):
+        run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"), refine=True)
+        assert calls == {"marginalize": 2, "pair_counts": 1}
+
+    def test_pair_tables_only_for_a_searched_hypothesis(self, grading_sketch, calls):
+        pair = ("claude", "mistral")
+        safe = count_safe_hypotheses(grading_sketch, DEFAULT, pair=pair)
+        assert 0 < safe < grading_sketch.q + 1
+        outside = next(
+            q_a
+            for q_a in range(grading_sketch.q + 1)
+            if not evaluate_qa(grading_sketch, q_a, DEFAULT, pair).safe_exists
+        )
+        calls["pair_counts"] = 0
+        evaluate_qa(grading_sketch, outside, DEFAULT, pair, refine=True)
+        assert calls["pair_counts"] == 0
+        count_safe_hypotheses(
+            grading_sketch, DEFAULT, pair=pair, refine=True, qa_range=(outside, outside)
+        )
+        assert calls["pair_counts"] == 0
+
+
+def _cli_summary(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    return code, lines[-2], lines[-1]
+
+
+class TestCliAgainstTrace:
+    @given(sketches(min_size=2, max_size=3, max_count=5), SPECS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_alarm_output_matches_trace(self, tmp_path_factory, sketch, spec, data):
+        path = str(tmp_path_factory.mktemp("cli") / "s.json")
+        save_sketch(sketch, path)
+        refine = data.draw(st.booleans())
+        qa_range = data.draw(
+            st.none() | st.tuples(st.integers(0, sketch.q), st.integers(0, sketch.q)).map(sorted)
+        )
+        argv = ["alarm", path, "--no-strict"] if not spec.strict else ["alarm", path]
+        if isinstance(spec, PerLabelSpec):
+            # the CLI spec is symmetric, so audit with the label-a threshold
+            spec = PerLabelSpec(spec.threshold_a, spec.threshold_a, spec.strict)
+            argv += ["--spec-per-label", str(spec.threshold_a)]
+        else:
+            argv += ["--spec-overall", str(spec.threshold)]
+        if refine:
+            argv.append("--refine-pairs")
+        trace = run_alarm(sketch, spec, refine=refine)
+        lo, hi = qa_range or (0, sketch.q)
+        if qa_range:
+            argv += ["--qa-range", str(lo), str(hi)]
+            trace = restrict_qa_range(trace, lo, hi)
+        safe = sum(1 for s in trace.slices if s.safe_exists)
+        want = (
+            EXIT_TRIGGERED if safe == 0 else EXIT_OK,
+            f"safe hypotheses: {safe} of {hi - lo + 1}",
+            f"verdict: {trace.verdict.value}",
+        )
+        assert _cli_summary(argv) == want
+        trace_path = path.replace(".json", "-trace.json")
+        assert _cli_summary(argv + ["--trace", trace_path]) == want

@@ -236,6 +236,30 @@ class TestVerify:
         assert "ok" not in out.splitlines()
 
 
+    @pytest.mark.parametrize(
+        "claims",
+        [
+            {"point": {"q_a": "12", "correct_a": [1, 2, 3], "correct_b": [1, 2, 3]}},
+            {"marginals": {"claude": ["x", None]}},
+            {"marginals": [146, 135]},
+            {"point": {"q_a": 12, "correct_a": "abc", "correct_b": [1, 2, 3]}},
+        ],
+    )
+    def test_malformed_claims_are_errors(self, capsys, tmp_path, claims):
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(claims))
+        code, out, err = run(capsys, "verify", GRADING, "--claims", str(path))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("budget", ["-1", "x"])
+    def test_bad_budget_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "verify", GRADING, f"--budget={budget}")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "error:" in err
+
 class TestSolveIndependent:
     def test_consistent_fixture(self, capsys):
         code, out, _ = run(capsys, "solve-independent", EXACT)

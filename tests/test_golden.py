@@ -1,0 +1,85 @@
+"""Byte-for-byte pins of the alarm's user-visible output on the fixture.
+
+The README's worked `alarm` examples are pinned as exact stdout and exit
+code; the trace and plot files as SHA-256 digests of their bytes.  Any
+drift in verdicts, counts, trace serialization or plot layout fails
+here.  A deliberate change updates these values and says so in
+CHANGES.md; to recompute a digest, run the command and `sha256sum` the
+file it wrote.
+"""
+
+import hashlib
+
+import pytest
+
+from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
+
+README_EXAMPLES = [
+    (
+        ("--pair", "mistral", "gpt4"),
+        EXIT_TRIGGERED,
+        "safe hypotheses: 0 of 282\nverdict: triggered\n",
+    ),
+    (
+        ("--pair", "claude", "mistral"),
+        EXIT_OK,
+        "safe hypotheses: 42 of 282\nverdict: not_triggered\n",
+    ),
+    (
+        ("--ensemble", "--qa-range", "100", "200"),
+        EXIT_TRIGGERED,
+        "hypotheses restricted to [100, 200]\n"
+        "safe hypotheses: 0 of 101\nverdict: triggered\n",
+    ),
+]
+
+# (alarm options, {file format: sha256 of its bytes}, exit code, summary)
+TRACE_FILES = [
+    (
+        (),
+        {
+            "json": "170162dbe7ffda5453e686c87a8c9e7cc40b200e0f17153805e33d4388de9b8e",
+            "csv": "a459c527f5e36bdbe0cd52438d7c3d14008b34bc2ec1f541e672c17585376a9c",
+            "svg": "688448e2f1d577bd4cfba62f4a3692350b9ff0503dcdb483964199aa463647b8",
+        },
+        EXIT_TRIGGERED,
+        "safe hypotheses: 0 of 282\nverdict: triggered\n",
+    ),
+    (
+        ("--pair", "claude", "mistral", "--refine-pairs"),
+        {
+            "json": "c05cf65f8416190239f152aa0c0fdf2535e4a0f707eee36696f141a9d9924172",
+            "csv": "ea10caed9bacecf126c0564b94cde6c3b4a3bef3478a1898c88f690b1b24fa9c",
+            "svg": "008880f1d22c26521894acec5baaf47faf3060a3ce28c83bb7c2d64d63c5aaa9",
+        },
+        EXIT_OK,
+        "safe hypotheses: 42 of 282\nverdict: not_triggered\n",
+    ),
+]
+
+
+@pytest.fixture
+def grading_path(fixtures_dir):
+    return str(fixtures_dir / "llm_grading.json")
+
+
+@pytest.mark.parametrize(("options", "code", "stdout"), README_EXAMPLES)
+def test_readme_alarm_examples(capsys, grading_path, options, code, stdout):
+    assert main(["alarm", grading_path, *options]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (stdout, "")
+
+
+@pytest.mark.parametrize(("options", "digests", "code", "summary"), TRACE_FILES)
+def test_trace_and_plot_bytes(capsys, tmp_path, grading_path, options, digests, code, summary):
+    paths = {fmt: str(tmp_path / f"trace.{fmt}") for fmt in digests}
+    for extra in (
+        ["--trace", paths["json"], "--plot", paths["svg"]],
+        ["--trace", paths["csv"]],
+    ):
+        assert main(["alarm", grading_path, *options, *extra]) == code
+        wrote = "".join(f"wrote {path}\n" for path in extra[1::2])
+        assert capsys.readouterr().out == wrote + summary
+    for fmt, digest in digests.items():
+        with open(paths[fmt], "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest, fmt

@@ -257,6 +257,29 @@ class TestClaimsFormat:
                 grading_sketch,
             )
 
+    POINT = {"q_a": 237, "correct_a": [136, 26, 211], "correct_b": [34, 43, 21]}
+
+    @pytest.mark.parametrize(
+        "claims",
+        [
+            {"marginals": {"claude": ["x", None]}},
+            {"marginals": {"claude": [146.0, 135]}},
+            {"marginals": {"claude": [True, 135]}},
+            {"marginals": [146, 135]},
+            {"point": dict(POINT, q_a="237")},
+            {"point": dict(POINT, q_a=True)},
+            {"point": dict(POINT, q_a=237.5)},
+            {"point": dict(POINT, correct_a="abc")},
+            {"point": dict(POINT, correct_b=[34, None, 21])},
+            {"point": dict(POINT, pair_correct={"claude,mistral": [25, "31"]})},
+            {"point": dict(POINT, pair_correct={"claude,mistral": [False, 31]})},
+            {"point": dict(POINT, pair_correct=[[25, 31]])},
+        ],
+    )
+    def test_non_integer_counts_rejected(self, grading_sketch, claims):
+        with pytest.raises(FormatError):
+            parse_claims(json.dumps(claims), grading_sketch)
+
 
 class TestParamsFormat:
     def test_full_file(self, fixtures_dir):

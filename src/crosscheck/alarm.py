@@ -19,9 +19,10 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
+    PairBounds,
     feasible_interval_label_a,
     feasible_interval_label_b,
-    pair_partner_interval,
+    pair_bounds,
 )
 from .model import (
     EvaluationSketch,
@@ -201,44 +202,86 @@ class AlarmTrace:
         raise SketchError(f"trace has no slice at q_a={q_a}")
 
 
-def _refined_safe_exists(
-    q: int,
-    q_a: int,
-    safe: Sequence[IntInterval],
-    pair_tables: Mapping[tuple[int, int], Mapping[str, int]],
+def _greedy_pass(
+    safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
+) -> bool:
+    """One greedy pass in roster order: each classifier takes the lowest
+    count in its safe interval that the pair bounds allow, given the
+    counts already taken.  True means those counts are a witness; False
+    only means this pass dead-ended.  O(N^2)."""
+    chosen: list[int] = []
+    for k, iv in enumerate(safe):
+        lo, hi = iv.lo, iv.hi
+        for i, x in enumerate(chosen):
+            b = bounds[i, k]
+            lo = max(lo, x - b.max_i_minus_j, b.min_sum - x)
+            hi = min(hi, x + b.max_j_minus_i, b.max_sum - x)
+        if lo > hi:
+            return False
+        chosen.append(lo)
+    return True
+
+
+def _octagon_feasible(
+    safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
+) -> bool:
+    """Do integer counts exist, each in its safe interval, that meet every
+    pair's bounds?  Exact, O(N^3).
+
+    The safe intervals and the :func:`pair_bounds` of every pair are unit
+    two-variable inequalities (+-x_i +- x_j <= c), so this is integer
+    octagon feasibility, decided by tight closure (Lahiri & Musuvathi,
+    FroCoS 2005; Bagnara, Hill & Zaffanella, VMCAI 2008).  In the
+    difference-bound matrix node 2k stands for +x_k and node 2k+1 for
+    -x_k, and m[u][v] bounds V_v - V_u.  The system has a rational
+    solution iff the shortest-path closure has no negative cycle.  A
+    rational solution may still have no integer one: over the integers
+    2 x_k <= c implies 2 x_k <= 2 floor(c / 2), and a closed, rationally
+    consistent matrix has an integer solution iff, with every unary
+    entry so tightened, m[2k][2k+1] + m[2k+1][2k] >= 0 for every k.
+    Every entry starts at the bound the safe intervals imply by
+    themselves, so the matrix is complete and all-integer: no infinity.
+    """
+    upper = [v for iv in safe for v in (iv.hi, -iv.lo)]  # of V_u, by node
+    lower = [v for iv in safe for v in (iv.lo, -iv.hi)]
+    n = len(upper)
+    m = [[up - low for up in upper] for low in lower]
+    for (i, j), b in bounds.items():
+        pi, ni, pj, nj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        for u, v, c in (
+            (pj, pi, b.max_i_minus_j), (ni, nj, b.max_i_minus_j),
+            (pi, pj, b.max_j_minus_i), (nj, ni, b.max_j_minus_i),
+            (nj, pi, b.max_sum), (ni, pj, b.max_sum),
+            (pj, ni, -b.min_sum), (pi, nj, -b.min_sum),
+        ):
+            m[u][v] = min(m[u][v], c)
+    for k in range(n):  # Floyd-Warshall shortest-path closure
+        row_k = m[k]
+        for u in range(n):
+            row_u = m[u]
+            d = row_u[k]
+            m[u] = [a if a <= d + b else d + b for a, b in zip(row_u, row_k)]
+    if any(m[u][u] < 0 for u in range(n)):
+        return False
+    for u in range(n):  # tighten the unary entries
+        m[u][u ^ 1] = 2 * (m[u][u ^ 1] // 2)
+    return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2))
+
+
+def _pairwise_safe_exists(
+    safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
 ) -> bool:
     """Is there one ground truth putting every classifier in its safe
-    interval simultaneously?
+    interval, with every pair's coupling (:func:`pair_bounds`) enforced?
 
-    Backtracking over candidate true-a correctness counts, pruning each
-    classifier's interval with the pairwise coupling to all classifiers
-    already fixed.  For two classifiers the couplings are the whole
-    story, so the answer is exact.  For three or more, only pairwise
-    couplings are enforced; a True here can still be unrealizable by any
-    single ground truth, so callers get a tightening of the independent
-    check, never a loosening, and a False remains definitive.
+    For two classifiers the couplings are the whole story, so the answer
+    is exact.  For three or more, only pairwise couplings are enforced; a
+    True here can still be unrealizable by any single ground truth, so
+    callers get a tightening of the independent check, never a
+    loosening, and a False remains definitive.  The greedy pass answers
+    most inputs in O(N^2); the closure decides the rest in O(N^3).
     """
-    n = len(safe)
-
-    def admissible(k: int, chosen: list[int]) -> IntInterval:
-        iv = safe[k]
-        for i in range(k):
-            if iv.is_empty:
-                break
-            iv = iv.intersect(pair_partner_interval(q, q_a, pair_tables[(i, k)], chosen[i]))
-        return iv
-
-    def search(k: int, chosen: list[int]) -> bool:
-        if k == n:
-            return True
-        for x in admissible(k, chosen):
-            chosen.append(x)
-            if search(k + 1, chosen):
-                return True
-            chosen.pop()
-        return False
-
-    return search(0, [])
+    return _greedy_pass(safe, bounds) or _octagon_feasible(safe, bounds)
 
 
 class _Sweep:
@@ -288,7 +331,8 @@ class _Sweep:
             return True
         need = safe_threshold(self.spec, self.q, q_a)
         safe = [_safe_subinterval(self.q, q_a, m, need) for m in self.margs]
-        return _refined_safe_exists(self.q, q_a, safe, self.tables)
+        bounds = {ij: pair_bounds(q_a, table) for ij, table in self.tables.items()}
+        return _pairwise_safe_exists(safe, bounds)
 
     def _candidates(self, lo: int, hi: int) -> range:
         return range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import (
     LABEL_A,
@@ -151,6 +151,58 @@ def joint_correct_a_window(
     return IntInterval(lo, hi)
 
 
+class PairBounds(NamedTuple):
+    """The four bounds a pair table puts on the two true-a correct counts
+    x_i and x_j (see :func:`pair_bounds`)."""
+
+    max_i_minus_j: int  # x_i - x_j <= n_ab
+    max_j_minus_i: int  # x_j - x_i <= n_ba
+    min_sum: int  # q_a - n_bb <= x_i + x_j
+    max_sum: int  # x_i + x_j <= q_a + n_aa
+
+
+def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
+    """The pair constraint: what a pair's response table adds, on top of
+    each classifier's own feasible interval, about its two true-a
+    correct counts x_i and x_j at hypothesis ``q_a``.
+
+    Two counts inside their own feasible intervals
+    (:func:`feasible_interval_label_a`) coexist on one ground truth iff
+
+        x_i - x_j <= n_ab,   x_j - x_i <= n_ba,
+        q_a - n_bb <= x_i + x_j <= q_a + n_aa.
+
+    Proof.  They coexist iff :func:`joint_correct_a_window` is non-empty,
+    i.e. iff each of its four lower terms 0, x_i - n_ab, x_j - n_ba,
+    x_i + x_j - q_a is at most each of its four upper terms n_aa, x_i,
+    x_j, n_bb - q_a + x_i + x_j.  Write r_i = n_aa + n_ab and
+    r_j = n_aa + n_ba for the two "a" totals and q_b = q - q_a, so the
+    own intervals are max(0, r_i - q_b) <= x_i <= min(q_a, r_i) and the
+    same for x_j with r_j.  Of the 16 comparisons:
+
+    - 0 <= n_aa, x_i - n_ab <= x_i, x_j - n_ba <= x_j and
+      x_i + x_j - q_a <= n_bb - q_a + x_i + x_j (that is 0 <= n_bb)
+      always hold;
+    - 0 <= x_i, 0 <= x_j, x_i - n_ab <= n_aa (x_i <= r_i),
+      x_j - n_ba <= n_aa (x_j <= r_j), x_i + x_j - q_a <= x_i
+      (x_j <= q_a) and x_i + x_j - q_a <= x_j (x_i <= q_a) are the own
+      intervals;
+    - x_i - n_ab <= n_bb - q_a + x_i + x_j unfolds to
+      x_j >= q_a - n_bb - n_ab = r_j - q_b, and
+      x_j - n_ba <= n_bb - q_a + x_i + x_j to x_i >= r_i - q_b: the own
+      lower bounds again;
+    - the remaining four, x_i - n_ab <= x_j, x_j - n_ba <= x_i,
+      0 <= n_bb - q_a + x_i + x_j and x_i + x_j - q_a <= n_aa, are the
+      four bounds above.
+
+    Every bound has two variables with unit coefficients, so with the
+    own intervals a set of pairs forms an integer octagon.
+    """
+    return PairBounds(
+        pair["ab"], pair["ba"], q_a - pair["bb"], q_a + pair["aa"]
+    )
+
+
 def pair_feasible(
     q: int,
     q_a: int,
@@ -173,31 +225,13 @@ def pair_feasible(
             "pair feasibility asked outside the per-classifier rectangle: "
             f"({correct_a_i}, {correct_a_j}) vs [{ia_i.lo},{ia_i.hi}]x[{ia_j.lo},{ia_j.hi}]"
         )
-    return not joint_correct_a_window(q_a, pair, correct_a_i, correct_a_j).is_empty
-
-
-def pair_partner_interval(
-    q: int,
-    q_a: int,
-    pair: Mapping[str, int],
-    correct_a_i: int,
-) -> IntInterval:
-    """All partner true-a counts jointly feasible with ``correct_a_i``.
-
-    Empty when the fixed count alone already exceeds what the pattern
-    table can absorb.  Callers still intersect the result with the
-    partner's own feasible interval; this captures only the coupling.
-    """
-    x = correct_a_i
-    n_aa = pair["aa"]
-    n_ab = pair["ab"]
-    n_ba = pair["ba"]
-    n_bb = pair["bb"]
-    if x < q_a - n_bb - n_ba:
-        return IntInterval.empty()
-    lo = max(0, x - n_ab, q_a - n_bb - x, q_a - n_bb - n_ab)
-    hi = min(x + n_ba, q_a + n_aa - x)
-    return IntInterval(lo, hi)
+    bounds = pair_bounds(q_a, pair)
+    diff = correct_a_i - correct_a_j
+    total = correct_a_i + correct_a_j
+    return (
+        -bounds.max_j_minus_i <= diff <= bounds.max_i_minus_j
+        and bounds.min_sum <= total <= bounds.max_sum
+    )
 
 
 def pattern_covariance(sketch: EvaluationSketch, first: str, second: str) -> Fraction:

@@ -335,16 +335,21 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
     _require_keys(
         obj, ("p_a", "accuracy_a", "accuracy_b"), ("classifiers",), "params file"
     )
+    for key in ("accuracy_a", "accuracy_b", "classifiers"):
+        if key in obj and not isinstance(obj[key], list):
+            raise FormatError(f"params file: {key} must be a list")
     ids = None
     if "classifiers" in obj:
         ids = tuple(obj["classifiers"])
+        if not all(isinstance(cid, str) and cid for cid in ids):
+            raise FormatError("params file: classifier ids must be non-empty strings")
     try:
         params = IndependentParams(
             Fraction(obj["p_a"]),
             tuple(Fraction(x) for x in obj["accuracy_a"]),
             tuple(Fraction(x) for x in obj["accuracy_b"]),
         )
-    except (SketchError, ValueError, ZeroDivisionError) as exc:
+    except (SketchError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad parameters: {exc}") from None
     if ids is not None and len(ids) != params.size:
         raise FormatError(
@@ -383,7 +388,7 @@ def _map_label(
         raise IngestError(
             f"{where}: label {raw!r} is not canonical and no label map was given"
         )
-    if raw not in label_map:
+    if not isinstance(raw, str) or raw not in label_map:
         raise IngestError(f"{where}: label {raw!r} is not in the label map")
     mapped = label_map[raw]
     if mapped not in LABELS:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,10 +20,12 @@ from crosscheck import (
     SketchError,
     Verdict,
     alarm_verdict,
+    all_patterns,
     enumerate_variety,
     evaluate_qa,
     feasible_interval_label_a,
     feasible_interval_label_b,
+    load_sketch,
     marginalize,
     min_count_above,
     pair_counts,
@@ -32,7 +35,14 @@ from crosscheck import (
     save_sketch,
     sketch_point,
 )
-from crosscheck.alarm import _refined_safe_exists, _safe_qa_bounds, count_safe_hypotheses
+from crosscheck.alarm import (
+    _greedy_pass,
+    _octagon_feasible,
+    _pairwise_safe_exists,
+    _safe_qa_bounds,
+    count_safe_hypotheses,
+)
+from crosscheck.axioms import PairBounds, pair_bounds
 from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
 from ._strategies import point_meets, random_sketch, sketches
@@ -292,7 +302,9 @@ class TestNeverFiresOnTruth:
 #
 # The sweep core decides unrefined safety in closed form and refines only
 # inside that window.  The referee is the per-hypothesis scan it replaced:
-# marginals, spec bounds and the safe subinterval recomputed at every q_a.
+# marginals, spec bounds and the safe subinterval recomputed at every q_a,
+# with pairwise refinement decided by the backtracking search that the
+# greedy pass plus octagon closure replaced.
 
 THRESHOLDS = st.one_of(
     st.sampled_from((Fraction(0), Fraction(1), HALF)),
@@ -317,6 +329,39 @@ def scan_subinterval(q, q_a, r_a, spec):
     return IntInterval(lo, ia.hi)
 
 
+def partner_interval(q_a, pair, x):
+    """Partner true-a counts jointly feasible with ``x``, before the
+    partner's own interval: the coupling as the backtracking search
+    used it."""
+    n_aa, n_ab, n_ba, n_bb = pair["aa"], pair["ab"], pair["ba"], pair["bb"]
+    if x < q_a - n_bb - n_ba:
+        return IntInterval.empty()
+    lo = max(0, x - n_ab, q_a - n_bb - x, q_a - n_bb - n_ab)
+    hi = min(x + n_ba, q_a + n_aa - x)
+    return IntInterval(lo, hi)
+
+
+def backtrack_safe_exists(q_a, safe, pair_tables):
+    """The depth-first search the refinement replaced: exact for pairwise
+    couplings, but about q^(N-1) steps in the worst case."""
+    n = len(safe)
+
+    def search(k, chosen):
+        if k == n:
+            return True
+        iv = safe[k]
+        for i in range(k):
+            iv = iv.intersect(partner_interval(q_a, pair_tables[(i, k)], chosen[i]))
+        for x in iv:
+            chosen.append(x)
+            if search(k + 1, chosen):
+                return True
+            chosen.pop()
+        return False
+
+    return search(0, [])
+
+
 def scan_slice(sketch, q_a, spec, ids, refine=False):
     """One hypothesis judged from scratch, as the scan judged each one."""
     margs = [marginalize(sketch, cid) for cid in ids]
@@ -328,7 +373,7 @@ def scan_slice(sketch, q_a, spec, ids, refine=False):
             for i in range(len(ids))
             for j in range(i + 1, len(ids))
         }
-        exists = _refined_safe_exists(sketch.q, q_a, safe, tables)
+        exists = backtrack_safe_exists(q_a, safe, tables)
     return QaSlice(
         q_a,
         tuple(feasible_interval_label_a(sketch.q, q_a, m) for m in margs),
@@ -441,6 +486,117 @@ class TestClosedForm:
             grading_sketch, DEFAULT, pair=pair, refine=True, qa_range=(outside, outside)
         )
         assert calls["pair_counts"] == 0
+
+
+REFINE_ROSTER = ("c1", "c2", "c3", "c4")
+
+
+def random_refinement_case(rng, max_size=4, max_q=40):
+    """Safe intervals and pair tables at one hypothesis of a random sketch.
+
+    Safe intervals are mostly narrow (width 0 to 2), so about one case in
+    ten is infeasible; wide ones are almost always feasible.  A third of the
+    sketches draw from a quarter of the patterns, which correlates the
+    classifiers.
+    """
+    size = rng.randint(2, max_size)
+    patterns = all_patterns(size)
+    if rng.random() < 1 / 3:
+        patterns = patterns[: max(1, len(patterns) // 4)]
+    q = rng.randint(1, max_q)
+    counts = {}
+    for _ in range(q):
+        pattern = rng.choice(patterns)
+        counts[pattern] = counts.get(pattern, 0) + 1
+    sketch = EvaluationSketch(REFINE_ROSTER[:size], q, counts)
+    ids = sketch.classifiers
+    q_a = rng.randint(0, q)
+    safe = []
+    for cid in ids:
+        feasible = feasible_interval_label_a(q, q_a, marginalize(sketch, cid))
+        width = rng.choice((0, 0, 0, 1, 2, feasible.hi - feasible.lo))
+        lo = rng.randint(feasible.lo, max(feasible.lo, feasible.hi - width))
+        safe.append(IntInterval(lo, min(feasible.hi, lo + width)))
+    tables = {
+        (i, j): pair_counts(sketch, ids[i], ids[j])
+        for i in range(size)
+        for j in range(i + 1, size)
+    }
+    return q_a, safe, tables
+
+
+def decide(q_a, safe, tables):
+    """(decision, closure alone, greedy pass alone, referee)."""
+    bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
+    return (
+        _pairwise_safe_exists(safe, bounds),
+        _octagon_feasible(safe, bounds),
+        _greedy_pass(safe, bounds),
+        backtrack_safe_exists(q_a, safe, tables),
+    )
+
+
+class TestPairwiseDecision:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_backtracking(self, rng):
+        decision, closure, greedy, referee = decide(*random_refinement_case(rng))
+        assert decision == closure == referee
+        if greedy:
+            assert referee
+
+    def test_both_answers_and_both_steps_exercised(self):
+        rng = random.Random(20261018)
+        seen = {"infeasible": 0, "closure_finds": 0, "greedy_finds": 0}
+        for _ in range(1000):
+            decision, closure, greedy, referee = decide(*random_refinement_case(rng))
+            assert decision == closure == referee
+            if not referee:
+                seen["infeasible"] += 1
+            elif greedy:
+                seen["greedy_finds"] += 1
+            else:
+                seen["closure_finds"] += 1
+        # infeasible cases and greedy dead-ends with a solution are both
+        # common enough that a wrong answer on either side shows
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("safe, bounds, feasible", [
+        # x + y = 1 and x = y hold together only at x = y = 1/2: feasible
+        # over the rationals, so only the tightening step rejects it
+        ([(0, 1), (0, 1)], {(0, 1): (0, 0, 1, 1)}, False),
+        ([(0, 1), (0, 1)], {(0, 1): (0, 0, 1, 2)}, True),  # x = y = 1
+        # an empty sum range: a negative cycle the closure must report
+        ([(0, 3), (0, 3)], {(0, 1): (9, 9, 4, 3)}, False),
+        # x2 = 1 forces x0 = 2, then x1 >= 3 but x0 + x1 <= 3: found only
+        # through both coherent copies of each sum bound
+        ([(0, 2), (1, 3), (1, 1)],
+         {(0, 1): (-1, 3, 2, 3), (0, 2): (2, 3, 3, 4), (1, 2): (9, 9, -9, 9)}, False),
+        ([(0, 2), (1, 3), (1, 1)],
+         {(0, 1): (-1, 3, 2, 5), (0, 2): (2, 3, 3, 4), (1, 2): (9, 9, -9, 9)}, True),
+    ], ids=["rational-only", "integer", "empty-sum", "chained", "chained-open"])
+    def test_closure_on_hand_written_octagons(self, safe, bounds, feasible):
+        safe = [IntInterval(*iv) for iv in safe]
+        bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
+        assert _octagon_feasible(safe, bounds) is feasible
+        assert _pairwise_safe_exists(safe, bounds) is feasible
+
+    def test_complementary_pair_cannot_both_pass_bounded_run(self, tmp_path):
+        # The last classifier always answers against the first, so no truth
+        # lets both beat 1/2 on a label.  The backtracking search tried every
+        # combination of the middle three (about q^3 steps) before saying so.
+        free = ["".join(p) for p in itertools.product("ab", repeat=4)]
+        flip = {"a": "b", "b": "a"}
+        counts = {p + flip[p[0]]: 4 for p in free}
+        path = str(tmp_path / "adv5.json")
+        save_sketch(EvaluationSketch(tuple(f"x{k}" for k in range(5)), 64, counts), path)
+        code, safe_line, verdict_line = _cli_summary(["alarm", path, "--refine-pairs"])
+        assert (code, safe_line, verdict_line) == (
+            EXIT_TRIGGERED, "safe hypotheses: 0 of 65", "verdict: triggered"
+        )
+        assert count_safe_hypotheses(
+            load_sketch(path), DEFAULT, refine=False
+        ) > 0  # the unrefined alarm stays quiet: only the pairs convict
 
 
 def _cli_summary(argv):

@@ -18,7 +18,6 @@ from crosscheck import (
     pair_axiom_sum,
     pair_counts,
     pair_feasible,
-    pair_partner_interval,
     pattern_covariance,
     point_axiom_violations,
     pspace_stats,
@@ -26,6 +25,7 @@ from crosscheck import (
     single_axiom_residual,
     sketch_point,
 )
+from crosscheck.axioms import pair_bounds
 
 from ._strategies import sketches
 
@@ -162,13 +162,15 @@ class TestPairAxioms:
                     for p in points:
                         ja, jb = p.pair_correct[(0, 1)]
                         assert ja + jb == forced
-                # the partner interval captures exactly the coupling
+                # at fixed x, the generator's bounds capture exactly the coupling
                 coupled = {
                     y for y in rect_j
                     if pair_feasible(sketch.q, q_a, pair, m_i, m_j, x, y)
                 }
-                partner = pair_partner_interval(
-                    sketch.q, q_a, pair, x
+                b = pair_bounds(q_a, pair)
+                partner = IntInterval(
+                    max(x - b.max_i_minus_j, b.min_sum - x),
+                    min(x + b.max_j_minus_i, b.max_sum - x),
                 ).intersect(rect_j)
                 assert coupled == set(partner)
 

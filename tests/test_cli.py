@@ -5,9 +5,14 @@ output formatting are exercised exactly as a shell user would see them.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import crosscheck
 from crosscheck import load_sketch, parse_trace
 from crosscheck.cli import EXIT_ERROR, EXIT_OK, EXIT_TRIGGERED, main
 
@@ -340,6 +345,18 @@ class TestGenerate:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "item_id,clf1,clf2,clf3,truth"
 
+    def test_params_field_of_wrong_type_is_an_error(self, capsys, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "p_a": "1/2", "accuracy_a": 5, "accuracy_b": ["3/4"],
+        }))
+        code, out, err = run(
+            capsys, "generate", "--seed", "1", "--params", str(params), "--q", "2",
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestIngestAndFlip:
     def test_fixture_csv_reproduces_canonical_sketch(self, capsys, tmp_path, fixtures_dir):
@@ -424,6 +441,18 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_ERROR
+
+    def test_module_entry_point(self):
+        # ``python -m crosscheck.cli`` runs the same entry point as the script
+        src = pathlib.Path(crosscheck.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "crosscheck.cli", "sketch", GRADING],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_OK
+        assert done.stdout.splitlines()[:2] == ["q: 281", "classifiers: claude, mistral, gpt4"]
 
     def test_exit_codes_are_distinct(self):
         assert (EXIT_OK, EXIT_ERROR, EXIT_TRIGGERED) == (0, 1, 2)

@@ -314,6 +314,23 @@ class TestParamsFormat:
                 "p_a": "1/2", "accuracy_a": ["1/2"], "accuracy_b": ["1/2"],
             }))
 
+    @pytest.mark.parametrize("key, value", [
+        ("accuracy_a", 5),
+        ("accuracy_b", "1/2"),
+        ("classifiers", "u"),
+        ("classifiers", [5]),
+        ("accuracy_a", [None]),
+        ("p_a", None),
+    ])
+    def test_wrong_types_are_format_errors(self, key, value):
+        obj = {
+            "classifiers": ["u"], "p_a": "1/2",
+            "accuracy_a": ["1/2"], "accuracy_b": ["1/2"],
+        }
+        obj[key] = value
+        with pytest.raises(FormatError):
+            parse_params(json.dumps(obj))
+
 
 class TestCsvIngest:
     def write(self, tmp_path, text):
@@ -418,6 +435,18 @@ class TestJsonlIngest:
         result = ingest(path, "jsonl")
         assert [rec.item_id for rec in result.records] == ["x2"]
         assert result.dropped[0][0] == "x1"
+
+    @pytest.mark.parametrize("field", ["responses", "truth"])
+    @pytest.mark.parametrize("raw", [["yes"], {"k": "yes"}, 1])
+    def test_non_string_label_with_map(self, tmp_path, field, raw):
+        record = {"item_id": "x1", "responses": {"u": "yes"}, "truth": "yes"}
+        if field == "responses":
+            record["responses"] = {"u": raw}
+        else:
+            record["truth"] = raw
+        path = self.write(tmp_path, [json.dumps(record)])
+        with pytest.raises(IngestError, match="not in the label map"):
+            ingest(path, "jsonl", {"yes": "a"})
 
     def test_errors(self, tmp_path):
         with pytest.raises(IngestError):

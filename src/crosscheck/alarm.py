@@ -306,7 +306,7 @@ class _Sweep:
     ) -> None:
         q = sketch.q
         self.sketch, self.q, self.spec, self.ids = sketch, q, spec, ids
-        self.refine = refine
+        self.refine = bool(refine)
         self.coupled = refine and len(ids) > 1
         self.margs = tuple(marginalize(sketch, cid) for cid in ids)
         lo, hi = 0, q

@@ -246,6 +246,12 @@ def _trace_format(path: str) -> str:
 
 
 def _cmd_alarm(args: argparse.Namespace) -> int:
+    # check the output names first, so a bad one costs no work and no output
+    trace_fmt = _trace_format(args.trace) if args.trace else None
+    if trace_fmt == "svg":
+        raise FormatError("--trace writes csv or json; use --plot for svg")
+    if args.plot and _trace_format(args.plot) != "svg":
+        raise FormatError("--plot writes svg; use --trace for csv or json")
     sketch = load_sketch(args.path)
     if args.spec_overall is not None:
         spec = OverallSpec(args.spec_overall, args.strict)
@@ -267,14 +273,9 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
     if args.qa_range:
         print(f"hypotheses restricted to [{lo}, {hi}]")
     if args.trace:
-        fmt = _trace_format(args.trace)
-        if fmt == "svg":
-            raise FormatError("--trace writes csv or json; use --plot for svg")
-        emit_trace(trace, fmt, args.trace)
+        emit_trace(trace, trace_fmt, args.trace)
         print(f"wrote {args.trace}")
     if args.plot:
-        if _trace_format(args.plot) != "svg":
-            raise FormatError("--plot writes svg; use --trace for csv or json")
         emit_trace(trace, "svg", args.plot)
         print(f"wrote {args.plot}")
     verdict = Verdict.NOT_TRIGGERED if safe else Verdict.TRIGGERED

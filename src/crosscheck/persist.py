@@ -3,7 +3,10 @@
 Sketch and trace files are JSON with a canonical layout (fixed key
 order, two-space indent, rationals as "n/d" strings, trailing newline),
 so loading a tool-written file and saving it again is byte-identical.
-All writes go through a temp-file-and-rename so readers never observe a
+A trace holds O(q·N) intervals; its JSON is written in that layout
+directly rather than through the pure-Python indenting encoder, and
+``parse_trace`` checks the schema the writer relies on.  All writes
+go through a temp-file-and-rename so readers never observe a
 half-written file.
 """
 
@@ -141,42 +144,89 @@ def _spec_to_obj(spec: SafetySpec) -> dict:
     return {"kind": "overall", "threshold": str(spec.threshold), "strict": spec.strict}
 
 
+def _flag(value: object, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise FormatError(f"{what} must be true or false")
+    return value
+
+
 def _spec_from_obj(obj: Mapping) -> SafetySpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("spec must be an object with a 'kind'")
     if obj["kind"] == "per-label":
-        _require_keys(obj, ("kind", "threshold_a", "threshold_b", "strict"), (), "spec")
-        return PerLabelSpec(
-            Fraction(obj["threshold_a"]), Fraction(obj["threshold_b"]), obj["strict"]
-        )
-    if obj["kind"] == "overall":
-        _require_keys(obj, ("kind", "threshold", "strict"), (), "spec")
-        return OverallSpec(Fraction(obj["threshold"]), obj["strict"])
-    raise FormatError(f"unknown spec kind {obj['kind']!r}")
+        keys = ("threshold_a", "threshold_b")
+        _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
+        build = PerLabelSpec
+    elif obj["kind"] == "overall":
+        keys = ("threshold",)
+        _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
+        build = OverallSpec
+    else:
+        raise FormatError(f"unknown spec kind {obj['kind']!r}")
+    if not all(isinstance(obj[key], str) for key in keys):
+        raise FormatError('spec thresholds must be "n/d" strings')
+    strict = _flag(obj["strict"], "spec 'strict'")
+    try:
+        return build(*(Fraction(obj[key]) for key in keys), strict)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad spec threshold: {exc}") from None
+
+
+def _intervals_json(intervals: Sequence[IntInterval]) -> str:
+    if not intervals:
+        return "[]"
+    body = ",\n".join(
+        f"        [\n          {iv.lo},\n          {iv.hi}\n        ]"
+        for iv in intervals
+    )
+    return f"[\n{body}\n      ]"
 
 
 def trace_to_json_text(trace: AlarmTrace) -> str:
-    obj = {
-        "q": trace.q,
-        "spec": _spec_to_obj(trace.spec),
-        "mode": trace.mode,
-        "classifiers": list(trace.classifiers),
-        "verdict": trace.verdict.value,
-        "slices": [
-            {
-                "q_a": s.q_a,
-                "intervals_a": [[iv.lo, iv.hi] for iv in s.intervals_a],
-                "intervals_b": [[iv.lo, iv.hi] for iv in s.intervals_b],
-                "safe_exists": s.safe_exists,
-                "refined": s.refined,
-            }
-            for s in trace.slices
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The trace in its canonical layout, the bytes ``json.dumps(obj,
+    indent=2) + "\\n"`` would give for the obvious object.
+
+    ``json.dumps`` writes only the small header (so string escaping stays
+    its own); the O(q·N) slices follow the fixed schema and are spliced in
+    as text, because with ``indent`` set the encoder runs in pure Python.
+    Slice fields must be plain ints and bools, as :func:`run_alarm` and
+    :func:`parse_trace` give them.
+    """
+    header = json.dumps(
+        {
+            "q": trace.q,
+            "spec": _spec_to_obj(trace.spec),
+            "mode": trace.mode,
+            "classifiers": list(trace.classifiers),
+            "verdict": trace.verdict.value,
+            "slices": [],
+        },
+        indent=2,
+    )
+    if not trace.slices:
+        return header + "\n"
+    body = ",\n".join(
+        f'    {{\n      "q_a": {s.q_a},\n'
+        f'      "intervals_a": {_intervals_json(s.intervals_a)},\n'
+        f'      "intervals_b": {_intervals_json(s.intervals_b)},\n'
+        f'      "safe_exists": {"true" if s.safe_exists else "false"},\n'
+        f'      "refined": {"true" if s.refined else "false"}\n    }}'
+        for s in trace.slices
+    )
+    # the header ends in '"slices": []\n}'; open that list and fill it
+    return f"{header[:-4]}[\n{body}\n  ]\n}}\n"
+
+
+def _intervals_from(value: object, size: int, what: str) -> tuple[IntInterval, ...]:
+    if not isinstance(value, list) or len(value) != size:
+        raise FormatError(f"{what} must be a list of {size} intervals")
+    return tuple(IntInterval(*_int_list(iv, 2, f"each of {what}")) for iv in value)
 
 
 def parse_trace(text: str) -> AlarmTrace:
+    """Read a trace file, checking its schema: counts are integers,
+    flags are booleans, and every slice has one interval per classifier
+    and label."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -184,6 +234,18 @@ def parse_trace(text: str) -> AlarmTrace:
     _require_keys(
         obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
     )
+    if not _is_int(obj["q"]):
+        raise FormatError("trace 'q' must be an integer")
+    if not isinstance(obj["mode"], str):
+        raise FormatError("trace 'mode' must be a string")
+    classifiers = obj["classifiers"]
+    if not isinstance(classifiers, list) or not all(
+        isinstance(c, str) for c in classifiers
+    ):
+        raise FormatError("trace 'classifiers' must be a list of strings")
+    if not isinstance(obj["slices"], list):
+        raise FormatError("trace 'slices' must be a list")
+    size = len(classifiers)
     slices = []
     for raw in obj["slices"]:
         _require_keys(
@@ -192,13 +254,15 @@ def parse_trace(text: str) -> AlarmTrace:
             (),
             "trace slice",
         )
+        if not _is_int(raw["q_a"]):
+            raise FormatError("slice 'q_a' must be an integer")
         slices.append(
             QaSlice(
                 raw["q_a"],
-                tuple(IntInterval(lo, hi) for lo, hi in raw["intervals_a"]),
-                tuple(IntInterval(lo, hi) for lo, hi in raw["intervals_b"]),
-                raw["safe_exists"],
-                raw["refined"],
+                _intervals_from(raw["intervals_a"], size, "slice 'intervals_a'"),
+                _intervals_from(raw["intervals_b"], size, "slice 'intervals_b'"),
+                _flag(raw["safe_exists"], "slice 'safe_exists'"),
+                _flag(raw["refined"], "slice 'refined'"),
             )
         )
     try:
@@ -209,7 +273,7 @@ def parse_trace(text: str) -> AlarmTrace:
         obj["q"],
         _spec_from_obj(obj["spec"]),
         obj["mode"],
-        tuple(obj["classifiers"]),
+        tuple(classifiers),
         tuple(slices),
         verdict,
     )
@@ -343,6 +407,11 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
         ids = tuple(obj["classifiers"])
         if not all(isinstance(cid, str) and cid for cid in ids):
             raise FormatError("params file: classifier ids must be non-empty strings")
+    # Fraction(True) == 1, so a JSON boolean would pass as a rational
+    if any(
+        isinstance(x, bool) for x in (obj["p_a"], *obj["accuracy_a"], *obj["accuracy_b"])
+    ):
+        raise FormatError("params file: rationals must be numbers or \"n/d\" strings")
     try:
         params = IndependentParams(
             Fraction(obj["p_a"]),

@@ -162,6 +162,36 @@ class TestAlarm:
         assert code == EXIT_ERROR
         assert "use --trace for csv or json" in err
 
+    @pytest.mark.parametrize("trace, plot, message", [
+        ("t.csv", "t.png", "cannot infer a trace format from"),
+        ("t.txt", None, "cannot infer a trace format from"),
+        ("t.svg", "t.svg", "use --plot for svg"),
+        ("t.json", "t.json", "use --trace for csv or json"),
+        (None, "t.csv", "use --trace for csv or json"),
+    ])
+    def test_output_names_checked_before_any_work(
+        self, capsys, tmp_path, trace, plot, message
+    ):
+        argv = ["alarm", GRADING, "--qa-range", "1", "2"]
+        if trace:
+            argv += ["--trace", str(tmp_path / trace)]
+        if plot:
+            argv += ["--plot", str(tmp_path / plot)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_output_name_precedes_a_missing_sketch(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "alarm", str(tmp_path / "missing.json"),
+            "--trace", str(tmp_path / "t.txt"),
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "cannot infer a trace format" in err
+
     def test_default_spec_is_per_label_half(self, capsys):
         code, out, _ = run(capsys, "alarm", GRADING, "--ensemble")
         assert code == EXIT_TRIGGERED
@@ -349,6 +379,18 @@ class TestGenerate:
         params = tmp_path / "params.json"
         params.write_text(json.dumps({
             "p_a": "1/2", "accuracy_a": 5, "accuracy_b": ["3/4"],
+        }))
+        code, out, err = run(
+            capsys, "generate", "--seed", "1", "--params", str(params), "--q", "2",
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_params_booleans_are_an_error(self, capsys, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "p_a": True, "accuracy_a": [False], "accuracy_b": [True],
         }))
         code, out, err = run(
             capsys, "generate", "--seed", "1", "--params", str(params), "--q", "2",

@@ -3,14 +3,19 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscheck import (
+    AlarmTrace,
     EvaluationSketch,
     FormatError,
+    IntInterval,
     IngestError,
     Marginals,
     OverallSpec,
     PerLabelSpec,
+    QaSlice,
     Verdict,
     atomic_write_text,
     decisions_to_csv_text,
@@ -24,6 +29,7 @@ from crosscheck import (
     parse_trace,
     records_to_decisions,
     render_traces,
+    restrict_qa_range,
     run_alarm,
     save_sketch,
     sketch_from_decisions,
@@ -31,6 +37,8 @@ from crosscheck import (
     trace_to_csv_text,
     trace_to_json_text,
 )
+
+from ._strategies import sketches
 
 DEFAULT = PerLabelSpec(Fraction(1, 2), Fraction(1, 2))
 
@@ -99,6 +107,29 @@ class TestSketchFormat:
         # structural sketch errors surface as format errors
         with pytest.raises(FormatError):
             parse_sketch(json.dumps({"classifiers": ["u"], "q": 0, "counts": {}}))
+
+
+GOOD_TRACE = {
+    "q": 1,
+    "spec": {"kind": "per-label", "threshold_a": "1/2", "threshold_b": "2/3",
+             "strict": True},
+    "mode": "pair",
+    "classifiers": ["u", "v"],
+    "verdict": "triggered",
+    "slices": [
+        {"q_a": 0, "intervals_a": [[0, 0], [0, 0]],
+         "intervals_b": [[0, 1], [1, 1]], "safe_exists": False,
+         "refined": True},
+    ],
+}
+
+
+def slice_with(**fields):
+    return dict(GOOD_TRACE, slices=[dict(GOOD_TRACE["slices"][0], **fields)])
+
+
+def spec_with(**fields):
+    return dict(GOOD_TRACE, spec=dict(GOOD_TRACE["spec"], **fields))
 
 
 class TestTraceFormats:
@@ -172,6 +203,162 @@ class TestTraceFormats:
         bad = dict(good, spec={"kind": "sometimes"})
         with pytest.raises(FormatError):
             parse_trace(json.dumps(bad))
+
+    @pytest.mark.parametrize("obj", [
+        dict(GOOD_TRACE, q="1"),
+        dict(GOOD_TRACE, q=True),
+        dict(GOOD_TRACE, q=1.0),
+        dict(GOOD_TRACE, mode=None),
+        dict(GOOD_TRACE, classifiers="uv"),
+        dict(GOOD_TRACE, classifiers=["u", 5]),
+        dict(GOOD_TRACE, slices=5),
+        dict(GOOD_TRACE, slices={"0": {}}),
+        dict(GOOD_TRACE, verdict=["triggered"]),
+        slice_with(q_a="0"),
+        slice_with(q_a=False),
+        slice_with(intervals_a=[["x", "y"], [0, 0]]),
+        slice_with(intervals_a=[[0], [0, 0]]),
+        slice_with(intervals_a=[[0, 0, 0], [0, 0]]),
+        slice_with(intervals_a=[[0, True], [0, 0]]),
+        slice_with(intervals_a=[[0, 0.5], [0, 0]]),
+        slice_with(intervals_a=[[0, 0]]),
+        slice_with(intervals_b=[[0, 1], [1, 1], [0, 0]]),
+        slice_with(intervals_b=[]),
+        slice_with(intervals_b={"u": [0, 1]}),
+        slice_with(intervals_b=[{"lo": 0, "hi": 1}, [1, 1]]),
+        slice_with(safe_exists="yes"),
+        slice_with(safe_exists=0),
+        slice_with(refined=None),
+        spec_with(strict="no"),
+        spec_with(strict=1),
+        spec_with(threshold_a="x"),
+        spec_with(threshold_a="1/0"),
+        spec_with(threshold_a="3/2"),
+        spec_with(threshold_b=0.5),
+        spec_with(threshold_b=True),
+        dict(GOOD_TRACE, spec={"kind": "overall", "threshold": None, "strict": True}),
+    ])
+    def test_trace_schema_violations_are_format_errors(self, obj):
+        with pytest.raises(FormatError):
+            parse_trace(json.dumps(obj))
+
+    def test_trace_schema_accepts_the_good_case(self):
+        text = json.dumps(GOOD_TRACE, indent=2) + "\n"
+        assert trace_to_json_text(parse_trace(text)) == text
+
+
+def referee_json(trace: AlarmTrace) -> str:
+    """The JSON trace writer as it was: the whole object through
+    ``json.dumps(indent=2)``.  The real writer must match it byte for
+    byte."""
+    spec = trace.spec
+    if isinstance(spec, PerLabelSpec):
+        spec_obj = {
+            "kind": "per-label",
+            "threshold_a": str(spec.threshold_a),
+            "threshold_b": str(spec.threshold_b),
+            "strict": spec.strict,
+        }
+    else:
+        spec_obj = {"kind": "overall", "threshold": str(spec.threshold),
+                    "strict": spec.strict}
+    obj = {
+        "q": trace.q,
+        "spec": spec_obj,
+        "mode": trace.mode,
+        "classifiers": list(trace.classifiers),
+        "verdict": trace.verdict.value,
+        "slices": [
+            {
+                "q_a": s.q_a,
+                "intervals_a": [[iv.lo, iv.hi] for iv in s.intervals_a],
+                "intervals_b": [[iv.lo, iv.hi] for iv in s.intervals_b],
+                "safe_exists": s.safe_exists,
+                "refined": s.refined,
+            }
+            for s in trace.slices
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# ids with quotes, backslashes, control characters, non-ASCII and lone
+# surrogates, all of which json.dumps escapes
+IDS = st.text(
+    st.sampled_from('a"\\\n\t\x00\x1f\x7fé€😀\ud800') | st.characters(),
+    max_size=6,
+)
+THRESHOLDS = st.fractions(0, 1, max_denominator=12)
+SPECS = st.one_of(
+    st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()),
+    st.builds(OverallSpec, THRESHOLDS, st.booleans()),
+)
+COUNTS = st.integers(-(10**20), 10**20) | st.integers(-2, 5)
+
+
+@st.composite
+def drawn_traces(draw):
+    size = draw(st.integers(0, 4))
+    interval = st.builds(IntInterval, COUNTS, COUNTS)
+    intervals = st.lists(interval, min_size=size, max_size=size).map(tuple)
+    slices = draw(st.lists(
+        st.builds(QaSlice, COUNTS, intervals, intervals, st.booleans(),
+                  st.booleans()),
+        max_size=draw(st.sampled_from([0, 1, 3, 25])),
+    ))
+    return AlarmTrace(
+        draw(COUNTS),
+        draw(SPECS),
+        draw(st.sampled_from(["ensemble", "pair"]) | IDS),
+        tuple(draw(st.lists(IDS, min_size=size, max_size=size))),
+        tuple(slices),
+        draw(st.sampled_from(Verdict)),
+    )
+
+
+class TestJsonWriterReferee:
+    @given(drawn_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_traces(self, trace):
+        text = trace_to_json_text(trace)
+        assert text == referee_json(trace)
+        assert parse_trace(text) == trace
+
+    @given(
+        sketches(max_size=3, max_count=5),
+        SPECS,
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_alarm_traces(self, sketch, spec, pair, refine, data):
+        roster = sketch.classifiers
+        chosen = roster[:2] if pair and len(roster) >= 2 else None
+        trace = run_alarm(sketch, spec, pair=chosen, refine=refine)
+        lo = data.draw(st.integers(0, sketch.q))
+        hi = data.draw(st.integers(lo, sketch.q))
+        for t in (trace, restrict_qa_range(trace, lo, hi)):
+            text = trace_to_json_text(t)
+            assert text == referee_json(t)
+            assert trace_to_json_text(parse_trace(text)) == text
+
+    def test_fixture_traces(self, grading_sketch):
+        for pair in (None, ("claude", "mistral")):
+            for refine in (False, True):
+                trace = run_alarm(grading_sketch, DEFAULT, pair=pair, refine=refine)
+                assert trace_to_json_text(trace) == referee_json(trace)
+
+    def test_empty_lists(self):
+        trace = AlarmTrace(0, DEFAULT, "ensemble", (), (), Verdict.TRIGGERED)
+        assert trace_to_json_text(trace).endswith('"classifiers": [],\n'
+                                                  '  "verdict": "triggered",\n'
+                                                  '  "slices": []\n}\n')
+        assert trace_to_json_text(trace) == referee_json(trace)
+        bare = QaSlice(0, (), (), True, False)
+        trace = AlarmTrace(0, DEFAULT, "ensemble", (), (bare,), Verdict.NOT_TRIGGERED)
+        assert '"intervals_a": [],\n' in trace_to_json_text(trace)
+        assert trace_to_json_text(trace) == referee_json(trace)
 
 
 class TestSvg:
@@ -321,6 +508,9 @@ class TestParamsFormat:
         ("classifiers", [5]),
         ("accuracy_a", [None]),
         ("p_a", None),
+        ("p_a", True),
+        ("accuracy_a", [False]),
+        ("accuracy_b", [True]),
     ])
     def test_wrong_types_are_format_errors(self, key, value):
         obj = {

@@ -12,7 +12,7 @@ requirement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -195,12 +195,6 @@ class AlarmTrace:
     def is_complete(self) -> bool:
         return [s.q_a for s in self.slices] == list(range(self.q + 1))
 
-    def slice_at(self, q_a: int) -> QaSlice:
-        for s in self.slices:
-            if s.q_a == q_a:
-                return s
-        raise SketchError(f"trace has no slice at q_a={q_a}")
-
 
 def _greedy_pass(
     safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
@@ -334,18 +328,12 @@ class _Sweep:
         bounds = {ij: pair_bounds(q_a, table) for ij, table in self.tables.items()}
         return _pairwise_safe_exists(safe, bounds)
 
-    def _candidates(self, lo: int, hi: int) -> range:
-        return range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
-
     def count_safe(self, lo: int, hi: int) -> int:
         """Safe hypotheses in [lo, hi]; closed form unless refining."""
-        candidates = self._candidates(lo, hi)
+        candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
         if not self.coupled:
             return len(candidates)
         return sum(map(self.is_safe, candidates))
-
-    def any_safe(self, lo: int, hi: int) -> bool:
-        return any(map(self.is_safe, self._candidates(lo, hi)))
 
     def slice(self, q_a: int) -> QaSlice:
         q, margs = self.q, self.margs
@@ -356,20 +344,6 @@ class _Sweep:
             self.is_safe(q_a),
             self.refine,
         )
-
-
-def evaluate_qa(
-    sketch: EvaluationSketch,
-    q_a: int,
-    spec: SafetySpec,
-    classifiers: Sequence[str] | None = None,
-    refine: bool = False,
-) -> QaSlice:
-    """Judge one hypothesis for the number of true-a items."""
-    ids = tuple(classifiers) if classifiers is not None else sketch.classifiers
-    if not 0 <= q_a <= sketch.q:
-        raise SketchError(f"q_a={q_a} outside [0, {sketch.q}]")
-    return _Sweep(sketch, spec, ids, refine).slice(q_a)
 
 
 def _resolve_roster(
@@ -398,12 +372,6 @@ def _open_sweep(
     return _Sweep(sketch, spec, ids, refine), mode
 
 
-def _verdict(slices: Sequence[QaSlice]) -> Verdict:
-    if any(s.safe_exists for s in slices):
-        return Verdict.NOT_TRIGGERED
-    return Verdict.TRIGGERED
-
-
 def run_alarm(
     sketch: EvaluationSketch,
     spec: SafetySpec,
@@ -418,20 +386,10 @@ def run_alarm(
     """
     sweep, mode = _open_sweep(sketch, spec, pair, refine)
     slices = tuple(sweep.slice(q_a) for q_a in range(sketch.q + 1))
-    return AlarmTrace(sketch.q, spec, mode, sweep.ids, slices, _verdict(slices))
-
-
-def alarm_verdict(
-    sketch: EvaluationSketch,
-    spec: SafetySpec,
-    pair: Sequence[str] | None = None,
-    refine: bool = False,
-    qa_range: tuple[int, int] | None = None,
-) -> Verdict:
-    """Verdict without the trace; stops at the first safe hypothesis."""
-    sweep, _ = _open_sweep(sketch, spec, pair, refine)
-    lo, hi = _check_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
-    return Verdict.NOT_TRIGGERED if sweep.any_safe(lo, hi) else Verdict.TRIGGERED
+    verdict = (
+        Verdict.NOT_TRIGGERED if any(s.safe_exists for s in slices) else Verdict.TRIGGERED
+    )
+    return AlarmTrace(sketch.q, spec, mode, sweep.ids, slices, verdict)
 
 
 def count_safe_hypotheses(
@@ -444,23 +402,13 @@ def count_safe_hypotheses(
     """Number of safe hypotheses in ``qa_range`` (default all), without
     the trace.  O(N·patterns + N log q) unless refining."""
     sweep, _ = _open_sweep(sketch, spec, pair, refine)
-    lo, hi = _check_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
+    lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
     return sweep.count_safe(lo, hi)
 
 
-def _check_range(q: int, qa_range: tuple[int, int]) -> tuple[int, int]:
+def check_qa_range(q: int, qa_range: tuple[int, int]) -> tuple[int, int]:
+    """``qa_range`` as (lo, hi) if 0 <= lo <= hi <= q, else SketchError."""
     lo, hi = qa_range
     if not (0 <= lo <= hi <= q):
         raise SketchError(f"bad hypothesis range [{lo}, {hi}] for q={q}")
     return lo, hi
-
-
-def restrict_qa_range(trace: AlarmTrace, lo: int, hi: int) -> AlarmTrace:
-    """Re-judge a trace considering only hypotheses in [lo, hi].
-
-    Useful when outside knowledge bounds the prevalence; the verdict is
-    recomputed over the kept slices.
-    """
-    _check_range(trace.q, (lo, hi))
-    kept = tuple(s for s in trace.slices if lo <= s.q_a <= hi)
-    return replace(trace, slices=kept, verdict=_verdict(kept))

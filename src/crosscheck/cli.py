@@ -8,11 +8,13 @@ usage, file, or data errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from .alarm import Verdict, count_safe_hypotheses, restrict_qa_range, run_alarm
+from .alarm import Verdict, check_qa_range, count_safe_hypotheses, run_alarm
 from .axioms import pspace_stats
 from .independent import solve_independent
 from .model import (
@@ -27,7 +29,6 @@ from .model import (
     validate_sketch,
 )
 from .oracle import (
-    BudgetExceededError,
     DEFAULT_SPLIT_BUDGET,
     SummaryClaims,
     check_summary,
@@ -252,7 +253,11 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
         raise FormatError("--trace writes csv or json; use --plot for svg")
     if args.plot and _trace_format(args.plot) != "svg":
         raise FormatError("--plot writes svg; use --trace for csv or json")
+    for out in (args.trace, args.plot):
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise FileNotFoundError(errno.ENOENT, "No such directory", out)
     sketch = load_sketch(args.path)
+    lo, hi = check_qa_range(sketch.q, args.qa_range or (0, sketch.q))
     if args.spec_overall is not None:
         spec = OverallSpec(args.spec_overall, args.strict)
     else:
@@ -261,11 +266,9 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
         )
         spec = PerLabelSpec(threshold, threshold, args.strict)
     pair = tuple(args.pair) if args.pair else None
-    lo, hi = args.qa_range if args.qa_range else (0, sketch.q)
     if args.trace or args.plot:
         trace = run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
-        kept = restrict_qa_range(trace, lo, hi).slices
-        safe = sum(1 for s in kept if s.safe_exists)
+        safe = sum(1 for s in trace.slices[lo : hi + 1] if s.safe_exists)
     else:
         safe = count_safe_hypotheses(
             sketch, spec, pair=pair, refine=args.refine_pairs, qa_range=(lo, hi)
@@ -304,11 +307,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = check_summary(sketch, claims, budget=args.budget)
     for violation in report.violations:
         print(f"violation: {violation}")
-    if report.axioms_only:
+    if report.undecided:
         print("note: ground-truth enumeration skipped (budget exceeded)")
-    elif report.variety_empty is not None:
-        realizable = "no" if report.variety_empty else "yes"
-        print(f"some ground truth realizes the sketch: {realizable}")
     if report.ok:
         print("ok")
         return EXIT_OK
@@ -362,13 +362,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_ERROR
     try:
         return args.func(args)
-    except (SketchError, FormatError, IngestError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    # SketchError, FormatError and IngestError are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -410,12 +410,14 @@ def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:
     q_a = point.q_a
     if not 0 <= q_a <= q:
         problems.append(f"q_a={q_a} outside [0, {q}]")
-    q_b = q - q_a
+    # a q_a outside [0, q] is reported above; each label's size is then
+    # clamped at 0, and the message prints the range actually checked
+    cap_a, cap_b = max(q_a, 0), max(q - q_a, 0)
     for i, (c_a, c_b) in enumerate(zip(point.correct_a, point.correct_b)):
-        if not 0 <= c_a <= max(q_a, 0):
-            problems.append(f"correct_a[{i}]={c_a} outside [0, {q_a}]")
-        if not 0 <= c_b <= max(q_b, 0):
-            problems.append(f"correct_b[{i}]={c_b} outside [0, {q_b}]")
+        if not 0 <= c_a <= cap_a:
+            problems.append(f"correct_a[{i}]={c_a} outside [0, {cap_a}]")
+        if not 0 <= c_b <= cap_b:
+            problems.append(f"correct_b[{i}]={c_b} outside [0, {cap_b}]")
     if point.pair_correct:
         for (i, j), (ja, jb) in point.pair_correct.items():
             cap_a = min(point.correct_a[i], point.correct_a[j])

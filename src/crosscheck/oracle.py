@@ -4,6 +4,9 @@ These routines ignore the interval algebra entirely: they walk the raw
 lattice of candidate correctness counts, or the raw set of per-pattern
 truth splits, and test definitions directly.  They exist so the fast
 paths elsewhere can be checked against something with no shared code.
+On the production path, :func:`check_summary` (the audit behind
+``verify``) enumerates only to confirm a claimed point that already
+passed the bound and axiom checks, within a budget.
 """
 
 from __future__ import annotations
@@ -172,14 +175,13 @@ class SummaryClaims:
 class SummaryReport:
     """Outcome of auditing claims against a sketch.
 
-    ``variety_empty`` is None when the claims alone settle nothing
-    (no point claimed) or the enumeration was skipped for budget;
-    ``axioms_only`` records that skip.
+    ``undecided`` is True when a claimed point passed the bound and
+    axiom checks but the exact search for a ground truth realizing it
+    was skipped for budget: the point is neither confirmed nor refuted.
     """
 
     violations: tuple[str, ...]
-    variety_empty: bool | None
-    axioms_only: bool
+    undecided: bool
 
     @property
     def ok(self) -> bool:
@@ -194,15 +196,18 @@ def check_summary(
     """Audit claimed marginals and an optional claimed point.
 
     Marginal claims are compared against the sketch's actual totals.  A
-    claimed point is checked against the axioms, and then against the
-    brute-force variety at its claimed prevalence when the budget
-    allows.  Structural invalidity of the sketch itself is reported as
-    violations rather than raised, since auditing bad data is the point.
+    claimed point is checked against the lattice bounds, then the
+    axioms, and only if both pass, searched for among the ground truths
+    at its claimed prevalence when the budget allows.  Whether some
+    ground truth realizes the sketch needs no search: the pattern counts
+    of a sound sketch are non-negative and sum to q, so every q_a in
+    [0, q] has a split (the all-b truth at q_a = 0, for one).
+    Structural invalidity of the sketch itself is reported as violations
+    rather than raised, since auditing bad data is the point.
     """
     from .axioms import point_axiom_violations
 
-    sketch_problems = validate_sketch(sketch)
-    violations = list(sketch_problems)
+    violations = validate_sketch(sketch)
     roster = set(sketch.classifiers)
     for cid in sorted(claims.marginals):
         if cid not in roster:
@@ -217,45 +222,29 @@ def check_summary(
                     f"classifier {cid}: claimed totals ({claimed.r_a}, {claimed.r_b}) "
                     f"differ from actual ({actual.r_a}, {actual.r_b})"
                 )
-    variety_empty: bool | None = None
-    axioms_only = False
-    if claims.point is None and not sketch_problems:
-        try:
-            variety_empty = variety_is_empty(sketch, budget=budget)
-        except BudgetExceededError:
-            axioms_only = True
-    if claims.point is not None and not violations:
-        point = claims.point
+    undecided = False
+    point = claims.point
+    if point is not None and not violations:
         violations.extend(point_bound_violations(point, sketch.q))
         if not violations:
             violations.extend(point_axiom_violations(sketch, point))
-        try:
-            empty = variety_is_empty(sketch, q_a=point.q_a, budget=budget)
-        except BudgetExceededError:
-            axioms_only = True
-        else:
-            variety_empty = empty
-            if empty:
-                violations.append(
-                    f"no ground truth with q_a={point.q_a} realizes this sketch"
+        if not violations:
+            try:
+                realized = any(
+                    vp.point.correct_a == point.correct_a
+                    and vp.point.correct_b == point.correct_b
+                    and (
+                        point.pair_correct is None
+                        or vp.point.pair_correct == point.pair_correct
+                    )
+                    for vp in enumerate_variety(sketch, q_a=point.q_a, budget=budget)
                 )
-            elif not violations:
-                found = False
-                for vp in enumerate_variety(sketch, q_a=point.q_a, budget=budget):
-                    p = vp.point
-                    if (
-                        p.correct_a == point.correct_a
-                        and p.correct_b == point.correct_b
-                        and (
-                            point.pair_correct is None
-                            or p.pair_correct == point.pair_correct
-                        )
-                    ):
-                        found = True
-                        break
-                if not found:
+            except BudgetExceededError:
+                undecided = True
+            else:
+                if not realized:
                     violations.append(
                         "claimed point is not realized by any ground truth "
                         f"with q_a={point.q_a}"
                     )
-    return SummaryReport(tuple(violations), variety_empty, axioms_only)
+    return SummaryReport(tuple(violations), undecided)

@@ -46,9 +46,12 @@ class IngestError(ValueError):
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write through a temp file in the same directory and a rename; an
+    OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         # mkstemp files are private by default; match ordinary-file perms
         mask = os.umask(0)
         os.umask(mask)
@@ -56,12 +59,27 @@ def atomic_write_text(path: str, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _load_json(text: str, where: str | None = None) -> object:
+    """Parse JSON; malformed or too deeply nested input raises
+    FormatError, or, for the jsonl record at ``where``, IngestError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+        if where is None:
+            raise FormatError(f"not valid JSON: {reason}") from None
+        raise IngestError(f"{where}: not valid JSON ({reason})") from None
 
 
 def _require_keys(obj: Mapping, required: Sequence[str], optional: Sequence[str],
@@ -79,10 +97,7 @@ def _require_keys(obj: Mapping, required: Sequence[str], optional: Sequence[str]
 # ---------------------------------------------------------------- sketches
 
 def parse_sketch(text: str) -> EvaluationSketch:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
+    obj = _load_json(text)
     _require_keys(obj, ("classifiers", "q", "counts"), ("truth_split",), "sketch file")
     classifiers = obj["classifiers"]
     if not isinstance(classifiers, list) or not all(
@@ -227,10 +242,7 @@ def parse_trace(text: str) -> AlarmTrace:
     """Read a trace file, checking its schema: counts are integers,
     flags are booleans, and every slice has one interval per classifier
     and label."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
+    obj = _load_json(text)
     _require_keys(
         obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
     )
@@ -345,10 +357,7 @@ def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
     The sketch supplies the roster so pair keys can be index pairs.
     Every claimed count must be a JSON integer.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
+    obj = _load_json(text)
     _require_keys(obj, (), ("marginals", "point"), "claims file")
     marginals: dict[str, Marginals] = {}
     for cid, entry in _object(obj.get("marginals", {}), "'marginals'").items():
@@ -392,10 +401,7 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
     Returns optional classifier ids (None when the file does not name
     them) and the parameter point.  Rationals are "n/d" strings.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
+    obj = _load_json(text)
     _require_keys(
         obj, ("p_a", "accuracy_a", "accuracy_b"), ("classifiers",), "params file"
     )
@@ -418,7 +424,8 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
             tuple(Fraction(x) for x in obj["accuracy_a"]),
             tuple(Fraction(x) for x in obj["accuracy_b"]),
         )
-    except (SketchError, TypeError, ValueError, ZeroDivisionError) as exc:
+    # JSON's Infinity is a float Fraction() cannot take: OverflowError
+    except (SketchError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad parameters: {exc}") from None
     if ids is not None and len(ids) != params.size:
         raise FormatError(
@@ -545,10 +552,7 @@ def _ingest_jsonl(text: str, label_map: Mapping[str, str] | None) -> IngestResul
         if not line.strip():
             continue
         where = f"line {line_no}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{where}: not valid JSON ({exc})") from None
+        obj = _load_json(line, where)
         try:
             _require_keys(obj, ("item_id", "responses"), ("truth",), where)
         except FormatError as exc:

@@ -19,7 +19,6 @@ from crosscheck import (
     correct_counts,
     enumerate_evaluations,
     enumerate_variety,
-    evaluate_qa,
     evaluation_count,
     feasible_interval_label_a,
     flip_labels,
@@ -104,7 +103,7 @@ def test_criterion_04_interval_cannot_reach_majority():
     assert need.min_correct_a == min_count_above(60, HALF, strict=True) == 31
     assert interval.hi < need.min_correct_a
     sketch = EvaluationSketch(("one", "two"), 100, {"aa": 20, "ab": 40, "bb": 40})
-    piece = evaluate_qa(sketch, 60, SPEC)
+    piece = run_alarm(sketch, SPEC).slices[60]
     assert (piece.intervals_a[1].lo, piece.intervals_a[1].hi) == (0, 20)
     assert not piece.safe_exists
     print("criterion 04 PASS: [0, 20] cannot meet the 31-correct floor at q_a=60")
@@ -136,9 +135,10 @@ def test_criterion_06_pair_machinery_matches_enumeration():
         r_1 = marginalize(sketch, sketch.classifiers[0])
         r_2 = marginalize(sketch, sketch.classifiers[1])
         pair = pair_counts(sketch, *sketch.classifiers)
+        trace = run_alarm(sketch, SPEC, refine=True)
         for q_a in range(sketch.q + 1):
             points = by_qa.get(q_a, [])
-            piece = evaluate_qa(sketch, q_a, SPEC, refine=True)
+            piece = trace.slices[q_a]
             # intervals against the enumerated extremes
             for k, marg in enumerate((r_1, r_2)):
                 interval = feasible_interval_label_a(sketch.q, q_a, marg)

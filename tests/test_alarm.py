@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,17 +20,14 @@ from crosscheck import (
     QaSlice,
     SketchError,
     Verdict,
-    alarm_verdict,
     all_patterns,
     enumerate_variety,
-    evaluate_qa,
     feasible_interval_label_a,
     feasible_interval_label_b,
     load_sketch,
     marginalize,
     min_count_above,
     pair_counts,
-    restrict_qa_range,
     run_alarm,
     safe_threshold,
     save_sketch,
@@ -118,23 +116,25 @@ class TestSafeThreshold:
 
 
 class TestEvaluateQa:
+    """One hypothesis: its slice of the trace, or a one-hypothesis count."""
+
     def test_single_item_always_a(self):
         sketch = EvaluationSketch(("u",), 1, {"a": 1})
-        s = evaluate_qa(sketch, 1, DEFAULT)
+        s = run_alarm(sketch, DEFAULT).slices[1]
         assert (s.intervals_a[0].lo, s.intervals_a[0].hi) == (1, 1)
         assert s.safe_exists
 
     def test_fixture_all_b_hypothesis_unsafe(self, grading_sketch):
         # at q_a=0 gpt4 would need 141 correct true-b answers but only said b 47 times
-        s = evaluate_qa(grading_sketch, 0, DEFAULT, classifiers=("mistral", "gpt4"))
+        s = run_alarm(grading_sketch, DEFAULT, pair=("mistral", "gpt4")).slices[0]
         assert not s.safe_exists
 
     def test_out_of_range_hypothesis(self, grading_sketch):
         with pytest.raises(SketchError):
-            evaluate_qa(grading_sketch, 282, DEFAULT)
+            count_safe_hypotheses(grading_sketch, DEFAULT, qa_range=(282, 282))
 
     def test_interval_shapes(self, grading_sketch):
-        s = evaluate_qa(grading_sketch, 237, DEFAULT)
+        s = run_alarm(grading_sketch, DEFAULT).slices[237]
         assert len(s.intervals_a) == 3
         assert (s.intervals_b[1].lo, s.intervals_b[1].hi) == (17, 44)
         assert not s.refined
@@ -162,9 +162,8 @@ class TestRunAlarm:
         trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "gpt4"))
         assert trace.is_complete
         assert len(trace.slices) == 282
-        assert trace.slice_at(237).q_a == 237
-        with pytest.raises(SketchError):
-            trace.slice_at(300)
+        assert trace.slices[237].q_a == 237
+        assert not replace(trace, slices=trace.slices[237:238]).is_complete
 
     def test_invalid_sketch_rejected(self):
         bad = EvaluationSketch(("u",), 3, {"a": 1})
@@ -196,49 +195,56 @@ class TestRunAlarm:
                 )
 
 
+def safe_in(trace, lo, hi):
+    return sum(1 for s in trace.slices[lo : hi + 1] if s.safe_exists)
+
+
 class TestVerdictShortcut:
+    """The count without the trace against the count read off the trace."""
+
     @given(sketches(max_size=2, max_count=4), st.sampled_from(SPEC_GRID))
     @settings(max_examples=60, deadline=None)
     def test_matches_full_run(self, sketch, spec):
-        assert alarm_verdict(sketch, spec) == run_alarm(sketch, spec).verdict
+        trace = run_alarm(sketch, spec)
+        safe = count_safe_hypotheses(sketch, spec)
+        assert safe == safe_in(trace, 0, sketch.q)
+        assert (safe == 0) == (trace.verdict is Verdict.TRIGGERED)
 
     def test_range_matches_restriction(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"))
+        pair = ("claude", "mistral")
+        trace = run_alarm(grading_sketch, DEFAULT, pair=pair)
         for lo, hi in ((0, 11), (12, 53), (0, 281), (54, 281), (237, 237)):
-            assert (
-                alarm_verdict(
-                    grading_sketch, DEFAULT, pair=("claude", "mistral"),
-                    qa_range=(lo, hi),
-                )
-                == restrict_qa_range(trace, lo, hi).verdict
-            )
+            assert count_safe_hypotheses(
+                grading_sketch, DEFAULT, pair=pair, qa_range=(lo, hi)
+            ) == safe_in(trace, lo, hi)
 
     def test_bad_range(self, grading_sketch):
         with pytest.raises(SketchError):
-            alarm_verdict(grading_sketch, DEFAULT, qa_range=(5, 3))
+            count_safe_hypotheses(grading_sketch, DEFAULT, qa_range=(5, 3))
         with pytest.raises(SketchError):
-            alarm_verdict(grading_sketch, DEFAULT, qa_range=(0, 500))
+            count_safe_hypotheses(grading_sketch, DEFAULT, qa_range=(0, 500))
 
 
 class TestRestriction:
+    """A --qa-range count: the safe hypotheses inside the range only."""
+
+    PAIR = ("claude", "mistral")
+
+    def count(self, sketch, lo, hi):
+        return count_safe_hypotheses(sketch, DEFAULT, pair=self.PAIR, qa_range=(lo, hi))
+
     def test_identity(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"))
-        same = restrict_qa_range(trace, 0, 281)
-        assert same.slices == trace.slices
-        assert same.verdict == trace.verdict
+        trace = run_alarm(grading_sketch, DEFAULT, pair=self.PAIR)
+        whole = count_safe_hypotheses(grading_sketch, DEFAULT, pair=self.PAIR)
+        assert self.count(grading_sketch, 0, 281) == whole == safe_in(trace, 0, 281)
 
     def test_excluding_the_safe_zone_triggers(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"))
-        assert restrict_qa_range(trace, 0, 11).verdict is Verdict.TRIGGERED
-        assert restrict_qa_range(trace, 54, 281).verdict is Verdict.TRIGGERED
-        assert restrict_qa_range(trace, 12, 12).verdict is Verdict.NOT_TRIGGERED
+        assert self.count(grading_sketch, 0, 11) == 0
+        assert self.count(grading_sketch, 54, 281) == 0
+        assert self.count(grading_sketch, 12, 12) == 1
 
     def test_single_hypothesis(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"))
-        narrowed = restrict_qa_range(trace, 237, 237)
-        assert [s.q_a for s in narrowed.slices] == [237]
-        assert narrowed.verdict is Verdict.TRIGGERED
-        assert not narrowed.is_complete
+        assert self.count(grading_sketch, 237, 237) == 0
 
 
 class TestRefinement:
@@ -247,11 +253,10 @@ class TestRefinement:
         for _ in range(30):
             sketch = random_sketch(rng, 2, 8)
             for spec in SPEC_GRID:
-                for q_a in range(sketch.q + 1):
-                    refined = evaluate_qa(sketch, q_a, spec, refine=True)
+                for refined in run_alarm(sketch, spec, refine=True).slices:
                     assert refined.refined
                     assert refined.safe_exists == oracle_safe_exists(
-                        sketch, q_a, spec
+                        sketch, refined.q_a, spec
                     )
 
     def test_refined_n3_is_sound_tightening(self):
@@ -259,9 +264,11 @@ class TestRefinement:
         for _ in range(12):
             sketch = random_sketch(rng, 3, 7)
             for spec in SPEC_GRID[:3]:
+                plains = run_alarm(sketch, spec).slices
+                refineds = run_alarm(sketch, spec, refine=True).slices
                 for q_a in range(sketch.q + 1):
-                    plain = evaluate_qa(sketch, q_a, spec).safe_exists
-                    refined = evaluate_qa(sketch, q_a, spec, refine=True).safe_exists
+                    plain = plains[q_a].safe_exists
+                    refined = refineds[q_a].safe_exists
                     oracle = oracle_safe_exists(sketch, q_a, spec)
                     # oracle-safe implies refined-safe implies plain-safe
                     if oracle:
@@ -277,7 +284,7 @@ class TestRefinement:
         )
         spec = PerLabelSpec(Fraction(9, 10), Fraction(1, 10), strict=True)
         q_a = 2
-        assert evaluate_qa(sketch, q_a, spec, refine=True).safe_exists
+        assert count_safe_hypotheses(sketch, spec, refine=True, qa_range=(q_a, q_a)) == 1
         assert not oracle_safe_exists(sketch, q_a, spec)
 
     def test_refine_flag_recorded_in_trace(self, grading_sketch):
@@ -295,7 +302,7 @@ class TestNeverFiresOnTruth:
         real = sketch_point(sketch)
         if point_meets(real, spec, sketch.q):
             bare = EvaluationSketch(sketch.classifiers, sketch.q, dict(sketch.counts))
-            assert alarm_verdict(bare, spec, refine=True) is Verdict.NOT_TRIGGERED
+            assert count_safe_hypotheses(bare, spec, refine=True) > 0
 
 
 # ---------------------------------------------------------------- referees
@@ -439,8 +446,8 @@ class TestClosedForm:
         safe = [q_a for q_a in scan_safe(sketch, spec, ids, refine) if lo <= q_a <= hi]
         kw = dict(pair=pair, refine=refine, qa_range=(lo, hi))
         assert count_safe_hypotheses(sketch, spec, **kw) == len(safe)
-        want = Verdict.NOT_TRIGGERED if safe else Verdict.TRIGGERED
-        assert alarm_verdict(sketch, spec, **kw) is want
+        trace = run_alarm(sketch, spec, pair=pair, refine=refine)
+        assert safe_in(trace, lo, hi) == len(safe)  # what `alarm --trace` counts
 
     @given(sketches(min_size=2, max_size=3, max_count=5), SPECS)
     @settings(max_examples=100, deadline=None)
@@ -477,11 +484,11 @@ class TestClosedForm:
         outside = next(
             q_a
             for q_a in range(grading_sketch.q + 1)
-            if not evaluate_qa(grading_sketch, q_a, DEFAULT, pair).safe_exists
+            if not count_safe_hypotheses(
+                grading_sketch, DEFAULT, pair=pair, qa_range=(q_a, q_a)
+            )
         )
         calls["pair_counts"] = 0
-        evaluate_qa(grading_sketch, outside, DEFAULT, pair, refine=True)
-        assert calls["pair_counts"] == 0
         count_safe_hypotheses(
             grading_sketch, DEFAULT, pair=pair, refine=True, qa_range=(outside, outside)
         )
@@ -630,12 +637,12 @@ class TestCliAgainstTrace:
         lo, hi = qa_range or (0, sketch.q)
         if qa_range:
             argv += ["--qa-range", str(lo), str(hi)]
-            trace = restrict_qa_range(trace, lo, hi)
-        safe = sum(1 for s in trace.slices if s.safe_exists)
+        safe = safe_in(trace, lo, hi)
+        verdict = Verdict.NOT_TRIGGERED if safe else Verdict.TRIGGERED
         want = (
             EXIT_TRIGGERED if safe == 0 else EXIT_OK,
             f"safe hypotheses: {safe} of {hi - lo + 1}",
-            f"verdict: {trace.verdict.value}",
+            f"verdict: {verdict.value}",
         )
         assert _cli_summary(argv) == want
         trace_path = path.replace(".json", "-trace.json")

@@ -192,6 +192,29 @@ class TestAlarm:
         assert out == ""
         assert "cannot infer a trace format" in err
 
+    @pytest.mark.parametrize("flag, name", [("--trace", "t.json"), ("--plot", "t.svg")])
+    def test_missing_output_directory_checked_before_any_work(
+        self, capsys, tmp_path, flag, name
+    ):
+        target = str(tmp_path / "nodir" / name)
+        code, out, err = run(capsys, "alarm", GRADING, "--qa-range", "1", "2", flag, target)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: [Errno 2] No such directory: {target!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_range_checked_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking --qa-range")
+
+        monkeypatch.setattr(crosscheck.cli, "run_alarm", no_sweep)
+        code, out, err = run(
+            capsys, "alarm", GRADING, "--qa-range", "5", "300",
+            "--trace", str(tmp_path / "t.json"),
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: bad hypothesis range [5, 300] for q=281\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_spec_is_per_label_half(self, capsys):
         code, out, _ = run(capsys, "alarm", GRADING, "--ensemble")
         assert code == EXIT_TRIGGERED
@@ -232,23 +255,51 @@ class TestEnumerate:
         assert err.startswith("error: ")
 
 
+def write_point_claims(tmp_path, q_a, correct_a, correct_b):
+    path = tmp_path / "point.json"
+    point = {"q_a": q_a, "correct_a": correct_a, "correct_b": correct_b}
+    path.write_text(json.dumps({"point": point}))
+    return str(path)
+
+
+# the ground truth whose true-a items are exactly the seven aaa items
+EXACT_POINT = (7, [7, 7, 7], [16, 16, 16])
+
+
 class TestVerify:
-    def test_fixture_hits_budget(self, capsys):
+    def test_fixture_hits_budget(self, capsys, tmp_path):
+        # a sound sketch is realized by some ground truth: nothing to search
         code, out, _ = run(capsys, "verify", GRADING)
+        assert (code, out) == (EXIT_OK, "ok\n")
+        # the true point passes the axioms; confirming it exactly would take
+        # more ground-truth splits than the default budget
+        true = crosscheck.sketch_point(load_sketch(GRADING))
+        claims = write_point_claims(
+            tmp_path, true.q_a, list(true.correct_a), list(true.correct_b)
+        )
+        code, out, _ = run(capsys, "verify", GRADING, "--claims", claims)
+        assert (code, out) == (
+            EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n"
+        )
+
+    def test_small_sketch_enumerates(self, capsys, tmp_path):
+        claims = write_point_claims(tmp_path, *EXACT_POINT)
+        code, out, _ = run(capsys, "verify", EXACT, "--claims", claims)
+        assert (code, out) == (EXIT_OK, "ok\n")
+
+    def test_raised_budget_overrides_default(self, capsys, tmp_path):
+        claims = write_point_claims(tmp_path, *EXACT_POINT)
+        code, out, _ = run(capsys, "verify", EXACT, "--claims", claims, "--budget", "1")
         assert code == EXIT_OK
         assert "note: ground-truth enumeration skipped (budget exceeded)" in out
-        assert out.rstrip().endswith("ok")
 
-    def test_small_sketch_enumerates(self, capsys):
-        code, out, _ = run(capsys, "verify", EXACT)
-        assert code == EXIT_OK
-        assert "some ground truth realizes the sketch: yes" in out
-        assert "note:" not in out
-
-    def test_raised_budget_overrides_default(self, capsys):
-        code, out, _ = run(capsys, "verify", GRADING, "--budget", "1")
-        assert code == EXIT_OK
-        assert "note: ground-truth enumeration skipped (budget exceeded)" in out
+    def test_failed_point_gets_no_note(self, capsys, tmp_path):
+        # the claim is refuted without a search, so the budget has no say
+        claims = write_point_claims(tmp_path, 7, [7, 7], [16, 16])
+        code, out, _ = run(capsys, "verify", EXACT, "--claims", claims, "--budget", "1")
+        assert (code, out) == (
+            EXIT_ERROR, "violation: point has 2 classifiers, sketch has 3\n"
+        )
 
     def test_claims_pass(self, capsys, tmp_path):
         claims = tmp_path / "claims.json"
@@ -435,6 +486,18 @@ class TestIngestAndFlip:
         assert code == EXIT_ERROR
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("ingest", GRADING_CSV, "--format", "csv",
+         "--map", "incorrect=a", "--map", "correct=b", "--out"),
+        ("flip", GRADING, "--classifier", "gpt4", "--mode", "global", "--out"),
+        ("generate", "--seed", "1", "--params", DEMO_PARAMS, "--q", "5", "--out"),
+    ], ids=["ingest", "flip", "generate"])
+    def test_missing_output_directory_named(self, capsys, tmp_path, argv):
+        target = str(tmp_path / "nodir" / "out")
+        code, out, err = run(capsys, *argv, target)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
+
     def test_flip_twice_restores_bytes(self, capsys, tmp_path, fixtures_dir):
         once = tmp_path / "once.json"
         twice = tmp_path / "twice.json"
@@ -472,6 +535,25 @@ class TestIngestAndFlip:
         )
         assert code == EXIT_ERROR
         assert err.startswith("error: ")
+
+
+class TestNestedJson:
+    @pytest.mark.parametrize("argv", [
+        ("sketch", "DEEP"),
+        ("alarm", "DEEP"),
+        ("verify", GRADING, "--claims", "DEEP"),
+        ("generate", "--seed", "1", "--q", "2", "--params", "DEEP"),
+        ("ingest", "DEEP", "--format", "jsonl", "--out", "OUT"),
+    ], ids=["sketch", "alarm", "verify", "generate", "ingest"])
+    def test_deep_nesting_is_an_error(self, capsys, tmp_path, argv):
+        # deeper than the JSON decoder's recursion allows
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000)
+        swap = {"DEEP": str(deep), "OUT": str(tmp_path / "out.json")}
+        code, out, err = run(capsys, *(swap.get(arg, arg) for arg in argv))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestUsage:

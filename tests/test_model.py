@@ -290,6 +290,13 @@ class TestEvaluationPoint:
         assert point_bound_violations(EvaluationPoint(6, (0,), (0,)), 5) == [
             "q_a=6 outside [0, 5]"
         ]
+        # out of range, a label's size is clamped at 0: the message shows [0, 0]
+        assert point_bound_violations(EvaluationPoint(-5, (1,), (0,)), 5) == [
+            "q_a=-5 outside [0, 5]", "correct_a[0]=1 outside [0, 0]"
+        ]
+        assert point_bound_violations(EvaluationPoint(7, (0,), (1,)), 5) == [
+            "q_a=7 outside [0, 5]", "correct_b[0]=1 outside [0, 0]"
+        ]
 
     def test_pair_bounds(self):
         point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (2, 0)})

@@ -11,6 +11,7 @@ from crosscheck import (
     Marginals,
     SketchError,
     SummaryClaims,
+    SummaryReport,
     check_summary,
     count_feasible,
     enumerate_evaluations,
@@ -106,7 +107,11 @@ class TestVariety:
     @given(sketches(max_count=3))
     @settings(max_examples=50)
     def test_never_empty_for_real_counts(self, sketch):
+        # why check_summary needs no search to say a sound sketch is
+        # realized, at all and at every prevalence
         assert not variety_is_empty(sketch)
+        for q_a in range(sketch.q + 1):
+            assert not variety_is_empty(sketch, q_a=q_a)
 
     @given(sketches(with_truth=True, max_count=3))
     @settings(max_examples=50, deadline=None)
@@ -140,16 +145,14 @@ class TestCheckSummary:
     def test_clean_sketch_no_claims(self):
         small = EvaluationSketch(("u", "v"), 2, {"aa": 1, "bb": 1})
         report = check_summary(small, SummaryClaims({}))
-        assert report.ok
-        assert report.variety_empty is False
-        assert not report.axioms_only
+        assert report == SummaryReport((), False)
 
     def test_invalid_sketch_reported_not_raised(self):
         bad = EvaluationSketch(("u",), 3, {"a": 1})
         report = check_summary(bad, SummaryClaims({}))
         assert not report.ok
         assert "pattern counts do not sum to Q (got 1, expected 3)" in report.violations
-        assert report.variety_empty is None
+        assert not report.undecided
 
     def test_unknown_classifier_claim(self):
         sketch = EvaluationSketch(("u",), 1, {"a": 1})
@@ -175,15 +178,14 @@ class TestCheckSummary:
         )
         point = sketch_point(small)
         report = check_summary(small, SummaryClaims({}, point))
-        assert report.ok
-        assert report.variety_empty is False
+        assert report == SummaryReport((), False)
 
     def test_out_of_bounds_point(self):
         sketch = EvaluationSketch(("u",), 4, {"a": 2, "b": 2})
         point = EvaluationPoint(10, (0,), (0,))
         report = check_summary(sketch, SummaryClaims({}, point))
-        assert "q_a=10 outside [0, 4]" in report.violations
-        assert "no ground truth with q_a=10 realizes this sketch" in report.violations
+        # the bound check says it all; no search runs, so none is undecided
+        assert report == SummaryReport(("q_a=10 outside [0, 4]",), False)
 
     def test_axiom_violating_point(self):
         sketch = EvaluationSketch(("u",), 4, {"a": 2, "b": 2})
@@ -204,7 +206,17 @@ class TestCheckSummary:
 
     def test_budget_skip(self):
         sketch = EvaluationSketch(("u",), 9, {"a": 4, "b": 5})
-        report = check_summary(sketch, SummaryClaims({}), budget=3)
+        # a point that passes the bounds and the axioms: only the search
+        # can confirm it, and a budget of 3 of 30 splits skips it
+        point = EvaluationPoint(4, (3,), (4,))
+        assert check_summary(sketch, SummaryClaims({}, point)) == SummaryReport((), False)
+        report = check_summary(sketch, SummaryClaims({}, point), budget=3)
+        assert report == SummaryReport((), True)
         assert report.ok
-        assert report.axioms_only
-        assert report.variety_empty is None
+        # without a point, or with a point that already fails, nothing is searched
+        assert check_summary(sketch, SummaryClaims({}), budget=0) == SummaryReport(
+            (), False
+        )
+        wrong_size = EvaluationPoint(4, (3, 3), (4, 4))
+        report = check_summary(sketch, SummaryClaims({}, wrong_size), budget=0)
+        assert report == SummaryReport(("point has 2 classifiers, sketch has 1",), False)

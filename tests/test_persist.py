@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,6 @@ from crosscheck import (
     parse_trace,
     records_to_decisions,
     render_traces,
-    restrict_qa_range,
     run_alarm,
     save_sketch,
     sketch_from_decisions,
@@ -57,6 +57,19 @@ class TestAtomicWrite:
         mask = os.umask(0)
         os.umask(mask)
         assert (path.stat().st_mode & 0o777) == (0o666 & ~mask)
+
+    def test_errors_name_the_target_not_the_temp_file(self, tmp_path):
+        missing = str(tmp_path / "nodir" / "out.txt")
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_text(missing, "x")
+        assert info.value.filename == missing
+        # a failed rename: the temp file existed, and is gone again
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(str(taken), "x")
+        assert info.value.filename == str(taken)
+        assert list(tmp_path.glob(".tmp-*")) == []
 
 
 class TestSketchFormat:
@@ -161,10 +174,8 @@ class TestTraceFormats:
         assert all(line.count(",") == 13 for line in lines)
 
     def test_emit_rejects_incomplete(self, tmp_path, grading_sketch):
-        from crosscheck import restrict_qa_range
-
         trace = run_alarm(grading_sketch, DEFAULT)
-        narrowed = restrict_qa_range(trace, 0, 100)
+        narrowed = replace(trace, slices=trace.slices[:101])
         with pytest.raises(FormatError):
             emit_trace(narrowed, "csv", str(tmp_path / "t.csv"))
 
@@ -338,7 +349,7 @@ class TestJsonWriterReferee:
         trace = run_alarm(sketch, spec, pair=chosen, refine=refine)
         lo = data.draw(st.integers(0, sketch.q))
         hi = data.draw(st.integers(lo, sketch.q))
-        for t in (trace, restrict_qa_range(trace, lo, hi)):
+        for t in (trace, replace(trace, slices=trace.slices[lo : hi + 1])):
             text = trace_to_json_text(t)
             assert text == referee_json(t)
             assert trace_to_json_text(parse_trace(text)) == text
@@ -511,6 +522,9 @@ class TestParamsFormat:
         ("p_a", True),
         ("accuracy_a", [False]),
         ("accuracy_b", [True]),
+        ("p_a", float("inf")),  # JSON Infinity and NaN, which json reads
+        ("accuracy_b", [float("-inf")]),
+        ("accuracy_a", [float("nan")]),
     ])
     def test_wrong_types_are_format_errors(self, key, value):
         obj = {

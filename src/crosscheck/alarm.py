@@ -15,7 +15,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
@@ -88,25 +89,6 @@ def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | Overal
     return OverallMinimum(min_count_above(q, spec.threshold, spec.strict))
 
 
-def _safe_subinterval(
-    q: int, q_a: int, marginals: Marginals, need: LabelMinimums | OverallMinimum
-) -> IntInterval:
-    """Correct-on-true-a counts that are feasible and meet the spec.
-
-    ``need`` is :func:`safe_threshold` at this hypothesis.  Uses the fact
-    that the true-b count is an increasing affine function of the true-a
-    count, so every requirement becomes a lower bound on the a-axis and
-    the safe set stays an interval.
-    """
-    ia = feasible_interval_label_a(q, q_a, marginals)
-    offset = q - q_a - marginals.r_a
-    if isinstance(need, LabelMinimums):
-        lo = max(ia.lo, need.min_correct_a, need.min_correct_b - offset)
-    else:
-        lo = max(ia.lo, -(-(need.min_correct_total - offset) // 2))
-    return IntInterval(lo, ia.hi)
-
-
 def _last_true(holds: Callable[[int], bool], hi: int) -> int:
     """Largest t in [0, hi] with ``holds(t)``, for a predicate that holds
     exactly on a prefix [0, k] of [0, hi] with k >= 0."""
@@ -124,8 +106,9 @@ def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
     """First and last hypothesis q_a at which one classifier, saying "a"
     ``r_a`` times, can meet the spec on its own; first > last when none.
 
-    The hypotheses where its safe subinterval (:func:`_safe_subinterval`)
-    is non-empty form an interval.  Proof: write u = q - q_a for the
+    The hypotheses where its safe subinterval (the counts in
+    :func:`feasible_interval_label_a` that meet the spec) is non-empty
+    form an interval.  Proof: write u = q - q_a for the
     number of true-b items and r_b = q - r_a.  With 0 <= r_a <= q the
     feasibility bound max(0, r_a - u) never exceeds the upper end
     min(q_a, r_a), so the subinterval is non-empty iff every spec bound
@@ -176,51 +159,117 @@ class QaSlice:
     refined: bool = False
 
 
+class _SliceColumns(Sequence[QaSlice]):
+    """The slices of a swept trace as columns: each classifier's response
+    totals, every hypothesis's safe flag, and ``refined``.  No interval
+    is stored: indexing builds a :class:`QaSlice`, and :meth:`rows` gives
+    them all as plain ints.  Compares, hashes and prints as the tuple of
+    its slices."""
+
+    def __init__(self, q: int, margs: tuple[Marginals, ...], safe: list[bool], refined: bool):
+        self.q, self.margs, self.safe, self.refined = q, margs, safe, refined
+
+    def __len__(self) -> int:
+        return self.q + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(self.q + 1)[index]))
+        q, q_a = self.q, range(self.q + 1)[index]
+        ivs_a = tuple(feasible_interval_label_a(q, q_a, m) for m in self.margs)
+        ivs_b = tuple(feasible_interval_label_b(q, q_a, m) for m in self.margs)
+        return QaSlice(q_a, ivs_a, ivs_b, self.safe[q_a], self.refined)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _SliceColumns) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def rows(self) -> Iterator[tuple]:
+        q, label_a, label_b = self.q, [], []
+        q_as = list(range(q + 1))  # every column slices these same int objects
+        for r_a, r_b in self.margs:
+            # max(0, r_a - q + q_a), min(q_a, r_a), max(0, r_b - q_a) and
+            # min(q - q_a, r_b) for q_a = 0..q, where 0 <= r_a = q - r_b <= q
+            label_a += ([0] * (q - r_a) + q_as[: r_a + 1], q_as[:r_a] + [r_a] * (q - r_a + 1))
+            label_b += (q_as[r_b:0:-1] + [0] * (q - r_b + 1), [r_b] * (q - r_b) + q_as[r_b::-1])
+        return zip(q_as, *label_a, *label_b, self.safe, repeat(self.refined))
+
+
 @dataclass(frozen=True)
 class AlarmTrace:
-    """Full record of one alarm run."""
+    """Full record of one alarm run: a slice per hypothesis.
+
+    ``slices`` is kept as a tuple of :class:`QaSlice`, except in a trace
+    from :func:`run_alarm`, which holds columns and builds a slice only
+    when one is indexed.  Either kind compares equal to the tuple of its
+    slices, and :meth:`rows` reads either as plain ints.
+    """
 
     q: int
     spec: SafetySpec
     mode: str
     classifiers: tuple[str, ...]
-    slices: tuple[QaSlice, ...]
+    slices: Sequence[QaSlice]
     verdict: Verdict
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        object.__setattr__(self, "slices", tuple(self.slices))
+        if not isinstance(self.slices, _SliceColumns):
+            object.__setattr__(self, "slices", tuple(self.slices))
 
     @property
     def is_complete(self) -> bool:
+        if isinstance(self.slices, _SliceColumns):
+            return self.slices.q == self.q
         return [s.q_a for s in self.slices] == list(range(self.q + 1))
 
+    def rows(self) -> Iterator[tuple]:
+        """Each slice as one tuple of plain values: q_a, the lo and hi ends
+        of every classifier's label-a interval in roster order, the same
+        for label b, then safe_exists and refined.  The trace writers read
+        only this."""
+        if isinstance(self.slices, _SliceColumns):
+            return self.slices.rows()
+        return (
+            (s.q_a, *(end for iv in s.intervals_a + s.intervals_b for end in (iv.lo, iv.hi)),
+             s.safe_exists, s.refined)
+            for s in self.slices
+        )
 
-def _greedy_pass(
-    safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
-) -> bool:
+
+# each classifier's safe interval as (lo, hi), and each pair's pair_bounds
+_Ends = Sequence[tuple[int, int]]
+_Bounds = Mapping[tuple[int, int], PairBounds]
+
+
+def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
     """One greedy pass in roster order: each classifier takes the lowest
-    count in its safe interval that the pair bounds allow, given the
-    counts already taken.  True means those counts are a witness; False
-    only means this pass dead-ended.  O(N^2)."""
+    count in its safe interval (lo, hi) that the pair bounds allow, given
+    the counts already taken.  Both sum bounds of :func:`pair_bounds`
+    move by exactly the hypothesis, so ``bounds`` taken at hypothesis h
+    serve hypothesis h + ``shift``.  True means those counts are a
+    witness; False only means this pass dead-ended.  O(N^2)."""
     chosen: list[int] = []
-    for k, iv in enumerate(safe):
-        lo, hi = iv.lo, iv.hi
+    for k, (lo, hi) in enumerate(safe):
         for i, x in enumerate(chosen):
-            b = bounds[i, k]
-            lo = max(lo, x - b.max_i_minus_j, b.min_sum - x)
-            hi = min(hi, x + b.max_j_minus_i, b.max_sum - x)
+            max_i_minus_j, max_j_minus_i, min_sum, max_sum = bounds[i, k]
+            lo = max(lo, x - max_i_minus_j, min_sum + shift - x)
+            hi = min(hi, x + max_j_minus_i, max_sum + shift - x)
         if lo > hi:
             return False
         chosen.append(lo)
     return True
 
 
-def _octagon_feasible(
-    safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
-) -> bool:
-    """Do integer counts exist, each in its safe interval, that meet every
-    pair's bounds?  Exact, O(N^3).
+def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
+    """Do integer counts exist, each in its safe interval (lo, hi), that
+    meet every pair's bounds (shifted as in :func:`_greedy_pass`)?
+    Exact, O(N^3).
 
     The safe intervals and the :func:`pair_bounds` of every pair are unit
     two-variable inequalities (+-x_i +- x_j <= c), so this is integer
@@ -236,17 +285,18 @@ def _octagon_feasible(
     Every entry starts at the bound the safe intervals imply by
     themselves, so the matrix is complete and all-integer: no infinity.
     """
-    upper = [v for iv in safe for v in (iv.hi, -iv.lo)]  # of V_u, by node
-    lower = [v for iv in safe for v in (iv.lo, -iv.hi)]
+    upper = [v for lo, hi in safe for v in (hi, -lo)]  # of V_u, by node
+    lower = [v for lo, hi in safe for v in (lo, -hi)]
     n = len(upper)
     m = [[up - low for up in upper] for low in lower]
-    for (i, j), b in bounds.items():
+    for (i, j), (max_i_minus_j, max_j_minus_i, min_sum, max_sum) in bounds.items():
+        min_sum, max_sum = min_sum + shift, max_sum + shift
         pi, ni, pj, nj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
         for u, v, c in (
-            (pj, pi, b.max_i_minus_j), (ni, nj, b.max_i_minus_j),
-            (pi, pj, b.max_j_minus_i), (nj, ni, b.max_j_minus_i),
-            (nj, pi, b.max_sum), (ni, pj, b.max_sum),
-            (pj, ni, -b.min_sum), (pi, nj, -b.min_sum),
+            (pj, pi, max_i_minus_j), (ni, nj, max_i_minus_j),
+            (pi, pj, max_j_minus_i), (nj, ni, max_j_minus_i),
+            (nj, pi, max_sum), (ni, pj, max_sum),
+            (pj, ni, -min_sum), (pi, nj, -min_sum),
         ):
             m[u][v] = min(m[u][v], c)
     for k in range(n):  # Floyd-Warshall shortest-path closure
@@ -262,11 +312,10 @@ def _octagon_feasible(
     return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2))
 
 
-def _pairwise_safe_exists(
-    safe: Sequence[IntInterval], bounds: Mapping[tuple[int, int], PairBounds]
-) -> bool:
+def _pairwise_safe_exists(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
     """Is there one ground truth putting every classifier in its safe
-    interval, with every pair's coupling (:func:`pair_bounds`) enforced?
+    interval, with every pair's coupling (:func:`pair_bounds`, shifted as
+    in :func:`_greedy_pass`) enforced?
 
     For two classifiers the couplings are the whole story, so the answer
     is exact.  For three or more, only pairwise couplings are enforced; a
@@ -275,20 +324,22 @@ def _pairwise_safe_exists(
     loosening, and a False remains definitive.  The greedy pass answers
     most inputs in O(N^2); the closure decides the rest in O(N^3).
     """
-    return _greedy_pass(safe, bounds) or _octagon_feasible(safe, bounds)
+    return _greedy_pass(safe, bounds, shift) or _octagon_feasible(safe, bounds, shift)
 
 
 class _Sweep:
     """The one alarm sweep: everything a run needs that does not depend
-    on the hypothesis, computed once.
+    on the hypothesis, computed once, then the safe hypotheses in ints.
 
     Each audited classifier's marginals are taken once, and so is its
     interval of hypotheses where it can meet the spec on its own
     (:func:`_safe_qa_bounds`).  Their intersection, ``window``, is
-    exactly the set of unrefined-safe hypotheses.  With refinement the
-    pair tables are taken once too, on the first hypothesis searched,
-    and only hypotheses inside the window are searched, because a
-    refined-safe hypothesis is also unrefined-safe.
+    exactly the set of unrefined-safe hypotheses.  Refinement searches
+    only inside the window, because a refined-safe hypothesis is also
+    unrefined-safe, in one loop with no object per hypothesis: each
+    classifier's safe interval is an int expression of q_a, and each
+    pair's :func:`pair_bounds` is taken once, at hypothesis 0 (when the
+    first hypothesis is searched), and shifted by q_a.
     """
 
     def __init__(
@@ -310,40 +361,51 @@ class _Sweep:
         self.window = IntInterval(lo, hi)
 
     @cached_property
-    def tables(self) -> dict[tuple[int, int], Mapping[str, int]]:
+    def bounds(self) -> dict[tuple[int, int], PairBounds]:
         ids = self.ids
         return {
-            (i, j): pair_counts(self.sketch, ids[i], ids[j])
+            (i, j): pair_bounds(0, pair_counts(self.sketch, ids[i], ids[j]))
             for i in range(len(ids))
             for j in range(i + 1, len(ids))
         }
 
-    def is_safe(self, q_a: int) -> bool:
-        if q_a not in self.window:
-            return False
-        if not self.coupled:
-            return True
-        need = safe_threshold(self.spec, self.q, q_a)
-        safe = [_safe_subinterval(self.q, q_a, m, need) for m in self.margs]
-        bounds = {ij: pair_bounds(q_a, table) for ij, table in self.tables.items()}
-        return _pairwise_safe_exists(safe, bounds)
-
-    def count_safe(self, lo: int, hi: int) -> int:
-        """Safe hypotheses in [lo, hi]; closed form unless refining."""
+    def safe_hypotheses(self, lo: int, hi: int) -> Sequence[int]:
+        """The safe hypotheses in [lo, hi], in order: closed form unless
+        refining, else the window's hypotheses that the pairs leave safe."""
         candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
-        if not self.coupled:
-            return len(candidates)
-        return sum(map(self.is_safe, candidates))
-
-    def slice(self, q_a: int) -> QaSlice:
-        q, margs = self.q, self.margs
-        return QaSlice(
-            q_a,
-            tuple(feasible_interval_label_a(q, q_a, m) for m in margs),
-            tuple(feasible_interval_label_b(q, q_a, m) for m in margs),
-            self.is_safe(q_a),
-            self.refine,
-        )
+        if not (self.coupled and candidates):
+            return candidates
+        q, spec, bounds = self.q, self.spec, self.bounds
+        r_as = [m.r_a for m in self.margs]
+        per_label, strict = isinstance(spec, PerLabelSpec), spec.strict
+        if per_label:  # for min_count_above's arithmetic, inlined below
+            n_a, d_a = spec.threshold_a.as_integer_ratio()
+            n_b, d_b = spec.threshold_b.as_integer_ratio()
+        else:
+            need = min_count_above(q, spec.threshold, strict)
+        found = []
+        for q_a in candidates:
+            # A classifier right on x of the q_a true-a items is right on
+            # x + u - r_a of the u true-b ones; its feasible x run from
+            # max(0, r_a - u) to min(q_a, r_a) (feasible_interval_label_a).
+            u = q - q_a
+            if per_label:
+                # min_count_above on each label; both are >= 0, so they
+                # subsume the lower feasibility bound
+                if strict:
+                    need_a = n_a * q_a // d_a + 1 if q_a else 0
+                    need_b = n_b * u // d_b + 1 if u else 0
+                else:
+                    need_a, need_b = -(-n_a * q_a // d_a), -(-n_b * u // d_b)
+                safe = [(max(need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
+            else:
+                safe = [
+                    (max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a))
+                    for r_a in r_as
+                ]
+            if _pairwise_safe_exists(safe, bounds, q_a):
+                found.append(q_a)
+        return found
 
 
 def _resolve_roster(
@@ -378,17 +440,20 @@ def run_alarm(
     pair: Sequence[str] | None = None,
     refine: bool = False,
 ) -> AlarmTrace:
-    """Judge every hypothesis and record the full trace, O(q·N).
+    """Judge every hypothesis and record the full trace.
 
     The alarm fires (verdict TRIGGERED) exactly when no hypothesis
     admits a ground truth under which all audited classifiers meet the
-    requirement.
+    requirement.  The trace holds columns (see :class:`AlarmTrace`), so
+    beyond the safe set it costs O(q) flags.
     """
     sweep, mode = _open_sweep(sketch, spec, pair, refine)
-    slices = tuple(sweep.slice(q_a) for q_a in range(sketch.q + 1))
-    verdict = (
-        Verdict.NOT_TRIGGERED if any(s.safe_exists for s in slices) else Verdict.TRIGGERED
-    )
+    found = sweep.safe_hypotheses(0, sketch.q)
+    safe = [False] * (sketch.q + 1)
+    for q_a in found:
+        safe[q_a] = True
+    verdict = Verdict.NOT_TRIGGERED if found else Verdict.TRIGGERED
+    slices = _SliceColumns(sketch.q, sweep.margs, safe, sweep.refine)
     return AlarmTrace(sketch.q, spec, mode, sweep.ids, slices, verdict)
 
 
@@ -403,7 +468,7 @@ def count_safe_hypotheses(
     the trace.  O(N·patterns + N log q) unless refining."""
     sweep, _ = _open_sweep(sketch, spec, pair, refine)
     lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
-    return sweep.count_safe(lo, hi)
+    return len(sweep.safe_hypotheses(lo, hi))
 
 
 def check_qa_range(q: int, qa_range: tuple[int, int]) -> tuple[int, int]:

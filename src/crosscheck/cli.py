@@ -12,6 +12,7 @@ import errno
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import NoReturn, Sequence
 
 from .alarm import Verdict, check_qa_range, count_safe_hypotheses, run_alarm
@@ -268,7 +269,7 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
     pair = tuple(args.pair) if args.pair else None
     if args.trace or args.plot:
         trace = run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
-        safe = sum(1 for s in trace.slices[lo : hi + 1] if s.safe_exists)
+        safe = sum(row[-2] for row in islice(trace.rows(), lo, hi + 1))
     else:
         safe = count_safe_hypotheses(
             sketch, spec, pair=pair, refine=args.refine_pairs, qa_range=(lo, hi)

@@ -230,13 +230,12 @@ def check_summary(
             violations.extend(point_axiom_violations(sketch, point))
         if not violations:
             try:
+                # a claim may name only some pairs; the others are free
+                claimed_pairs = (point.pair_correct or {}).items()
                 realized = any(
                     vp.point.correct_a == point.correct_a
                     and vp.point.correct_b == point.correct_b
-                    and (
-                        point.pair_correct is None
-                        or vp.point.pair_correct == point.pair_correct
-                    )
+                    and claimed_pairs <= vp.point.pair_correct.items()
                     for vp in enumerate_variety(sketch, q_a=point.q_a, budget=budget)
                 )
             except BudgetExceededError:

@@ -19,6 +19,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .alarm import AlarmTrace, QaSlice, Verdict
@@ -187,14 +188,17 @@ def _spec_from_obj(obj: Mapping) -> SafetySpec:
         raise FormatError(f"bad spec threshold: {exc}") from None
 
 
-def _intervals_json(intervals: Sequence[IntInterval]) -> str:
-    if not intervals:
-        return "[]"
-    body = ",\n".join(
-        f"        [\n          {iv.lo},\n          {iv.hi}\n        ]"
-        for iv in intervals
+def _slice_json_format(size: int) -> str:
+    """``%`` template of one JSON slice: an :meth:`AlarmTrace.rows` row
+    for ``size`` classifiers, with its two flags as JSON text."""
+    end = "        [\n          %s,\n          %s\n        ]"
+    intervals = "[\n" + ",\n".join([end] * size) + "\n      ]" if size else "[]"
+    return (
+        '    {\n      "q_a": %s,\n'
+        f'      "intervals_a": {intervals},\n'
+        f'      "intervals_b": {intervals},\n'
+        '      "safe_exists": %s,\n      "refined": %s\n    }'
     )
-    return f"[\n{body}\n      ]"
 
 
 def trace_to_json_text(trace: AlarmTrace) -> str:
@@ -202,10 +206,11 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
     indent=2) + "\\n"`` would give for the obvious object.
 
     ``json.dumps`` writes only the small header (so string escaping stays
-    its own); the O(q·N) slices follow the fixed schema and are spliced in
-    as text, because with ``indent`` set the encoder runs in pure Python.
-    Slice fields must be plain ints and bools, as :func:`run_alarm` and
-    :func:`parse_trace` give them.
+    its own); the O(q·N) slices follow the fixed schema and are formatted
+    from :meth:`AlarmTrace.rows` with one template, because with
+    ``indent`` set the encoder runs in pure Python.  Slice fields must be
+    plain ints and bools, one interval per classifier and label, as
+    :func:`run_alarm` and :func:`parse_trace` give them.
     """
     header = json.dumps(
         {
@@ -218,16 +223,13 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
         },
         indent=2,
     )
-    if not trace.slices:
-        return header + "\n"
+    template = _slice_json_format(len(trace.classifiers))
     body = ",\n".join(
-        f'    {{\n      "q_a": {s.q_a},\n'
-        f'      "intervals_a": {_intervals_json(s.intervals_a)},\n'
-        f'      "intervals_b": {_intervals_json(s.intervals_b)},\n'
-        f'      "safe_exists": {"true" if s.safe_exists else "false"},\n'
-        f'      "refined": {"true" if s.refined else "false"}\n    }}'
-        for s in trace.slices
+        template % (*row[:-2], "true" if row[-2] else "false", "true" if row[-1] else "false")
+        for row in trace.rows()
     )
+    if not body:
+        return header + "\n"
     # the header ends in '"slices": []\n}'; open that list and fill it
     return f"{header[:-4]}[\n{body}\n  ]\n}}\n"
 
@@ -299,12 +301,11 @@ def trace_to_csv_text(trace: AlarmTrace) -> str:
         header += [f"{cid}_lo_a", f"{cid}_hi_a", f"{cid}_lo_b", f"{cid}_hi_b"]
     header.append("safe_exists")
     writer.writerow(header)
-    for s in trace.slices:
-        row: list = [s.q_a]
-        for iv_a, iv_b in zip(s.intervals_a, s.intervals_b):
-            row += [iv_a.lo, iv_a.hi, iv_b.lo, iv_b.hi]
-        row.append(int(s.safe_exists))
-        writer.writerow(row)
+    # q_a and each classifier's lo_a, hi_a, lo_b, hi_b out of a label-major row
+    n = 2 * len(trace.classifiers)
+    order = [i for k in range(1, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
+    pick = itemgetter(0, *order) if order else lambda row: row[:1]
+    writer.writerows((*pick(row), int(row[-2])) for row in trace.rows())
     return buffer.getvalue()
 
 

@@ -35,11 +35,12 @@ def _coord(value: float) -> str:
 def _runs(trace: AlarmTrace) -> list[tuple[int, int, bool]]:
     """Maximal constant-colour runs of (first q_a, last q_a, safe)."""
     runs: list[tuple[int, int, bool]] = []
-    for s in trace.slices:
-        if runs and runs[-1][2] == s.safe_exists and runs[-1][1] == s.q_a - 1:
-            runs[-1] = (runs[-1][0], s.q_a, s.safe_exists)
+    for row in trace.rows():
+        q_a, safe = row[0], row[-2]
+        if runs and runs[-1][2] == safe and runs[-1][1] == q_a - 1:
+            runs[-1] = (runs[-1][0], q_a, safe)
         else:
-            runs.append((s.q_a, s.q_a, s.safe_exists))
+            runs.append((q_a, q_a, safe))
     return runs
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscheck import (
+    AlarmTrace,
     EvaluationSketch,
     IntInterval,
     LabelMinimums,
@@ -28,10 +29,14 @@ from crosscheck import (
     marginalize,
     min_count_above,
     pair_counts,
+    parse_trace,
+    render_traces,
     run_alarm,
     safe_threshold,
     save_sketch,
     sketch_point,
+    trace_to_csv_text,
+    trace_to_json_text,
 )
 from crosscheck.alarm import (
     _greedy_pass,
@@ -44,6 +49,7 @@ from crosscheck.axioms import PairBounds, pair_bounds
 from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
 from ._strategies import point_meets, random_sketch, sketches
+from .test_persist import referee_csv, referee_json, referee_svg
 
 HALF = Fraction(1, 2)
 DEFAULT = PerLabelSpec(HALF, HALF)
@@ -369,8 +375,9 @@ def backtrack_safe_exists(q_a, safe, pair_tables):
     return search(0, [])
 
 
-def scan_slice(sketch, q_a, spec, ids, refine=False):
-    """One hypothesis judged from scratch, as the scan judged each one."""
+def scan_slice(sketch, q_a, spec, ids, refine=False, decide=backtrack_safe_exists):
+    """One hypothesis judged from scratch, as the scan judged each one;
+    ``decide`` settles the pairwise refinement."""
     margs = [marginalize(sketch, cid) for cid in ids]
     safe = [scan_subinterval(sketch.q, q_a, m.r_a, spec) for m in margs]
     exists = all(not iv.is_empty for iv in safe)
@@ -380,7 +387,7 @@ def scan_slice(sketch, q_a, spec, ids, refine=False):
             for i in range(len(ids))
             for j in range(i + 1, len(ids))
         }
-        exists = backtrack_safe_exists(q_a, safe, tables)
+        exists = decide(q_a, safe, tables)
     return QaSlice(
         q_a,
         tuple(feasible_interval_label_a(sketch.q, q_a, m) for m in margs),
@@ -495,6 +502,102 @@ class TestClosedForm:
         assert calls["pair_counts"] == 0
 
 
+# The sweep keeps a trace as columns and refines in plain ints.  Its
+# referee is the per-slice path it replaced: at every q_a the spec's
+# minimums (safe_threshold), each classifier's safe subinterval, a dict of
+# the pair bounds at q_a, and a QaSlice of IntIntervals; the writers'
+# referees write from those slice objects.
+
+
+def closure_decision(q_a, safe, tables):
+    """The refinement as the sweep decided it per slice: the pair bounds
+    taken at q_a, then the greedy pass and the closure."""
+    bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
+    return _pairwise_safe_exists([(iv.lo, iv.hi) for iv in safe], bounds)
+
+
+def referee_trace(sketch, spec, pair=None, refine=False):
+    ids = tuple(pair) if pair else sketch.classifiers
+    slices = tuple(
+        scan_slice(sketch, q_a, spec, ids, refine, closure_decision)
+        for q_a in range(sketch.q + 1)
+    )
+    verdict = (
+        Verdict.NOT_TRIGGERED if any(s.safe_exists for s in slices) else Verdict.TRIGGERED
+    )
+    return AlarmTrace(sketch.q, spec, "pair" if pair else "ensemble", ids, slices, verdict)
+
+
+# ids that csv must quote and json must escape; none starts with "-",
+# which argparse would take for an option
+ODD_IDS = st.text(
+    st.sampled_from(',"\'\\\n\r\t <>&é€😀\x00\x7f') | st.characters(),
+    min_size=1,
+    max_size=5,
+).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def odd_sketches(draw):
+    size = draw(st.integers(1, 5))
+    ids = draw(st.lists(ODD_IDS, min_size=size, max_size=size, unique=True))
+    counts = draw(st.dictionaries(
+        st.sampled_from(all_patterns(size)), st.integers(1, 4), min_size=1, max_size=10
+    ))
+    return EvaluationSketch(tuple(ids), sum(counts.values()), counts)
+
+
+class TestPerSliceReferee:
+    @given(odd_sketches(), SPECS, st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_trace_and_outputs_match_referee(self, sketch, spec, pair, refine, data):
+        pair = sketch.classifiers[:2] if pair and sketch.size >= 2 else None
+        trace = run_alarm(sketch, spec, pair=pair, refine=refine)
+        ref = referee_trace(sketch, spec, pair, refine)
+        assert trace.slices == ref.slices and ref.slices == trace.slices
+        assert trace == ref and hash(trace) == hash(ref)
+        assert trace.is_complete and len(trace.slices) == sketch.q + 1
+        assert not replace(trace, q=sketch.q + 1).is_complete
+        lo = data.draw(st.integers(0, sketch.q))
+        hi = data.draw(st.integers(lo, sketch.q))
+        assert trace.slices[lo] == ref.slices[lo]
+        assert trace.slices[lo : hi + 1] == ref.slices[lo : hi + 1]
+        text = trace_to_json_text(trace)
+        assert text == referee_json(ref)
+        assert run_alarm(sketch, spec, pair=pair, refine=refine) == parse_trace(text)
+        assert trace_to_csv_text(trace) == referee_csv(ref)
+        assert render_traces([trace]) == referee_svg(ref)
+        safe = safe_in(ref, lo, hi)
+        kw = dict(pair=pair, refine=refine, qa_range=(lo, hi))
+        assert count_safe_hypotheses(sketch, spec, **kw) == safe
+
+    @given(odd_sketches(), st.fractions(0, 1, max_denominator=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cli_range_counts(self, tmp_path_factory, sketch, threshold, data):
+        strict, overall, refine, pair = (data.draw(st.booleans()) for _ in range(4))
+        spec = OverallSpec(threshold, strict) if overall else PerLabelSpec(
+            threshold, threshold, strict
+        )
+        pair = sketch.classifiers[:2] if pair and sketch.size >= 2 else None
+        lo = data.draw(st.integers(0, sketch.q))
+        hi = data.draw(st.integers(lo, sketch.q))
+        safe = safe_in(referee_trace(sketch, spec, pair, refine), lo, hi)
+        path = tmp_path_factory.mktemp("cli") / "s.json"
+        save_sketch(sketch, str(path))
+        argv = ["alarm", str(path), "--qa-range", str(lo), str(hi)]
+        argv += ["--spec-overall" if overall else "--spec-per-label", str(threshold)]
+        argv += [] if strict else ["--no-strict"]
+        argv += ["--refine-pairs"] if refine else []
+        argv += ["--pair", *pair] if pair else []
+        want = (
+            EXIT_OK if safe else EXIT_TRIGGERED,
+            f"safe hypotheses: {safe} of {hi - lo + 1}",
+            f"verdict: {'not_triggered' if safe else 'triggered'}",
+        )
+        assert _cli_summary(argv) == want
+        assert _cli_summary(argv + ["--trace", str(path.with_name("t.json"))]) == want
+
+
 REFINE_ROSTER = ("c1", "c2", "c3", "c4")
 
 
@@ -533,12 +636,20 @@ def random_refinement_case(rng, max_size=4, max_q=40):
 
 
 def decide(q_a, safe, tables):
-    """(decision, closure alone, greedy pass alone, referee)."""
+    """(decision, closure alone, greedy pass alone, referee).  The sweep's
+    form, bounds taken at hypothesis 0 and shifted by q_a, must agree with
+    bounds taken at q_a itself."""
     bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
+    at_zero = {ij: pair_bounds(0, table) for ij, table in tables.items()}
+    ends = [(iv.lo, iv.hi) for iv in safe]
+    closure = _octagon_feasible(ends, bounds)
+    greedy = _greedy_pass(ends, bounds)
+    assert _octagon_feasible(ends, at_zero, q_a) == closure
+    assert _greedy_pass(ends, at_zero, q_a) == greedy
     return (
-        _pairwise_safe_exists(safe, bounds),
-        _octagon_feasible(safe, bounds),
-        _greedy_pass(safe, bounds),
+        _pairwise_safe_exists(ends, at_zero, q_a),
+        closure,
+        greedy,
         backtrack_safe_exists(q_a, safe, tables),
     )
 
@@ -583,7 +694,6 @@ class TestPairwiseDecision:
          {(0, 1): (-1, 3, 2, 5), (0, 2): (2, 3, 3, 4), (1, 2): (9, 9, -9, 9)}, True),
     ], ids=["rational-only", "integer", "empty-sum", "chained", "chained-open"])
     def test_closure_on_hand_written_octagons(self, safe, bounds, feasible):
-        safe = [IntInterval(*iv) for iv in safe]
         bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
         assert _octagon_feasible(safe, bounds) is feasible
         assert _pairwise_safe_exists(safe, bounds) is feasible

@@ -55,6 +55,27 @@ TRACE_FILES = [
         EXIT_OK,
         "safe hypotheses: 42 of 282\nverdict: not_triggered\n",
     ),
+    (
+        # the one pin whose safe set comes from refining three classifiers
+        ("--ensemble", "--refine-pairs", "--spec-overall", "3/5"),
+        {
+            "json": "192eaa3926278ac4caf9e6039b196b171484fb26ce13ea1d7af59bff5215e5c6",
+            "csv": "ece9ddc02008f3ad4b2c80476eba42da62d2b3198ecde3e5be615358c26c996c",
+            "svg": "5b46bb9f4ee84b07f3fac6b05f804c66414d071480628f5f3e364658540d2b0b",
+        },
+        EXIT_OK,
+        "safe hypotheses: 18 of 282\nverdict: not_triggered\n",
+    ),
+    (
+        ("--pair", "claude", "gpt4", "--spec-overall", "1/2", "--no-strict"),
+        {
+            "json": "15522b28f76b9943ff29c05c9065957cf73a585614ee33dacb88a44773443d9a",
+            "csv": "0e3759f986358af6dad51c16260b25f484b3d19817c780bc62a98c4d051fcb43",
+            "svg": "3780f036786cf5a63f47979e432832ed51f1b2a7e69c01620866ccea54593188",
+        },
+        EXIT_OK,
+        "safe hypotheses: 188 of 282\nverdict: not_triggered\n",
+    ),
 ]
 
 

@@ -180,6 +180,24 @@ class TestCheckSummary:
         report = check_summary(small, SummaryClaims({}, point))
         assert report == SummaryReport((), False)
 
+    def test_true_point_with_some_pairs_claimed(self):
+        truth = EvaluationSketch(
+            ("c0", "c1", "c2"), 4, {"aaa": 1, "aab": 1, "abb": 1, "bbb": 1},
+            {"aaa": (1, 0), "aab": (1, 0), "abb": (0, 1), "bbb": (0, 1)},
+        )
+        sketch = EvaluationSketch(truth.classifiers, truth.q, dict(truth.counts))
+        full = sketch_point(truth)
+        assert full.q_a == 2
+        for key, (on_a, on_b) in full.pair_correct.items():
+            def claim(value):
+                point = EvaluationPoint(full.q_a, full.correct_a, full.correct_b, {key: value})
+                return check_summary(sketch, SummaryClaims({}, point))
+
+            # the unclaimed pairs are free, so the true value passes
+            assert claim((on_a, on_b)) == SummaryReport((), False), key
+            assert not claim((on_a + 1, on_b)).ok, key
+            assert not claim((on_a, on_b - 1)).ok, key
+
     def test_out_of_bounds_point(self):
         sketch = EvaluationSketch(("u",), 4, {"a": 2, "b": 2})
         point = EvaluationPoint(10, (0,), (0,))

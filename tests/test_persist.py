@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 from dataclasses import replace
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crosscheck.svg as svg_module
 from crosscheck import (
     AlarmTrace,
     EvaluationSketch,
@@ -293,6 +296,43 @@ def referee_json(trace: AlarmTrace) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def referee_csv(trace: AlarmTrace) -> str:
+    """The CSV trace writer as it was: one row per slice object."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["q_a"]
+    for cid in trace.classifiers:
+        header += [f"{cid}_lo_a", f"{cid}_hi_a", f"{cid}_lo_b", f"{cid}_hi_b"]
+    header.append("safe_exists")
+    writer.writerow(header)
+    for s in trace.slices:
+        row: list = [s.q_a]
+        for iv_a, iv_b in zip(s.intervals_a, s.intervals_b):
+            row += [iv_a.lo, iv_a.hi, iv_b.lo, iv_b.hi]
+        row.append(int(s.safe_exists))
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def referee_runs(trace: AlarmTrace) -> list[tuple[int, int, bool]]:
+    """The SVG band runs as they were read: one slice object at a time."""
+    runs: list[tuple[int, int, bool]] = []
+    for s in trace.slices:
+        if runs and runs[-1][2] == s.safe_exists and runs[-1][1] == s.q_a - 1:
+            runs[-1] = (runs[-1][0], s.q_a, s.safe_exists)
+        else:
+            runs.append((s.q_a, s.q_a, s.safe_exists))
+    return runs
+
+
+def referee_svg(trace: AlarmTrace) -> str:
+    """``render_traces`` on one trace, with the bands taken by
+    :func:`referee_runs`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svg_module, "_runs", referee_runs)
+        return render_traces([trace])
+
+
 # ids with quotes, backslashes, control characters, non-ASCII and lone
 # surrogates, all of which json.dumps escapes
 IDS = st.text(
@@ -334,6 +374,7 @@ class TestJsonWriterReferee:
         text = trace_to_json_text(trace)
         assert text == referee_json(trace)
         assert parse_trace(text) == trace
+        assert trace_to_csv_text(trace) == referee_csv(trace)
 
     @given(
         sketches(max_size=3, max_count=5),

@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .axioms import (
@@ -73,10 +72,10 @@ def min_count_above(
         return 0
     if not isinstance(threshold, (int, Fraction)):
         threshold = Fraction(threshold)
-    scaled = threshold.numerator * total
+    numerator, denominator = threshold.as_integer_ratio()
     if strict:
-        return scaled // threshold.denominator + 1
-    return max(0, -(-scaled // threshold.denominator))
+        return numerator * total // denominator + 1
+    return max(0, -(-numerator * total // denominator))
 
 
 def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | OverallMinimum:
@@ -161,12 +160,14 @@ class QaSlice:
 
 class _SliceColumns(Sequence[QaSlice]):
     """The slices of a swept trace as columns: each classifier's response
-    totals, every hypothesis's safe flag, and ``refined``.  No interval
-    is stored: indexing builds a :class:`QaSlice`, and :meth:`rows` gives
-    them all as plain ints.  Compares, hashes and prints as the tuple of
-    its slices."""
+    totals, a tuple of every hypothesis's safe flag, and ``refined``.  No
+    interval is stored: indexing builds a :class:`QaSlice`, and
+    :meth:`rows` generates them all as plain ints.  Compares and hashes
+    as the tuple of its slices."""
 
-    def __init__(self, q: int, margs: tuple[Marginals, ...], safe: list[bool], refined: bool):
+    def __init__(
+        self, q: int, margs: tuple[Marginals, ...], safe: tuple[bool, ...], refined: bool
+    ):
         self.q, self.margs, self.safe, self.refined = q, margs, safe, refined
 
     def __len__(self) -> int:
@@ -181,33 +182,31 @@ class _SliceColumns(Sequence[QaSlice]):
         return QaSlice(q_a, ivs_a, ivs_b, self.safe[q_a], self.refined)
 
     def __eq__(self, other: object) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, _SliceColumns) else other)
+        return tuple(self) == other
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
     def rows(self) -> Iterator[tuple]:
-        q, label_a, label_b = self.q, [], []
-        q_as = list(range(q + 1))  # every column slices these same int objects
-        for r_a, r_b in self.margs:
-            # max(0, r_a - q + q_a), min(q_a, r_a), max(0, r_b - q_a) and
-            # min(q - q_a, r_b) for q_a = 0..q, where 0 <= r_a = q - r_b <= q
-            label_a += ([0] * (q - r_a) + q_as[: r_a + 1], q_as[:r_a] + [r_a] * (q - r_a + 1))
-            label_b += (q_as[r_b:0:-1] + [0] * (q - r_b + 1), [r_b] * (q - r_b) + q_as[r_b::-1])
-        return zip(q_as, *label_a, *label_b, self.safe, repeat(self.refined))
+        q, ends_a, ends_b = self.q, [], []
+        for r_a, r_b in self.margs:  # 0 <= r_a = q - r_b <= q
+            # max(0, r_a - q + q_a) and min(q_a, r_a) for q_a = 0..q
+            ends_a.append(chain(repeat(0, q - r_a), range(r_a + 1)))
+            ends_a.append(chain(range(r_a), repeat(r_a, q - r_a + 1)))
+            # max(0, r_b - q_a) and min(q - q_a, r_b)
+            ends_b.append(chain(range(r_b, 0, -1), repeat(0, q - r_b + 1)))
+            ends_b.append(chain(repeat(r_b, q - r_b), range(r_b, -1, -1)))
+        return zip(range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined))
 
 
 @dataclass(frozen=True)
 class AlarmTrace:
     """Full record of one alarm run: a slice per hypothesis.
 
-    ``slices`` is kept as a tuple of :class:`QaSlice`, except in a trace
-    from :func:`run_alarm`, which holds columns and builds a slice only
-    when one is indexed.  Either kind compares equal to the tuple of its
-    slices, and :meth:`rows` reads either as plain ints.
+    ``slices`` is a tuple of :class:`QaSlice`, except in a trace from
+    :func:`run_alarm`: there it is a read-only sequence that builds a
+    slice only when one is indexed, and compares and hashes as the tuple
+    of its slices.  :meth:`rows` reads either kind as plain ints.
     """
 
     q: int
@@ -247,7 +246,7 @@ _Ends = Sequence[tuple[int, int]]
 _Bounds = Mapping[tuple[int, int], PairBounds]
 
 
-def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
+def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
     """One greedy pass in roster order: each classifier takes the lowest
     count in its safe interval (lo, hi) that the pair bounds allow, given
     the counts already taken.  Both sum bounds of :func:`pair_bounds`
@@ -266,7 +265,7 @@ def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
     return True
 
 
-def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
+def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
     """Do integer counts exist, each in its safe interval (lo, hi), that
     meet every pair's bounds (shifted as in :func:`_greedy_pass`)?
     Exact, O(N^3).
@@ -312,7 +311,7 @@ def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
     return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2))
 
 
-def _pairwise_safe_exists(safe: _Ends, bounds: _Bounds, shift: int = 0) -> bool:
+def _pairwise_safe_exists(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
     """Is there one ground truth putting every classifier in its safe
     interval, with every pair's coupling (:func:`pair_bounds`, shifted as
     in :func:`_greedy_pass`) enforced?
@@ -331,25 +330,29 @@ class _Sweep:
     """The one alarm sweep: everything a run needs that does not depend
     on the hypothesis, computed once, then the safe hypotheses in ints.
 
-    Each audited classifier's marginals are taken once, and so is its
-    interval of hypotheses where it can meet the spec on its own
+    The sketch is validated and the roster resolved; each audited
+    classifier's marginals are taken once, and so is its interval of
+    hypotheses where it can meet the spec on its own
     (:func:`_safe_qa_bounds`).  Their intersection, ``window``, is
     exactly the set of unrefined-safe hypotheses.  Refinement searches
-    only inside the window, because a refined-safe hypothesis is also
+    only the window, because a refined-safe hypothesis is also
     unrefined-safe, in one loop with no object per hypothesis: each
     classifier's safe interval is an int expression of q_a, and each
-    pair's :func:`pair_bounds` is taken once, at hypothesis 0 (when the
-    first hypothesis is searched), and shifted by q_a.
+    pair's :func:`pair_bounds` is taken once, at hypothesis 0, and
+    shifted by q_a.
     """
 
     def __init__(
         self,
         sketch: EvaluationSketch,
         spec: SafetySpec,
-        ids: tuple[str, ...],
+        pair: Sequence[str] | None,
         refine: bool,
     ) -> None:
-        q = sketch.q
+        problems = validate_sketch(sketch)
+        if problems:
+            raise SketchError("invalid sketch: " + "; ".join(problems))
+        q, (ids, self.mode) = sketch.q, _resolve_roster(sketch, pair)
         self.sketch, self.q, self.spec, self.ids = sketch, q, spec, ids
         self.refine = bool(refine)
         self.coupled = refine and len(ids) > 1
@@ -360,49 +363,34 @@ class _Sweep:
             lo, hi = max(lo, first), min(hi, last)
         self.window = IntInterval(lo, hi)
 
-    @cached_property
-    def bounds(self) -> dict[tuple[int, int], PairBounds]:
-        ids = self.ids
-        return {
-            (i, j): pair_bounds(0, pair_counts(self.sketch, ids[i], ids[j]))
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        }
-
     def safe_hypotheses(self, lo: int, hi: int) -> Sequence[int]:
         """The safe hypotheses in [lo, hi], in order: closed form unless
         refining, else the window's hypotheses that the pairs leave safe."""
         candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
         if not (self.coupled and candidates):
             return candidates
-        q, spec, bounds = self.q, self.spec, self.bounds
-        r_as = [m.r_a for m in self.margs]
+        q, spec, ids, r_as = self.q, self.spec, self.ids, [m.r_a for m in self.margs]
+        bounds = {
+            (i, j): pair_bounds(0, pair_counts(self.sketch, ids[i], ids[j]))
+            for i in range(len(ids))
+            for j in range(i + 1, len(ids))
+        }
         per_label, strict = isinstance(spec, PerLabelSpec), spec.strict
-        if per_label:  # for min_count_above's arithmetic, inlined below
-            n_a, d_a = spec.threshold_a.as_integer_ratio()
-            n_b, d_b = spec.threshold_b.as_integer_ratio()
-        else:
+        if not per_label:
             need = min_count_above(q, spec.threshold, strict)
         found = []
         for q_a in candidates:
             # A classifier right on x of the q_a true-a items is right on
             # x + u - r_a of the u true-b ones; its feasible x run from
-            # max(0, r_a - u) to min(q_a, r_a) (feasible_interval_label_a).
+            # max(0, r_a - u) to min(q_a, r_a) (feasible_interval_label_a),
+            # and the spec's minimums (safe_threshold) raise the lower end.
             u = q - q_a
             if per_label:
-                # min_count_above on each label; both are >= 0, so they
-                # subsume the lower feasibility bound
-                if strict:
-                    need_a = n_a * q_a // d_a + 1 if q_a else 0
-                    need_b = n_b * u // d_b + 1 if u else 0
-                else:
-                    need_a, need_b = -(-n_a * q_a // d_a), -(-n_b * u // d_b)
-                safe = [(max(need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
-            else:
-                safe = [
-                    (max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a))
-                    for r_a in r_as
-                ]
+                need_a = min_count_above(q_a, spec.threshold_a, strict)
+                need_b = min_count_above(u, spec.threshold_b, strict)
+                safe = [(max(0, r_a - u, need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
+            else:  # x + (x + u - r_a) >= need
+                safe = [(max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a)) for r_a in r_as]
             if _pairwise_safe_exists(safe, bounds, q_a):
                 found.append(q_a)
         return found
@@ -421,19 +409,6 @@ def _resolve_roster(
     return ids, "pair"
 
 
-def _open_sweep(
-    sketch: EvaluationSketch,
-    spec: SafetySpec,
-    pair: Sequence[str] | None,
-    refine: bool,
-) -> tuple[_Sweep, str]:
-    problems = validate_sketch(sketch)
-    if problems:
-        raise SketchError("invalid sketch: " + "; ".join(problems))
-    ids, mode = _resolve_roster(sketch, pair)
-    return _Sweep(sketch, spec, ids, refine), mode
-
-
 def run_alarm(
     sketch: EvaluationSketch,
     spec: SafetySpec,
@@ -447,14 +422,14 @@ def run_alarm(
     requirement.  The trace holds columns (see :class:`AlarmTrace`), so
     beyond the safe set it costs O(q) flags.
     """
-    sweep, mode = _open_sweep(sketch, spec, pair, refine)
+    sweep = _Sweep(sketch, spec, pair, refine)
     found = sweep.safe_hypotheses(0, sketch.q)
     safe = [False] * (sketch.q + 1)
     for q_a in found:
         safe[q_a] = True
     verdict = Verdict.NOT_TRIGGERED if found else Verdict.TRIGGERED
-    slices = _SliceColumns(sketch.q, sweep.margs, safe, sweep.refine)
-    return AlarmTrace(sketch.q, spec, mode, sweep.ids, slices, verdict)
+    slices = _SliceColumns(sketch.q, sweep.margs, tuple(safe), sweep.refine)
+    return AlarmTrace(sketch.q, spec, sweep.mode, sweep.ids, slices, verdict)
 
 
 def count_safe_hypotheses(
@@ -466,7 +441,7 @@ def count_safe_hypotheses(
 ) -> int:
     """Number of safe hypotheses in ``qa_range`` (default all), without
     the trace.  O(N·patterns + N log q) unless refining."""
-    sweep, _ = _open_sweep(sketch, spec, pair, refine)
+    sweep = _Sweep(sketch, spec, pair, refine)
     lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
     return len(sweep.safe_hypotheses(lo, hi))
 

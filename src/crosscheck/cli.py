@@ -19,7 +19,6 @@ from .alarm import Verdict, check_qa_range, count_safe_hypotheses, run_alarm
 from .axioms import pspace_stats
 from .independent import solve_independent
 from .model import (
-    EvaluationSketch,
     OverallSpec,
     PerLabelSpec,
     SketchError,

@@ -224,14 +224,17 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
         indent=2,
     )
     template = _slice_json_format(len(trace.classifiers))
-    body = ",\n".join(
+    parts = [
         template % (*row[:-2], "true" if row[-2] else "false", "true" if row[-1] else "false")
         for row in trace.rows()
-    )
-    if not body:
+    ]
+    if not parts:
         return header + "\n"
-    # the header ends in '"slices": []\n}'; open that list and fill it
-    return f"{header[:-4]}[\n{body}\n  ]\n}}\n"
+    # the header ends in '"slices": []\n}'; open that list around the
+    # slices, so that one join builds the file text and nothing else
+    parts[0] = f"{header[:-4]}[\n{parts[0]}"
+    parts[-1] += "\n  ]\n}\n"
+    return ",\n".join(parts)
 
 
 def _intervals_from(value: object, size: int, what: str) -> tuple[IntInterval, ...]:

@@ -2,7 +2,8 @@ import contextlib
 import io
 import itertools
 import random
-from dataclasses import replace
+from collections.abc import Sequence
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -513,7 +514,7 @@ def closure_decision(q_a, safe, tables):
     """The refinement as the sweep decided it per slice: the pair bounds
     taken at q_a, then the greedy pass and the closure."""
     bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
-    return _pairwise_safe_exists([(iv.lo, iv.hi) for iv in safe], bounds)
+    return _pairwise_safe_exists([(iv.lo, iv.hi) for iv in safe], bounds, 0)
 
 
 def referee_trace(sketch, spec, pair=None, refine=False):
@@ -597,6 +598,21 @@ class TestPerSliceReferee:
         assert _cli_summary(argv) == want
         assert _cli_summary(argv + ["--trace", str(path.with_name("t.json"))]) == want
 
+    def test_swept_slices_are_a_sequence_not_a_tuple(self, grading_sketch):
+        """A swept trace's ``slices`` is a read-only Sequence: ``tuple()``
+        gives the tuple, ``asdict`` copies the sequence whole instead of
+        nesting slice dicts, and ``+`` with a tuple is refused."""
+        trace = run_alarm(grading_sketch, DEFAULT, refine=True)
+        ref = referee_trace(grading_sketch, DEFAULT, refine=True)
+        assert isinstance(trace.slices, Sequence) and not isinstance(trace.slices, tuple)
+        assert tuple(trace.slices) == ref.slices
+        copied = asdict(trace)["slices"]
+        assert copied is not trace.slices and copied == ref.slices
+        assert asdict(ref)["slices"] == tuple(asdict(s) for s in trace.slices)
+        with pytest.raises(TypeError):
+            trace.slices + ()
+        assert hash(trace) == hash(ref) == hash(replace(trace))
+
 
 REFINE_ROSTER = ("c1", "c2", "c3", "c4")
 
@@ -642,8 +658,8 @@ def decide(q_a, safe, tables):
     bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
     at_zero = {ij: pair_bounds(0, table) for ij, table in tables.items()}
     ends = [(iv.lo, iv.hi) for iv in safe]
-    closure = _octagon_feasible(ends, bounds)
-    greedy = _greedy_pass(ends, bounds)
+    closure = _octagon_feasible(ends, bounds, 0)
+    greedy = _greedy_pass(ends, bounds, 0)
     assert _octagon_feasible(ends, at_zero, q_a) == closure
     assert _greedy_pass(ends, at_zero, q_a) == greedy
     return (
@@ -695,8 +711,8 @@ class TestPairwiseDecision:
     ], ids=["rational-only", "integer", "empty-sum", "chained", "chained-open"])
     def test_closure_on_hand_written_octagons(self, safe, bounds, feasible):
         bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
-        assert _octagon_feasible(safe, bounds) is feasible
-        assert _pairwise_safe_exists(safe, bounds) is feasible
+        assert _octagon_feasible(safe, bounds, 0) is feasible
+        assert _pairwise_safe_exists(safe, bounds, 0) is feasible
 
     def test_complementary_pair_cannot_both_pass_bounded_run(self, tmp_path):
         # The last classifier always answers against the first, so no truth

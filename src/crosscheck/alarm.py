@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .axioms import (
     IntInterval,
@@ -40,15 +40,6 @@ from .model import (
 class Verdict(enum.Enum):
     TRIGGERED = "triggered"
     NOT_TRIGGERED = "not_triggered"
-
-
-class LabelMinimums(NamedTuple):
-    min_correct_a: int
-    min_correct_b: int
-
-
-class OverallMinimum(NamedTuple):
-    min_correct_total: int
 
 
 def min_count_above(
@@ -76,16 +67,6 @@ def min_count_above(
     if strict:
         return numerator * total // denominator + 1
     return max(0, -(-numerator * total // denominator))
-
-
-def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | OverallMinimum:
-    """Minimum correctness counts a classifier needs at one hypothesis."""
-    if isinstance(spec, PerLabelSpec):
-        return LabelMinimums(
-            min_count_above(q_a, spec.threshold_a, spec.strict),
-            min_count_above(q - q_a, spec.threshold_b, spec.strict),
-        )
-    return OverallMinimum(min_count_above(q, spec.threshold, spec.strict))
 
 
 def _last_true(holds: Callable[[int], bool], hi: int) -> int:
@@ -383,7 +364,7 @@ class _Sweep:
             # A classifier right on x of the q_a true-a items is right on
             # x + u - r_a of the u true-b ones; its feasible x run from
             # max(0, r_a - u) to min(q_a, r_a) (feasible_interval_label_a),
-            # and the spec's minimums (safe_threshold) raise the lower end.
+            # and the spec's minimums (min_count_above) raise the lower end.
             u = q - q_a
             if per_label:
                 need_a = min_count_above(q_a, spec.threshold_a, strict)

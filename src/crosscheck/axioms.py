@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from itertools import combinations
+from typing import Mapping, NamedTuple
 
 from .model import (
-    LABEL_A,
+    EvaluationPoint,
     EvaluationSketch,
     Marginals,
     PSpaceStats,
@@ -34,26 +35,12 @@ class IntInterval:
     lo: int
     hi: int
 
-    @classmethod
-    def empty(cls) -> "IntInterval":
-        return cls(0, -1)
-
     @property
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    @property
-    def width(self) -> int:
-        return 0 if self.is_empty else self.hi - self.lo + 1
-
     def __contains__(self, value: int) -> bool:
         return self.lo <= value <= self.hi
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.lo, self.hi + 1))
-
-    def intersect(self, other: "IntInterval") -> "IntInterval":
-        return IntInterval(max(self.lo, other.lo), min(self.hi, other.hi))
 
 
 def single_axiom_residual(
@@ -114,8 +101,9 @@ def pair_axiom_sum(
     responded "a".  Once each classifier's own true-a correctness is
     fixed, the number of items where both are right on true-a plus the
     number where both are right on true-b is fully determined; only the
-    split between the two remains free, and :func:`pair_feasible` says
-    which splits admit non-negative pattern cells.
+    split between the two remains free, and
+    :func:`joint_correct_a_window` says which splits admit non-negative
+    pattern cells.
     """
     q_b = q - q_a
     return (
@@ -200,37 +188,6 @@ def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
     """
     return PairBounds(
         pair["ab"], pair["ba"], q_a - pair["bb"], q_a + pair["aa"]
-    )
-
-
-def pair_feasible(
-    q: int,
-    q_a: int,
-    pair: Mapping[str, int],
-    marginals_i: Marginals,
-    marginals_j: Marginals,
-    correct_a_i: int,
-    correct_a_j: int,
-) -> bool:
-    """Can these two per-classifier counts coexist on one ground truth?
-
-    Requires each count to sit inside its own feasible interval first;
-    callers asking about points outside that rectangle get an error
-    rather than a misleading False.
-    """
-    ia_i = feasible_interval_label_a(q, q_a, marginals_i)
-    ia_j = feasible_interval_label_a(q, q_a, marginals_j)
-    if correct_a_i not in ia_i or correct_a_j not in ia_j:
-        raise SketchError(
-            "pair feasibility asked outside the per-classifier rectangle: "
-            f"({correct_a_i}, {correct_a_j}) vs [{ia_i.lo},{ia_i.hi}]x[{ia_j.lo},{ia_j.hi}]"
-        )
-    bounds = pair_bounds(q_a, pair)
-    diff = correct_a_i - correct_a_j
-    total = correct_a_i + correct_a_j
-    return (
-        -bounds.max_j_minus_i <= diff <= bounds.max_i_minus_j
-        and bounds.min_sum <= total <= bounds.max_sum
     )
 
 
@@ -319,121 +276,17 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     )
 
 
-def reconstruct_pair_frequencies(
-    p_a: Fraction,
-    acc_a_i: Fraction | None,
-    acc_a_j: Fraction | None,
-    acc_b_i: Fraction | None,
-    acc_b_j: Fraction | None,
-    gamma_a: Fraction | None,
-    gamma_b: Fraction | None,
-) -> dict[str, Fraction]:
-    """Joint decision frequencies of a pair from ratio statistics.
-
-    Terms attached to a label with zero weight are skipped, so the None
-    statistics of an absent label never poison the result.
-    """
-    p_b = 1 - p_a
-    out = {"aa": Fraction(0), "ab": Fraction(0), "ba": Fraction(0), "bb": Fraction(0)}
-
-    def add(weight: Fraction, pi: Fraction | None, pj: Fraction | None,
-            gamma: Fraction | None, correct_pattern_is_aa: bool) -> None:
-        if weight == 0:
-            return
-        if pi is None or pj is None or gamma is None:
-            raise SketchError("missing statistics for a label with positive weight")
-        both = pi * pj + gamma
-        only_i = pi * (1 - pj) - gamma
-        only_j = (1 - pi) * pj - gamma
-        neither = (1 - pi) * (1 - pj) + gamma
-        if correct_pattern_is_aa:
-            out["aa"] += weight * both
-            out["ab"] += weight * only_i
-            out["ba"] += weight * only_j
-            out["bb"] += weight * neither
-        else:
-            out["bb"] += weight * both
-            out["ba"] += weight * only_i
-            out["ab"] += weight * only_j
-            out["aa"] += weight * neither
-
-    add(p_a, acc_a_i, acc_a_j, gamma_a, True)
-    add(p_b, acc_b_i, acc_b_j, gamma_b, False)
-    return out
-
-
-def reconstruct_pair_counts(
-    sketch: EvaluationSketch, first: str, second: str
-) -> dict[str, int]:
-    """Round-trip check: rebuild a pair's pattern counts from its stats.
-
-    The reconstruction is exact; a non-integer intermediate would mean
-    the statistics were not produced by :func:`pspace_stats` on this
-    sketch.
-    """
-    stats = pspace_stats(sketch)
-    i = sketch.index_of(first)
-    j = sketch.index_of(second)
-    key = (first, second) if i < j else (second, first)
-    if i < j:
-        freq = reconstruct_pair_frequencies(
-            stats.p_a,
-            stats.accuracy_a[i], stats.accuracy_a[j],
-            stats.accuracy_b[i], stats.accuracy_b[j],
-            stats.gamma_a[key], stats.gamma_b[key],
-        )
-    else:
-        swapped = reconstruct_pair_frequencies(
-            stats.p_a,
-            stats.accuracy_a[j], stats.accuracy_a[i],
-            stats.accuracy_b[j], stats.accuracy_b[i],
-            stats.gamma_a[key], stats.gamma_b[key],
-        )
-        freq = {
-            "aa": swapped["aa"],
-            "ab": swapped["ba"],
-            "ba": swapped["ab"],
-            "bb": swapped["bb"],
-        }
-    out: dict[str, int] = {}
-    for pattern, value in freq.items():
-        scaled = value * sketch.q
-        if scaled.denominator != 1:
-            raise SketchError(
-                f"pair reconstruction produced a non-integer count for {pattern}: {scaled}"
-            )
-        out[pattern] = int(scaled)
-    return out
-
-
-def sketch_point(sketch: EvaluationSketch) -> "EvaluationPoint":
-    """The evaluation point actually realized by a truth-split sketch."""
-    from .model import EvaluationPoint
-
-    if sketch.truth_split is None:
-        raise SketchError("sketch has no truth split")
-    q_a = sum(a for a, _ in sketch.truth_split.values())
-    ids = sketch.classifiers
-    c_a: list[int] = []
-    c_b: list[int] = []
-    for cid in ids:
-        on_a, on_b = correct_counts(sketch, cid)
-        c_a.append(on_a)
-        c_b.append(on_b)
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            pairs[(i, j)] = joint_correct_counts(sketch, ids[i], ids[j])
-    return EvaluationPoint(q_a, tuple(c_a), tuple(c_b), pairs)
-
-
-def point_axiom_violations(sketch: EvaluationSketch, point: "EvaluationPoint") -> list[str]:
+def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> list[str]:
     """Axiom failures of a claimed point against a sketch's counts.
 
-    Checks each classifier's residual and interval membership, then each
-    claimed pair's forced true-b sum and feasibility window.  Bound
-    violations (see :func:`model.point_bound_violations`) are assumed
-    already reported by the caller.
+    Checks each classifier's residual and interval membership, then every
+    pair.  A pair the point names must have the forced sum and a joint
+    true-a count inside :func:`joint_correct_a_window`; any other pair's
+    two true-a counts must meet its :func:`pair_bounds`, the constraint
+    the alarm enforces.  At N <= 2 a point that passes is realized by
+    some ground truth.  Bound violations (see
+    :func:`model.point_bound_violations`) are assumed already reported
+    by the caller.
     """
     problems: list[str] = []
     ids = sketch.classifiers
@@ -463,20 +316,36 @@ def point_axiom_violations(sketch: EvaluationSketch, point: "EvaluationPoint") -
                 f"classifier {cid}: correct_b={point.correct_b[k]} outside "
                 f"feasible interval [{ib.lo}, {ib.hi}]"
             )
-    if problems or not point.pair_correct:
+    if problems:
         return problems
-    for (i, j), (ja, jb) in point.pair_correct.items():
+    claimed = point.pair_correct or {}
+    for i, j in combinations(range(len(ids)), 2):
         pair = pair_counts(sketch, ids[i], ids[j])
-        forced_sum = pair_axiom_sum(
-            q, q_a, margs[i], margs[j], pair["aa"],
-            point.correct_a[i], point.correct_a[j],
-        )
+        x, y = point.correct_a[i], point.correct_a[j]
+        if (i, j) not in claimed:
+            b = pair_bounds(q_a, pair)
+            broken = [
+                bound for bound, holds in (
+                    (f"x_i - x_j <= {b.max_i_minus_j}", x - y <= b.max_i_minus_j),
+                    (f"x_j - x_i <= {b.max_j_minus_i}", y - x <= b.max_j_minus_i),
+                    (f"x_i + x_j >= {b.min_sum}", x + y >= b.min_sum),
+                    (f"x_i + x_j <= {b.max_sum}", x + y <= b.max_sum),
+                ) if not holds
+            ]
+            if broken:
+                problems.append(
+                    f"pair ({ids[i]}, {ids[j]}): true-a correct counts x_i={x}, "
+                    f"x_j={y} break {' and '.join(broken)}"
+                )
+            continue
+        ja, jb = claimed[(i, j)]
+        forced_sum = pair_axiom_sum(q, q_a, margs[i], margs[j], pair["aa"], x, y)
         if ja + jb != forced_sum:
             problems.append(
                 f"pair ({ids[i]}, {ids[j]}): joint correctness counts sum to "
                 f"{ja + jb}, but the response table forces {forced_sum}"
             )
-        window = joint_correct_a_window(q_a, pair, point.correct_a[i], point.correct_a[j])
+        window = joint_correct_a_window(q_a, pair, x, y)
         if ja not in window:
             problems.append(
                 f"pair ({ids[i]}, {ids[j]}): joint true-a correctness {ja} outside "

@@ -329,16 +329,7 @@ def reorder(sketch: EvaluationSketch, order: Sequence[str]) -> EvaluationSketch:
     ids = tuple(order)
     if sorted(ids) != sorted(sketch.classifiers):
         raise SketchError("reorder must permute the existing roster exactly")
-    perm = [sketch.index_of(cid) for cid in ids]
-
-    def remap(pattern: str) -> str:
-        return "".join(pattern[k] for k in perm)
-
-    counts = {remap(p): n for p, n in sketch.counts.items()}
-    split = None
-    if sketch.truth_split is not None:
-        split = {remap(p): v for p, v in sketch.truth_split.items()}
-    return EvaluationSketch(ids, sketch.q, counts, split)
+    return project(sketch, ids)
 
 
 def project(sketch: EvaluationSketch, keep: Sequence[str]) -> EvaluationSketch:

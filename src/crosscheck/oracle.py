@@ -5,15 +5,16 @@ lattice of candidate correctness counts, or the raw set of per-pattern
 truth splits, and test definitions directly.  They exist so the fast
 paths elsewhere can be checked against something with no shared code.
 On the production path, :func:`check_summary` (the audit behind
-``verify``) enumerates only to confirm a claimed point that already
-passed the bound and axiom checks, within a budget.
+``verify``) enumerates only to confirm a claimed point of three or more
+classifiers that already passed the bound and axiom checks, within a
+budget.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .model import (
     LABEL_A,
@@ -133,32 +134,6 @@ def enumerate_variety(
         yield VarietyPoint(_point_from_split(sketch, split), split)
 
 
-def variety_is_empty(
-    sketch: EvaluationSketch,
-    q_a: int | None = None,
-    budget: int = DEFAULT_SPLIT_BUDGET,
-) -> bool:
-    for _ in enumerate_variety(sketch, q_a=q_a, budget=budget):
-        return False
-    return True
-
-
-def count_feasible(q: int, marginals: Marginals) -> int:
-    """Number of evaluation outcomes consistent with one classifier's
-    response totals, summed over all prevalences.
-
-    Counted by brute force over :func:`enumerate_evaluations`.
-    """
-    if marginals.r_a + marginals.r_b != q:
-        raise SketchError("marginals must sum to q")
-    total = 0
-    for point in enumerate_evaluations(q):
-        said_a = point.correct_a[0] + (q - point.q_a - point.correct_b[0])
-        if said_a == marginals.r_a:
-            total += 1
-    return total
-
-
 @dataclass(frozen=True)
 class SummaryClaims:
     """An externally supplied summary of an evaluation to be audited.
@@ -175,9 +150,10 @@ class SummaryClaims:
 class SummaryReport:
     """Outcome of auditing claims against a sketch.
 
-    ``undecided`` is True when a claimed point passed the bound and
-    axiom checks but the exact search for a ground truth realizing it
-    was skipped for budget: the point is neither confirmed nor refuted.
+    ``undecided`` is True when a claimed point of three or more
+    classifiers passed the bound and axiom checks but the exact search
+    for a ground truth realizing it was skipped for budget: the point is
+    neither confirmed nor refuted.
     """
 
     violations: tuple[str, ...]
@@ -196,14 +172,17 @@ def check_summary(
     """Audit claimed marginals and an optional claimed point.
 
     Marginal claims are compared against the sketch's actual totals.  A
-    claimed point is checked against the lattice bounds, then the
-    axioms, and only if both pass, searched for among the ground truths
-    at its claimed prevalence when the budget allows.  Whether some
-    ground truth realizes the sketch needs no search: the pattern counts
-    of a sound sketch are non-negative and sum to q, so every q_a in
-    [0, q] has a split (the all-b truth at q_a = 0, for one).
-    Structural invalidity of the sketch itself is reported as violations
-    rather than raised, since auditing bad data is the point.
+    claimed point is checked against the lattice bounds, then the axioms
+    (:func:`axioms.point_axiom_violations`, which holds every pair to the
+    alarm's pair constraint whether or not the point names it).  The
+    N = 1 and N = 2 axioms are complete, so at N <= 2 a point that passes
+    is realized and nothing is searched.  At N >= 3 it is searched for
+    among the ground truths at its claimed prevalence when the budget
+    allows.  Whether some ground truth realizes the sketch needs no
+    search: the pattern counts of a sound sketch are non-negative and sum
+    to q, so every q_a in [0, q] has a split (the all-b truth at q_a = 0,
+    for one).  Structural invalidity of the sketch itself is reported as
+    violations rather than raised, since auditing bad data is the point.
     """
     from .axioms import point_axiom_violations
 
@@ -228,9 +207,9 @@ def check_summary(
         violations.extend(point_bound_violations(point, sketch.q))
         if not violations:
             violations.extend(point_axiom_violations(sketch, point))
-        if not violations:
+        if not violations and sketch.size >= 3:
             try:
-                # a claim may name only some pairs; the others are free
+                # a claim may name only some pairs; the others' joint counts are free
                 claimed_pairs = (point.pair_correct or {}).items()
                 realized = any(
                     vp.point.correct_a == point.correct_a

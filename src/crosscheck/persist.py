@@ -358,8 +358,9 @@ def _object(value: object, what: str) -> dict:
 def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
     """Claims file: optional marginal totals and an optional full point.
 
-    The sketch supplies the roster so pair keys can be index pairs.
-    Every claimed count must be a JSON integer.
+    The sketch supplies the roster so pair keys can be index pairs; a
+    pair named twice, in either order, is an error.  Every claimed count
+    must be a JSON integer.
     """
     obj = _load_json(text)
     _require_keys(obj, (), ("marginals", "point"), "claims file")
@@ -384,9 +385,12 @@ def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
                         f"pair key {key!r} must be 'first,second' classifier ids"
                     )
                 joint = _int_list(entry, 2, f"pair claim {key!r}")
-                i, j = (sketch.index_of(cid.strip()) for cid in ids)
-                # joint correctness is symmetric, so order only normalizes the key
-                pair_correct[(min(i, j), max(i, j))] = (joint[0], joint[1])
+                i, j = sorted(sketch.index_of(cid.strip()) for cid in ids)
+                # joint correctness is symmetric, so order only normalizes the
+                # key, and a pair named in both orders is one pair named twice
+                if (i, j) in pair_correct:
+                    raise FormatError(f"pair claim {key!r} names a pair already claimed")
+                pair_correct[(i, j)] = (joint[0], joint[1])
         try:
             point = EvaluationPoint(
                 raw["q_a"],

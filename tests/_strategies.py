@@ -13,9 +13,10 @@ from crosscheck import (
     SafetySpec,
     all_patterns,
     generate_decisions,
-    safe_threshold,
     sketch_from_decisions,
 )
+
+from ._referees import safe_threshold
 
 ROSTER = ("c1", "c2", "c3")
 

@@ -28,16 +28,15 @@ from crosscheck import (
     marginalize,
     min_count_above,
     pair_counts,
-    pair_feasible,
     pattern_covariance,
     platanios_error,
     records_to_decisions,
     run_alarm,
-    safe_threshold,
     sketch_from_decisions,
     solve_independent,
     truth_prevalence,
 )
+from ._referees import meets_pair_bounds, safe_threshold
 from ._strategies import (
     generate_for_acceptance,
     inject_pair_covariance,
@@ -149,14 +148,13 @@ def test_criterion_06_pair_machinery_matches_enumeration():
                     assert piece.intervals_a[k] == interval
                 else:
                     assert interval.is_empty
-            # joint feasibility against the enumerated pair set
+            # the pair constraint against the enumerated pair set
             realized_pairs = {p.correct_a for p in points}
             lo_1 = max(0, r_1[0] - (sketch.q - q_a))
             lo_2 = max(0, r_2[0] - (sketch.q - q_a))
             for x in range(lo_1, min(r_1[0], q_a) + 1):
                 for y in range(lo_2, min(r_2[0], q_a) + 1):
-                    verdict = pair_feasible(
-                        sketch.q, q_a, pair, r_1, r_2, x, y)
+                    verdict = meets_pair_bounds(q_a, pair, x, y)
                     assert verdict == ((x, y) in realized_pairs)
             # per-slice safety, refinement on, against the oracle
             oracle = any(point_meets(p, SPEC, sketch.q) for p in points)

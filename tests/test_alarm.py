@@ -14,9 +14,7 @@ from crosscheck import (
     AlarmTrace,
     EvaluationSketch,
     IntInterval,
-    LabelMinimums,
     Marginals,
-    OverallMinimum,
     OverallSpec,
     PerLabelSpec,
     QaSlice,
@@ -33,9 +31,7 @@ from crosscheck import (
     parse_trace,
     render_traces,
     run_alarm,
-    safe_threshold,
     save_sketch,
-    sketch_point,
     trace_to_csv_text,
     trace_to_json_text,
 )
@@ -49,6 +45,7 @@ from crosscheck.alarm import (
 from crosscheck.axioms import PairBounds, pair_bounds
 from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
+from ._referees import LabelMinimums, OverallMinimum, safe_threshold, sketch_point
 from ._strategies import point_meets, random_sketch, sketches
 from .test_persist import referee_csv, referee_json, referee_svg
 
@@ -349,7 +346,7 @@ def partner_interval(q_a, pair, x):
     used it."""
     n_aa, n_ab, n_ba, n_bb = pair["aa"], pair["ab"], pair["ba"], pair["bb"]
     if x < q_a - n_bb - n_ba:
-        return IntInterval.empty()
+        return IntInterval(0, -1)
     lo = max(0, x - n_ab, q_a - n_bb - x, q_a - n_bb - n_ab)
     hi = min(x + n_ba, q_a + n_aa - x)
     return IntInterval(lo, hi)
@@ -363,10 +360,11 @@ def backtrack_safe_exists(q_a, safe, pair_tables):
     def search(k, chosen):
         if k == n:
             return True
-        iv = safe[k]
+        lo, hi = safe[k].lo, safe[k].hi
         for i in range(k):
-            iv = iv.intersect(partner_interval(q_a, pair_tables[(i, k)], chosen[i]))
-        for x in iv:
+            partner = partner_interval(q_a, pair_tables[(i, k)], chosen[i])
+            lo, hi = max(lo, partner.lo), min(hi, partner.hi)
+        for x in range(lo, hi + 1):
             chosen.append(x)
             if search(k + 1, chosen):
                 return True

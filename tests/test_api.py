@@ -1,0 +1,37 @@
+"""The public surface, pinned: a name added to or dropped from
+``crosscheck.__all__`` must be made here too, so the change shows in
+review."""
+
+import crosscheck
+
+PUBLIC = [
+    "AlarmTrace", "BudgetExceededError", "DEFAULT_SPLIT_BUDGET", "DecisionRecord",
+    "Diagnosis", "EvaluationPoint", "EvaluationSketch", "FLIP_MODES", "FormatError",
+    "IndependentParams", "IndependentSolution", "IngestError", "IngestResult",
+    "IntInterval", "LABELS", "LABEL_A", "LABEL_B", "Marginals", "OverallSpec",
+    "PSpaceStats", "PerLabelSpec", "PlataniosReport", "QaSlice", "SafetySpec",
+    "SketchError", "SqrtValue", "SummaryClaims", "SummaryReport", "VarietyPoint",
+    "Verdict", "all_patterns", "atomic_write_text", "check_summary", "correct_counts",
+    "decisions_to_csv_text", "default_label", "emit_trace", "enumerate_evaluations",
+    "enumerate_variety", "evaluation_count", "feasible_interval_label_a",
+    "feasible_interval_label_b", "flip_labels", "flip_position", "forward_model",
+    "generate_decisions", "induced_correct_b", "ingest", "joint_correct_a_window",
+    "joint_correct_counts", "load_sketch", "majority_vote_prevalence", "marginalize",
+    "min_count_above", "other_label", "pair_axiom_sum", "pair_counts", "parse_claims",
+    "parse_params", "parse_sketch", "parse_trace", "pattern_covariance",
+    "platanios_error", "point_axiom_violations", "point_bound_violations", "project",
+    "pspace_stats", "rational_sqrt", "records_to_decisions", "render_traces", "reorder",
+    "run_alarm", "save_sketch", "single_axiom_residual", "sketch_from_decisions",
+    "sketch_to_text", "solve_independent", "split_combinations", "trace_to_csv_text",
+    "trace_to_json_text", "truth_prevalence", "validate_sketch",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(crosscheck.__all__) == PUBLIC
+    assert len(set(crosscheck.__all__)) == len(crosscheck.__all__)
+
+
+def test_every_public_name_resolves():
+    for name in crosscheck.__all__:
+        assert hasattr(crosscheck, name), name

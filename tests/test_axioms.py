@@ -17,37 +17,31 @@ from crosscheck import (
     marginalize,
     pair_axiom_sum,
     pair_counts,
-    pair_feasible,
     pattern_covariance,
     point_axiom_violations,
     pspace_stats,
-    reconstruct_pair_counts,
     single_axiom_residual,
-    sketch_point,
 )
 from crosscheck.axioms import pair_bounds
 
+from ._referees import meets_pair_bounds, sketch_point
 from ._strategies import sketches
+
+
+def members(iv):
+    return list(range(iv.lo, iv.hi + 1))
 
 
 class TestIntInterval:
     def test_empty(self):
-        iv = IntInterval.empty()
+        iv = IntInterval(0, -1)
         assert iv.is_empty
-        assert iv.width == 0
-        assert list(iv) == []
-        assert 0 not in iv
+        assert 0 not in iv and -1 not in iv
 
     def test_members(self):
         iv = IntInterval(2, 5)
         assert not iv.is_empty
-        assert iv.width == 4
-        assert list(iv) == [2, 3, 4, 5]
-        assert 2 in iv and 5 in iv and 6 not in iv
-
-    def test_intersect(self):
-        assert IntInterval(0, 4).intersect(IntInterval(2, 9)) == IntInterval(2, 4)
-        assert IntInterval(0, 1).intersect(IntInterval(3, 4)).is_empty
+        assert 2 in iv and 5 in iv and 1 not in iv and 6 not in iv
 
 
 class TestSingleClassifier:
@@ -79,9 +73,9 @@ class TestSingleClassifier:
         q, q_a, marg = 100, 60, Marginals(35, 65)
         ia = feasible_interval_label_a(q, q_a, marg)
         ib = feasible_interval_label_b(q, q_a, marg)
-        images = [induced_correct_b(q, q_a, c_a, marg) for c_a in ia]
-        assert images == list(ib)
-        for c_a, c_b in zip(ia, images):
+        images = [induced_correct_b(q, q_a, c_a, marg) for c_a in members(ia)]
+        assert images == members(ib)
+        for c_a, c_b in zip(members(ia), images):
             assert single_axiom_residual(q, q_a, c_a, c_b, marg) == 0
 
     @given(sketches(min_size=1, max_size=1, max_count=5))
@@ -96,8 +90,8 @@ class TestSingleClassifier:
             for vp in enumerate_variety(sketch, q_a=q_a):
                 realized_a.add(vp.point.correct_a[0])
                 realized_b.add(vp.point.correct_b[0])
-            assert realized_a == set(ia)
-            assert realized_b == set(ib)
+            assert realized_a == set(members(ia))
+            assert realized_b == set(members(ib))
 
 
 def _variety_by_singles(sketch, q_a):
@@ -121,21 +115,14 @@ class TestPairAxioms:
     def test_window_cuts_rectangle_corner(self):
         # two classifiers that never agree cannot both be nearly perfect
         pair = {"aa": 0, "ab": 2, "ba": 2, "bb": 0}
-        m = Marginals(2, 2)
-        assert pair_feasible(4, 3, pair, m, m, 1, 2)
-        assert not pair_feasible(4, 3, pair, m, m, 2, 2)
+        assert meets_pair_bounds(3, pair, 1, 2)
+        assert not meets_pair_bounds(3, pair, 2, 2)
 
     def test_window_cuts_origin(self):
         # both-wrong-everywhere needs enough jointly-b items to hold all of true-a
         pair = {"aa": 2, "ab": 1, "ba": 1, "bb": 2}
-        m = Marginals(3, 3)
-        assert not pair_feasible(6, 3, pair, m, m, 0, 0)
-        assert pair_feasible(6, 3, pair, m, m, 1, 1)
-
-    def test_pair_feasible_rejects_outside_rectangle(self):
-        pair = {"aa": 1, "ab": 0, "ba": 0, "bb": 1}
-        with pytest.raises(SketchError):
-            pair_feasible(2, 1, pair, Marginals(1, 1), Marginals(1, 1), 2, 0)
+        assert not meets_pair_bounds(3, pair, 0, 0)
+        assert meets_pair_bounds(3, pair, 1, 1)
 
     @given(sketches(min_size=2, max_size=2, max_count=3))
     @settings(max_examples=40, deadline=None)
@@ -148,14 +135,14 @@ class TestPairAxioms:
             by_singles = _variety_by_singles(sketch, q_a)
             rect_i = feasible_interval_label_a(sketch.q, q_a, m_i)
             rect_j = feasible_interval_label_a(sketch.q, q_a, m_j)
-            for x in rect_i:
-                for y in rect_j:
-                    feasible = pair_feasible(sketch.q, q_a, pair, m_i, m_j, x, y)
+            for x in members(rect_i):
+                for y in members(rect_j):
+                    feasible = meets_pair_bounds(q_a, pair, x, y)
                     points = by_singles.get((x, y), [])
                     assert feasible == bool(points)
                     window = joint_correct_a_window(q_a, pair, x, y)
                     realized_ja = {p.pair_correct[(0, 1)][0] for p in points}
-                    assert realized_ja == set(window)
+                    assert realized_ja == set(members(window))
                     forced = pair_axiom_sum(
                         sketch.q, q_a, m_i, m_j, pair["aa"], x, y
                     )
@@ -163,16 +150,13 @@ class TestPairAxioms:
                         ja, jb = p.pair_correct[(0, 1)]
                         assert ja + jb == forced
                 # at fixed x, the generator's bounds capture exactly the coupling
-                coupled = {
-                    y for y in rect_j
-                    if pair_feasible(sketch.q, q_a, pair, m_i, m_j, x, y)
-                }
+                coupled = {y for y in members(rect_j) if meets_pair_bounds(q_a, pair, x, y)}
                 b = pair_bounds(q_a, pair)
                 partner = IntInterval(
-                    max(x - b.max_i_minus_j, b.min_sum - x),
-                    min(x + b.max_j_minus_i, b.max_sum - x),
-                ).intersect(rect_j)
-                assert coupled == set(partner)
+                    max(x - b.max_i_minus_j, b.min_sum - x, rect_j.lo),
+                    min(x + b.max_j_minus_i, b.max_sum - x, rect_j.hi),
+                )
+                assert coupled == set(members(partner))
 
 
 class TestPatternCovariance:
@@ -213,6 +197,93 @@ class TestPatternCovariance:
         ) * (Fraction(pair["bb"] + pair["ab"]) / q)
         value = pattern_covariance(sketch, ids[0], ids[1])
         assert value == via_a == via_b
+
+
+def reconstruct_pair_frequencies(
+    p_a: Fraction,
+    acc_a_i: Fraction | None,
+    acc_a_j: Fraction | None,
+    acc_b_i: Fraction | None,
+    acc_b_j: Fraction | None,
+    gamma_a: Fraction | None,
+    gamma_b: Fraction | None,
+) -> dict[str, Fraction]:
+    """Joint decision frequencies of a pair from ratio statistics.
+
+    Terms attached to a label with zero weight are skipped, so the None
+    statistics of an absent label never poison the result.
+    """
+    p_b = 1 - p_a
+    out = {"aa": Fraction(0), "ab": Fraction(0), "ba": Fraction(0), "bb": Fraction(0)}
+
+    def add(weight: Fraction, pi: Fraction | None, pj: Fraction | None,
+            gamma: Fraction | None, correct_pattern_is_aa: bool) -> None:
+        if weight == 0:
+            return
+        if pi is None or pj is None or gamma is None:
+            raise SketchError("missing statistics for a label with positive weight")
+        both = pi * pj + gamma
+        only_i = pi * (1 - pj) - gamma
+        only_j = (1 - pi) * pj - gamma
+        neither = (1 - pi) * (1 - pj) + gamma
+        if correct_pattern_is_aa:
+            out["aa"] += weight * both
+            out["ab"] += weight * only_i
+            out["ba"] += weight * only_j
+            out["bb"] += weight * neither
+        else:
+            out["bb"] += weight * both
+            out["ba"] += weight * only_i
+            out["ab"] += weight * only_j
+            out["aa"] += weight * neither
+
+    add(p_a, acc_a_i, acc_a_j, gamma_a, True)
+    add(p_b, acc_b_i, acc_b_j, gamma_b, False)
+    return out
+
+
+def reconstruct_pair_counts(
+    sketch: EvaluationSketch, first: str, second: str
+) -> dict[str, int]:
+    """Round-trip check: rebuild a pair's pattern counts from its stats.
+
+    The reconstruction is exact; a non-integer intermediate would mean
+    the statistics were not produced by :func:`pspace_stats` on this
+    sketch.
+    """
+    stats = pspace_stats(sketch)
+    i = sketch.index_of(first)
+    j = sketch.index_of(second)
+    key = (first, second) if i < j else (second, first)
+    if i < j:
+        freq = reconstruct_pair_frequencies(
+            stats.p_a,
+            stats.accuracy_a[i], stats.accuracy_a[j],
+            stats.accuracy_b[i], stats.accuracy_b[j],
+            stats.gamma_a[key], stats.gamma_b[key],
+        )
+    else:
+        swapped = reconstruct_pair_frequencies(
+            stats.p_a,
+            stats.accuracy_a[j], stats.accuracy_a[i],
+            stats.accuracy_b[j], stats.accuracy_b[i],
+            stats.gamma_a[key], stats.gamma_b[key],
+        )
+        freq = {
+            "aa": swapped["aa"],
+            "ab": swapped["ba"],
+            "ba": swapped["ab"],
+            "bb": swapped["bb"],
+        }
+    out: dict[str, int] = {}
+    for pattern, value in freq.items():
+        scaled = value * sketch.q
+        if scaled.denominator != 1:
+            raise SketchError(
+                f"pair reconstruction produced a non-integer count for {pattern}: {scaled}"
+            )
+        out[pattern] = int(scaled)
+    return out
 
 
 class TestPSpaceStats:

@@ -16,6 +16,8 @@ import crosscheck
 from crosscheck import load_sketch, parse_trace
 from crosscheck.cli import EXIT_ERROR, EXIT_OK, EXIT_TRIGGERED, main
 
+from ._referees import sketch_point
+
 GRADING = "fixtures/llm_grading.json"
 GRADING_CSV = "fixtures/llm_grading_decisions.csv"
 EXACT = "fixtures/independent_exact.json"
@@ -273,7 +275,7 @@ class TestVerify:
         assert (code, out) == (EXIT_OK, "ok\n")
         # the true point passes the axioms; confirming it exactly would take
         # more ground-truth splits than the default budget
-        true = crosscheck.sketch_point(load_sketch(GRADING))
+        true = sketch_point(load_sketch(GRADING))
         claims = write_point_claims(
             tmp_path, true.q_a, list(true.correct_a), list(true.correct_b)
         )
@@ -281,6 +283,37 @@ class TestVerify:
         assert (code, out) == (
             EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n"
         )
+
+    def test_unclaimed_pairs_meet_the_alarms_pair_constraint(self, capsys, tmp_path):
+        # each count lies in its own interval, but (claude, mistral) and
+        # (mistral, gpt4) cannot reach their least true-a sums at q_a=237
+        claims = write_point_claims(tmp_path, 237, [102, 0, 190], [0, 17, 0])
+        code, out, _ = run(capsys, "verify", GRADING, "--claims", claims)
+        assert (code, out) == (EXIT_ERROR, (
+            "violation: pair (claude, mistral): true-a correct counts x_i=102, x_j=0 "
+            "break x_i + x_j >= 117\n"
+            "violation: pair (mistral, gpt4): true-a correct counts x_i=0, x_j=190 "
+            "break x_i + x_j >= 191\n"
+        ))
+
+    @pytest.mark.parametrize("keys", [
+        ("mistral,claude", "claude,mistral"),
+        ("claude,mistral", "mistral, claude"),
+    ])
+    def test_pair_claimed_twice_is_an_error(self, capsys, tmp_path, keys):
+        true = sketch_point(load_sketch(GRADING))
+        joint = true.pair_correct[(0, 1)]
+        pairs = {keys[0]: [joint[0] + 50, joint[1]], keys[1]: list(joint)}
+        pairs["claude,gpt4"] = list(true.pair_correct[(0, 2)])
+        pairs["mistral,gpt4"] = list(true.pair_correct[(1, 2)])
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps({"point": {
+            "q_a": true.q_a, "correct_a": list(true.correct_a),
+            "correct_b": list(true.correct_b), "pair_correct": pairs,
+        }}))
+        code, out, err = run(capsys, "verify", GRADING, "--claims", str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: ") and "already claimed" in err
 
     def test_small_sketch_enumerates(self, capsys, tmp_path):
         claims = write_point_claims(tmp_path, *EXACT_POINT)

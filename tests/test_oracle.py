@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crosscheck import (
     BudgetExceededError,
@@ -12,17 +14,20 @@ from crosscheck import (
     SketchError,
     SummaryClaims,
     SummaryReport,
+    all_patterns,
     check_summary,
-    count_feasible,
     enumerate_evaluations,
     enumerate_variety,
     evaluation_count,
-    sketch_point,
+    feasible_interval_label_a,
+    induced_correct_b,
+    marginalize,
+    pair_counts,
+    point_axiom_violations,
     split_combinations,
-    variety_is_empty,
 )
-
-from ._strategies import sketches
+from ._referees import meets_pair_bounds, sketch_point
+from ._strategies import ROSTER, sketches
 
 
 class TestEnumeration:
@@ -109,9 +114,9 @@ class TestVariety:
     def test_never_empty_for_real_counts(self, sketch):
         # why check_summary needs no search to say a sound sketch is
         # realized, at all and at every prevalence
-        assert not variety_is_empty(sketch)
+        assert next(enumerate_variety(sketch), None) is not None
         for q_a in range(sketch.q + 1):
-            assert not variety_is_empty(sketch, q_a=q_a)
+            assert next(enumerate_variety(sketch, q_a=q_a), None) is not None
 
     @given(sketches(with_truth=True, max_count=3))
     @settings(max_examples=50, deadline=None)
@@ -122,6 +127,22 @@ class TestVariety:
             for vp in enumerate_variety(sketch, q_a=real.q_a)
         )
         assert found
+
+
+def count_feasible(q: int, marginals: Marginals) -> int:
+    """Number of evaluation outcomes consistent with one classifier's
+    response totals, summed over all prevalences.
+
+    Counted by brute force over :func:`enumerate_evaluations`.
+    """
+    if marginals.r_a + marginals.r_b != q:
+        raise SketchError("marginals must sum to q")
+    total = 0
+    for point in enumerate_evaluations(q):
+        said_a = point.correct_a[0] + (q - point.q_a - point.correct_b[0])
+        if said_a == marginals.r_a:
+            total += 1
+    return total
 
 
 class TestCountFeasible:
@@ -218,23 +239,137 @@ class TestCheckSummary:
         sketch = EvaluationSketch(("u", "v"), 4, {"ab": 2, "ba": 2})
         point = EvaluationPoint(3, (2, 2), (1, 1))
         report = check_summary(sketch, SummaryClaims({}, point))
+        # the pair constraint refutes it without a search: with no
+        # agreeing items, the two true-a counts sum to at most q_a
         assert report.violations == (
-            "claimed point is not realized by any ground truth with q_a=3",
+            "pair (u, v): true-a correct counts x_i=2, x_j=2 break x_i + x_j <= 3",
         )
 
     def test_budget_skip(self):
-        sketch = EvaluationSketch(("u",), 9, {"a": 4, "b": 5})
-        # a point that passes the bounds and the axioms: only the search
-        # can confirm it, and a budget of 3 of 30 splits skips it
-        point = EvaluationPoint(4, (3,), (4,))
+        truth = EvaluationSketch(
+            ("c0", "c1", "c2"), 4, {"aaa": 1, "aab": 1, "abb": 1, "bbb": 1},
+            {"aaa": (1, 0), "aab": (1, 0), "abb": (0, 1), "bbb": (0, 1)},
+        )
+        sketch = EvaluationSketch(truth.classifiers, truth.q, dict(truth.counts))
+        # at N = 3 a point that passes the bounds and the axioms is
+        # confirmed only by the search, and a budget of 3 of 16 splits skips it
+        point = sketch_point(truth)
         assert check_summary(sketch, SummaryClaims({}, point)) == SummaryReport((), False)
         report = check_summary(sketch, SummaryClaims({}, point), budget=3)
         assert report == SummaryReport((), True)
         assert report.ok
+        # at N <= 2 the axioms are complete, so a passing point needs no search
+        single = EvaluationSketch(("u",), 9, {"a": 4, "b": 5})
+        report = check_summary(single, SummaryClaims({}, EvaluationPoint(4, (3,), (4,))), budget=0)
+        assert report == SummaryReport((), False)
         # without a point, or with a point that already fails, nothing is searched
         assert check_summary(sketch, SummaryClaims({}), budget=0) == SummaryReport(
             (), False
         )
         wrong_size = EvaluationPoint(4, (3, 3), (4, 4))
-        report = check_summary(sketch, SummaryClaims({}, wrong_size), budget=0)
+        report = check_summary(single, SummaryClaims({}, wrong_size), budget=0)
         assert report == SummaryReport(("point has 2 classifiers, sketch has 1",), False)
+
+
+# ------------------------------------------------------------ referee
+#
+# The audit against enumerate_variety: a point is realized exactly when
+# some truth split gives its per-classifier counts and every pair it names.
+
+
+@st.composite
+def audit_cases(draw, sizes=(1, 2, 3)):
+    """A sketch on at most 8 items and a point within its lattice bounds,
+    with a random subset of its pairs claimed.  The point is a realized
+    one, one that meets every classifier's own axioms (anywhere in its
+    intervals, or at their ends), or any point of the lattice."""
+    size = draw(st.sampled_from(sizes))
+    q = draw(st.integers(1, 8))
+    patterns = all_patterns(size)
+    counts: dict[str, int] = {}
+    for _ in range(q):
+        pattern = draw(st.sampled_from(patterns))
+        counts[pattern] = counts.get(pattern, 0) + 1
+    sketch = EvaluationSketch(ROSTER[:size], q, counts)
+    kind = draw(st.sampled_from(("realized", "consistent", "corner", "lattice")))
+    if kind == "realized":
+        split = {}
+        for pattern, n in counts.items():
+            true_a = draw(st.integers(0, n))
+            split[pattern] = (true_a, n - true_a)
+        full = sketch_point(EvaluationSketch(sketch.classifiers, q, counts, split))
+        q_a, c_a, c_b, pairs = full.q_a, full.correct_a, full.correct_b, full.pair_correct
+    else:
+        q_a = draw(st.integers(0, q))
+        c_a, c_b = [], []
+        for cid in sketch.classifiers:
+            marg = marginalize(sketch, cid)
+            if kind != "lattice":
+                # the pair bounds bite most often at the interval's ends
+                iv = feasible_interval_label_a(q, q_a, marg)
+                ends = st.sampled_from((iv.lo, iv.hi))
+                c_a.append(draw(ends if kind == "corner" else st.integers(iv.lo, iv.hi)))
+                c_b.append(induced_correct_b(q, q_a, c_a[-1], marg))
+            else:
+                c_a.append(draw(st.integers(0, q_a)))
+                c_b.append(draw(st.integers(0, q - q_a)))
+        pairs = {
+            (i, j): (draw(st.integers(0, min(c_a[i], c_a[j]))),
+                     draw(st.integers(0, min(c_b[i], c_b[j]))))
+            for i, j in itertools.combinations(range(size), 2)
+        }
+    claimed = {key: value for key, value in pairs.items() if draw(st.booleans())}
+    return sketch, EvaluationPoint(q_a, c_a, c_b, claimed)
+
+
+def realized(sketch, point):
+    claimed = point.pair_correct.items()
+    return any(
+        vp.point.correct_a == point.correct_a
+        and vp.point.correct_b == point.correct_b
+        and claimed <= vp.point.pair_correct.items()
+        for vp in enumerate_variety(sketch, q_a=point.q_a)
+    )
+
+
+def broken_unnamed_pairs(sketch, point):
+    """Pairs the point does not name whose true-a counts break pair_bounds."""
+    ids, broken = sketch.classifiers, []
+    for i, j in itertools.combinations(range(sketch.size), 2):
+        if (i, j) in point.pair_correct:
+            continue
+        pair = pair_counts(sketch, ids[i], ids[j])
+        if not meets_pair_bounds(point.q_a, pair, point.correct_a[i], point.correct_a[j]):
+            broken.append((ids[i], ids[j]))
+    return broken
+
+
+class TestAuditAgainstEnumeration:
+    @given(audit_cases(sizes=(1, 2)))
+    @example((EvaluationSketch(("u", "v"), 4, {"ab": 2, "ba": 2}),
+              EvaluationPoint(3, (2, 2), (1, 1), {})))
+    @settings(max_examples=500, deadline=None)
+    def test_small_rosters_are_decided_exactly(self, case):
+        sketch, point = case
+        report = check_summary(sketch, SummaryClaims({}, point), budget=0)
+        assert not report.undecided
+        assert report.ok == realized(sketch, point)
+
+    @given(audit_cases(sizes=(3,)))
+    @settings(max_examples=200, deadline=None)
+    def test_realized_points_pass_the_axioms(self, case):
+        sketch, point = case
+        if realized(sketch, point):
+            assert point_axiom_violations(sketch, point) == []
+
+    @given(audit_cases(sizes=(2, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_broken_unnamed_pair_is_never_realized(self, case):
+        sketch, point = case
+        broken = broken_unnamed_pairs(sketch, point)
+        if broken:
+            assert not realized(sketch, point)
+            problems = point_axiom_violations(sketch, point)
+            if not any(p.startswith("classifier ") for p in problems):
+                for first, second in broken:
+                    assert any(p.startswith(f"pair ({first}, {second}): true-a") for p in problems)

@@ -10,6 +10,7 @@ as `fractions.Fraction` values; nothing in this module touches floats.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -150,14 +151,55 @@ def sketch_from_decisions(
     item must carry a response from every classifier in ``classifiers``.
     When ``truth`` is given it must cover every item, and the resulting
     sketch carries a truth split.
+
+    Items are tallied by their response mapping object (and truth label)
+    first, and only the distinct mappings are checked, so items that
+    share one mapping, as :func:`records_to_decisions` gives them, cost a
+    count each.  On a bad item the error names the first one.
     """
     ids = tuple(classifiers)
     if not decisions:
         raise SketchError("no items to sketch")
-    counts: dict[str, int] = {}
-    split: dict[str, list[int]] | None = None if truth is None else {}
+    rows = decisions.values()
+    try:
+        if truth is None:
+            tally = Counter(map(id, rows))
+        else:
+            tally = Counter(zip(map(id, rows), map(truth.__getitem__, decisions)))
+        by_id = dict(zip(map(id, rows), rows))
+        counts: dict[str, int] = {}
+        split: dict[str, list[int]] | None = None if truth is None else {}
+        for key, n in tally.items():
+            row = by_id[key if split is None else key[0]]
+            labels = [row[cid] for cid in ids]
+            if not all(label in LABELS for label in labels):
+                raise SketchError
+            pattern = "".join(labels)
+            counts[pattern] = counts.get(pattern, 0) + n
+            if split is not None:
+                if key[1] not in LABELS:
+                    raise SketchError
+                split.setdefault(pattern, [0, 0])[0 if key[1] == LABEL_A else 1] += n
+    except (KeyError, TypeError, SketchError):
+        # a missing response or truth, or a label that is not canonical:
+        # the per-item checks find the first item it belongs to
+        _raise_first_bad_item(decisions, ids, truth)
+        raise
+    return EvaluationSketch(
+        ids,
+        len(decisions),
+        counts,
+        None if split is None else {p: (a, b) for p, (a, b) in split.items()},
+    )
+
+
+def _raise_first_bad_item(
+    decisions: Mapping[str, Mapping[str, str]],
+    ids: tuple[str, ...],
+    truth: Mapping[str, str] | None,
+) -> None:
+    """Raise the SketchError for the first item that cannot be sketched."""
     for item, row in decisions.items():
-        responses = []
         for cid in ids:
             if cid not in row:
                 raise SketchError(f"item {item!r} has no response from classifier {cid!r}")
@@ -166,24 +208,13 @@ def sketch_from_decisions(
                 raise SketchError(
                     f"item {item!r}, classifier {cid!r}: label {label!r} is not canonical"
                 )
-            responses.append(label)
-        pattern = "".join(responses)
-        counts[pattern] = counts.get(pattern, 0) + 1
-        if split is not None:
-            assert truth is not None
+        if truth is not None:
             if item not in truth:
                 raise SketchError(f"truth label missing for item {item!r}")
-            t = truth[item]
-            if t not in LABELS:
-                raise SketchError(f"item {item!r}: truth label {t!r} is not canonical")
-            entry = split.setdefault(pattern, [0, 0])
-            entry[0 if t == LABEL_A else 1] += 1
-    return EvaluationSketch(
-        ids,
-        len(decisions),
-        counts,
-        None if split is None else {p: (a, b) for p, (a, b) in split.items()},
-    )
+            if truth[item] not in LABELS:
+                raise SketchError(
+                    f"item {item!r}: truth label {truth[item]!r} is not canonical"
+                )
 
 
 def marginalize(sketch: EvaluationSketch, classifier: str) -> Marginals:

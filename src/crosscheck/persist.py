@@ -17,10 +17,13 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from operator import itemgetter
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .alarm import AlarmTrace, QaSlice, Verdict
 from .axioms import IntInterval
@@ -46,6 +49,10 @@ class IngestError(ValueError):
     """A decision-table file is malformed or contains unmapped labels."""
 
 
+# characters atomic_write_text encodes and writes at a time
+_WRITE_SLICE = 1 << 16
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write through a temp file in the same directory and a rename; an
     OSError names ``path``, not the temp file."""
@@ -58,7 +65,16 @@ def atomic_write_text(path: str, text: str) -> None:
         os.umask(mask)
         os.fchmod(fd, 0o666 & ~mask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            # in slices, so the encoded bytes of a large trace are never
+            # held beside its text
+            for start in range(0, len(text), _WRITE_SLICE):
+                try:
+                    handle.write(text[start : start + _WRITE_SLICE])
+                except UnicodeEncodeError as exc:
+                    # place the bad character in the whole text, as before
+                    raise UnicodeEncodeError(
+                        exc.encoding, text, start + exc.start, start + exc.end, exc.reason
+                    ) from None
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -71,11 +87,41 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+class _DuplicateKeyError(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _DuplicateKeyError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# json.loads keeps the last of two equal keys; every file is read through
+# this decoder, which rejects them
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(text: str, where: str | None = None) -> object:
-    """Parse JSON; malformed or too deeply nested input raises
-    FormatError, or, for the jsonl record at ``where``, IngestError."""
+    """Parse JSON; malformed or too deeply nested input, or an object
+    with a repeated key, raises FormatError, or, for the jsonl record at
+    ``where``, IngestError."""
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):
+            # the message json.loads gives
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        return _DECODER.decode(text)
+    except _DuplicateKeyError as exc:
+        if where is None:
+            raise FormatError(str(exc)) from None
+        raise IngestError(f"{where}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         reason = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
         if where is None:
@@ -264,7 +310,11 @@ def parse_trace(text: str) -> AlarmTrace:
         raise FormatError("trace 'slices' must be a list")
     size = len(classifiers)
     slices = []
-    for raw in obj["slices"]:
+    raw_slices = obj["slices"]
+    for k, raw in enumerate(raw_slices):
+        # let each parsed slice go once it is read, so that the parsed
+        # file and the trace are never both held whole
+        raw_slices[k] = None
         _require_keys(
             raw,
             ("q_a", "intervals_a", "intervals_b", "safe_exists", "refined"),
@@ -446,8 +496,12 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
 
 @dataclass(frozen=True)
 class DecisionRecord:
+    """One kept item.  ``responses`` maps classifier id to canonical label
+    in roster order.  It is read-only, and records that give the same
+    answers share one mapping."""
+
     item_id: str
-    responses: dict[str, str]
+    responses: Mapping[str, str]
     truth: str | None = None
 
 
@@ -482,149 +536,224 @@ def _map_label(
     return mapped
 
 
-def _finish(
-    rows: list[tuple[str, dict[str, str], str | None]],
-    dropped: list[tuple[str, str]],
-    any_truth: bool,
+# A row source yields (line number, item id, raw responses in roster
+# order, raw truth) in line order.  ``roster`` is set once the first row
+# is read; ``unit`` names a line in messages; ``drop_missing_truth`` says
+# whether a row without truth is dropped on its line (csv, whose truth
+# column is all or nothing) or kept until every row is read and dropped
+# only if some other row has a truth (jsonl).
+_Row = tuple[int, str, tuple, object]
+
+
+class _CsvRows:
+    """The rows of a csv table; the header is read and checked first."""
+
+    unit = "row"
+
+    def __init__(self, text: str) -> None:
+        self._reader = csv.reader(io.StringIO(text))
+        try:
+            header = next(self._reader)
+        except StopIteration:
+            raise IngestError("empty file: a header row is mandatory") from None
+        if not header or header[0] != "item_id":
+            raise IngestError("first header column must be 'item_id'")
+        self.drop_missing_truth = header[-1] == "truth"
+        self.roster = tuple(header[1:-1] if self.drop_missing_truth else header[1:])
+        if not self.roster:
+            raise IngestError("header names no classifier columns")
+        if len(set(self.roster)) != len(self.roster):
+            raise IngestError("duplicate classifier columns in header")
+        self._width = len(header)
+
+    def __iter__(self) -> Iterator[_Row]:
+        width = self._width
+        end = 1 + len(self.roster)
+        has_truth = self.drop_missing_truth
+        for line_no, row in enumerate(self._reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise IngestError(
+                    f"row {line_no}: expected {width} columns, found {len(row)}"
+                )
+            item_id = row[0]
+            if not item_id:
+                raise IngestError(f"row {line_no}: empty item_id")
+            yield line_no, item_id, tuple(row[1:end]), row[-1] if has_truth else None
+
+
+_RECORD_KEYS = frozenset(("item_id", "responses"))
+_RECORD_KEYS_TRUTH = _RECORD_KEYS | {"truth"}
+
+
+class _JsonlRows:
+    """The rows of a jsonl table, one record a line; the first record's
+    responses fix the roster."""
+
+    unit = "line"
+    drop_missing_truth = False
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+        self.roster: tuple[str, ...] = ()
+
+    def __iter__(self) -> Iterator[_Row]:
+        roster = None
+        for line_no, line in enumerate(self._lines, start=1):
+            if not line or line.isspace():
+                continue
+            try:
+                obj, end = _DECODER.raw_decode(line)
+            except (ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                # words the error, or takes a record with space around it
+                obj = _load_json(line, f"line {line_no}")
+            if not (
+                isinstance(obj, dict) and _RECORD_KEYS <= obj.keys() <= _RECORD_KEYS_TRUTH
+            ):
+                where = f"line {line_no}"
+                try:
+                    _require_keys(obj, ("item_id", "responses"), ("truth",), where)
+                except FormatError as exc:
+                    raise IngestError(str(exc)) from None
+            item_id = obj["item_id"]
+            if not isinstance(item_id, str) or not item_id:
+                raise IngestError(f"line {line_no}: item_id must be a non-empty string")
+            responses = obj["responses"]
+            if not isinstance(responses, dict):
+                raise IngestError(f"line {line_no}: responses must be an object")
+            if roster is None:
+                roster = self.roster = tuple(responses)
+                if not roster:
+                    raise IngestError(f"line {line_no}: first record names no classifiers")
+            values = tuple(responses.values())
+            if tuple(responses) != roster:
+                if responses.keys() != set(roster):
+                    raise IngestError(
+                        f"line {line_no}: responses name classifiers "
+                        f"{sorted(responses)} but the roster is {sorted(roster)}"
+                    )
+                values = tuple(responses[cid] for cid in roster)
+            yield line_no, item_id, values, obj.get("truth")
+        if roster is None:
+            raise IngestError("no records found")
+
+
+def _read_rows(
+    rows: _CsvRows | _JsonlRows, label_map: Mapping[str, str] | None
 ) -> IngestResult:
-    records = []
-    for item_id, responses, truth in rows:
-        if any_truth and truth is None:
+    """The one row loop of both formats.
+
+    A row's raw responses are mapped once per distinct tuple of them:
+    every later row with the same tuple reuses the shared mapping, or the
+    reason such a row is dropped.
+    """
+    # raw value -> canonical label, or None for an empty cell (an empty
+    # string, a JSON null, or no truth at all); :func:`_map_label` words
+    # the error for a raw value outside it
+    if label_map is None:
+        table: dict = {label: label for label in LABELS}
+    else:
+        table = {
+            raw: label
+            for raw, label in label_map.items()
+            if isinstance(raw, str) and label in LABELS
+        }
+    table[""] = table[None] = None
+    seen: dict[tuple, Mapping[str, str] | str] = {}
+    shared: dict[tuple, Mapping[str, str]] = {}
+
+    def responses_of(values: tuple, line_no: int) -> Mapping[str, str] | str:
+        """The shared responses mapping of a row, or why it is dropped."""
+        where = f"{rows.unit} {line_no}"
+        mapped = []
+        for cid, raw in zip(rows.roster, values):
+            try:
+                label = table[raw]
+            except (KeyError, TypeError):
+                label = _map_label(raw, label_map, where)
+            if label is None:
+                return f"empty response for classifier {cid}"
+            mapped.append(label)
+        key = tuple(mapped)
+        if key not in shared:
+            shared[key] = MappingProxyType(dict(zip(rows.roster, key)))
+        return shared[key]
+
+    kept: list[tuple[str, Mapping[str, str], str | None]] = []
+    dropped: list[tuple[str, str]] = []
+    any_truth = any_missing = False
+    for line_no, item_id, values, raw_truth in rows:
+        try:
+            responses = seen[values]
+        except KeyError:
+            responses = seen[values] = responses_of(values, line_no)
+        except TypeError:  # an unhashable JSON value
+            responses = responses_of(values, line_no)
+        if type(responses) is str:
+            dropped.append((item_id, responses))
+            continue
+        try:
+            truth = table[raw_truth]
+        except (KeyError, TypeError):
+            truth = _map_label(raw_truth, label_map, f"{rows.unit} {line_no}")
+        if truth is not None:
+            any_truth = True
+        elif rows.drop_missing_truth:
             dropped.append((item_id, "missing truth label"))
             continue
-        records.append(DecisionRecord(item_id, responses, truth))
-    seen: dict[str, int] = {}
-    for rec in records:
-        seen[rec.item_id] = seen.get(rec.item_id, 0) + 1
-    dupes = sorted(item for item, n in seen.items() if n > 1)
-    if dupes:
+        else:
+            any_missing = True
+        kept.append((item_id, responses, truth))
+    if any_truth and any_missing:
+        dropped += [(row[0], "missing truth label") for row in kept if row[2] is None]
+        kept = [row for row in kept if row[2] is not None]
+    if len({row[0] for row in kept}) < len(kept):
+        counts = Counter(row[0] for row in kept)
+        dupes = sorted(item for item, n in counts.items() if n > 1)
         raise IngestError(f"duplicate item id(s): {', '.join(dupes)}")
-    records.sort(key=lambda rec: rec.item_id)
-    return IngestResult(tuple(records), tuple(dropped))
-
-
-def _ingest_csv(text: str, label_map: Mapping[str, str] | None) -> IngestResult:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty file: a header row is mandatory") from None
-    if not header or header[0] != "item_id":
-        raise IngestError("first header column must be 'item_id'")
-    has_truth = bool(header) and header[-1] == "truth"
-    roster = tuple(header[1:-1] if has_truth else header[1:])
-    if not roster:
-        raise IngestError("header names no classifier columns")
-    if len(set(roster)) != len(roster):
-        raise IngestError("duplicate classifier columns in header")
-    rows: list[tuple[str, dict[str, str], str | None]] = []
-    dropped: list[tuple[str, str]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise IngestError(
-                f"row {line_no}: expected {len(header)} columns, found {len(row)}"
-            )
-        item_id = row[0]
-        if not item_id:
-            raise IngestError(f"row {line_no}: empty item_id")
-        where = f"row {line_no}"
-        responses: dict[str, str] = {}
-        empty = None
-        for cid, raw in zip(roster, row[1 : 1 + len(roster)]):
-            if raw == "":
-                empty = f"empty response for classifier {cid}"
-                break
-            responses[cid] = _map_label(raw, label_map, where)
-        if empty:
-            dropped.append((item_id, empty))
-            continue
-        truth: str | None = None
-        if has_truth:
-            raw = row[-1]
-            if raw == "":
-                dropped.append((item_id, "missing truth label"))
-                continue
-            truth = _map_label(raw, label_map, where)
-        rows.append((item_id, responses, truth))
-    return _finish(rows, dropped, has_truth)
-
-
-def _ingest_jsonl(text: str, label_map: Mapping[str, str] | None) -> IngestResult:
-    rows: list[tuple[str, dict[str, str], str | None]] = []
-    dropped: list[tuple[str, str]] = []
-    roster: tuple[str, ...] | None = None
-    any_truth = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"line {line_no}"
-        obj = _load_json(line, where)
-        try:
-            _require_keys(obj, ("item_id", "responses"), ("truth",), where)
-        except FormatError as exc:
-            raise IngestError(str(exc)) from None
-        item_id = obj["item_id"]
-        if not isinstance(item_id, str) or not item_id:
-            raise IngestError(f"{where}: item_id must be a non-empty string")
-        raw_responses = obj["responses"]
-        if not isinstance(raw_responses, dict):
-            raise IngestError(f"{where}: responses must be an object")
-        if roster is None:
-            roster = tuple(raw_responses)
-            if not roster:
-                raise IngestError(f"{where}: first record names no classifiers")
-        if set(raw_responses) != set(roster):
-            raise IngestError(
-                f"{where}: responses name classifiers "
-                f"{sorted(raw_responses)} but the roster is {sorted(roster)}"
-            )
-        responses: dict[str, str] = {}
-        empty = None
-        for cid in roster:
-            raw = raw_responses[cid]
-            if raw is None or raw == "":
-                empty = f"empty response for classifier {cid}"
-                break
-            responses[cid] = _map_label(raw, label_map, where)
-        if empty:
-            dropped.append((item_id, empty))
-            continue
-        truth: str | None = None
-        if "truth" in obj and obj["truth"] not in (None, ""):
-            truth = _map_label(obj["truth"], label_map, where)
-            any_truth = True
-        rows.append((item_id, responses, truth))
-    if roster is None:
-        raise IngestError("no records found")
-    return _finish(rows, dropped, any_truth)
+    kept.sort(key=itemgetter(0))
+    return IngestResult(tuple(starmap(DecisionRecord, kept)), tuple(dropped))
 
 
 def ingest(
     path: str, fmt: str, label_map: Mapping[str, str] | None = None
 ) -> IngestResult:
-    """Read a decision table from csv or jsonl.
+    """Read a decision table from csv or jsonl (UTF-8, with or without a
+    byte order mark).
 
     The roster comes from the file itself (csv header order, or the
     first jsonl record's key order).  Items with an empty response or a
     missing truth label (when the file carries truth at all) are dropped
-    and reported; structural problems and unmapped labels are errors.
+    and reported.  Structural problems, unmapped labels and repeated JSON
+    keys are errors, reported for the first bad line; an item id that two
+    kept items share is an error once every line is read.  Each line is
+    decoded and checked once; a row's labels are looked up in a table
+    built from ``label_map`` once per distinct tuple of raw answers, and
+    records that give the same answers share one read-only responses
+    mapping.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    if fmt == "csv":
-        return _ingest_csv(text, label_map)
-    if fmt == "jsonl":
-        return _ingest_jsonl(text, label_map)
-    raise IngestError(f"unknown ingest format {fmt!r}")
+    with open(path, encoding="utf-8-sig") as handle:
+        # the file's text is not kept beside its lines
+        if fmt == "csv":
+            rows: _CsvRows | _JsonlRows = _CsvRows(handle.read())
+        elif fmt == "jsonl":
+            rows = _JsonlRows(handle.read().splitlines())
+        else:
+            raise IngestError(f"unknown ingest format {fmt!r}")
+    return _read_rows(rows, label_map)
 
 
 def records_to_decisions(
     result: IngestResult,
-) -> tuple[dict[str, dict[str, str]], dict[str, str] | None]:
-    """Split an ingest result into the shapes the sketch builder wants."""
-    decisions = {rec.item_id: dict(rec.responses) for rec in result.records}
+) -> tuple[dict[str, Mapping[str, str]], dict[str, str] | None]:
+    """Split an ingest result into the shapes the sketch builder wants.
+
+    The decisions map each item id to its record's shared read-only
+    responses mapping; nothing is copied."""
+    decisions = {rec.item_id: rec.responses for rec in result.records}
     truths = {
         rec.item_id: rec.truth for rec in result.records if rec.truth is not None
     }

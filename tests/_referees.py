@@ -4,11 +4,18 @@ Each one recomputes a quantity straight from its definition, with no
 code shared with the path it checks.
 """
 
-from typing import NamedTuple
+import csv
+import io
+import json
+from typing import Mapping, NamedTuple, Sequence
 
 from crosscheck import (
+    LABELS,
+    DecisionRecord,
     EvaluationPoint,
     EvaluationSketch,
+    IngestError,
+    IngestResult,
     PerLabelSpec,
     SafetySpec,
     SketchError,
@@ -61,3 +68,233 @@ def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | Overal
             min_count_above(q - q_a, spec.threshold_b, spec.strict),
         )
     return OverallMinimum(min_count_above(q, spec.threshold, spec.strict))
+
+
+# ------------------------------------------------------------------ ingest
+# The decision-table reader as it was before csv and jsonl shared one row
+# loop: one loop per format, every cell mapped on its own, one responses
+# dict per item, and a copy of each in ``referee_records_to_decisions``.
+# It reads UTF-8 with or without a byte order mark and rejects a repeated
+# JSON key, as the library does.
+
+
+class _RefereeDuplicate(ValueError):
+    pass
+
+
+def _referee_pairs(pairs):
+    keys = [key for key, _ in pairs]
+    for k, key in enumerate(keys):
+        if key in keys[:k]:
+            raise _RefereeDuplicate(key)
+    return dict(pairs)
+
+
+def _referee_load_json(line: str, where: str) -> object:
+    try:
+        return json.loads(line, object_pairs_hook=_referee_pairs)
+    except _RefereeDuplicate as exc:
+        raise IngestError(f"{where}: duplicate key {exc.args[0]!r}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+        raise IngestError(f"{where}: not valid JSON ({reason})") from None
+
+
+def _referee_require_keys(obj, required, optional, what) -> None:
+    if not isinstance(obj, dict):
+        raise IngestError(f"{what} must be a JSON object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise IngestError(f"{what} is missing field(s): {', '.join(missing)}")
+    unknown = [k for k in obj if k not in (*required, *optional)]
+    if unknown:
+        raise IngestError(f"{what} has unknown field(s): {', '.join(unknown)}")
+
+
+def _referee_map_label(raw, label_map, where: str) -> str:
+    if label_map is None:
+        if raw in LABELS:
+            return raw
+        raise IngestError(
+            f"{where}: label {raw!r} is not canonical and no label map was given"
+        )
+    if not isinstance(raw, str) or raw not in label_map:
+        raise IngestError(f"{where}: label {raw!r} is not in the label map")
+    mapped = label_map[raw]
+    if mapped not in LABELS:
+        raise IngestError(
+            f"label map sends {raw!r} to {mapped!r}, which is not canonical"
+        )
+    return mapped
+
+
+def _referee_finish(rows, dropped, any_truth) -> IngestResult:
+    records = []
+    for item_id, responses, truth in rows:
+        if any_truth and truth is None:
+            dropped.append((item_id, "missing truth label"))
+            continue
+        records.append(DecisionRecord(item_id, responses, truth))
+    seen: dict[str, int] = {}
+    for rec in records:
+        seen[rec.item_id] = seen.get(rec.item_id, 0) + 1
+    dupes = sorted(item for item, n in seen.items() if n > 1)
+    if dupes:
+        raise IngestError(f"duplicate item id(s): {', '.join(dupes)}")
+    records.sort(key=lambda rec: rec.item_id)
+    return IngestResult(tuple(records), tuple(dropped))
+
+
+def _referee_csv(text: str, label_map) -> IngestResult:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError("empty file: a header row is mandatory") from None
+    if not header or header[0] != "item_id":
+        raise IngestError("first header column must be 'item_id'")
+    has_truth = bool(header) and header[-1] == "truth"
+    roster = tuple(header[1:-1] if has_truth else header[1:])
+    if not roster:
+        raise IngestError("header names no classifier columns")
+    if len(set(roster)) != len(roster):
+        raise IngestError("duplicate classifier columns in header")
+    rows = []
+    dropped = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise IngestError(
+                f"row {line_no}: expected {len(header)} columns, found {len(row)}"
+            )
+        item_id = row[0]
+        if not item_id:
+            raise IngestError(f"row {line_no}: empty item_id")
+        where = f"row {line_no}"
+        responses = {}
+        empty = None
+        for cid, raw in zip(roster, row[1 : 1 + len(roster)]):
+            if raw == "":
+                empty = f"empty response for classifier {cid}"
+                break
+            responses[cid] = _referee_map_label(raw, label_map, where)
+        if empty:
+            dropped.append((item_id, empty))
+            continue
+        truth = None
+        if has_truth:
+            raw = row[-1]
+            if raw == "":
+                dropped.append((item_id, "missing truth label"))
+                continue
+            truth = _referee_map_label(raw, label_map, where)
+        rows.append((item_id, responses, truth))
+    return _referee_finish(rows, dropped, has_truth)
+
+
+def _referee_jsonl(text: str, label_map) -> IngestResult:
+    rows = []
+    dropped = []
+    roster = None
+    any_truth = False
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"line {line_no}"
+        obj = _referee_load_json(line, where)
+        _referee_require_keys(obj, ("item_id", "responses"), ("truth",), where)
+        item_id = obj["item_id"]
+        if not isinstance(item_id, str) or not item_id:
+            raise IngestError(f"{where}: item_id must be a non-empty string")
+        raw_responses = obj["responses"]
+        if not isinstance(raw_responses, dict):
+            raise IngestError(f"{where}: responses must be an object")
+        if roster is None:
+            roster = tuple(raw_responses)
+            if not roster:
+                raise IngestError(f"{where}: first record names no classifiers")
+        if set(raw_responses) != set(roster):
+            raise IngestError(
+                f"{where}: responses name classifiers "
+                f"{sorted(raw_responses)} but the roster is {sorted(roster)}"
+            )
+        responses = {}
+        empty = None
+        for cid in roster:
+            raw = raw_responses[cid]
+            if raw is None or raw == "":
+                empty = f"empty response for classifier {cid}"
+                break
+            responses[cid] = _referee_map_label(raw, label_map, where)
+        if empty:
+            dropped.append((item_id, empty))
+            continue
+        truth = None
+        if "truth" in obj and obj["truth"] not in (None, ""):
+            truth = _referee_map_label(obj["truth"], label_map, where)
+            any_truth = True
+        rows.append((item_id, responses, truth))
+    if roster is None:
+        raise IngestError("no records found")
+    return _referee_finish(rows, dropped, any_truth)
+
+
+def referee_ingest(path: str, fmt: str, label_map=None) -> IngestResult:
+    """:func:`crosscheck.ingest` by one loop per format."""
+    with open(path, encoding="utf-8-sig") as handle:
+        text = handle.read()
+    if fmt == "csv":
+        return _referee_csv(text, label_map)
+    if fmt == "jsonl":
+        return _referee_jsonl(text, label_map)
+    raise IngestError(f"unknown ingest format {fmt!r}")
+
+
+def referee_records_to_decisions(result: IngestResult):
+    """:func:`crosscheck.records_to_decisions`, one dict copy per item."""
+    decisions = {rec.item_id: dict(rec.responses) for rec in result.records}
+    truths = {
+        rec.item_id: rec.truth for rec in result.records if rec.truth is not None
+    }
+    return decisions, truths or None
+
+
+def referee_sketch_from_decisions(
+    decisions: Mapping[str, Mapping[str, str]],
+    classifiers: Sequence[str],
+    truth: Mapping[str, str] | None = None,
+) -> EvaluationSketch:
+    """:func:`crosscheck.sketch_from_decisions`, checking every item in turn."""
+    ids = tuple(classifiers)
+    if not decisions:
+        raise SketchError("no items to sketch")
+    counts: dict[str, int] = {}
+    split: dict[str, list[int]] | None = None if truth is None else {}
+    for item, row in decisions.items():
+        responses = []
+        for cid in ids:
+            if cid not in row:
+                raise SketchError(f"item {item!r} has no response from classifier {cid!r}")
+            label = row[cid]
+            if label not in LABELS:
+                raise SketchError(
+                    f"item {item!r}, classifier {cid!r}: label {label!r} is not canonical"
+                )
+            responses.append(label)
+        pattern = "".join(responses)
+        counts[pattern] = counts.get(pattern, 0) + 1
+        if split is not None:
+            if item not in truth:
+                raise SketchError(f"truth label missing for item {item!r}")
+            t = truth[item]
+            if t not in LABELS:
+                raise SketchError(f"item {item!r}: truth label {t!r} is not canonical")
+            entry = split.setdefault(pattern, [0, 0])
+            entry[0 if t == "a" else 1] += 1
+    return EvaluationSketch(
+        ids,
+        len(decisions),
+        counts,
+        None if split is None else {p: (a, b) for p, (a, b) in split.items()},
+    )

@@ -4,6 +4,7 @@ import json
 import os
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,13 @@ from crosscheck import (
     trace_to_csv_text,
     trace_to_json_text,
 )
+from crosscheck.persist import _WRITE_SLICE
 
+from ._referees import (
+    referee_ingest,
+    referee_records_to_decisions,
+    referee_sketch_from_decisions,
+)
 from ._strategies import sketches
 
 DEFAULT = PerLabelSpec(Fraction(1, 2), Fraction(1, 2))
@@ -73,6 +80,59 @@ class TestAtomicWrite:
             atomic_write_text(str(taken), "x")
         assert info.value.filename == str(taken)
         assert list(tmp_path.glob(".tmp-*")) == []
+
+    def test_text_longer_than_a_slice(self, tmp_path):
+        # multi-byte characters straddle the slice boundaries
+        text = "é" * (3 * _WRITE_SLICE + 7) + "€😀\n"
+        path = tmp_path / "big.txt"
+        atomic_write_text(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_unencodable_character_placed_in_the_whole_text(self, tmp_path):
+        text = "x" * (_WRITE_SLICE + 5) + "\ud800"
+        with pytest.raises(UnicodeEncodeError) as caught:
+            atomic_write_text(str(tmp_path / "bad.txt"), text)
+        assert "position 65541" in str(caught.value)
+        assert caught.value.start == _WRITE_SLICE + 5
+        assert os.listdir(tmp_path) == []
+
+
+class TestDuplicateKeys:
+    """A JSON object that names a key twice is an error in every file;
+    ``json.loads`` alone would keep the last value."""
+
+    def test_claims_pair_named_twice_in_the_same_order(self, grading_sketch):
+        text = (
+            '{"point": {"q_a": 237, "correct_a": [136, 26, 211], '
+            '"correct_b": [34, 43, 21], "pair_correct": '
+            '{"claude,mistral": [99, 33], "claude,mistral": [12, 33]}}}'
+        )
+        with pytest.raises(FormatError, match="duplicate key 'claude,mistral'"):
+            parse_claims(text, grading_sketch)
+
+    def test_sketch_params_and_trace_files(self):
+        with pytest.raises(FormatError, match="duplicate key 'q'"):
+            parse_sketch('{"classifiers": ["u"], "q": 1, "q": 2, "counts": {"a": 1}}')
+        with pytest.raises(FormatError, match="duplicate key 'a'"):
+            parse_sketch('{"classifiers": ["u"], "q": 2, "counts": {"a": 1, "a": 1}}')
+        with pytest.raises(FormatError, match="duplicate key 'p_a'"):
+            parse_params('{"p_a": "1/2", "p_a": "1/3", "accuracy_a": [], "accuracy_b": []}')
+        text = json.dumps(GOOD_TRACE).replace('"q_a": 0', '"q_a": 0, "q_a": 0')
+        with pytest.raises(FormatError, match="duplicate key 'q_a'"):
+            parse_trace(text)
+
+    def test_jsonl_record(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        path.write_text(
+            '{"item_id": "x0", "responses": {"u": "a"}}\n'
+            '{"item_id": "x1", "item_id": "x2", "responses": {"u": "a", "u": "b"}}\n'
+        )
+        # the inner object is read first
+        with pytest.raises(IngestError, match="^line 2: duplicate key 'u'$"):
+            ingest(str(path), "jsonl")
+        path.write_text('{"item_id": "x1", "item_id": "x2", "responses": {"u": "a"}}\n')
+        with pytest.raises(IngestError, match="^line 1: duplicate key 'item_id'$"):
+            ingest(str(path), "jsonl")
 
 
 class TestSketchFormat:
@@ -646,6 +706,24 @@ class TestCsvIngest:
         with pytest.raises(IngestError):
             ingest(self.write(tmp_path, "item_id,u\n"), "xml")
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("\ufeffitem_id,u,truth\nx1,a,b\n", encoding="utf-8")
+        result = ingest(str(path), "csv")
+        assert result.roster == ("u",)
+        assert result.records[0].truth == "b"
+
+    def test_same_answers_share_one_read_only_mapping(self, tmp_path):
+        path = self.write(tmp_path, "item_id,u,v\nx1,yes,no\nx2,a,b\nx3,b,b\nx4,yes,no\n")
+        result = ingest(path, "csv", {"yes": "a", "no": "b", "a": "a", "b": "b"})
+        x1, x2, x3, x4 = result.records
+        assert x1.responses is x2.responses is x4.responses
+        assert x3.responses == {"u": "b", "v": "b"}
+        with pytest.raises(TypeError):
+            x1.responses["u"] = "b"
+        decisions, _ = records_to_decisions(result)
+        assert decisions["x1"] is x1.responses
+
 
 class TestJsonlIngest:
     def write(self, tmp_path, lines):
@@ -693,6 +771,18 @@ class TestJsonlIngest:
         with pytest.raises(IngestError, match="not in the label map"):
             ingest(path, "jsonl", {"yes": "a"})
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        record = '{"item_id": "x1", "responses": {"u": "a"}}\n'
+        path.write_text("\ufeff" + record, encoding="utf-8")
+        result = ingest(str(path), "jsonl")
+        assert result.roster == ("u",)
+        # only a mark that starts the file is one
+        path.write_text(record + "\ufeff{}\n", encoding="utf-8")
+        bom_error = "line 2: not valid JSON .Unexpected UTF-8 BOM"
+        with pytest.raises(IngestError, match=bom_error):
+            ingest(str(path), "jsonl")
+
     def test_errors(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(self.write(tmp_path, ["{bad json"]), "jsonl")
@@ -732,3 +822,229 @@ class TestDecisionCsv:
         path.write_text(decisions_to_csv_text(decisions, ("u", "v"), truth))
         result = ingest(str(path), "csv")
         assert records_to_decisions(result) == (decisions, truth)
+
+
+# ----------------------------------------------- ingest against the referee
+
+# item ids, some of which csv has to quote
+ITEM_IDS = ["x1", "x2", "x3", "x4", "a,b", 'say "hi"', "two\nlines", " s", "é"]
+CLASSIFIER_IDS = ["u", "v", "w,x", 'q"t', "z y"]
+CSV_CELLS = ["a", "b", "", "yes", "no", "maybe", "A"]
+# what a jsonl response or truth may hold besides text: empties, and
+# JSON values no label map takes, some of them unhashable
+JSON_CELLS = CSV_CELLS + [None, 0, 1, True, 1.5, ["a"], {"k": "a"}, []]
+LABEL_MAPS = [
+    None,
+    {"yes": "a", "no": "b"},
+    {"yes": "a", "no": "b", "maybe": "c"},  # a label outside a/b
+    {"a": "b", "b": "a", "yes": "a"},
+    {"": "a", "yes": "b", "a": "a"},  # an empty cell stays empty
+]
+
+
+def sometimes(draw, percent: int) -> bool:
+    # away from the ends of the range, which hypothesis favours
+    return 40 <= draw(st.integers(0, 99)) < 40 + percent
+
+
+def draw_cell(draw, label_map, pool):
+    """Mostly a label the map takes, sometimes an empty cell, now and
+    then anything in ``pool``."""
+    if sometimes(draw, 2):
+        return draw(st.sampled_from(pool))
+    if sometimes(draw, 5):
+        return draw(st.sampled_from(["", None] if None in pool else [""]))
+    good = ["a", "b"] if label_map is None else [
+        raw for raw, label in label_map.items() if raw and label in ("a", "b")
+    ]
+    return draw(st.sampled_from(good))
+
+
+def draw_item(draw, k: int) -> str:
+    """Row ``k``'s item id: unique but for one time in twenty."""
+    item = draw(st.sampled_from(ITEM_IDS))
+    return item if sometimes(draw, 5) else f"{item}{k}"
+
+
+def json_object(pairs) -> str:
+    """An object from key/value pairs, repeated keys and all."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+@st.composite
+def csv_tables(draw):
+    """(label map, table text) of a csv table."""
+    label_map = draw(st.sampled_from(LABEL_MAPS))
+    roster = draw(st.lists(st.sampled_from(CLASSIFIER_IDS), min_size=1, max_size=5,
+                           unique=True))
+    if sometimes(draw, 3):
+        roster.append(roster[0])
+    has_truth = draw(st.booleans())
+    header = ["item_id", *roster] + (["truth"] if has_truth else [])
+    if sometimes(draw, 3):
+        header = draw(st.sampled_from([[], ["id", "u"], ["item_id"], ["item_id", "truth"]]))
+    width = len(header)
+    rows = [header]
+    for k in range(0 if sometimes(draw, 3) else draw(st.sampled_from([4, 2, 3, 5, 6, 1]))):
+        item = "" if sometimes(draw, 3) else draw_item(draw, k)
+        row = [item, *(draw_cell(draw, label_map, CSV_CELLS) for _ in range(width - 1))]
+        if sometimes(draw, 4):
+            row = row[: draw(st.integers(0, width + 1))] + ["b"] * draw(st.integers(0, 2))
+        rows.append(row)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    lines = buffer.getvalue().split("\n")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    return label_map, "\n".join(lines)
+
+
+def draw_record(draw, label_map, roster, k: int) -> str:
+    cids = list(roster)
+    fault = draw(st.integers(0, 99)) - 40  # in 0..14 one time in seven
+    if fault == 0:  # a missing or an extra classifier
+        cids = cids[1:] if draw(st.booleans()) else cids + ["extra"]
+    elif fault < 4:  # the same classifiers in another order
+        cids = draw(st.permutations(cids))
+    elif fault == 4 and cids:  # a classifier named twice
+        cids.insert(draw(st.integers(0, len(cids))), cids[0])
+    responses = json_object(
+        (cid, json.dumps(draw_cell(draw, label_map, JSON_CELLS))) for cid in cids
+    )
+    item = draw_item(draw, k)
+    if fault == 5:
+        item = draw(st.sampled_from(["", 7, None]))
+    pairs = [("item_id", json.dumps(item)), ("responses", responses)]
+    if draw(st.booleans()):
+        truth = draw_cell(draw, label_map, JSON_CELLS)
+        pairs.append(("truth", json.dumps(truth)))
+    if fault == 6:
+        pairs.append(("notes", '"x"'))
+    elif fault == 7:
+        pairs.insert(1, ("item_id", json.dumps("x3")))
+    elif fault < 11:
+        pairs = draw(st.permutations(pairs))
+    elif fault == 11:
+        pairs = [("item_id", json.dumps(item)), ("responses", '["a"]')]
+    elif fault == 12:
+        pairs = pairs[1:]
+    text = json_object(pairs)
+    if fault == 13:
+        return f"  {text} "
+    if fault == 14:
+        return draw(st.sampled_from(["[1]", '"x"', "null", "{bad", "{}", "\ufeff{}"]))
+    return text
+
+
+@st.composite
+def jsonl_tables(draw):
+    """(label map, table text) of a jsonl table."""
+    label_map = draw(st.sampled_from(LABEL_MAPS))
+    roster = draw(st.lists(st.sampled_from(CLASSIFIER_IDS), min_size=0 if sometimes(draw, 3)
+                           else 1, max_size=5, unique=True))
+    count = 0 if sometimes(draw, 3) else draw(st.sampled_from([4, 2, 3, 5, 6, 1]))
+    lines = [draw_record(draw, label_map, roster, k) for k in range(count)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        k = draw(st.integers(0, len(lines)))
+        extra = draw(st.sampled_from(["blank", "space", "two", "split"]))
+        if extra == "blank":
+            lines.insert(k, "")
+        elif extra == "space":
+            lines.insert(k, " \t")
+        elif extra == "two" and k:  # a line holding two objects
+            lines[k - 1] += draw(st.sampled_from([" ", ", "])) + lines[k - 1]
+        elif extra == "split" and k:  # a record split across two lines
+            half = len(lines[k - 1]) // 2
+            lines[k - 1 : k] = [lines[k - 1][:half], lines[k - 1][half:]]
+    return label_map, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def ingest_outcome(read, to_decisions, build, path, fmt, label_map):
+    """Records, drops and sketch text of one ingest, or the exception's
+    type and message."""
+    try:
+        result = read(path, fmt, label_map)
+        text = None
+        if result.records:
+            decisions, truth = to_decisions(result)
+            text = sketch_to_text(build(decisions, result.roster, truth))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return result.records, result.dropped, text
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+class TestIngestAgainstReferee:
+    """One row loop and shared responses mappings give what one loop per
+    format and a dict per item gave: the same records, drops in the same
+    order, the same sketch bytes, or the same error."""
+
+    def check(self, table_dir, fmt, label_map, text, bom):
+        path = table_dir / f"table.{fmt}"
+        path.write_text(("\ufeff" if bom else "") + text, encoding="utf-8")
+        got = ingest_outcome(ingest, records_to_decisions, sketch_from_decisions,
+                             str(path), fmt, label_map)
+        want = ingest_outcome(referee_ingest, referee_records_to_decisions,
+                              referee_sketch_from_decisions, str(path), fmt, label_map)
+        assert got == want
+        if isinstance(got[0], tuple):
+            records = got[0]
+            assert all(isinstance(rec.responses, MappingProxyType) for rec in records)
+            distinct = {tuple(rec.responses.items()) for rec in records}
+            assert len({id(rec.responses) for rec in records}) == len(distinct)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables(), st.booleans())
+    def test_csv(self, table_dir, table, bom):
+        self.check(table_dir, "csv", *table, bom)
+
+    @settings(max_examples=400, deadline=None)
+    @given(jsonl_tables(), st.booleans())
+    def test_jsonl(self, table_dir, table, bom):
+        self.check(table_dir, "jsonl", *table, bom)
+
+
+# rows drawn from a small pool of shared mappings, some of them bad
+ROW_POOL = [
+    MappingProxyType({"u": "a", "v": "b"}),
+    MappingProxyType({"u": "b", "v": "b"}),
+    MappingProxyType({"u": "a"}),
+    MappingProxyType({"u": "a", "v": "c"}),
+    {"u": "b", "v": ["a"]},
+]
+
+
+class TestSketchFromDecisionsAgainstReferee:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["i1", "i2", "i3", "i4", "i5"]),
+                st.sampled_from(range(len(ROW_POOL))) | st.builds(
+                    dict, st.fixed_dictionaries({"u": st.sampled_from("ab"),
+                                                 "v": st.sampled_from("ab")})),
+                st.sampled_from(["a", "b", "a", "b", "x", None, ["a"]]),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_first_bad_item(self, items, with_truth):
+        decisions = {
+            item: ROW_POOL[row] if isinstance(row, int) else row for item, row, _ in items
+        }
+        truth = None
+        if with_truth:
+            truth = {item: t for item, _, t in items if t is not None}
+
+        def outcome(build):
+            try:
+                return sketch_to_text(build(decisions, ("u", "v"), truth))
+            except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+                return type(exc), str(exc)
+
+        assert outcome(sketch_from_decisions) == outcome(referee_sketch_from_decisions)

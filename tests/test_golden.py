@@ -104,3 +104,43 @@ def test_trace_and_plot_bytes(capsys, tmp_path, grading_path, options, digests, 
     for fmt, digest in digests.items():
         with open(paths[fmt], "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == digest, fmt
+
+
+# A q=5 000 table built through the CLI, so the refined window holds
+# thousands of hypotheses: (alarm options, stdout, sha256 of the trace JSON)
+LARGE_Q_REFINED = [
+    (
+        (),
+        "safe hypotheses: 4841 of 5001\nverdict: not_triggered\n",
+        "827e63ea08871956627635a0020b7e70c519bfc76950a6ed9e5254f87bea88f0",
+    ),
+    (
+        ("--spec-overall", "3/5"),
+        "safe hypotheses: 3920 of 5001\nverdict: not_triggered\n",
+        "a1bee82406c900520eeaf607ea02693869c5e635abe4f9b609595213b8094685",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def large_q_sketch(tmp_path_factory, fixtures_dir):
+    work = tmp_path_factory.mktemp("large-q")
+    table, sketch = str(work / "table.csv"), str(work / "sketch.json")
+    params = str(fixtures_dir / "independent_demo.json")
+    argv = ["generate", "--params", params, "--q", "5000", "--seed", "1", "--out", table]
+    assert main(argv) == EXIT_OK
+    assert main(["ingest", table, "--format", "csv", "--out", sketch]) == EXIT_OK
+    return sketch
+
+
+@pytest.mark.parametrize(("options", "stdout", "digest"), LARGE_Q_REFINED)
+def test_large_q_refined_alarm(capsys, tmp_path, large_q_sketch, options, stdout, digest):
+    argv = ["alarm", large_q_sketch, "--refine-pairs", *options]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == (stdout, "")
+    trace = str(tmp_path / "trace.json")
+    assert main([*argv, "--trace", trace]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {trace}\n" + stdout
+    with open(trace, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == digest

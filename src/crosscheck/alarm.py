@@ -227,23 +227,26 @@ _Ends = Sequence[tuple[int, int]]
 _Bounds = Mapping[tuple[int, int], PairBounds]
 
 
-def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
+def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int) -> int:
     """One greedy pass in roster order: each classifier takes the lowest
     count in its safe interval (lo, hi) that the pair bounds allow, given
     the counts already taken.  Both sum bounds of :func:`pair_bounds`
     move by exactly the hypothesis, so ``bounds`` taken at hypothesis h
-    serve hypothesis h + ``shift``.  True means those counts are a
-    witness; False only means this pass dead-ended.  O(N^2)."""
+    serve hypothesis h + ``shift``.  If those counts are a witness, the
+    result is the pass's slack: the least hi - lo at any classifier's
+    turn, so at least 0; -1 only means this pass dead-ended.  O(N^2)."""
     chosen: list[int] = []
+    slack: list[int] = []
     for k, (lo, hi) in enumerate(safe):
         for i, x in enumerate(chosen):
             max_i_minus_j, max_j_minus_i, min_sum, max_sum = bounds[i, k]
             lo = max(lo, x - max_i_minus_j, min_sum + shift - x)
             hi = min(hi, x + max_j_minus_i, max_sum + shift - x)
         if lo > hi:
-            return False
+            return -1
         chosen.append(lo)
-    return True
+        slack.append(hi - lo)
+    return min(slack)
 
 
 def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
@@ -292,21 +295,6 @@ def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
     return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2))
 
 
-def _pairwise_safe_exists(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
-    """Is there one ground truth putting every classifier in its safe
-    interval, with every pair's coupling (:func:`pair_bounds`, shifted as
-    in :func:`_greedy_pass`) enforced?
-
-    For two classifiers the couplings are the whole story, so the answer
-    is exact.  For three or more, only pairwise couplings are enforced; a
-    True here can still be unrealizable by any single ground truth, so
-    callers get a tightening of the independent check, never a
-    loosening, and a False remains definitive.  The greedy pass answers
-    most inputs in O(N^2); the closure decides the rest in O(N^3).
-    """
-    return _greedy_pass(safe, bounds, shift) or _octagon_feasible(safe, bounds, shift)
-
-
 class _Sweep:
     """The one alarm sweep: everything a run needs that does not depend
     on the hypothesis, computed once, then the safe hypotheses in ints.
@@ -320,7 +308,12 @@ class _Sweep:
     unrefined-safe, in one loop with no object per hypothesis: each
     classifier's safe interval is an int expression of q_a, and each
     pair's :func:`pair_bounds` is taken once, at hypothesis 0, and
-    shifted by q_a.
+    shifted by q_a.  A greedy pass that finds counts settles a whole run
+    of hypotheses; one that dead-ends leaves its hypothesis to the
+    closure.  For two classifiers the couplings are the whole story, so
+    the refined answer is exact; for three or more only pairwise
+    couplings are enforced, which tightens the unrefined alarm and never
+    loosens it.
     """
 
     def __init__(
@@ -346,7 +339,28 @@ class _Sweep:
 
     def safe_hypotheses(self, lo: int, hi: int) -> Sequence[int]:
         """The safe hypotheses in [lo, hi], in order: closed form unless
-        refining, else the window's hypotheses that the pairs leave safe."""
+        refining, else the window's hypotheses that the pairs leave safe.
+
+        Refining evaluates runs, not hypotheses: a greedy pass with slack
+        S >= 0 at q_a also finds counts at each of the next S hypotheses
+        of the window, which are marked safe unevaluated.  Proof.  Take a
+        step q_a -> q_a + 1 inside the window, so u = q - q_a falls by 1.
+        need(t) = min_count_above(t, T, strict) rises by 0 or 1 per step
+        of t for 0 <= T <= 1, except need(1) - need(0) = 2 under a strict
+        T = 1; but then need(t) <= t holds only at t = 0, so the window is
+        {0} (threshold_a) or {q} (threshold_b) and holds no step.  So each
+        term of a classifier's lower end rises by 0 or 1: need_a, and
+        need_b - u + r_a (1 minus a step of need_b); overall,
+        ceil((need - u + r_a) / 2), r_a - u and 0.  So does its upper end
+        min(q_a, r_a).  Each pair's sum bounds rise by exactly 1, and its
+        difference bounds do not move.  At classifier k's turn its ends
+        are the max and the min of its own end and, for each count x_i
+        taken before it, x_i - d or x_i + d and s + q_a - x_i.  If each
+        such x_i rises by 0 or 1, so does each of these terms, so do both
+        ends, and so does x_k, the lower one: by induction on k every
+        slack moves by at most 1.  After n <= S steps each is still at
+        least S - n >= 0, and the pass finds counts.
+        """
         candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
         if not (self.coupled and candidates):
             return candidates
@@ -359,21 +373,30 @@ class _Sweep:
         per_label, strict = isinstance(spec, PerLabelSpec), spec.strict
         if not per_label:
             need = min_count_above(q, spec.threshold, strict)
-        found = []
-        for q_a in candidates:
+        found, q_a, stop = [], candidates.start, candidates.stop
+        while q_a < stop:
             # A classifier right on x of the q_a true-a items is right on
             # x + u - r_a of the u true-b ones; its feasible x run from
             # max(0, r_a - u) to min(q_a, r_a) (feasible_interval_label_a),
             # and the spec's minimums (min_count_above) raise the lower end.
             u = q - q_a
             if per_label:
+                # min_count_above is never negative, so these clear 0 and
+                # r_a - u: two terms fewer for the proof above to follow
                 need_a = min_count_above(q_a, spec.threshold_a, strict)
                 need_b = min_count_above(u, spec.threshold_b, strict)
-                safe = [(max(0, r_a - u, need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
+                safe = [(max(need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
             else:  # x + (x + u - r_a) >= need
                 safe = [(max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a)) for r_a in r_as]
-            if _pairwise_safe_exists(safe, bounds, q_a):
+            slack = _greedy_pass(safe, bounds, q_a)
+            if slack >= 0:
+                run = min(stop, q_a + 1 + slack)
+                found.extend(range(q_a, run))
+                q_a = run
+                continue
+            if _octagon_feasible(safe, bounds, q_a):
                 found.append(q_a)
+            q_a += 1
         return found
 
 

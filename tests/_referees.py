@@ -21,8 +21,11 @@ from crosscheck import (
     SketchError,
     correct_counts,
     joint_correct_counts,
+    marginalize,
     min_count_above,
+    pair_counts,
 )
+from crosscheck.alarm import _greedy_pass, _octagon_feasible
 from crosscheck.axioms import pair_bounds
 
 
@@ -68,6 +71,55 @@ def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | Overal
             min_count_above(q - q_a, spec.threshold_b, spec.strict),
         )
     return OverallMinimum(min_count_above(q, spec.threshold, spec.strict))
+
+
+# ------------------------------------------------------------ refined sweep
+# The alarm's sweep as it was before one greedy pass settled a run of
+# hypotheses: every hypothesis judged on its own, each classifier's lower
+# end with the feasibility bounds 0 and r_a - u spelled out.  It shares the
+# greedy pass and the closure with the library; tests/test_alarm.py
+# referees those against a backtracking search.
+
+
+def pairwise_safe_exists(safe, bounds, shift: int) -> bool:
+    """Do counts exist in every classifier's safe interval (lo, hi) that
+    meet every pair's bounds, shifted by ``shift``?  A greedy pass, then
+    the closure if the pass dead-ends."""
+    return _greedy_pass(safe, bounds, shift) >= 0 or _octagon_feasible(safe, bounds, shift)
+
+
+def referee_safe_hypotheses(
+    sketch: EvaluationSketch,
+    spec: SafetySpec,
+    pair: Sequence[str] | None = None,
+    refine: bool = False,
+) -> list[int]:
+    """The alarm's safe hypotheses, in order: those where
+    every audited classifier's safe interval is non-empty and, refining,
+    where the pairs leave counts in all of them."""
+    ids = tuple(pair) if pair else sketch.classifiers
+    q = sketch.q
+    r_as = [marginalize(sketch, cid).r_a for cid in ids]
+    bounds = {
+        (i, j): pair_bounds(0, pair_counts(sketch, ids[i], ids[j]))
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+    }
+    found = []
+    for q_a in range(q + 1):
+        u, need = q - q_a, safe_threshold(spec, q, q_a)
+        if isinstance(need, LabelMinimums):
+            need_a, need_b = need
+            lows = [max(0, r_a - u, need_a, need_b - u + r_a) for r_a in r_as]
+        else:  # x + (x + u - r_a) >= need
+            lows = [max(0, r_a - u, -((u - r_a - need.min_correct_total) // 2)) for r_a in r_as]
+        safe = [(low, min(q_a, r_a)) for low, r_a in zip(lows, r_as)]
+        if any(low > high for low, high in safe):
+            continue
+        if refine and len(ids) > 1 and not pairwise_safe_exists(safe, bounds, q_a):
+            continue
+        found.append(q_a)
+    return found
 
 
 # ------------------------------------------------------------------ ingest

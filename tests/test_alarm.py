@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from crosscheck import (
     AlarmTrace,
     EvaluationSketch,
+    IndependentParams,
     IntInterval,
     Marginals,
     OverallSpec,
@@ -24,6 +25,7 @@ from crosscheck import (
     enumerate_variety,
     feasible_interval_label_a,
     feasible_interval_label_b,
+    generate_decisions,
     load_sketch,
     marginalize,
     min_count_above,
@@ -32,20 +34,27 @@ from crosscheck import (
     render_traces,
     run_alarm,
     save_sketch,
+    sketch_from_decisions,
     trace_to_csv_text,
     trace_to_json_text,
 )
 from crosscheck.alarm import (
     _greedy_pass,
     _octagon_feasible,
-    _pairwise_safe_exists,
     _safe_qa_bounds,
     count_safe_hypotheses,
 )
 from crosscheck.axioms import PairBounds, pair_bounds
 from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
-from ._referees import LabelMinimums, OverallMinimum, safe_threshold, sketch_point
+from ._referees import (
+    LabelMinimums,
+    OverallMinimum,
+    pairwise_safe_exists,
+    referee_safe_hypotheses,
+    safe_threshold,
+    sketch_point,
+)
 from ._strategies import point_meets, random_sketch, sketches
 from .test_persist import referee_csv, referee_json, referee_svg
 
@@ -396,6 +405,22 @@ def scan_slice(sketch, q_a, spec, ids, refine=False, decide=backtrack_safe_exist
     )
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls the alarm makes to each named function of its module."""
+    import crosscheck.alarm as alarm_module
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(alarm_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(alarm_module, name, counted)
+    return calls
+
+
 def scan_safe(sketch, spec, ids, refine=False):
     return [
         q_a
@@ -466,18 +491,7 @@ class TestClosedForm:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import crosscheck.alarm as alarm_module
-
-        calls = {"marginalize": 0, "pair_counts": 0}
-        for name in calls:
-            original = getattr(alarm_module, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(alarm_module, name, counted)
-        return calls
+        return count_calls(monkeypatch, "marginalize", "pair_counts")
 
     def test_marginals_once_per_run(self, grading_sketch, calls):
         run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"), refine=True)
@@ -512,7 +526,7 @@ def closure_decision(q_a, safe, tables):
     """The refinement as the sweep decided it per slice: the pair bounds
     taken at q_a, then the greedy pass and the closure."""
     bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
-    return _pairwise_safe_exists([(iv.lo, iv.hi) for iv in safe], bounds, 0)
+    return pairwise_safe_exists([(iv.lo, iv.hi) for iv in safe], bounds, 0)
 
 
 def referee_trace(sketch, spec, pair=None, refine=False):
@@ -657,13 +671,13 @@ def decide(q_a, safe, tables):
     at_zero = {ij: pair_bounds(0, table) for ij, table in tables.items()}
     ends = [(iv.lo, iv.hi) for iv in safe]
     closure = _octagon_feasible(ends, bounds, 0)
-    greedy = _greedy_pass(ends, bounds, 0)
+    slack = _greedy_pass(ends, bounds, 0)
     assert _octagon_feasible(ends, at_zero, q_a) == closure
-    assert _greedy_pass(ends, at_zero, q_a) == greedy
+    assert _greedy_pass(ends, at_zero, q_a) == slack
     return (
-        _pairwise_safe_exists(ends, at_zero, q_a),
+        pairwise_safe_exists(ends, at_zero, q_a),
         closure,
-        greedy,
+        slack >= 0,
         backtrack_safe_exists(q_a, safe, tables),
     )
 
@@ -710,7 +724,18 @@ class TestPairwiseDecision:
     def test_closure_on_hand_written_octagons(self, safe, bounds, feasible):
         bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
         assert _octagon_feasible(safe, bounds, 0) is feasible
-        assert _pairwise_safe_exists(safe, bounds, 0) is feasible
+        assert pairwise_safe_exists(safe, bounds, 0) is feasible
+
+    @pytest.mark.parametrize("safe, bounds, shift, slack", [
+        ([(0, 5), (2, 4)], {(0, 1): (9, 9, -9, 9)}, 0, 2),  # the least of 5 and 2
+        ([(0, 5), (2, 9)], {(0, 1): (9, 9, -9, 3)}, 0, 1),  # x0 = 0 caps x1 at 3
+        ([(0, 5), (2, 9)], {(0, 1): (9, 9, -9, 3)}, 2, 3),  # ... at 5 two hypotheses on
+        ([(1, 1), (2, 4)], {(0, 1): (9, 9, -9, 9)}, 0, 0),
+        ([(0, 5), (2, 4)], {(0, 1): (9, -3, -9, 9)}, 0, -1),  # x1 <= x0 - 3: dead end
+    ])
+    def test_greedy_pass_slack(self, safe, bounds, shift, slack):
+        bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
+        assert _greedy_pass(safe, bounds, shift) == slack
 
     def test_complementary_pair_cannot_both_pass_bounded_run(self, tmp_path):
         # The last classifier always answers against the first, so no truth
@@ -729,6 +754,85 @@ class TestPairwiseDecision:
             load_sketch(path), DEFAULT, refine=False
         ) > 0  # the unrefined alarm stays quiet: only the pairs convict
 
+
+THRESHOLDS = st.sampled_from((Fraction(0), Fraction(1))) | st.fractions(0, 1, max_denominator=12)
+LARGE_Q_SPECS = st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()) | st.builds(
+    OverallSpec, THRESHOLDS, st.booleans()
+)
+
+
+@st.composite
+def large_q_sketches(draw):
+    """N = 2..6 classifiers, at most six response patterns, each seen up to
+    500 times: refined windows of thousands of hypotheses, often with slack
+    enough for a greedy pass to settle a run of them."""
+    size = draw(st.integers(2, 6))
+    patterns = draw(st.lists(
+        st.sampled_from(all_patterns(size)), min_size=2, max_size=6, unique=True
+    ))
+    counts = {p: draw(st.integers(20, 500)) for p in patterns}
+    return EvaluationSketch(tuple(f"c{k}" for k in range(size)), sum(counts.values()), counts)
+
+
+def synth_sketch(q, seed):
+    """N = 3 independent classifiers, each right 3 times in 4 on either label."""
+    ids = ("r1", "r2", "r3")
+    params = IndependentParams(HALF, (Fraction(3, 4),) * 3, (Fraction(3, 4),) * 3)
+    decisions, _ = generate_decisions(ids, params, q, seed)
+    return sketch_from_decisions(decisions, ids)
+
+
+class TestRefinedRuns:
+    """A greedy pass with slack settles a run of hypotheses; the referee
+    judges each one on its own."""
+
+    @given(large_q_sketches(), LARGE_Q_SPECS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_large_q_matches_referee(self, sketch, spec, data):
+        pair = data.draw(st.none() | st.permutations(sketch.classifiers).map(lambda p: p[:2]))
+        lo = data.draw(st.integers(0, sketch.q))
+        hi = data.draw(st.integers(lo, sketch.q))
+        safe = referee_safe_hypotheses(sketch, spec, pair, refine=True)
+        trace = run_alarm(sketch, spec, pair=pair, refine=True)
+        assert [row[0] for row in trace.rows() if row[-2]] == safe
+        kw = dict(pair=pair, refine=True, qa_range=(lo, hi))
+        assert count_safe_hypotheses(sketch, spec, **kw) == sum(lo <= q_a <= hi for q_a in safe)
+
+    def test_a_run_ends_at_its_slack(self, passes):
+        # the pass at q_a = 3 has slack 1, and 5 is unsafe: a run one
+        # hypothesis longer than the slack would mark it safe
+        sketch = EvaluationSketch(("c0", "c1"), 19, {"aa": 2, "ab": 4, "ba": 4, "bb": 9})
+        spec = PerLabelSpec(Fraction(2, 3), Fraction(1, 3), strict=False)
+        trace = run_alarm(sketch, spec, refine=True)
+        assert [row[0] for row in trace.rows() if row[-2]] == [0, 1, 2, 3, 4, 6]
+        assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 1, 2, 3, 4, 6]
+        assert passes == {"_greedy_pass": 9, "_octagon_feasible": 4}
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        return count_calls(monkeypatch, "_greedy_pass", "_octagon_feasible")
+
+    def test_a_few_passes_settle_a_wide_window(self, passes):
+        sketch = synth_sketch(20_000, seed=1)
+        window = count_safe_hypotheses(sketch, DEFAULT)
+        assert window > 10_000
+        assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == window
+        assert passes["_greedy_pass"] < window / 100
+        assert passes["_octagon_feasible"] == 0
+
+    def test_dead_ends_judge_each_hypothesis(self, passes):
+        # the last classifier always answers against the first, so no
+        # greedy pass finds counts and no run is skipped
+        flip = {"a": "b", "b": "a"}
+        counts = {
+            x + y + flip[x]: 50 + 7 * k
+            for k, (x, y) in enumerate(itertools.product("ab", repeat=2))
+        }
+        sketch = EvaluationSketch(("x0", "x1", "x2"), sum(counts.values()), counts)
+        window = count_safe_hypotheses(sketch, DEFAULT)
+        assert window > 100
+        assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
+        assert passes == {"_greedy_pass": window, "_octagon_feasible": window}
 
 def _cli_summary(argv):
     out = io.StringIO()

@@ -94,9 +94,9 @@ def referee_safe_hypotheses(
     pair: Sequence[str] | None = None,
     refine: bool = False,
 ) -> list[int]:
-    """The alarm's safe hypotheses, in order: those where
-    every audited classifier's safe interval is non-empty and, refining,
-    where the pairs leave counts in all of them."""
+    """The alarm's safe hypotheses, in order, each of q_a = 0..q judged on
+    its own: every audited classifier's safe interval is non-empty and,
+    refining, the pairs leave counts in all of them."""
     ids = tuple(pair) if pair else sketch.classifiers
     q = sketch.q
     r_as = [marginalize(sketch, cid).r_a for cid in ids]

@@ -764,8 +764,8 @@ LARGE_Q_SPECS = st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()) |
 @st.composite
 def large_q_sketches(draw):
     """N = 2..6 classifiers, at most six response patterns, each seen up to
-    500 times: refined windows of thousands of hypotheses, often with slack
-    enough for a greedy pass to settle a run of them."""
+    500 times: windows of up to thousands of hypotheses, in many of which
+    a greedy pass has the slack to settle a run."""
     size = draw(st.integers(2, 6))
     patterns = draw(st.lists(
         st.sampled_from(all_patterns(size)), min_size=2, max_size=6, unique=True
@@ -774,17 +774,13 @@ def large_q_sketches(draw):
     return EvaluationSketch(tuple(f"c{k}" for k in range(size)), sum(counts.values()), counts)
 
 
-def synth_sketch(q, seed):
-    """N = 3 independent classifiers, each right 3 times in 4 on either label."""
-    ids = ("r1", "r2", "r3")
-    params = IndependentParams(HALF, (Fraction(3, 4),) * 3, (Fraction(3, 4),) * 3)
-    decisions, _ = generate_decisions(ids, params, q, seed)
-    return sketch_from_decisions(decisions, ids)
-
-
 class TestRefinedRuns:
     """A greedy pass with slack settles a run of hypotheses; the referee
     judges each one on its own."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        return count_calls(monkeypatch, "_greedy_pass", "_octagon_feasible")
 
     @given(large_q_sketches(), LARGE_Q_SPECS, st.data())
     @settings(max_examples=100, deadline=None)
@@ -808,12 +804,11 @@ class TestRefinedRuns:
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 1, 2, 3, 4, 6]
         assert passes == {"_greedy_pass": 9, "_octagon_feasible": 4}
 
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        return count_calls(monkeypatch, "_greedy_pass", "_octagon_feasible")
-
     def test_a_few_passes_settle_a_wide_window(self, passes):
-        sketch = synth_sketch(20_000, seed=1)
+        # three independent classifiers, each right 3 times in 4 on either label
+        ids = ("r1", "r2", "r3")
+        params = IndependentParams(HALF, (Fraction(3, 4),) * 3, (Fraction(3, 4),) * 3)
+        sketch = sketch_from_decisions(generate_decisions(ids, params, 20_000, 1)[0], ids)
         window = count_safe_hypotheses(sketch, DEFAULT)
         assert window > 10_000
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == window
@@ -833,6 +828,7 @@ class TestRefinedRuns:
         assert window > 100
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
         assert passes == {"_greedy_pass": window, "_octagon_feasible": window}
+
 
 def _cli_summary(argv):
     out = io.StringIO()

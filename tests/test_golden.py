@@ -133,7 +133,9 @@ def large_q_sketch(tmp_path_factory, fixtures_dir):
     return sketch
 
 
-@pytest.mark.parametrize(("options", "stdout", "digest"), LARGE_Q_REFINED)
+@pytest.mark.parametrize(
+    ("options", "stdout", "digest"), LARGE_Q_REFINED, ids=["default", "overall-3/5"]
+)
 def test_large_q_refined_alarm(capsys, tmp_path, large_q_sketch, options, stdout, digest):
     argv = ["alarm", large_q_sketch, "--refine-pairs", *options]
     capsys.readouterr()

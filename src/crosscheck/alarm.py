@@ -249,10 +249,14 @@ def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int) -> int:
     return min(slack)
 
 
-def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
+def _octagon_feasible(
+    safe: _Ends, bounds: _Bounds, shift: int
+) -> tuple[bool, tuple[int, ...]]:
     """Do integer counts exist, each in its safe interval (lo, hi), that
     meet every pair's bounds (shifted as in :func:`_greedy_pass`)?
-    Exact, O(N^3).
+    Exact, O(N^3).  The answer comes with a cycle: () unless the system
+    has no rational solution, else a simple negative cycle of the matrix
+    as built, its nodes in edge order (see :func:`_cycle_weight`).
 
     The safe intervals and the :func:`pair_bounds` of every pair are unit
     two-variable inequalities (+-x_i +- x_j <= c), so this is integer
@@ -267,6 +271,13 @@ def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
     entry so tightened, m[2k][2k+1] + m[2k+1][2k] >= 0 for every k.
     Every entry starts at the bound the safe intervals imply by
     themselves, so the matrix is complete and all-integer: no infinity.
+
+    The cycle is read off the matrix as built, by walk length: walks[k][v]
+    is the least weight of a k-edge walk ending at v, whose last edge
+    leaves before[k][v].  With a negative cycle the least walks never stop
+    falling, so at some end the least n-edge walk beats every shorter one.
+    Each cycle on it is negative, because cutting it out leaves a shorter
+    walk to that end, and the first node it repeats closes a simple one.
     """
     upper = [v for lo, hi in safe for v in (hi, -lo)]  # of V_u, by node
     lower = [v for lo, hi in safe for v in (lo, -hi)]
@@ -282,6 +293,7 @@ def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
             (pj, ni, -min_sum), (pi, nj, -min_sum),
         ):
             m[u][v] = min(m[u][v], c)
+    built = m[:]  # the closure replaces rows and never edits one
     for k in range(n):  # Floyd-Warshall shortest-path closure
         row_k = m[k]
         for u in range(n):
@@ -289,10 +301,43 @@ def _octagon_feasible(safe: _Ends, bounds: _Bounds, shift: int) -> bool:
             d = row_u[k]
             m[u] = [a if a <= d + b else d + b for a, b in zip(row_u, row_k)]
     if any(m[u][u] < 0 for u in range(n)):
-        return False
+        walks, before = [[0] * n], [None]
+        for _ in range(n):
+            last = walks[-1]
+            best = [min((last[u] + built[u][v], u) for u in range(n)) for v in range(n)]
+            walks.append([w for w, _ in best])
+            before.append([u for _, u in best])
+        end = next(v for v in range(n) if walks[n][v] < min(w[v] for w in walks[:n]))
+        back = [end]  # the walk's nodes from its end back to its start
+        for k in range(n, 0, -1):
+            back.append(before[k][back[-1]])
+        again = next(i for i, v in enumerate(back) if v in back[:i])
+        return False, tuple(reversed(back[back.index(back[again]):again]))
     for u in range(n):  # tighten the unary entries
         m[u][u ^ 1] = 2 * (m[u][u ^ 1] // 2)
-    return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2))
+    return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2)), ()
+
+
+def _cycle_weight(cycle: Sequence[int], safe: _Ends, bounds: _Bounds, shift: int) -> int:
+    """Weight of a cycle of nodes, each edge u -> v to the next node (the
+    last to the first), in the matrix that :func:`_octagon_feasible`
+    builds from ``safe``, ``bounds`` and ``shift``.  O(length): each
+    entry is recomputed on its own, as upper[v] - lower[u] from the safe
+    ends, lowered by the one pair bound on that edge, if any."""
+    weight = 0
+    for u, v in zip(cycle, (*cycle[1:], cycle[0])):
+        i, j = u >> 1, v >> 1
+        (lo_i, hi_i), (lo_j, hi_j) = safe[i], safe[j]
+        entry = (-lo_j if v & 1 else hi_j) - (-hi_i if u & 1 else lo_i)
+        if i != j:
+            # the pair (a, b) = (min(i, j), max(i, j)) as in pair_bounds
+            max_a_minus_b, max_b_minus_a, min_sum, max_sum = bounds[min(i, j), max(i, j)]
+            if u & 1 == v & 1:  # x_j - x_i, or x_i - x_j if both are negated
+                entry = min(entry, max_b_minus_a if (i < j) != (u & 1) else max_a_minus_b)
+            else:  # x_i + x_j, or -x_i - x_j
+                entry = min(entry, max_sum + shift if u & 1 else -min_sum - shift)
+        weight += entry
+    return weight
 
 
 class _Sweep:
@@ -337,9 +382,10 @@ class _Sweep:
             lo, hi = max(lo, first), min(hi, last)
         self.window = IntInterval(lo, hi)
 
-    def safe_hypotheses(self, lo: int, hi: int) -> Sequence[int]:
-        """The safe hypotheses in [lo, hi], in order: closed form unless
-        refining, else the window's hypotheses that the pairs leave safe.
+    def safe_hypotheses(self, lo: int, hi: int) -> list[range]:
+        """The safe hypotheses in [lo, hi] as runs, ranges in order: closed
+        form unless refining, else the window's hypotheses that the pairs
+        leave safe.
 
         Refining evaluates runs, not hypotheses: a greedy pass with slack
         S >= 0 at q_a also finds counts at each of the next S hypotheses
@@ -360,10 +406,20 @@ class _Sweep:
         ends, and so does x_k, the lower one: by induction on k every
         slack moves by at most 1.  After n <= S steps each is still at
         least S - n >= 0, and the pass finds counts.
+
+        A dead end's closure that finds no rational point hands back a
+        negative cycle, and each later hypothesis first recomputes that
+        cycle's weight from its own entries (:func:`_cycle_weight`,
+        O(N)).  Still negative, it proves the hypothesis unsafe with no
+        pass and no closure: the weight is a sum of the very entries the
+        closure would build there, so no rational point exists there, let
+        alone an integer one.  Not negative, the hypothesis is judged as
+        above, and a new cycle, if any, replaces the old one.  Either way
+        the safe set is the same; only the work differs.
         """
         candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
         if not (self.coupled and candidates):
-            return candidates
+            return [candidates]
         q, spec, ids, r_as = self.q, self.spec, self.ids, [m.r_a for m in self.margs]
         bounds = {
             (i, j): pair_bounds(0, pair_counts(self.sketch, ids[i], ids[j]))
@@ -373,7 +429,7 @@ class _Sweep:
         per_label, strict = isinstance(spec, PerLabelSpec), spec.strict
         if not per_label:
             need = min_count_above(q, spec.threshold, strict)
-        found, q_a, stop = [], candidates.start, candidates.stop
+        runs, q_a, stop, cycle = [], candidates.start, candidates.stop, ()
         while q_a < stop:
             # A classifier right on x of the q_a true-a items is right on
             # x + u - r_a of the u true-b ones; its feasible x run from
@@ -388,16 +444,21 @@ class _Sweep:
                 safe = [(max(need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
             else:  # x + (x + u - r_a) >= need
                 safe = [(max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a)) for r_a in r_as]
+            if cycle and _cycle_weight(cycle, safe, bounds, q_a) < 0:
+                q_a += 1
+                continue
             slack = _greedy_pass(safe, bounds, q_a)
             if slack >= 0:
-                run = min(stop, q_a + 1 + slack)
-                found.extend(range(q_a, run))
-                q_a = run
+                end = min(stop, q_a + 1 + slack)
+                runs.append(range(q_a, end))
+                q_a = end
                 continue
-            if _octagon_feasible(safe, bounds, q_a):
-                found.append(q_a)
+            feasible, refutation = _octagon_feasible(safe, bounds, q_a)
+            if feasible:
+                runs.append(range(q_a, q_a + 1))
+            cycle = refutation or cycle
             q_a += 1
-        return found
+        return runs
 
 
 def _resolve_roster(
@@ -427,11 +488,11 @@ def run_alarm(
     beyond the safe set it costs O(q) flags.
     """
     sweep = _Sweep(sketch, spec, pair, refine)
-    found = sweep.safe_hypotheses(0, sketch.q)
+    runs = sweep.safe_hypotheses(0, sketch.q)
     safe = [False] * (sketch.q + 1)
-    for q_a in found:
-        safe[q_a] = True
-    verdict = Verdict.NOT_TRIGGERED if found else Verdict.TRIGGERED
+    for run in runs:
+        safe[run.start:run.stop] = repeat(True, len(run))
+    verdict = Verdict.NOT_TRIGGERED if any(runs) else Verdict.TRIGGERED
     slices = _SliceColumns(sketch.q, sweep.margs, tuple(safe), sweep.refine)
     return AlarmTrace(sketch.q, spec, sweep.mode, sweep.ids, slices, verdict)
 
@@ -447,7 +508,7 @@ def count_safe_hypotheses(
     the trace.  O(N·patterns + N log q) unless refining."""
     sweep = _Sweep(sketch, spec, pair, refine)
     lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
-    return len(sweep.safe_hypotheses(lo, hi))
+    return sum(map(len, sweep.safe_hypotheses(lo, hi)))
 
 
 def check_qa_range(q: int, qa_range: tuple[int, int]) -> tuple[int, int]:

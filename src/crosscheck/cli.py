@@ -12,6 +12,7 @@ import errno
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from typing import NoReturn, Sequence
 
@@ -81,7 +82,10 @@ def _non_negative(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    never changes it."""
     parser = _Parser(prog="crosscheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -75,17 +75,18 @@ def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | Overal
 
 # ------------------------------------------------------------ refined sweep
 # The alarm's sweep as it was before one greedy pass settled a run of
-# hypotheses: every hypothesis judged on its own, each classifier's lower
-# end with the feasibility bounds 0 and r_a - u spelled out.  It shares the
-# greedy pass and the closure with the library; tests/test_alarm.py
-# referees those against a backtracking search.
+# hypotheses and one negative cycle a run of dead ends: every hypothesis
+# judged on its own, each classifier's lower end with the feasibility
+# bounds 0 and r_a - u spelled out.  It shares the greedy pass and the
+# closure with the library; tests/test_alarm.py referees those against a
+# backtracking search.
 
 
 def pairwise_safe_exists(safe, bounds, shift: int) -> bool:
     """Do counts exist in every classifier's safe interval (lo, hi) that
     meet every pair's bounds, shifted by ``shift``?  A greedy pass, then
     the closure if the pass dead-ends."""
-    return _greedy_pass(safe, bounds, shift) >= 0 or _octagon_feasible(safe, bounds, shift)
+    return _greedy_pass(safe, bounds, shift) >= 0 or _octagon_feasible(safe, bounds, shift)[0]
 
 
 def referee_safe_hypotheses(

@@ -39,6 +39,7 @@ from crosscheck import (
     trace_to_json_text,
 )
 from crosscheck.alarm import (
+    _cycle_weight,
     _greedy_pass,
     _octagon_feasible,
     _safe_qa_bounds,
@@ -670,9 +671,9 @@ def decide(q_a, safe, tables):
     bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
     at_zero = {ij: pair_bounds(0, table) for ij, table in tables.items()}
     ends = [(iv.lo, iv.hi) for iv in safe]
-    closure = _octagon_feasible(ends, bounds, 0)
+    closure, cycle = _octagon_feasible(ends, bounds, 0)
     slack = _greedy_pass(ends, bounds, 0)
-    assert _octagon_feasible(ends, at_zero, q_a) == closure
+    assert _octagon_feasible(ends, at_zero, q_a) == (closure, cycle)
     assert _greedy_pass(ends, at_zero, q_a) == slack
     return (
         pairwise_safe_exists(ends, at_zero, q_a),
@@ -680,6 +681,55 @@ def decide(q_a, safe, tables):
         slack >= 0,
         backtrack_safe_exists(q_a, safe, tables),
     )
+
+
+def built_matrix(safe, bounds, shift):
+    """The difference-bound matrix of the refined question, entry by entry
+    from its definition: with V_2k = x_k and V_2k+1 = -x_k, m[u][v] bounds
+    V_v - V_u by max V_v - min V_u over the safe intervals, or by the pair
+    inequality on that same linear form, whichever is less."""
+    pair_forms = {}
+    for (i, j), (max_i_minus_j, max_j_minus_i, min_sum, max_sum) in bounds.items():
+        pair_forms[frozenset({(i, 1), (j, -1)})] = max_i_minus_j
+        pair_forms[frozenset({(i, -1), (j, 1)})] = max_j_minus_i
+        pair_forms[frozenset({(i, 1), (j, 1)})] = max_sum + shift
+        pair_forms[frozenset({(i, -1), (j, -1)})] = -min_sum - shift
+    n = 2 * len(safe)
+    m = [[0] * n for _ in range(n)]
+    for u, v in itertools.product(range(n), repeat=2):
+        sign_u, sign_v = 1 - 2 * (u % 2), 1 - 2 * (v % 2)
+        (lo_u, hi_u), (lo_v, hi_v) = safe[u // 2], safe[v // 2]
+        entry = max(sign_v * lo_v, sign_v * hi_v) - min(sign_u * lo_u, sign_u * hi_u)
+        form = {}
+        form[v // 2] = form.get(v // 2, 0) + sign_v
+        form[u // 2] = form.get(u // 2, 0) - sign_u
+        key = frozenset((k, c) for k, c in form.items() if c)
+        m[u][v] = min(entry, pair_forms.get(key, entry))
+    return m
+
+
+def has_negative_cycle(m):
+    """Floyd-Warshall on a copy: some closed walk weighs less than 0."""
+    d = [row[:] for row in m]
+    n = len(d)
+    for k, u, v in itertools.product(range(n), repeat=3):
+        d[u][v] = min(d[u][v], d[u][k] + d[k][v])
+    return any(d[u][u] < 0 for u in range(n))
+
+
+def check_refutation(safe, bounds, shift):
+    """The closure's cycle, checked against the matrix built by hand: one
+    exactly when the system has no rational solution, simple, negative,
+    and weighed alike by the matrix and by :func:`_cycle_weight`."""
+    feasible, cycle = _octagon_feasible(safe, bounds, shift)
+    m = built_matrix(safe, bounds, shift)
+    assert bool(cycle) == has_negative_cycle(m)
+    if cycle:
+        assert not feasible
+        assert len(set(cycle)) == len(cycle) and set(cycle) <= set(range(len(m)))
+        weight = sum(m[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        assert weight == _cycle_weight(cycle, safe, bounds, shift) < 0
+    return cycle
 
 
 class TestPairwiseDecision:
@@ -690,6 +740,15 @@ class TestPairwiseDecision:
         assert decision == closure == referee
         if greedy:
             assert referee
+
+    def test_refutations_carry_a_simple_negative_cycle(self):
+        rng = random.Random(20261019)
+        cycles = 0
+        for _ in range(600):
+            q_a, safe, tables = random_refinement_case(rng)
+            bounds = {ij: pair_bounds(0, table) for ij, table in tables.items()}
+            cycles += bool(check_refutation([(iv.lo, iv.hi) for iv in safe], bounds, q_a))
+        assert cycles >= 30, cycles
 
     def test_both_answers_and_both_steps_exercised(self):
         rng = random.Random(20261018)
@@ -723,8 +782,9 @@ class TestPairwiseDecision:
     ], ids=["rational-only", "integer", "empty-sum", "chained", "chained-open"])
     def test_closure_on_hand_written_octagons(self, safe, bounds, feasible):
         bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
-        assert _octagon_feasible(safe, bounds, 0) is feasible
+        assert _octagon_feasible(safe, bounds, 0)[0] is feasible
         assert pairwise_safe_exists(safe, bounds, 0) is feasible
+        check_refutation(safe, bounds, 0)  # a cycle for empty-sum and chained
 
     @pytest.mark.parametrize("safe, bounds, shift, slack", [
         ([(0, 5), (2, 4)], {(0, 1): (9, 9, -9, 9)}, 0, 2),  # the least of 5 and 2
@@ -774,13 +834,35 @@ def large_q_sketches(draw):
     return EvaluationSketch(tuple(f"c{k}" for k in range(size)), sum(counts.values()), counts)
 
 
+@st.composite
+def dead_end_sketches(draw):
+    """N = 3..5 classifiers where the last one mostly answers against the
+    first, so no truth lets both beat 1/2 on a label, plus a little noise
+    from any pattern: windows where most greedy passes dead-end and a
+    refuting cycle holds for a while, then may stop holding."""
+    size = draw(st.integers(3, 5))
+    against = [p for p in all_patterns(size) if p[0] != p[-1]]
+    drawn = draw(st.lists(st.sampled_from(against), min_size=1, max_size=6, unique=True))
+    counts = {pattern: draw(st.integers(1, 12)) for pattern in drawn}
+    for pattern in draw(st.lists(st.sampled_from(all_patterns(size)), max_size=3)):
+        counts[pattern] = counts.get(pattern, 0) + draw(st.integers(1, 4))
+    return EvaluationSketch(tuple(f"c{k}" for k in range(size)), sum(counts.values()), counts)
+
+
+THIRD = Fraction(1, 3)
+# about a third of the draws refute a hypothesis by a kept cycle alone
+DEAD_END_SPECS = st.sampled_from(
+    SPEC_GRID + (PerLabelSpec(THIRD, THIRD, strict=False), OverallSpec(THIRD, strict=False))
+)
+
+
 class TestRefinedRuns:
-    """A greedy pass with slack settles a run of hypotheses; the referee
-    judges each one on its own."""
+    """A greedy pass with slack settles a run of hypotheses, and a negative
+    cycle a run of dead ends; the referee judges each one on its own."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        return count_calls(monkeypatch, "_greedy_pass", "_octagon_feasible")
+        return count_calls(monkeypatch, "_greedy_pass", "_octagon_feasible", "_cycle_weight")
 
     @given(large_q_sketches(), LARGE_Q_SPECS, st.data())
     @settings(max_examples=100, deadline=None)
@@ -794,15 +876,28 @@ class TestRefinedRuns:
         kw = dict(pair=pair, refine=True, qa_range=(lo, hi))
         assert count_safe_hypotheses(sketch, spec, **kw) == sum(lo <= q_a <= hi for q_a in safe)
 
+    @given(dead_end_sketches(), DEAD_END_SPECS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dead_end_heavy_matches_referee(self, sketch, spec, data):
+        lo = data.draw(st.integers(0, sketch.q))
+        hi = data.draw(st.integers(lo, sketch.q))
+        safe = referee_safe_hypotheses(sketch, spec, refine=True)
+        trace = run_alarm(sketch, spec, refine=True)
+        assert [row[0] for row in trace.rows() if row[-2]] == safe
+        kw = dict(refine=True, qa_range=(lo, hi))
+        assert count_safe_hypotheses(sketch, spec, **kw) == sum(lo <= q_a <= hi for q_a in safe)
+
     def test_a_run_ends_at_its_slack(self, passes):
         # the pass at q_a = 3 has slack 1, and 5 is unsafe: a run one
-        # hypothesis longer than the slack would mark it safe
+        # hypothesis longer than the slack would mark it safe.  The closure
+        # at 5 refutes it with a cycle that weighs 0 at 6 (which the pass
+        # finds safe) and settles 7, 8 and 9.
         sketch = EvaluationSketch(("c0", "c1"), 19, {"aa": 2, "ab": 4, "ba": 4, "bb": 9})
         spec = PerLabelSpec(Fraction(2, 3), Fraction(1, 3), strict=False)
         trace = run_alarm(sketch, spec, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == [0, 1, 2, 3, 4, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 1, 2, 3, 4, 6]
-        assert passes == {"_greedy_pass": 9, "_octagon_feasible": 4}
+        assert passes == {"_greedy_pass": 6, "_octagon_feasible": 1, "_cycle_weight": 4}
 
     def test_a_few_passes_settle_a_wide_window(self, passes):
         # three independent classifiers, each right 3 times in 4 on either label
@@ -817,7 +912,8 @@ class TestRefinedRuns:
 
     def test_dead_ends_judge_each_hypothesis(self, passes):
         # the last classifier always answers against the first, so no
-        # greedy pass finds counts and no run is skipped
+        # greedy pass finds counts; the first dead end's cycle stays
+        # negative and refutes every later hypothesis on its own
         flip = {"a": "b", "b": "a"}
         counts = {
             x + y + flip[x]: 50 + 7 * k
@@ -827,7 +923,20 @@ class TestRefinedRuns:
         window = count_safe_hypotheses(sketch, DEFAULT)
         assert window > 100
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
-        assert passes == {"_greedy_pass": window, "_octagon_feasible": window}
+        assert passes == {"_greedy_pass": 1, "_octagon_feasible": 1, "_cycle_weight": window - 1}
+
+    def test_a_cycle_that_stops_refuting_gets_a_fresh_closure(self, passes):
+        # window [0, 6]: 0 passes; 1 dead-ends and its closure refutes it
+        # with a cycle that weighs 0 at 2, so 2 gets a pass, which dead-ends,
+        # and a closure, whose new cycle weighs 0 at 3 (which the pass finds
+        # safe), refutes 4 and 5 alone, and weighs 0 at 6, safe again
+        sketch = EvaluationSketch(("c0", "c1", "c2"), 6, {"abb": 2, "baa": 2, "bba": 2})
+        spec = PerLabelSpec(Fraction(1, 3), Fraction(1, 3), strict=False)
+        assert count_safe_hypotheses(sketch, spec) == 7
+        trace = run_alarm(sketch, spec, refine=True)
+        assert [row[0] for row in trace.rows() if row[-2]] == [0, 3, 6]
+        assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 3, 6]
+        assert passes == {"_greedy_pass": 5, "_octagon_feasible": 2, "_cycle_weight": 5}
 
 
 def _cli_summary(argv):

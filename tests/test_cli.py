@@ -14,7 +14,8 @@ import pytest
 
 import crosscheck
 from crosscheck import load_sketch, parse_trace
-from crosscheck.cli import EXIT_ERROR, EXIT_OK, EXIT_TRIGGERED, main
+from crosscheck import cli
+from crosscheck.cli import EXIT_ERROR, EXIT_OK, EXIT_TRIGGERED, build_parser, main
 
 from ._referees import sketch_point
 
@@ -610,6 +611,31 @@ class TestUsage:
         )
         assert done.returncode == EXIT_OK
         assert done.stdout.splitlines()[:2] == ["q: 281", "classifiers: claude, mistral, gpt4"]
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path, monkeypatch):
+        # main reuses one parser per process, so each call must parse and
+        # answer exactly as a parser built for it alone would: the second
+        # --map list fails on "yes" unless the first one leaked into it
+        table = tmp_path / "table.csv"
+        table.write_text("item_id,u,v\nx1,yes,no\nx2,no,no\n")
+        out = tmp_path / "sketch.json"
+        calls = [
+            ("ingest", str(table), "--format", "csv", "--map", "yes=a", "--map", "no=b",
+             "--out", str(out)),
+            ("ingest", str(table), "--format", "csv", "--map", "no=a", "--out", str(out)),
+            ("alarm", GRADING, "--spec-per-label", "half"),
+            ("alarm", "--help"),
+        ]
+        codes = []
+        for argv in calls:
+            cached = run(capsys, *argv), out.read_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "build_parser", build_parser.__wrapped__)
+                fresh = run(capsys, *argv), out.read_bytes()
+            assert cached == fresh, argv
+            codes.append(cached[0][0])
+        assert codes == [EXIT_OK, EXIT_ERROR, EXIT_ERROR, EXIT_OK]
+        assert build_parser() is build_parser()
 
     def test_exit_codes_are_distinct(self):
         assert (EXIT_OK, EXIT_ERROR, EXIT_TRIGGERED) == (0, 1, 2)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .axioms import (
     IntInterval,
@@ -69,17 +70,23 @@ def min_count_above(
     return max(0, -(-numerator * total // denominator))
 
 
-def _last_true(holds: Callable[[int], bool], hi: int) -> int:
-    """Largest t in [0, hi] with ``holds(t)``, for a predicate that holds
-    exactly on a prefix [0, k] of [0, hi] with k >= 0."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _last_safe(q: int, r: int, threshold: Fraction, strict: bool) -> int:
+    """Largest t in [0, q] with min_count_above(t, threshold, strict) <=
+    min(t, r), for 0 <= r <= q and a threshold n/d in [0, 1]; every t up
+    to it qualifies too.
+
+    t = 0 always qualifies.  For t > 0, write the threshold n/d.  Strict,
+    need(t) = n t // d + 1 <= min(t, r) is n t < r d and n t < d t: no t
+    when n = d or r = 0, every t when n = 0, else t <= (r d - 1) // n.
+    Not strict, need(t) = ceil(n t / d) <= min(t, r) is n t <= r d (and
+    n <= d, which holds): every t when n = 0, else t <= r d // n.
+    """
+    n, d = threshold.as_integer_ratio()
+    if strict and (n == d or r == 0):
+        return 0
+    if n == 0:
+        return q
+    return min(q, (r * d - (1 if strict else 0)) // n)
 
 
 def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
@@ -88,21 +95,17 @@ def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
 
     The hypotheses where its safe subinterval (the counts in
     :func:`feasible_interval_label_a` that meet the spec) is non-empty
-    form an interval.  Proof: write u = q - q_a for the
-    number of true-b items and r_b = q - r_a.  With 0 <= r_a <= q the
-    feasibility bound max(0, r_a - u) never exceeds the upper end
-    min(q_a, r_a), so the subinterval is non-empty iff every spec bound
-    stays at or below min(q_a, r_a).  need(t) = min_count_above(t, T,
-    strict) is non-decreasing in t, and {t : need(t) <= t} is every t,
-    or only t = 0 when T = 1 and the spec is strict.
+    form an interval.  Proof: write u = q - q_a for the number of true-b
+    items and r_b = q - r_a.  With 0 <= r_a <= q the feasibility bound
+    max(0, r_a - u) never exceeds the upper end min(q_a, r_a), so the
+    subinterval is non-empty iff every spec bound stays at or below
+    min(q_a, r_a).
 
-    Per-label spec.  The label-a bound need_a(q_a) <= min(q_a, r_a)
-    holds on a prefix of q_a: need_a(q_a) <= r_a by monotonicity, and
-    need_a(q_a) <= q_a everywhere or at 0 only; both contain q_a = 0.
+    Per-label spec.  The label-a bound is need_a(q_a) <= min(q_a, r_a).
     The label-b bound need_b(u) - (u - r_a) <= min(q_a, r_a) rearranges
-    to need_b(u) <= min(u, r_b), a prefix of u by the same argument,
-    so a suffix of q_a.  A prefix meets a suffix in an interval, found
-    here with O(log q) evaluations of need per label.
+    to need_b(u) <= min(u, r_b).  By :func:`_last_safe` the first holds
+    exactly for q_a <= last(r_a, T_a) and the second for u <= last(r_b,
+    T_b), that is q_a >= q - last(r_b, T_b): two closed-form ends.
 
     Overall spec.  need = need(q) does not depend on q_a, and the bound
     ceil((need - u + r_a) / 2) <= min(q_a, r_a) unfolds to
@@ -113,11 +116,11 @@ def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
     if isinstance(spec, OverallSpec):
         need = min_count_above(q, spec.threshold, spec.strict)
         return max(0, need - q + r_a), min(q, q + r_a - need)
-    r_b = q - r_a
-    t_a, t_b, strict = spec.threshold_a, spec.threshold_b, spec.strict
-    last = _last_true(lambda t: min_count_above(t, t_a, strict) <= min(t, r_a), q)
-    span_b = _last_true(lambda u: min_count_above(u, t_b, strict) <= min(u, r_b), q)
-    return q - span_b, last
+    strict = spec.strict
+    return (
+        q - _last_safe(q, q - r_a, spec.threshold_b, strict),
+        _last_safe(q, r_a, spec.threshold_a, strict),
+    )
 
 
 @dataclass(frozen=True)
@@ -139,38 +142,49 @@ class QaSlice:
     refined: bool = False
 
 
-class _SliceColumns(Sequence[QaSlice]):
-    """The slices of a swept trace as columns: each classifier's response
-    totals, a tuple of every hypothesis's safe flag, and ``refined``.  No
-    interval is stored: indexing builds a :class:`QaSlice`, and
-    :meth:`rows` generates them all as plain ints.  Compares and hashes
-    as the tuple of its slices."""
+@dataclass(frozen=True)
+class AlarmTrace:
+    """Full record of one alarm run, as columns: each audited classifier's
+    response totals (``marginals``, roster order), one safe flag per
+    hypothesis q_a = 0..q (``safe``), and whether the pairs were enforced
+    (``refined``).  Every feasible interval follows from the totals in
+    closed form, so none is stored; :attr:`slices` builds them as
+    :class:`QaSlice` objects, and :meth:`rows` as plain ints.
+    """
 
-    def __init__(
-        self, q: int, margs: tuple[Marginals, ...], safe: tuple[bool, ...], refined: bool
-    ):
-        self.q, self.margs, self.safe, self.refined = q, margs, safe, refined
+    q: int
+    spec: SafetySpec
+    mode: str
+    classifiers: tuple[str, ...]
+    marginals: tuple[Marginals, ...]
+    safe: tuple[bool, ...]
+    refined: bool
 
-    def __len__(self) -> int:
-        return self.q + 1
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.NOT_TRIGGERED if any(self.safe) else Verdict.TRIGGERED
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(self.q + 1)[index]))
-        q, q_a = self.q, range(self.q + 1)[index]
-        ivs_a = tuple(feasible_interval_label_a(q, q_a, m) for m in self.margs)
-        ivs_b = tuple(feasible_interval_label_b(q, q_a, m) for m in self.margs)
-        return QaSlice(q_a, ivs_a, ivs_b, self.safe[q_a], self.refined)
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    @cached_property
+    def slices(self) -> tuple[QaSlice, ...]:
+        q, margs = self.q, self.marginals
+        return tuple(
+            QaSlice(
+                q_a,
+                tuple(feasible_interval_label_a(q, q_a, m) for m in margs),
+                tuple(feasible_interval_label_b(q, q_a, m) for m in margs),
+                safe,
+                self.refined,
+            )
+            for q_a, safe in enumerate(self.safe)
+        )
 
     def rows(self) -> Iterator[tuple]:
+        """Each slice as one tuple of plain values: q_a, the lo and hi ends
+        of every classifier's label-a interval in roster order, the same
+        for label b, then safe_exists and refined.  The trace writers read
+        only this."""
         q, ends_a, ends_b = self.q, [], []
-        for r_a, r_b in self.margs:  # 0 <= r_a = q - r_b <= q
+        for r_a, r_b in self.marginals:  # 0 <= r_a = q - r_b <= q
             # max(0, r_a - q + q_a) and min(q_a, r_a) for q_a = 0..q
             ends_a.append(chain(repeat(0, q - r_a), range(r_a + 1)))
             ends_a.append(chain(range(r_a), repeat(r_a, q - r_a + 1)))
@@ -178,48 +192,6 @@ class _SliceColumns(Sequence[QaSlice]):
             ends_b.append(chain(range(r_b, 0, -1), repeat(0, q - r_b + 1)))
             ends_b.append(chain(repeat(r_b, q - r_b), range(r_b, -1, -1)))
         return zip(range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined))
-
-
-@dataclass(frozen=True)
-class AlarmTrace:
-    """Full record of one alarm run: a slice per hypothesis.
-
-    ``slices`` is a tuple of :class:`QaSlice`, except in a trace from
-    :func:`run_alarm`: there it is a read-only sequence that builds a
-    slice only when one is indexed, and compares and hashes as the tuple
-    of its slices.  :meth:`rows` reads either kind as plain ints.
-    """
-
-    q: int
-    spec: SafetySpec
-    mode: str
-    classifiers: tuple[str, ...]
-    slices: Sequence[QaSlice]
-    verdict: Verdict
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        if not isinstance(self.slices, _SliceColumns):
-            object.__setattr__(self, "slices", tuple(self.slices))
-
-    @property
-    def is_complete(self) -> bool:
-        if isinstance(self.slices, _SliceColumns):
-            return self.slices.q == self.q
-        return [s.q_a for s in self.slices] == list(range(self.q + 1))
-
-    def rows(self) -> Iterator[tuple]:
-        """Each slice as one tuple of plain values: q_a, the lo and hi ends
-        of every classifier's label-a interval in roster order, the same
-        for label b, then safe_exists and refined.  The trace writers read
-        only this."""
-        if isinstance(self.slices, _SliceColumns):
-            return self.slices.rows()
-        return (
-            (s.q_a, *(end for iv in s.intervals_a + s.intervals_b for end in (iv.lo, iv.hi)),
-             s.safe_exists, s.refined)
-            for s in self.slices
-        )
 
 
 # each classifier's safe interval as (lo, hi), and each pair's pair_bounds
@@ -488,13 +460,12 @@ def run_alarm(
     beyond the safe set it costs O(q) flags.
     """
     sweep = _Sweep(sketch, spec, pair, refine)
-    runs = sweep.safe_hypotheses(0, sketch.q)
     safe = [False] * (sketch.q + 1)
-    for run in runs:
+    for run in sweep.safe_hypotheses(0, sketch.q):
         safe[run.start:run.stop] = repeat(True, len(run))
-    verdict = Verdict.NOT_TRIGGERED if any(runs) else Verdict.TRIGGERED
-    slices = _SliceColumns(sketch.q, sweep.margs, tuple(safe), sweep.refine)
-    return AlarmTrace(sketch.q, spec, sweep.mode, sweep.ids, slices, verdict)
+    return AlarmTrace(
+        sketch.q, spec, sweep.mode, sweep.ids, sweep.margs, tuple(safe), sweep.refine
+    )
 
 
 def count_safe_hypotheses(
@@ -505,7 +476,7 @@ def count_safe_hypotheses(
     qa_range: tuple[int, int] | None = None,
 ) -> int:
     """Number of safe hypotheses in ``qa_range`` (default all), without
-    the trace.  O(N·patterns + N log q) unless refining."""
+    the trace.  O(N·patterns) unless refining."""
     sweep = _Sweep(sketch, spec, pair, refine)
     lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
     return sum(map(len, sweep.safe_hypotheses(lo, hi)))

@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from typing import NoReturn, Sequence
 
 from .alarm import Verdict, check_qa_range, count_safe_hypotheses, run_alarm
@@ -272,7 +271,7 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
     pair = tuple(args.pair) if args.pair else None
     if args.trace or args.plot:
         trace = run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
-        safe = sum(row[-2] for row in islice(trace.rows(), lo, hi + 1))
+        safe = sum(trace.safe[lo : hi + 1])
     else:
         safe = count_safe_hypotheses(
             sketch, spec, pair=pair, refine=args.refine_pairs, qa_range=(lo, hi)

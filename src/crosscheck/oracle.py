@@ -16,12 +16,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from .axioms import point_axiom_violations
 from .model import (
     LABEL_A,
     EvaluationPoint,
     EvaluationSketch,
     Marginals,
     SketchError,
+    marginalize,
     point_bound_violations,
     validate_sketch,
 )
@@ -184,16 +186,12 @@ def check_summary(
     for one).  Structural invalidity of the sketch itself is reported as
     violations rather than raised, since auditing bad data is the point.
     """
-    from .axioms import point_axiom_violations
-
     violations = validate_sketch(sketch)
     roster = set(sketch.classifiers)
     for cid in sorted(claims.marginals):
         if cid not in roster:
             violations.append(f"claimed marginals for unknown classifier {cid}")
     if not violations:
-        from .model import marginalize
-
         for cid, claimed in claims.marginals.items():
             actual = marginalize(sketch, cid)
             if claimed != actual:

@@ -5,7 +5,7 @@ order, two-space indent, rationals as "n/d" strings, trailing newline),
 so loading a tool-written file and saving it again is byte-identical.
 A trace holds O(q·N) intervals; its JSON is written in that layout
 directly rather than through the pure-Python indenting encoder, and
-``parse_trace`` checks the schema the writer relies on.  All writes
+``parse_trace`` accepts only a trace that a run could write.  All writes
 go through a temp-file-and-rename so readers never observe a
 half-written file.
 """
@@ -25,8 +25,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .alarm import AlarmTrace, QaSlice, Verdict
-from .axioms import IntInterval
+from .alarm import AlarmTrace, Verdict
 from .independent import IndependentParams
 from .model import (
     LABELS,
@@ -236,9 +235,9 @@ def _spec_from_obj(obj: Mapping) -> SafetySpec:
 
 def _slice_json_format(size: int) -> str:
     """``%`` template of one JSON slice: an :meth:`AlarmTrace.rows` row
-    for ``size`` classifiers, with its two flags as JSON text."""
+    for ``size`` >= 1 classifiers, with its two flags as JSON text."""
     end = "        [\n          %s,\n          %s\n        ]"
-    intervals = "[\n" + ",\n".join([end] * size) + "\n      ]" if size else "[]"
+    intervals = "[\n" + ",\n".join([end] * size) + "\n      ]"
     return (
         '    {\n      "q_a": %s,\n'
         f'      "intervals_a": {intervals},\n'
@@ -254,9 +253,7 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
     ``json.dumps`` writes only the small header (so string escaping stays
     its own); the O(q·N) slices follow the fixed schema and are formatted
     from :meth:`AlarmTrace.rows` with one template, because with
-    ``indent`` set the encoder runs in pure Python.  Slice fields must be
-    plain ints and bools, one interval per classifier and label, as
-    :func:`run_alarm` and :func:`parse_trace` give them.
+    ``indent`` set the encoder runs in pure Python.
     """
     header = json.dumps(
         {
@@ -274,8 +271,6 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
         template % (*row[:-2], "true" if row[-2] else "false", "true" if row[-1] else "false")
         for row in trace.rows()
     ]
-    if not parts:
-        return header + "\n"
     # the header ends in '"slices": []\n}'; open that list around the
     # slices, so that one join builds the file text and nothing else
     parts[0] = f"{header[:-4]}[\n{parts[0]}"
@@ -283,37 +278,48 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
     return ",\n".join(parts)
 
 
-def _intervals_from(value: object, size: int, what: str) -> tuple[IntInterval, ...]:
+def _ends_from(value: object, size: int, what: str) -> list[int]:
+    """The lo and hi ends of a JSON list of ``size`` intervals, in order."""
     if not isinstance(value, list) or len(value) != size:
         raise FormatError(f"{what} must be a list of {size} intervals")
-    return tuple(IntInterval(*_int_list(iv, 2, f"each of {what}")) for iv in value)
+    return [end for iv in value for end in _int_list(iv, 2, f"each of {what}")]
 
 
 def parse_trace(text: str) -> AlarmTrace:
-    """Read a trace file, checking its schema: counts are integers,
-    flags are booleans, and every slice has one interval per classifier
-    and label."""
+    """Read a trace file in any JSON layout, checking its schema (counts
+    are integers, flags booleans, one interval per classifier and label)
+    and that a run could write it: q >= 1, a classifier, and q + 1 slices
+    equal to the rows that the classifiers' totals give (read off slice 0,
+    where label b's interval is [r_b, r_b]) and to one ``refined`` flag,
+    under the verdict that the safe flags give."""
     obj = _load_json(text)
     _require_keys(
         obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
     )
-    if not _is_int(obj["q"]):
+    q, classifiers, raw_slices = obj["q"], obj["classifiers"], obj["slices"]
+    if not _is_int(q):
         raise FormatError("trace 'q' must be an integer")
     if not isinstance(obj["mode"], str):
         raise FormatError("trace 'mode' must be a string")
-    classifiers = obj["classifiers"]
     if not isinstance(classifiers, list) or not all(
         isinstance(c, str) for c in classifiers
     ):
         raise FormatError("trace 'classifiers' must be a list of strings")
-    if not isinstance(obj["slices"], list):
+    if not isinstance(raw_slices, list):
         raise FormatError("trace 'slices' must be a list")
-    size = len(classifiers)
-    slices = []
-    raw_slices = obj["slices"]
+    try:
+        verdict = Verdict(obj["verdict"])
+    except ValueError:
+        raise FormatError(f"unknown verdict {obj['verdict']!r}") from None
+    spec, size = _spec_from_obj(obj["spec"]), len(classifiers)
+    if q < 1 or not size:
+        raise FormatError("a trace needs q >= 1 and at least one classifier")
+    if len(raw_slices) != q + 1:  # counted here: zip below stops at the shorter
+        raise FormatError(f"trace holds {len(raw_slices)} slices, not {q + 1}")
+    rows = []
     for k, raw in enumerate(raw_slices):
         # let each parsed slice go once it is read, so that the parsed
-        # file and the trace are never both held whole
+        # file and the rows are never both held whole
         raw_slices[k] = None
         _require_keys(
             raw,
@@ -323,27 +329,25 @@ def parse_trace(text: str) -> AlarmTrace:
         )
         if not _is_int(raw["q_a"]):
             raise FormatError("slice 'q_a' must be an integer")
-        slices.append(
-            QaSlice(
-                raw["q_a"],
-                _intervals_from(raw["intervals_a"], size, "slice 'intervals_a'"),
-                _intervals_from(raw["intervals_b"], size, "slice 'intervals_b'"),
-                _flag(raw["safe_exists"], "slice 'safe_exists'"),
-                _flag(raw["refined"], "slice 'refined'"),
-            )
-        )
-    try:
-        verdict = Verdict(obj["verdict"])
-    except ValueError:
-        raise FormatError(f"unknown verdict {obj['verdict']!r}") from None
-    return AlarmTrace(
-        obj["q"],
-        _spec_from_obj(obj["spec"]),
-        obj["mode"],
-        tuple(classifiers),
-        tuple(slices),
-        verdict,
-    )
+        rows.append((
+            raw["q_a"],
+            *_ends_from(raw["intervals_a"], size, "slice 'intervals_a'"),
+            *_ends_from(raw["intervals_b"], size, "slice 'intervals_b'"),
+            _flag(raw["safe_exists"], "slice 'safe_exists'"),
+            _flag(raw["refined"], "slice 'refined'"),
+        ))
+    r_bs = rows[0][2 * size + 1 : 4 * size + 1 : 2]
+    if not all(0 <= r_b <= q for r_b in r_bs):
+        raise FormatError(f"slice 0 gives a classifier a label-b total outside [0, {q}]")
+    margs = tuple(Marginals(q - r_b, r_b) for r_b in r_bs)
+    safe = tuple(row[-2] for row in rows)
+    trace = AlarmTrace(q, spec, obj["mode"], tuple(classifiers), margs, safe, rows[0][-1])
+    for row, want in zip(rows, trace.rows()):
+        if row != want:
+            raise FormatError(f"slice {want[0]} is not the one a run writes after slice 0")
+    if verdict is not trace.verdict:
+        raise FormatError(f"verdict {verdict.value!r} contradicts the safe flags")
+    return trace
 
 
 def trace_to_csv_text(trace: AlarmTrace) -> str:
@@ -357,18 +361,13 @@ def trace_to_csv_text(trace: AlarmTrace) -> str:
     # q_a and each classifier's lo_a, hi_a, lo_b, hi_b out of a label-major row
     n = 2 * len(trace.classifiers)
     order = [i for k in range(1, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
-    pick = itemgetter(0, *order) if order else lambda row: row[:1]
+    pick = itemgetter(0, *order)
     writer.writerows((*pick(row), int(row[-2])) for row in trace.rows())
     return buffer.getvalue()
 
 
 def emit_trace(trace: AlarmTrace, fmt: str, path: str) -> None:
-    """Write one complete trace as csv, json, or svg."""
-    if not trace.is_complete:
-        raise FormatError(
-            "trace is incomplete (restricted or truncated); emit needs all "
-            f"{trace.q + 1} slices"
-        )
+    """Write one trace as csv, json, or svg."""
     if fmt == "json":
         atomic_write_text(path, trace_to_json_text(trace))
     elif fmt == "csv":

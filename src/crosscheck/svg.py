@@ -8,6 +8,7 @@ module where floats appear, and only for layout coordinates.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Sequence
 
 from .alarm import AlarmTrace
@@ -35,12 +36,11 @@ def _coord(value: float) -> str:
 def _runs(trace: AlarmTrace) -> list[tuple[int, int, bool]]:
     """Maximal constant-colour runs of (first q_a, last q_a, safe)."""
     runs: list[tuple[int, int, bool]] = []
-    for row in trace.rows():
-        q_a, safe = row[0], row[-2]
-        if runs and runs[-1][2] == safe and runs[-1][1] == q_a - 1:
-            runs[-1] = (runs[-1][0], q_a, safe)
-        else:
-            runs.append((q_a, q_a, safe))
+    first = 0
+    for safe, run in groupby(trace.safe):
+        last = first + sum(1 for _ in run) - 1
+        runs.append((first, last, safe))
+        first = last + 1
     return runs
 
 
@@ -51,15 +51,13 @@ def default_label(trace: AlarmTrace) -> str:
 def render_traces(
     traces: Sequence[AlarmTrace], labels: Sequence[str] | None = None
 ) -> str:
-    """Render one or more complete traces over a shared test size."""
+    """Render one or more traces over a shared test size."""
     if not traces:
         raise SketchError("nothing to render")
     q = traces[0].q
     for trace in traces:
         if trace.q != q:
             raise SketchError("all rendered traces must share the same q")
-        if not trace.is_complete:
-            raise SketchError("can only render complete traces")
     if labels is None:
         labels = [default_label(trace) for trace in traces]
     if len(labels) != len(traces):

@@ -1,8 +1,20 @@
 import pathlib
+import warnings
 
 import pytest
 
 from crosscheck import EvaluationSketch, load_sketch
+
+# Hypothesis builds the patch it prints for a falsified property with
+# libcst, whose import of mypy_extensions.TypedDict warns; under -W error
+# that warning aborts the whole session instead of reporting the failure.
+# Import it once here with only that third-party warning silenced.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

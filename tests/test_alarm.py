@@ -1,9 +1,9 @@
 import contextlib
 import io
 import itertools
+import json
 import random
-from collections.abc import Sequence
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscheck import (
-    AlarmTrace,
     EvaluationSketch,
+    FormatError,
     IndependentParams,
     IntInterval,
     Marginals,
@@ -57,7 +57,7 @@ from ._referees import (
     sketch_point,
 )
 from ._strategies import point_meets, random_sketch, sketches
-from .test_persist import referee_csv, referee_json, referee_svg
+from .test_persist import RefereeTrace, referee_csv, referee_json, referee_svg
 
 HALF = Fraction(1, 2)
 DEFAULT = PerLabelSpec(HALF, HALF)
@@ -174,10 +174,10 @@ class TestRunAlarm:
 
     def test_trace_is_complete(self, grading_sketch):
         trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "gpt4"))
-        assert trace.is_complete
-        assert len(trace.slices) == 282
-        assert trace.slices[237].q_a == 237
-        assert not replace(trace, slices=trace.slices[237:238]).is_complete
+        assert len(trace.safe) == len(trace.slices) == 282
+        assert [s.q_a for s in trace.slices] == list(range(282))
+        assert trace.marginals == (Marginals(146, 135), Marginals(234, 47))
+        assert not trace.refined and not any(s.refined for s in trace.slices)
 
     def test_invalid_sketch_rejected(self):
         bad = EvaluationSketch(("u",), 3, {"a": 1})
@@ -536,10 +536,7 @@ def referee_trace(sketch, spec, pair=None, refine=False):
         scan_slice(sketch, q_a, spec, ids, refine, closure_decision)
         for q_a in range(sketch.q + 1)
     )
-    verdict = (
-        Verdict.NOT_TRIGGERED if any(s.safe_exists for s in slices) else Verdict.TRIGGERED
-    )
-    return AlarmTrace(sketch.q, spec, "pair" if pair else "ensemble", ids, slices, verdict)
+    return RefereeTrace(sketch.q, spec, "pair" if pair else "ensemble", ids, slices)
 
 
 # ids that csv must quote and json must escape; none starts with "-",
@@ -568,14 +565,12 @@ class TestPerSliceReferee:
         pair = sketch.classifiers[:2] if pair and sketch.size >= 2 else None
         trace = run_alarm(sketch, spec, pair=pair, refine=refine)
         ref = referee_trace(sketch, spec, pair, refine)
-        assert trace.slices == ref.slices and ref.slices == trace.slices
-        assert trace == ref and hash(trace) == hash(ref)
-        assert trace.is_complete and len(trace.slices) == sketch.q + 1
-        assert not replace(trace, q=sketch.q + 1).is_complete
+        assert trace.slices == ref.slices
+        assert trace.safe == tuple(s.safe_exists for s in ref.slices)
+        assert (trace.q, trace.mode, trace.classifiers) == (ref.q, ref.mode, ref.classifiers)
+        assert trace.verdict is ref.verdict
         lo = data.draw(st.integers(0, sketch.q))
         hi = data.draw(st.integers(lo, sketch.q))
-        assert trace.slices[lo] == ref.slices[lo]
-        assert trace.slices[lo : hi + 1] == ref.slices[lo : hi + 1]
         text = trace_to_json_text(trace)
         assert text == referee_json(ref)
         assert run_alarm(sketch, spec, pair=pair, refine=refine) == parse_trace(text)
@@ -611,20 +606,85 @@ class TestPerSliceReferee:
         assert _cli_summary(argv) == want
         assert _cli_summary(argv + ["--trace", str(path.with_name("t.json"))]) == want
 
-    def test_swept_slices_are_a_sequence_not_a_tuple(self, grading_sketch):
-        """A swept trace's ``slices`` is a read-only Sequence: ``tuple()``
-        gives the tuple, ``asdict`` copies the sequence whole instead of
-        nesting slice dicts, and ``+`` with a tuple is refused."""
+    def test_slices_are_a_tuple_built_from_the_columns(self, grading_sketch):
+        """A trace's fields are its columns; ``slices`` is a plain tuple
+        built from them once, and is no field: ``asdict`` gives the
+        columns, and equality and hashing read only them."""
         trace = run_alarm(grading_sketch, DEFAULT, refine=True)
         ref = referee_trace(grading_sketch, DEFAULT, refine=True)
-        assert isinstance(trace.slices, Sequence) and not isinstance(trace.slices, tuple)
-        assert tuple(trace.slices) == ref.slices
-        copied = asdict(trace)["slices"]
-        assert copied is not trace.slices and copied == ref.slices
-        assert asdict(ref)["slices"] == tuple(asdict(s) for s in trace.slices)
-        with pytest.raises(TypeError):
-            trace.slices + ()
-        assert hash(trace) == hash(ref) == hash(replace(trace))
+        assert isinstance(trace.slices, tuple) and trace.slices == ref.slices
+        assert trace.slices is trace.slices
+        assert trace.slices + () == ref.slices
+        fields = asdict(trace)
+        assert list(fields) == [
+            "q", "spec", "mode", "classifiers", "marginals", "safe", "refined"
+        ]
+        assert fields["safe"] == tuple(s.safe_exists for s in ref.slices)
+        again = run_alarm(grading_sketch, DEFAULT, refine=True)
+        assert again == trace and hash(again) == hash(trace)
+
+
+@st.composite
+def written_traces(draw):
+    """The JSON text of a run on a sketch with odd ids: either spec kind,
+    pair or ensemble, refined or not."""
+    sketch = draw(odd_sketches())
+    pair = sketch.classifiers[:2] if draw(st.booleans()) and sketch.size >= 2 else None
+    trace = run_alarm(sketch, draw(SPECS), pair=pair, refine=draw(st.booleans()))
+    return trace, trace_to_json_text(trace)
+
+
+def _edit_end(obj, data):
+    piece = data.draw(st.sampled_from(obj["slices"]))
+    ends = data.draw(st.sampled_from(piece["intervals_a"] + piece["intervals_b"]))
+    ends[data.draw(st.integers(0, 1))] += data.draw(st.sampled_from([-2, -1, 1, 2, 10**20]))
+
+
+def _drop(obj, data):
+    obj["slices"].pop(data.draw(st.integers(0, len(obj["slices"]) - 1)))
+
+
+def _duplicate(obj, data):
+    k = data.draw(st.integers(0, len(obj["slices"]) - 1))
+    obj["slices"].insert(k, json.loads(json.dumps(obj["slices"][k])))
+
+
+def _swap(obj, data):
+    slices = obj["slices"]
+    i, j = data.draw(st.lists(st.integers(0, len(slices) - 1), min_size=2, max_size=2, unique=True))
+    slices[i], slices[j] = slices[j], slices[i]
+
+
+def _flip_refined(obj, data):
+    piece = data.draw(st.sampled_from(obj["slices"]))
+    piece["refined"] = not piece["refined"]
+
+
+def _wrong_verdict(obj, data):
+    obj["verdict"] = "triggered" if obj["verdict"] == "not_triggered" else "not_triggered"
+
+
+class TestParseTraceChecksRuns:
+    """``parse_trace`` gives back exactly the trace a run wrote, and
+    refuses any file that no run could write."""
+
+    @given(written_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, written):
+        trace, text = written
+        assert parse_trace(text) == trace
+
+    @given(
+        written_traces(),
+        st.sampled_from([_edit_end, _drop, _duplicate, _swap, _flip_refined, _wrong_verdict]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_edit_is_refused(self, written, edit, data):
+        obj = json.loads(written[1])
+        edit(obj, data)
+        with pytest.raises(FormatError):
+            parse_trace(json.dumps(obj))
 
 
 REFINE_ROSTER = ("c1", "c2", "c3", "c4")

@@ -123,6 +123,18 @@ def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
     )
 
 
+def _window(q: int, margs: Sequence[Marginals], spec: SafetySpec) -> tuple[int, int]:
+    """First and last unrefined-safe hypothesis, the intersection of each
+    classifier's :func:`_safe_qa_bounds` within [0, q]; first > last when
+    none.  For totals in [0, q] the last is at least -1 (the threshold
+    lies in [0, 1]), so ``safe[last + 1:]`` is every flag after it."""
+    lo, hi = 0, q
+    for m in margs:
+        first, last = _safe_qa_bounds(q, m.r_a, spec)
+        lo, hi = max(lo, first), min(hi, last)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class QaSlice:
     """Alarm state at one hypothesis for the number of true-a items.
@@ -150,6 +162,12 @@ class AlarmTrace:
     (``refined``).  Every feasible interval follows from the totals in
     closed form, so none is stored; :attr:`slices` builds them as
     :class:`QaSlice` objects, and :meth:`rows` as plain ints.
+
+    The constructor refuses, with SketchError, any columns that no run
+    gives: it needs q >= 1, distinct ids (two in "pair" mode), each
+    classifier's totals of q items, and q + 1 safe flags inside the window
+    of unrefined-safe hypotheses, which they fill unless the pairs were
+    enforced on two or more classifiers (:meth:`_Sweep.safe_hypotheses`).
     """
 
     q: int
@@ -159,6 +177,25 @@ class AlarmTrace:
     marginals: tuple[Marginals, ...]
     safe: tuple[bool, ...]
     refined: bool
+
+    def __post_init__(self) -> None:
+        q, ids, margs, safe = self.q, self.classifiers, self.marginals, self.safe
+        if q < 1 or not ids or len(set(ids)) != len(ids):
+            raise SketchError("a trace needs q >= 1 and distinct classifiers, at least one")
+        if self.mode != "ensemble" and (self.mode != "pair" or len(ids) != 2):
+            raise SketchError(f"mode {self.mode!r}: want 'ensemble', or 'pair' for two ids")
+        if len(safe) != q + 1:
+            raise SketchError(f"trace holds {len(safe)} slices, not {q + 1}")
+        if len(margs) != len(ids) or not all(
+            isinstance(m, Marginals) and m.r_a >= 0 and m.r_b >= 0 and m.r_a + m.r_b == q
+            for m in margs
+        ):
+            raise SketchError(f"a trace needs each classifier's totals of {q} items")
+        lo, hi = _window(q, margs, self.spec)
+        if any(safe[:lo]) or any(safe[hi + 1 :]):
+            raise SketchError("a safe flag lies outside the unrefined-safe hypotheses")
+        if not (self.refined and len(ids) > 1 or all(safe[lo : hi + 1])):
+            raise SketchError("the safe flags leave unrefined-safe hypotheses unsafe")
 
     @property
     def verdict(self) -> Verdict:
@@ -348,11 +385,7 @@ class _Sweep:
         self.refine = bool(refine)
         self.coupled = refine and len(ids) > 1
         self.margs = tuple(marginalize(sketch, cid) for cid in ids)
-        lo, hi = 0, q
-        for m in self.margs:
-            first, last = _safe_qa_bounds(q, m.r_a, spec)
-            lo, hi = max(lo, first), min(hi, last)
-        self.window = IntInterval(lo, hi)
+        self.window = IntInterval(*_window(q, self.margs, spec))
 
     def safe_hypotheses(self, lo: int, hi: int) -> list[range]:
         """The safe hypotheses in [lo, hi] as runs, ranges in order: closed

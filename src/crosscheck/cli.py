@@ -19,9 +19,9 @@ from .alarm import Verdict, check_qa_range, count_safe_hypotheses, run_alarm
 from .axioms import pspace_stats
 from .independent import solve_independent
 from .model import (
+    FLIP_MODES,
     OverallSpec,
     PerLabelSpec,
-    SketchError,
     flip_labels,
     marginalize,
     sketch_from_decisions,
@@ -182,7 +182,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("flip", help="relabel one classifier's responses")
     p.add_argument("path", help="sketch file")
     p.add_argument("--classifier", required=True)
-    p.add_argument("--mode", choices=("global", "true-a", "true-b"), required=True)
+    p.add_argument("--mode", choices=FLIP_MODES, required=True)
     p.add_argument("--out", required=True, help="sketch file to write")
     p.set_defaults(func=_cmd_flip)
 
@@ -291,8 +291,6 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.q < 0:
-        raise SketchError("q must be non-negative")
     if args.count_only:
         print(evaluation_count(args.q))
         return EXIT_OK

@@ -46,6 +46,9 @@ class IndependentParams:
     accuracy_b: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        # Fraction(True) == 1, so a boolean would pass as a rational
+        if any(isinstance(x, bool) for x in (self.p_a, *self.accuracy_a, *self.accuracy_b)):
+            raise SketchError("probabilities must be rationals, not booleans")
         p = Fraction(self.p_a)
         acc_a = tuple(Fraction(x) for x in self.accuracy_a)
         acc_b = tuple(Fraction(x) for x in self.accuracy_b)

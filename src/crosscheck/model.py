@@ -97,14 +97,14 @@ class EvaluationSketch:
             split = {}
             for pattern in sorted(self.truth_split):
                 self._check_pattern(pattern, size)
-                entry = tuple(self.truth_split[pattern])
-                if len(entry) != 2 or any(
+                entry = self.truth_split[pattern]
+                if not isinstance(entry, (list, tuple)) or len(entry) != 2 or any(
                     not isinstance(v, int) or isinstance(v, bool) for v in entry
                 ):
                     raise SketchError(
                         f"truth split for pattern {pattern!r} must be a pair of integers"
                     )
-                if entry != (0, 0):
+                if entry[0] or entry[1]:
                     split[pattern] = (entry[0], entry[1])
         object.__setattr__(self, "classifiers", ids)
         object.__setattr__(self, "counts", MappingProxyType(counts))

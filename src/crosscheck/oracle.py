@@ -51,6 +51,9 @@ def enumerate_evaluations(q: int) -> Iterator[EvaluationPoint]:
 
 
 def evaluation_count(q: int) -> int:
+    """How many points :func:`enumerate_evaluations` yields for ``q``."""
+    if q < 0:
+        raise SketchError("q must be non-negative")
     return (q + 1) * (q + 2) * (q + 3) // 6
 
 

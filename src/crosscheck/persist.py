@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,14 +54,12 @@ _WRITE_SLICE = 1 << 16
 def atomic_write_text(path: str, text: str) -> None:
     """Write through a temp file in the same directory and a rename; an
     OSError names ``path``, not the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    made = False
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        # mkstemp files are private by default; match ordinary-file perms
-        mask = os.umask(0)
-        os.umask(mask)
-        os.fchmod(fd, 0o666 & ~mask)
+        # mode 0o666 under the umask, as for any ordinary new file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        made = True
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             # in slices, so the encoded bytes of a large trace are never
             # held beside its text
@@ -76,7 +73,7 @@ def atomic_write_text(path: str, text: str) -> None:
                     ) from None
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None:
+        if made:
             try:
                 os.unlink(tmp)
             except FileNotFoundError:
@@ -152,18 +149,9 @@ def parse_sketch(text: str) -> EvaluationSketch:
         raise FormatError("'classifiers' must be a list of strings")
     if not isinstance(obj["counts"], dict):
         raise FormatError("'counts' must be an object mapping patterns to integers")
-    split = None
-    if "truth_split" in obj:
-        raw = obj["truth_split"]
-        if not isinstance(raw, dict):
-            raise FormatError("'truth_split' must be an object")
-        split = {}
-        for pattern, entry in raw.items():
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise FormatError(
-                    f"truth_split entry for {pattern!r} must be a two-element list"
-                )
-            split[pattern] = (entry[0], entry[1])
+    split = obj.get("truth_split")
+    if "truth_split" in obj and not isinstance(split, dict):
+        raise FormatError("'truth_split' must be an object")
     try:
         return EvaluationSketch(tuple(classifiers), obj["q"], obj["counts"], split)
     except SketchError as exc:
@@ -287,11 +275,12 @@ def _ends_from(value: object, size: int, what: str) -> list[int]:
 
 def parse_trace(text: str) -> AlarmTrace:
     """Read a trace file in any JSON layout, checking its schema (counts
-    are integers, flags booleans, one interval per classifier and label)
-    and that a run could write it: q >= 1, a classifier, and q + 1 slices
-    equal to the rows that the classifiers' totals give (read off slice 0,
-    where label b's interval is [r_b, r_b]) and to one ``refined`` flag,
-    under the verdict that the safe flags give."""
+    are integers, flags booleans, one interval per classifier and label),
+    then build the trace from the totals in slice 0 (where label b's
+    interval is [r_b, r_b]), its ``refined`` flag and the safe flags.
+    :class:`AlarmTrace` refuses columns that no run gives; each slice must
+    equal the row that the trace gives, and the verdict the one that the
+    safe flags give."""
     obj = _load_json(text)
     _require_keys(
         obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
@@ -299,8 +288,6 @@ def parse_trace(text: str) -> AlarmTrace:
     q, classifiers, raw_slices = obj["q"], obj["classifiers"], obj["slices"]
     if not _is_int(q):
         raise FormatError("trace 'q' must be an integer")
-    if not isinstance(obj["mode"], str):
-        raise FormatError("trace 'mode' must be a string")
     if not isinstance(classifiers, list) or not all(
         isinstance(c, str) for c in classifiers
     ):
@@ -312,10 +299,6 @@ def parse_trace(text: str) -> AlarmTrace:
     except ValueError:
         raise FormatError(f"unknown verdict {obj['verdict']!r}") from None
     spec, size = _spec_from_obj(obj["spec"]), len(classifiers)
-    if q < 1 or not size:
-        raise FormatError("a trace needs q >= 1 and at least one classifier")
-    if len(raw_slices) != q + 1:  # counted here: zip below stops at the shorter
-        raise FormatError(f"trace holds {len(raw_slices)} slices, not {q + 1}")
     rows = []
     for k, raw in enumerate(raw_slices):
         # let each parsed slice go once it is read, so that the parsed
@@ -336,12 +319,13 @@ def parse_trace(text: str) -> AlarmTrace:
             _flag(raw["safe_exists"], "slice 'safe_exists'"),
             _flag(raw["refined"], "slice 'refined'"),
         ))
-    r_bs = rows[0][2 * size + 1 : 4 * size + 1 : 2]
-    if not all(0 <= r_b <= q for r_b in r_bs):
-        raise FormatError(f"slice 0 gives a classifier a label-b total outside [0, {q}]")
-    margs = tuple(Marginals(q - r_b, r_b) for r_b in r_bs)
+    first = rows[0] if rows else (False,)  # no slice: the trace refuses the count
+    margs = tuple(Marginals(q - r_b, r_b) for r_b in first[2 * size + 1 : 4 * size + 1 : 2])
     safe = tuple(row[-2] for row in rows)
-    trace = AlarmTrace(q, spec, obj["mode"], tuple(classifiers), margs, safe, rows[0][-1])
+    try:
+        trace = AlarmTrace(q, spec, obj["mode"], tuple(classifiers), margs, safe, first[-1])
+    except SketchError as exc:
+        raise FormatError(str(exc)) from None
     for row, want in zip(rows, trace.rows()):
         if row != want:
             raise FormatError(f"slice {want[0]} is not the one a run writes after slice 0")
@@ -470,17 +454,8 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
         ids = tuple(obj["classifiers"])
         if not all(isinstance(cid, str) and cid for cid in ids):
             raise FormatError("params file: classifier ids must be non-empty strings")
-    # Fraction(True) == 1, so a JSON boolean would pass as a rational
-    if any(
-        isinstance(x, bool) for x in (obj["p_a"], *obj["accuracy_a"], *obj["accuracy_b"])
-    ):
-        raise FormatError("params file: rationals must be numbers or \"n/d\" strings")
     try:
-        params = IndependentParams(
-            Fraction(obj["p_a"]),
-            tuple(Fraction(x) for x in obj["accuracy_a"]),
-            tuple(Fraction(x) for x in obj["accuracy_b"]),
-        )
+        params = IndependentParams(obj["p_a"], obj["accuracy_a"], obj["accuracy_b"])
     # JSON's Infinity is a float Fraction() cannot take: OverflowError
     except (SketchError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad parameters: {exc}") from None

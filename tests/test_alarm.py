@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscheck import (
+    AlarmTrace,
     EvaluationSketch,
     FormatError,
     IndependentParams,
@@ -685,6 +686,121 @@ class TestParseTraceChecksRuns:
         edit(obj, data)
         with pytest.raises(FormatError):
             parse_trace(json.dumps(obj))
+
+
+def unrefined_window(trace):
+    """The hypotheses at which every classifier of the trace can meet its
+    spec on its own, scanned slice by slice."""
+    q = trace.q
+    return [
+        q_a
+        for q_a in range(q + 1)
+        if not any(scan_subinterval(q, q_a, m.r_a, trace.spec).is_empty for m in trace.marginals)
+    ]
+
+
+def _set_safe(obj, q_a, value):
+    """Set one safe flag and the verdict that the flags then give."""
+    obj["slices"][q_a]["safe_exists"] = value
+    safe = any(piece["safe_exists"] for piece in obj["slices"])
+    obj["verdict"] = "not_triggered" if safe else "triggered"
+
+
+class TestParseTraceRefusesForgeries:
+    """A forged trace whose slices and verdict agree is still refused when
+    no run writes it: the flags leave the window, an unrefined flag goes
+    missing, or the header names no roster a run audits."""
+
+    @given(written_traces(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_forgeries(self, written, data):
+        trace, text = written
+        assert parse_trace(text) == trace
+        window, ids = unrefined_window(trace), list(trace.classifiers)
+        forged = []
+        outside = [q_a for q_a in range(trace.q + 1) if q_a not in window]
+        if outside:
+            obj = json.loads(text)
+            _set_safe(obj, data.draw(st.sampled_from(outside)), True)
+            forged.append(obj)
+        if window and not (trace.refined and len(ids) > 1):
+            obj = json.loads(text)
+            _set_safe(obj, data.draw(st.sampled_from(window)), False)
+            forged.append(obj)
+        forged.append(dict(json.loads(text), mode=data.draw(
+            st.sampled_from(["both", "Pair", "", None, 2, ["pair"]])
+        )))
+        if len(ids) != 2:
+            forged.append(dict(json.loads(text), mode="pair"))
+        if len(ids) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2, unique=True))
+            forged.append(dict(json.loads(text), classifiers=ids[:j] + [ids[i]] + ids[j + 1 :]))
+        for obj in forged:
+            with pytest.raises(FormatError):
+                parse_trace(json.dumps(obj))
+
+    def test_readme_triggered_pair(self, grading_sketch):
+        """`alarm --pair mistral gpt4` is triggered; one safe flag set, with
+        the verdict edited to match, is no run's trace."""
+        trace = run_alarm(grading_sketch, DEFAULT, pair=("mistral", "gpt4"))
+        obj = json.loads(trace_to_json_text(trace))
+        assert obj["verdict"] == "triggered"
+        obj["slices"][5]["safe_exists"] = True
+        obj["verdict"] = "not_triggered"
+        with pytest.raises(FormatError, match="outside the unrefined-safe"):
+            parse_trace(json.dumps(obj))
+
+
+def trace_with(**fields):
+    """A trace of one classifier that said each label once in q = 2
+    items, safe only at q_a = 1, with ``fields`` replaced."""
+    columns = dict(
+        q=2, spec=DEFAULT, mode="ensemble", classifiers=("u",),
+        marginals=(Marginals(1, 1),), safe=(False, True, False), refined=False,
+    )
+    return AlarmTrace(**{**columns, **fields})
+
+
+class TestTraceInvariant:
+    """The constructor refuses each kind of column that no run gives."""
+
+    def test_runs_give_these(self):
+        assert trace_with().verdict is Verdict.NOT_TRIGGERED
+        assert trace_with(refined=True).verdict is Verdict.NOT_TRIGGERED
+        # with the pairs enforced on two classifiers, a flag may clear
+        two = dict(classifiers=("u", "v"), marginals=(Marginals(1, 1),) * 2)
+        for mode in ("ensemble", "pair"):
+            trace = trace_with(**two, mode=mode, refined=True, safe=(False,) * 3)
+            assert trace.verdict is Verdict.TRIGGERED
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(q=0, marginals=(Marginals(0, 0),), safe=(False,)), "q >= 1"),
+        (dict(q=-1, marginals=(), safe=()), "q >= 1"),
+        (dict(classifiers=(), marginals=()), "at least one"),
+        (dict(classifiers=("u", "u"), marginals=(Marginals(1, 1),) * 2), "distinct"),
+        (dict(mode="both"), "want 'ensemble'"),
+        (dict(mode="pair"), "'pair' for two"),
+        (dict(mode="pair", classifiers=("u", "v", "w"), marginals=(Marginals(1, 1),) * 3),
+         "'pair' for two"),
+        (dict(marginals=()), "totals of 2 items"),
+        (dict(marginals=(Marginals(1, 1),) * 2), "totals of 2 items"),
+        (dict(marginals=((1, 1),)), "totals of 2 items"),
+        (dict(marginals=(Marginals(-1, 3),)), "totals of 2 items"),
+        (dict(marginals=(Marginals(3, -1),)), "totals of 2 items"),
+        (dict(marginals=(Marginals(1, 2),)), "totals of 2 items"),
+        (dict(safe=(False, True)), "trace holds 2 slices, not 3"),
+        (dict(safe=(False, True, False, False)), "trace holds 4 slices, not 3"),
+        (dict(q=5, marginals=(Marginals(2, 3),), safe=(True,)), "trace holds 1 slices, not 6"),
+        (dict(safe=(True, True, False)), "outside the unrefined-safe"),
+        (dict(safe=(False, True, True)), "outside the unrefined-safe"),
+        (dict(safe=(False, False, False)), "leave unrefined-safe"),
+        (dict(safe=(False, False, False), refined=True), "leave unrefined-safe"),
+        (dict(classifiers=("u", "v"), marginals=(Marginals(1, 1),) * 2, safe=(False,) * 3),
+         "leave unrefined-safe"),
+    ])
+    def test_refused(self, fields, message):
+        with pytest.raises(SketchError, match=message):
+            trace_with(**fields)
 
 
 REFINE_ROSTER = ("c1", "c2", "c3", "c4")

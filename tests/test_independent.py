@@ -48,6 +48,14 @@ class TestParams:
             IndependentParams(Fraction(1, 2), THREE_QUARTERS, THREE_QUARTERS[:2])
         with pytest.raises(SketchError):
             IndependentParams(Fraction(1, 2), (), ())
+        # Fraction(True) == 1, but a boolean is no probability
+        for p_a, acc_a, acc_b in (
+            (True, (False,), (True,)),
+            (Fraction(1), (False,), (Fraction(1),)),
+            (Fraction(1), (Fraction(1),), (True,)),
+        ):
+            with pytest.raises(SketchError):
+                IndependentParams(p_a, acc_a, acc_b)
 
     def test_mirror_crosses_labels(self):
         params = IndependentParams(

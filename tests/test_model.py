@@ -101,6 +101,13 @@ class TestSketchConstruction:
         assert dict(sketch.truth_split) == {"a": (1, 0)}
         assert sketch.has_truth
 
+    def test_truth_split_entries_are_pairs(self):
+        for entry in (5, None, "ab", [1], (1, 0, 0), {"x": 1, "y": 0}, (True, 0), (1.0, 0)):
+            with pytest.raises(SketchError, match="must be a pair of integers"):
+                EvaluationSketch(("u",), 1, {"a": 1}, {"a": entry})
+        sketch = EvaluationSketch(("u",), 1, {"a": 1}, {"a": [1, 0], "b": [0, 0]})
+        assert dict(sketch.truth_split) == {"a": (1, 0)}
+
     def test_counts_immutable(self):
         sketch = EvaluationSketch(("u",), 1, {"a": 1})
         with pytest.raises(TypeError):

@@ -48,6 +48,8 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(SketchError):
             list(enumerate_evaluations(-1))
+        with pytest.raises(SketchError):
+            evaluation_count(-1)
 
     def test_points_respect_bounds(self):
         for point in enumerate_evaluations(5):

@@ -21,6 +21,7 @@ from crosscheck import (
     PerLabelSpec,
     QaSlice,
     SafetySpec,
+    SketchError,
     Verdict,
     atomic_write_text,
     decisions_to_csv_text,
@@ -41,6 +42,7 @@ from crosscheck import (
     trace_to_csv_text,
     trace_to_json_text,
 )
+from crosscheck.alarm import _safe_qa_bounds
 from crosscheck.persist import _WRITE_SLICE
 
 from ._referees import (
@@ -180,6 +182,10 @@ class TestSketchFormat:
             )
         with pytest.raises(FormatError):
             parse_sketch(json.dumps({"classifiers": "u", "q": 1, "counts": {}}))
+        for split in (None, [], {"a": 1}, {"a": None}, {"a": [1, 0, 0]}, {"a": {"x": 1, "y": 0}}):
+            with pytest.raises(FormatError):
+                parse_sketch(json.dumps({"classifiers": ["u"], "q": 1, "counts": {"a": 1},
+                                         "truth_split": split}))
         # structural sketch errors surface as format errors
         with pytest.raises(FormatError):
             parse_sketch(json.dumps({"classifiers": ["u"], "q": 0, "counts": {}}))
@@ -249,13 +255,11 @@ class TestTraceFormats:
                 parse_trace(json.dumps(dict(obj, slices=kept)))
 
     def test_totals_outside_the_test_size_are_refused(self):
-        """A trace built by hand with totals that no sketch of q items has
-        writes a file whose slices follow from its slice 0; it is still
-        no trace a run could write."""
+        """No sketch of q items has totals outside [0, q], so no trace
+        holds them: the constructor refuses them, and no writer sees one."""
         for totals in (Marginals(-1, 2), Marginals(3, -2)):
-            trace = AlarmTrace(1, DEFAULT, "ensemble", ("u",), (totals,), (False, False), False)
-            with pytest.raises(FormatError):
-                parse_trace(trace_to_json_text(trace))
+            with pytest.raises(SketchError):
+                AlarmTrace(1, DEFAULT, "ensemble", ("u",), (totals,), (False, False), False)
 
     def test_emit_rejects_unknown_format(self, tmp_path, grading_sketch):
         trace = run_alarm(grading_sketch, DEFAULT)
@@ -447,19 +451,29 @@ SPECS = st.one_of(
 
 @st.composite
 def drawn_traces(draw):
-    """Any trace a run could give: q, each classifier's totals, the safe
-    flags and ``refined`` drawn freely, with ids json must escape."""
+    """Any trace a run could give, drawn without a sketch: q, each
+    classifier's totals and ``refined`` drawn freely, distinct ids that
+    json must escape, "pair" only for two.  The safe flags fill the
+    window of :func:`_safe_qa_bounds` unless the pairs were enforced on
+    two or more classifiers; then they are any subset of it."""
     size = draw(st.integers(1, 4))
     q = draw(st.integers(1, 30) | st.sampled_from([1, 2]))
-    totals = st.integers(0, q).map(lambda r_a: Marginals(r_a, q - r_a))
+    spec = draw(SPECS)
+    margs = [Marginals(r_a, q - r_a) for r_a in draw(
+        st.lists(st.integers(0, q), min_size=size, max_size=size)
+    )]
+    bounds = [_safe_qa_bounds(q, m.r_a, spec) for m in margs]
+    window = range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1)
+    refined = draw(st.booleans())
+    subset = refined and size > 1
     return AlarmTrace(
         q,
-        draw(SPECS),
-        draw(st.sampled_from(["ensemble", "pair"]) | IDS),
-        tuple(draw(st.lists(IDS, min_size=size, max_size=size))),
-        tuple(draw(st.lists(totals, min_size=size, max_size=size))),
-        tuple(draw(st.lists(st.booleans(), min_size=q + 1, max_size=q + 1))),
-        draw(st.booleans()),
+        spec,
+        draw(st.sampled_from(["ensemble", "pair"] if size == 2 else ["ensemble"])),
+        tuple(draw(st.lists(IDS, min_size=size, max_size=size, unique=True))),
+        tuple(margs),
+        tuple(q_a in window and (not subset or draw(st.booleans())) for q_a in range(q + 1)),
+        refined,
     )
 
 

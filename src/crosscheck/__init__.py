@@ -5,185 +5,82 @@ a shared test, this package computes what their unobservable accuracies
 could possibly be, raises an alarm when a safety requirement is
 logically impossible to meet, and, for three error-independent
 classifiers, recovers prevalence and accuracies exactly.
+
+Every export is imported from its module on first use, so a process
+loads only the modules it runs.
 """
 
-from .alarm import (
-    AlarmTrace,
-    QaSlice,
-    Verdict,
-    min_count_above,
-    run_alarm,
-)
-from .axioms import (
-    IntInterval,
-    feasible_interval_label_a,
-    feasible_interval_label_b,
-    induced_correct_b,
-    joint_correct_a_window,
-    pair_axiom_sum,
-    pattern_covariance,
-    point_axiom_violations,
-    pspace_stats,
-    single_axiom_residual,
-)
-from .independent import (
-    Diagnosis,
-    IndependentParams,
-    IndependentSolution,
-    PlataniosReport,
-    SqrtValue,
-    forward_model,
-    majority_vote_prevalence,
-    platanios_error,
-    rational_sqrt,
-    solve_independent,
-)
-from .model import (
-    FLIP_MODES,
-    LABEL_A,
-    LABEL_B,
-    LABELS,
-    EvaluationPoint,
-    EvaluationSketch,
-    Marginals,
-    OverallSpec,
-    PerLabelSpec,
-    PSpaceStats,
-    SafetySpec,
-    SketchError,
-    all_patterns,
-    correct_counts,
-    flip_labels,
-    flip_position,
-    joint_correct_counts,
-    marginalize,
-    other_label,
-    pair_counts,
-    point_bound_violations,
-    project,
-    reorder,
-    sketch_from_decisions,
-    truth_prevalence,
-    validate_sketch,
-)
-from .oracle import (
-    BudgetExceededError,
-    DEFAULT_SPLIT_BUDGET,
-    SummaryClaims,
-    SummaryReport,
-    VarietyPoint,
-    check_summary,
-    enumerate_evaluations,
-    enumerate_variety,
-    evaluation_count,
-    split_combinations,
-)
-from .persist import (
-    DecisionRecord,
-    FormatError,
-    IngestError,
-    IngestResult,
-    atomic_write_text,
-    decisions_to_csv_text,
-    emit_trace,
-    ingest,
-    load_sketch,
-    parse_claims,
-    parse_params,
-    parse_sketch,
-    parse_trace,
-    records_to_decisions,
-    save_sketch,
-    sketch_to_text,
-    trace_to_csv_text,
-    trace_to_json_text,
-)
-from .svg import default_label, render_traces
-from .synth import generate_decisions
+from __future__ import annotations
+
+import importlib
+from typing import Callable, Mapping
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlarmTrace",
-    "BudgetExceededError",
-    "DEFAULT_SPLIT_BUDGET",
-    "DecisionRecord",
-    "Diagnosis",
-    "EvaluationPoint",
-    "EvaluationSketch",
-    "FLIP_MODES",
-    "FormatError",
-    "IndependentParams",
-    "IndependentSolution",
-    "IngestError",
-    "IngestResult",
-    "IntInterval",
-    "LABELS",
-    "LABEL_A",
-    "LABEL_B",
-    "Marginals",
-    "OverallSpec",
-    "PSpaceStats",
-    "PerLabelSpec",
-    "PlataniosReport",
-    "QaSlice",
-    "SafetySpec",
-    "SketchError",
-    "SqrtValue",
-    "SummaryClaims",
-    "SummaryReport",
-    "VarietyPoint",
-    "Verdict",
-    "all_patterns",
-    "atomic_write_text",
-    "check_summary",
-    "correct_counts",
-    "decisions_to_csv_text",
-    "default_label",
-    "emit_trace",
-    "enumerate_evaluations",
-    "enumerate_variety",
-    "evaluation_count",
-    "feasible_interval_label_a",
-    "feasible_interval_label_b",
-    "flip_labels",
-    "flip_position",
-    "forward_model",
-    "generate_decisions",
-    "induced_correct_b",
-    "ingest",
-    "joint_correct_a_window",
-    "joint_correct_counts",
-    "load_sketch",
-    "majority_vote_prevalence",
-    "marginalize",
-    "min_count_above",
-    "other_label",
-    "pair_axiom_sum",
-    "pair_counts",
-    "parse_claims",
-    "parse_params",
-    "parse_sketch",
-    "parse_trace",
-    "pattern_covariance",
-    "platanios_error",
-    "point_axiom_violations",
-    "point_bound_violations",
-    "project",
-    "pspace_stats",
-    "rational_sqrt",
-    "records_to_decisions",
-    "render_traces",
-    "reorder",
-    "run_alarm",
-    "save_sketch",
-    "single_axiom_residual",
-    "sketch_from_decisions",
-    "sketch_to_text",
-    "solve_independent",
-    "split_combinations",
-    "trace_to_csv_text",
-    "trace_to_json_text",
-    "truth_prevalence",
-    "validate_sketch",
-]
+# module -> the names it exports here
+_EXPORTS = {
+    "alarm": ("AlarmTrace", "QaSlice", "Verdict", "min_count_above", "run_alarm"),
+    "axioms": (
+        "IntInterval", "feasible_interval_label_a", "feasible_interval_label_b",
+        "induced_correct_b", "joint_correct_a_window", "pair_axiom_sum",
+        "pattern_covariance", "point_axiom_violations", "pspace_stats",
+        "single_axiom_residual",
+    ),
+    "independent": (
+        "Diagnosis", "IndependentParams", "IndependentSolution", "PlataniosReport",
+        "SqrtValue", "forward_model", "majority_vote_prevalence", "platanios_error",
+        "rational_sqrt", "solve_independent",
+    ),
+    "model": (
+        "FLIP_MODES", "LABEL_A", "LABEL_B", "LABELS", "EvaluationPoint",
+        "EvaluationSketch", "Marginals", "OverallSpec", "PerLabelSpec", "PSpaceStats",
+        "SafetySpec", "SketchError", "all_patterns", "correct_counts", "flip_labels",
+        "flip_position", "joint_correct_counts", "marginalize", "other_label",
+        "pair_counts", "point_bound_violations", "project", "reorder",
+        "sketch_from_decisions", "truth_prevalence", "validate_sketch",
+    ),
+    "oracle": (
+        "BudgetExceededError", "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport",
+        "VarietyPoint", "check_summary", "enumerate_evaluations", "enumerate_variety",
+        "evaluation_count", "split_combinations",
+    ),
+    "persist": (
+        "FormatError", "IngestError", "atomic_write_text", "emit_trace", "load_sketch",
+        "parse_claims", "parse_params", "parse_sketch", "parse_trace", "save_sketch",
+        "sketch_to_text", "trace_to_csv_text", "trace_to_json_text",
+    ),
+    "svg": ("default_label", "render_traces"),
+    "synth": ("generate_decisions",),
+    "tables": (
+        "DecisionRecord", "IngestResult", "decisions_to_csv_text", "ingest",
+        "records_to_decisions",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def _on_first_use(
+    namespace: dict, exports: Mapping[str, tuple[str, ...]]
+) -> Callable[[str], object]:
+    """A module ``__getattr__`` (PEP 562) for the module whose globals
+    are ``namespace``: it imports a name of ``exports`` (module of this
+    package -> names) from its module, and keeps it in ``namespace``, so
+    that the next lookup finds it there."""
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{__name__}.{home[name]}")
+        namespace[name] = value = getattr(module, name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _on_first_use(globals(), _EXPORTS)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,9 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NoReturn, Sequence
 
-from .alarm import Verdict, check_qa_range, count_safe_hypotheses, run_alarm
-from .axioms import pspace_stats
-from .independent import solve_independent
+from . import _on_first_use
 from .model import (
     FLIP_MODES,
     OverallSpec,
@@ -28,27 +26,33 @@ from .model import (
     truth_prevalence,
     validate_sketch,
 )
-from .oracle import (
-    DEFAULT_SPLIT_BUDGET,
-    SummaryClaims,
-    check_summary,
-    enumerate_evaluations,
-    evaluation_count,
-)
 from .persist import (
     FormatError,
     IngestError,
     atomic_write_text,
-    decisions_to_csv_text,
     emit_trace,
-    ingest,
     load_sketch,
     parse_claims,
     parse_params,
-    records_to_decisions,
     save_sketch,
 )
-from .synth import generate_decisions
+
+# What only some subcommands run is imported on its first use, through
+# this module's __getattr__.  The commands look these names up on the
+# module (``_cli.run_alarm``), never as bare globals or local imports, so
+# that a replacement set on ``crosscheck.cli`` is the one they call.
+__getattr__ = _on_first_use(globals(), {
+    "alarm": ("Verdict", "check_qa_range", "count_safe_hypotheses", "run_alarm"),
+    "axioms": ("pspace_stats",),
+    "independent": ("solve_independent",),
+    "oracle": (
+        "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "check_summary", "enumerate_evaluations",
+        "evaluation_count",
+    ),
+    "synth": ("generate_decisions",),
+    "tables": ("decisions_to_csv_text", "ingest", "records_to_decisions"),
+})
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -160,7 +164,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--budget",
         type=_non_negative,
-        default=DEFAULT_SPLIT_BUDGET,
+        # DEFAULT_SPLIT_BUDGET, read when verify runs
+        default=None,
         help="max ground-truth combinations to enumerate",
     )
     p.set_defaults(func=_cmd_verify)
@@ -202,10 +207,10 @@ def _parse_label_map(pairs: Sequence[str]) -> dict[str, str] | None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    result = ingest(args.path, args.format, _parse_label_map(args.map))
+    result = _cli.ingest(args.path, args.format, _parse_label_map(args.map))
     if not result.records:
         raise IngestError("no usable records after ingestion")
-    decisions, truth = records_to_decisions(result)
+    decisions, truth = _cli.records_to_decisions(result)
     sketch = sketch_from_decisions(decisions, result.roster, truth)
     save_sketch(sketch, args.out)
     print(f"kept {len(result.records)} items over {len(result.roster)} classifiers")
@@ -230,7 +235,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
     if sketch.truth_split is not None:
         q_a = truth_prevalence(sketch)
         print(f"true-a items: {q_a} of {sketch.q}")
-        stats = pspace_stats(sketch)
+        stats = _cli.pspace_stats(sketch)
         for idx, cid in enumerate(sketch.classifiers):
             print(
                 f"accuracy {cid}: true-a {stats.accuracy_a[idx]}, "
@@ -260,7 +265,7 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
         if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise FileNotFoundError(errno.ENOENT, "No such directory", out)
     sketch = load_sketch(args.path)
-    lo, hi = check_qa_range(sketch.q, args.qa_range or (0, sketch.q))
+    lo, hi = _cli.check_qa_range(sketch.q, args.qa_range or (0, sketch.q))
     if args.spec_overall is not None:
         spec = OverallSpec(args.spec_overall, args.strict)
     else:
@@ -270,10 +275,10 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
         spec = PerLabelSpec(threshold, threshold, args.strict)
     pair = tuple(args.pair) if args.pair else None
     if args.trace or args.plot:
-        trace = run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
+        trace = _cli.run_alarm(sketch, spec, pair=pair, refine=args.refine_pairs)
         safe = sum(trace.safe[lo : hi + 1])
     else:
-        safe = count_safe_hypotheses(
+        safe = _cli.count_safe_hypotheses(
             sketch, spec, pair=pair, refine=args.refine_pairs, qa_range=(lo, hi)
         )
     if args.qa_range:
@@ -284,28 +289,29 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
     if args.plot:
         emit_trace(trace, "svg", args.plot)
         print(f"wrote {args.plot}")
-    verdict = Verdict.NOT_TRIGGERED if safe else Verdict.TRIGGERED
+    verdict = _cli.Verdict.NOT_TRIGGERED if safe else _cli.Verdict.TRIGGERED
     print(f"safe hypotheses: {safe} of {hi - lo + 1}")
     print(f"verdict: {verdict.value}")
-    return EXIT_TRIGGERED if verdict is Verdict.TRIGGERED else EXIT_OK
+    return EXIT_OK if safe else EXIT_TRIGGERED
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
-        print(evaluation_count(args.q))
+        print(_cli.evaluation_count(args.q))
         return EXIT_OK
-    for point in enumerate_evaluations(args.q):
+    for point in _cli.enumerate_evaluations(args.q):
         print(f"{point.q_a} {point.correct_a[0]} {point.correct_b[0]}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     sketch = load_sketch(args.path)
-    claims = SummaryClaims({})
+    claims = _cli.SummaryClaims({})
     if args.claims:
         with open(args.claims, encoding="utf-8") as handle:
             claims = parse_claims(handle.read(), sketch)
-    report = check_summary(sketch, claims, budget=args.budget)
+    budget = _cli.DEFAULT_SPLIT_BUDGET if args.budget is None else args.budget
+    report = _cli.check_summary(sketch, claims, budget=budget)
     for violation in report.violations:
         print(f"violation: {violation}")
     if report.undecided:
@@ -318,7 +324,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     sketch = load_sketch(args.path)
-    solution = solve_independent(sketch)
+    solution = _cli.solve_independent(sketch)
     if not solution.consistent:
         print(f"inconsistent: {solution.diagnosis.value}")
         print(f"witness: {solution.witness}")
@@ -336,8 +342,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ids, params = parse_params(handle.read())
     if ids is None:
         ids = tuple(f"clf{k + 1}" for k in range(params.size))
-    decisions, truth = generate_decisions(ids, params, args.q, args.seed)
-    text = decisions_to_csv_text(decisions, ids, truth)
+    decisions, truth = _cli.generate_decisions(ids, params, args.q, args.seed)
+    text = _cli.decisions_to_csv_text(decisions, ids, truth)
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.out}")

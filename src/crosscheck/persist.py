@@ -1,4 +1,4 @@
-"""File formats: sketches, traces, claims, parameters, decision tables.
+"""File formats: sketches, traces, claims and parameters.
 
 Sketch and trace files are JSON with a canonical layout (fixed key
 order, two-space indent, rationals as "n/d" strings, trailing newline),
@@ -7,27 +7,23 @@ A trace holds O(q·N) intervals; its JSON is written in that layout
 directly rather than through the pure-Python indenting encoder, and
 ``parse_trace`` accepts only a trace that a run could write.  All writes
 go through a temp-file-and-rename so readers never observe a
-half-written file.
+half-written file.  Decision tables are read and written in
+:mod:`crosscheck.tables`.
+
+Only the sketch half runs in every command, so the trace, claims and
+parameter readers import the types they build when they are called.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .alarm import AlarmTrace, Verdict
-from .independent import IndependentParams
 from .model import (
-    LABELS,
     EvaluationPoint,
     EvaluationSketch,
     Marginals,
@@ -36,7 +32,11 @@ from .model import (
     SafetySpec,
     SketchError,
 )
-from .oracle import SummaryClaims
+
+if TYPE_CHECKING:
+    from .alarm import AlarmTrace
+    from .independent import IndependentParams
+    from .oracle import SummaryClaims
 
 
 class FormatError(ValueError):
@@ -281,6 +281,8 @@ def parse_trace(text: str) -> AlarmTrace:
     :class:`AlarmTrace` refuses columns that no run gives; each slice must
     equal the row that the trace gives, and the verdict the one that the
     safe flags give."""
+    from .alarm import AlarmTrace, Verdict
+
     obj = _load_json(text)
     _require_keys(
         obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
@@ -335,6 +337,8 @@ def parse_trace(text: str) -> AlarmTrace:
 
 
 def trace_to_csv_text(trace: AlarmTrace) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["q_a"]
@@ -395,6 +399,8 @@ def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
     pair named twice, in either order, is an error.  Every claimed count
     must be a JSON integer.
     """
+    from .oracle import SummaryClaims
+
     obj = _load_json(text)
     _require_keys(obj, (), ("marginals", "point"), "claims file")
     marginals: dict[str, Marginals] = {}
@@ -442,6 +448,8 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
     Returns optional classifier ids (None when the file does not name
     them) and the parameter point.  Rationals are "n/d" strings.
     """
+    from .independent import IndependentParams
+
     obj = _load_json(text)
     _require_keys(
         obj, ("p_a", "accuracy_a", "accuracy_b"), ("classifiers",), "params file"
@@ -464,293 +472,3 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
             f"{len(ids)} classifier ids for {params.size} parameter entries"
         )
     return ids, params
-
-
-# ---------------------------------------------------------------- ingestion
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One kept item.  ``responses`` maps classifier id to canonical label
-    in roster order.  It is read-only, and records that give the same
-    answers share one mapping."""
-
-    item_id: str
-    responses: Mapping[str, str]
-    truth: str | None = None
-
-
-@dataclass(frozen=True)
-class IngestResult:
-    """Kept records (sorted by item id) plus what was dropped and why."""
-
-    records: tuple[DecisionRecord, ...]
-    dropped: tuple[tuple[str, str], ...]
-
-    @property
-    def roster(self) -> tuple[str, ...]:
-        return tuple(self.records[0].responses) if self.records else ()
-
-
-def _map_label(
-    raw: str, label_map: Mapping[str, str] | None, where: str
-) -> str:
-    if label_map is None:
-        if raw in LABELS:
-            return raw
-        raise IngestError(
-            f"{where}: label {raw!r} is not canonical and no label map was given"
-        )
-    if not isinstance(raw, str) or raw not in label_map:
-        raise IngestError(f"{where}: label {raw!r} is not in the label map")
-    mapped = label_map[raw]
-    if mapped not in LABELS:
-        raise IngestError(
-            f"label map sends {raw!r} to {mapped!r}, which is not canonical"
-        )
-    return mapped
-
-
-# A row source yields (line number, item id, raw responses in roster
-# order, raw truth) in line order.  ``roster`` is set once the first row
-# is read; ``unit`` names a line in messages; ``drop_missing_truth`` says
-# whether a row without truth is dropped on its line (csv, whose truth
-# column is all or nothing) or kept until every row is read and dropped
-# only if some other row has a truth (jsonl).
-_Row = tuple[int, str, tuple, object]
-
-
-class _CsvRows:
-    """The rows of a csv table; the header is read and checked first."""
-
-    unit = "row"
-
-    def __init__(self, text: str) -> None:
-        self._reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(self._reader)
-        except StopIteration:
-            raise IngestError("empty file: a header row is mandatory") from None
-        if not header or header[0] != "item_id":
-            raise IngestError("first header column must be 'item_id'")
-        self.drop_missing_truth = header[-1] == "truth"
-        self.roster = tuple(header[1:-1] if self.drop_missing_truth else header[1:])
-        if not self.roster:
-            raise IngestError("header names no classifier columns")
-        if len(set(self.roster)) != len(self.roster):
-            raise IngestError("duplicate classifier columns in header")
-        self._width = len(header)
-
-    def __iter__(self) -> Iterator[_Row]:
-        width = self._width
-        end = 1 + len(self.roster)
-        has_truth = self.drop_missing_truth
-        for line_no, row in enumerate(self._reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise IngestError(
-                    f"row {line_no}: expected {width} columns, found {len(row)}"
-                )
-            item_id = row[0]
-            if not item_id:
-                raise IngestError(f"row {line_no}: empty item_id")
-            yield line_no, item_id, tuple(row[1:end]), row[-1] if has_truth else None
-
-
-_RECORD_KEYS = frozenset(("item_id", "responses"))
-_RECORD_KEYS_TRUTH = _RECORD_KEYS | {"truth"}
-
-
-class _JsonlRows:
-    """The rows of a jsonl table, one record a line; the first record's
-    responses fix the roster."""
-
-    unit = "line"
-    drop_missing_truth = False
-
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = lines
-        self.roster: tuple[str, ...] = ()
-
-    def __iter__(self) -> Iterator[_Row]:
-        roster = None
-        for line_no, line in enumerate(self._lines, start=1):
-            if not line or line.isspace():
-                continue
-            try:
-                obj, end = _DECODER.raw_decode(line)
-            except (ValueError, RecursionError):
-                end = None
-            if end != len(line):
-                # words the error, or takes a record with space around it
-                obj = _load_json(line, f"line {line_no}")
-            if not (
-                isinstance(obj, dict) and _RECORD_KEYS <= obj.keys() <= _RECORD_KEYS_TRUTH
-            ):
-                where = f"line {line_no}"
-                try:
-                    _require_keys(obj, ("item_id", "responses"), ("truth",), where)
-                except FormatError as exc:
-                    raise IngestError(str(exc)) from None
-            item_id = obj["item_id"]
-            if not isinstance(item_id, str) or not item_id:
-                raise IngestError(f"line {line_no}: item_id must be a non-empty string")
-            responses = obj["responses"]
-            if not isinstance(responses, dict):
-                raise IngestError(f"line {line_no}: responses must be an object")
-            if roster is None:
-                roster = self.roster = tuple(responses)
-                if not roster:
-                    raise IngestError(f"line {line_no}: first record names no classifiers")
-            values = tuple(responses.values())
-            if tuple(responses) != roster:
-                if responses.keys() != set(roster):
-                    raise IngestError(
-                        f"line {line_no}: responses name classifiers "
-                        f"{sorted(responses)} but the roster is {sorted(roster)}"
-                    )
-                values = tuple(responses[cid] for cid in roster)
-            yield line_no, item_id, values, obj.get("truth")
-        if roster is None:
-            raise IngestError("no records found")
-
-
-def _read_rows(
-    rows: _CsvRows | _JsonlRows, label_map: Mapping[str, str] | None
-) -> IngestResult:
-    """The one row loop of both formats.
-
-    A row's raw responses are mapped once per distinct tuple of them:
-    every later row with the same tuple reuses the shared mapping, or the
-    reason such a row is dropped.
-    """
-    # raw value -> canonical label, or None for an empty cell (an empty
-    # string, a JSON null, or no truth at all); :func:`_map_label` words
-    # the error for a raw value outside it
-    if label_map is None:
-        table: dict = {label: label for label in LABELS}
-    else:
-        table = {
-            raw: label
-            for raw, label in label_map.items()
-            if isinstance(raw, str) and label in LABELS
-        }
-    table[""] = table[None] = None
-    seen: dict[tuple, Mapping[str, str] | str] = {}
-    shared: dict[tuple, Mapping[str, str]] = {}
-
-    def responses_of(values: tuple, line_no: int) -> Mapping[str, str] | str:
-        """The shared responses mapping of a row, or why it is dropped."""
-        where = f"{rows.unit} {line_no}"
-        mapped = []
-        for cid, raw in zip(rows.roster, values):
-            try:
-                label = table[raw]
-            except (KeyError, TypeError):
-                label = _map_label(raw, label_map, where)
-            if label is None:
-                return f"empty response for classifier {cid}"
-            mapped.append(label)
-        key = tuple(mapped)
-        if key not in shared:
-            shared[key] = MappingProxyType(dict(zip(rows.roster, key)))
-        return shared[key]
-
-    kept: list[tuple[str, Mapping[str, str], str | None]] = []
-    dropped: list[tuple[str, str]] = []
-    any_truth = any_missing = False
-    for line_no, item_id, values, raw_truth in rows:
-        try:
-            responses = seen[values]
-        except KeyError:
-            responses = seen[values] = responses_of(values, line_no)
-        except TypeError:  # an unhashable JSON value
-            responses = responses_of(values, line_no)
-        if type(responses) is str:
-            dropped.append((item_id, responses))
-            continue
-        try:
-            truth = table[raw_truth]
-        except (KeyError, TypeError):
-            truth = _map_label(raw_truth, label_map, f"{rows.unit} {line_no}")
-        if truth is not None:
-            any_truth = True
-        elif rows.drop_missing_truth:
-            dropped.append((item_id, "missing truth label"))
-            continue
-        else:
-            any_missing = True
-        kept.append((item_id, responses, truth))
-    if any_truth and any_missing:
-        dropped += [(row[0], "missing truth label") for row in kept if row[2] is None]
-        kept = [row for row in kept if row[2] is not None]
-    if len({row[0] for row in kept}) < len(kept):
-        counts = Counter(row[0] for row in kept)
-        dupes = sorted(item for item, n in counts.items() if n > 1)
-        raise IngestError(f"duplicate item id(s): {', '.join(dupes)}")
-    kept.sort(key=itemgetter(0))
-    return IngestResult(tuple(starmap(DecisionRecord, kept)), tuple(dropped))
-
-
-def ingest(
-    path: str, fmt: str, label_map: Mapping[str, str] | None = None
-) -> IngestResult:
-    """Read a decision table from csv or jsonl (UTF-8, with or without a
-    byte order mark).
-
-    The roster comes from the file itself (csv header order, or the
-    first jsonl record's key order).  Items with an empty response or a
-    missing truth label (when the file carries truth at all) are dropped
-    and reported.  Structural problems, unmapped labels and repeated JSON
-    keys are errors, reported for the first bad line; an item id that two
-    kept items share is an error once every line is read.  Each line is
-    decoded and checked once; a row's labels are looked up in a table
-    built from ``label_map`` once per distinct tuple of raw answers, and
-    records that give the same answers share one read-only responses
-    mapping.
-    """
-    with open(path, encoding="utf-8-sig") as handle:
-        # the file's text is not kept beside its lines
-        if fmt == "csv":
-            rows: _CsvRows | _JsonlRows = _CsvRows(handle.read())
-        elif fmt == "jsonl":
-            rows = _JsonlRows(handle.read().splitlines())
-        else:
-            raise IngestError(f"unknown ingest format {fmt!r}")
-    return _read_rows(rows, label_map)
-
-
-def records_to_decisions(
-    result: IngestResult,
-) -> tuple[dict[str, Mapping[str, str]], dict[str, str] | None]:
-    """Split an ingest result into the shapes the sketch builder wants.
-
-    The decisions map each item id to its record's shared read-only
-    responses mapping; nothing is copied."""
-    decisions = {rec.item_id: rec.responses for rec in result.records}
-    truths = {
-        rec.item_id: rec.truth for rec in result.records if rec.truth is not None
-    }
-    if not truths:
-        return decisions, None
-    return decisions, truths
-
-
-def decisions_to_csv_text(
-    decisions: Mapping[str, Mapping[str, str]],
-    classifiers: Sequence[str],
-    truth: Mapping[str, str] | None = None,
-) -> str:
-    """Decision table in the csv ingest format, rows sorted by item id."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["item_id", *classifiers]
-    if truth is not None:
-        header.append("truth")
-    writer.writerow(header)
-    for item_id in sorted(decisions):
-        row = [item_id, *(decisions[item_id][cid] for cid in classifiers)]
-        if truth is not None:
-            row.append(truth[item_id])
-        writer.writerow(row)
-    return buffer.getvalue()

@@ -217,6 +217,20 @@ class TestAlarm:
         assert err == "error: bad hypothesis range [5, 300] for q=281\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name, argv", [
+        ("check_summary", ("verify", GRADING)),
+        ("solve_independent", ("solve-independent", GRADING)),
+        ("ingest", ("ingest", GRADING_CSV, "--format", "csv", "--out", "unused.json")),
+    ])
+    def test_replacement_on_the_cli_module_is_called(self, capsys, monkeypatch, name, argv):
+        # the commands import these on first use, and must still call what
+        # is set on crosscheck.cli in their place
+        def replaced(*args, **kwargs):
+            raise ValueError(f"replaced {name}")
+
+        monkeypatch.setattr(crosscheck.cli, name, replaced)
+        assert run(capsys, *argv) == (EXIT_ERROR, "", f"error: replaced {name}\n")
+
     def test_default_spec_is_per_label_half(self, capsys):
         code, out, _ = run(capsys, "alarm", GRADING, "--ensemble")
         assert code == EXIT_TRIGGERED
@@ -325,6 +339,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", EXACT, "--claims", claims, "--budget", "1")
         assert code == EXIT_OK
         assert "note: ground-truth enumeration skipped (budget exceeded)" in out
+
+    def test_default_budget_is_the_split_budget(self, capsys, tmp_path):
+        # ROADMAP item 3's odd triangle: the claim passes every bound and
+        # axiom check, and only the search finds no integer split for it
+        sketch = tmp_path / "triangle.json"
+        sketch.write_text(json.dumps({
+            "classifiers": ["c1", "c2", "c3"], "q": 4,
+            "counts": {"aab": 1, "aba": 1, "baa": 1, "bbb": 1},
+        }))
+        triangle = write_point_claims(tmp_path, 2, [1, 1, 1], [1, 1, 1])
+        # the fixture's true point takes more splits than the default allows
+        true = sketch_point(load_sketch(GRADING))
+        (tmp_path / "grading").mkdir()
+        grading = write_point_claims(
+            tmp_path / "grading", true.q_a, list(true.correct_a), list(true.correct_b)
+        )
+        budget = str(crosscheck.DEFAULT_SPLIT_BUDGET)
+        for path, claims in ((str(sketch), triangle), (GRADING, grading)):
+            answer = run(capsys, "verify", path, "--claims", claims)
+            assert answer == run(capsys, "verify", path, "--claims", claims, "--budget", budget)
+        assert run(capsys, "verify", str(sketch), "--claims", triangle) == (EXIT_ERROR, (
+            "violation: claimed point is not realized by any ground truth with q_a=2\n"
+        ), "")
+        assert run(capsys, "verify", str(sketch), "--claims", triangle, "--budget", "1") == (
+            EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n", ""
+        )
 
     def test_failed_point_gets_no_note(self, capsys, tmp_path):
         # the claim is refuted without a search, so the budget has no say
@@ -610,6 +650,13 @@ class TestUsage:
         )
         assert done.returncode == EXIT_OK
         assert done.stdout.splitlines()[:2] == ["q: 281", "classifiers: claude, mistral, gpt4"]
+        # the alarm's entry points are imported on first use there too
+        done = subprocess.run(
+            [sys.executable, "-m", "crosscheck.cli", "alarm", GRADING, "--pair", "mistral", "gpt4"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_TRIGGERED, "")
+        assert done.stdout.endswith("verdict: triggered\n")
 
     def test_one_parser_serves_every_call(self, capsys, tmp_path, monkeypatch):
         # main reuses one parser per process, so each call must parse and

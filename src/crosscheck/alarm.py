@@ -91,7 +91,8 @@ def _last_safe(q: int, r: int, threshold: Fraction, strict: bool) -> int:
 
 def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
     """First and last hypothesis q_a at which one classifier, saying "a"
-    ``r_a`` times, can meet the spec on its own; first > last when none.
+    ``r_a`` of ``q`` times (its callers check 0 <= r_a <= q first), can
+    meet the spec on its own; first > last when none.
 
     The hypotheses where its safe subinterval (the counts in
     :func:`feasible_interval_label_a` that meet the spec) is non-empty
@@ -111,8 +112,6 @@ def _safe_qa_bounds(q: int, r_a: int, spec: SafetySpec) -> tuple[int, int]:
     ceil((need - u + r_a) / 2) <= min(q_a, r_a) unfolds to
     need - q + r_a <= q_a <= q + r_a - need.
     """
-    if not 0 <= r_a <= q:
-        return 1, 0  # no correct count is feasible at any hypothesis
     if isinstance(spec, OverallSpec):
         need = min_count_above(q, spec.threshold, spec.strict)
         return max(0, need - q + r_a), min(q, q + r_a - need)
@@ -164,10 +163,11 @@ class AlarmTrace:
     :class:`QaSlice` objects, and :meth:`rows` as plain ints.
 
     The constructor refuses, with SketchError, any columns that no run
-    gives: it needs q >= 1, distinct ids (two in "pair" mode), each
-    classifier's totals of q items, and q + 1 safe flags inside the window
-    of unrefined-safe hypotheses, which they fill unless the pairs were
-    enforced on two or more classifiers (:meth:`_Sweep.safe_hypotheses`).
+    gives: it needs q >= 1, a tuple of distinct string ids (two in "pair"
+    mode), each classifier's totals of q items, and q + 1 safe flags
+    inside the window of unrefined-safe hypotheses, which they fill unless
+    the pairs were enforced on two or more classifiers
+    (:meth:`_Sweep.safe_hypotheses`).
     """
 
     q: int
@@ -180,6 +180,8 @@ class AlarmTrace:
 
     def __post_init__(self) -> None:
         q, ids, margs, safe = self.q, self.classifiers, self.marginals, self.safe
+        if not isinstance(ids, tuple) or not all(isinstance(c, str) for c in ids):
+            raise SketchError("a trace's classifier ids must be a tuple of strings")
         if q < 1 or not ids or len(set(ids)) != len(ids):
             raise SketchError("a trace needs q >= 1 and distinct classifiers, at least one")
         if self.mode != "ensemble" and (self.mode != "pair" or len(ids) != 2):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Literal, Mapping, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
 LABEL_A = "a"
 LABEL_B = "b"
@@ -26,6 +27,29 @@ FLIP_MODES: tuple[FlipMode, ...] = ("global", "true-a", "true-b")
 
 class SketchError(ValueError):
     """Structurally invalid sketch data or a bad argument to a sketch op."""
+
+
+def _is_int(value: object) -> bool:
+    """An int, never a bool (which ``isinstance`` counts as one)."""
+    return type(value) is int
+
+
+def _is_ints(value: object, pair: bool = False) -> bool:
+    """A list or tuple of ints, never bools (two of them if ``pair``)."""
+    return (
+        isinstance(value, (list, tuple))
+        and (not pair or len(value) == 2)
+        and all(map(_is_int, value))
+    )
+
+
+def _roster(ids: object) -> tuple[str, ...]:
+    """A list or tuple of distinct non-empty strings, as a tuple."""
+    if not isinstance(ids, (list, tuple)) or not all(isinstance(c, str) and c for c in ids):
+        raise SketchError("classifier ids must be a list or tuple of non-empty strings")
+    if len(set(ids)) != len(ids):
+        raise SketchError("classifier ids must be unique")
+    return tuple(ids)
 
 
 def other_label(label: str) -> str:
@@ -63,9 +87,11 @@ class EvaluationSketch:
     on construction so equal sketches compare equal; instances are
     immutable after construction.
 
-    Construction checks only structure (key shape, roster sanity).
-    Numeric consistency is the job of :func:`validate_sketch`, so that
-    deliberately inconsistent sketches can still be built and reported.
+    Construction checks only structure: a list or tuple of distinct
+    non-empty string ids, a positive int q, and mappings from patterns of
+    the roster's length to ints and to pairs of ints.  Numeric consistency
+    is the job of :func:`validate_sketch`, so that deliberately
+    inconsistent sketches can still be built and reported.
     """
 
     classifiers: tuple[str, ...]
@@ -74,33 +100,31 @@ class EvaluationSketch:
     truth_split: Mapping[str, tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
-        ids = tuple(self.classifiers)
+        ids = _roster(self.classifiers)
         if not ids:
             raise SketchError("a sketch needs at least one classifier")
-        if any(not isinstance(c, str) or not c for c in ids):
-            raise SketchError("classifier ids must be non-empty strings")
-        if len(set(ids)) != len(ids):
-            raise SketchError("classifier ids must be unique")
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
+        if not _is_int(self.q) or self.q < 1:
             raise SketchError("q must be a positive integer")
+        if not isinstance(self.counts, Mapping) or not isinstance(
+            self.truth_split, Mapping | None
+        ):
+            raise SketchError("counts and truth split must map patterns to counts")
         size = len(ids)
         counts: dict[str, int] = {}
-        for pattern in sorted(self.counts):
+        for pattern in sorted(self.counts, key=str):  # a non-str key reaches the check
             self._check_pattern(pattern, size)
             value = self.counts[pattern]
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise SketchError(f"count for pattern {pattern!r} must be an integer")
             if value != 0:
                 counts[pattern] = value
         split: dict[str, tuple[int, int]] | None = None
         if self.truth_split is not None:
             split = {}
-            for pattern in sorted(self.truth_split):
+            for pattern in sorted(self.truth_split, key=str):
                 self._check_pattern(pattern, size)
                 entry = self.truth_split[pattern]
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2 or any(
-                    not isinstance(v, int) or isinstance(v, bool) for v in entry
-                ):
+                if not _is_ints(entry, True):
                     raise SketchError(
                         f"truth split for pattern {pattern!r} must be a pair of integers"
                     )
@@ -365,9 +389,7 @@ def reorder(sketch: EvaluationSketch, order: Sequence[str]) -> EvaluationSketch:
 
 def project(sketch: EvaluationSketch, keep: Sequence[str]) -> EvaluationSketch:
     """Marginalize onto a sub-roster by summing over the dropped positions."""
-    ids = tuple(keep)
-    if len(set(ids)) != len(ids) or not ids:
-        raise SketchError("projection roster must be a non-empty set of distinct ids")
+    ids = _roster(keep)
     indices = [sketch.index_of(cid) for cid in ids]
     counts: dict[str, int] = {}
     for pattern, n in sketch.counts.items():
@@ -391,7 +413,8 @@ class EvaluationPoint:
 
     ``pair_correct`` maps index pairs (i, j) with i < j to the pair's
     joint correct counts (both right on true-a items, both right on
-    true-b items).  Bounds relative to a test are checked separately by
+    true-b items).  Construction checks that the counts are ints, never
+    bools, in lists or tuples.  Bounds relative to a test are checked by
     :func:`point_bound_violations` so claimed points from untrusted
     summaries can be represented and then reported on.
     """
@@ -402,24 +425,25 @@ class EvaluationPoint:
     pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
-        c_a = tuple(self.correct_a)
-        c_b = tuple(self.correct_b)
-        if len(c_a) != len(c_b):
+        c_a, c_b, pairs = self.correct_a, self.correct_b, self.pair_correct
+        if not (_is_int(self.q_a) and _is_ints(c_a) and _is_ints(c_b)):
+            raise SketchError("q_a must be an int, correct_a and correct_b lists or tuples of ints")
+        size = len(c_a)
+        if len(c_b) != size:
             raise SketchError("correct_a and correct_b must have one entry per classifier")
-        pairs = None
-        if self.pair_correct is not None:
-            pairs = {}
-            for key in sorted(self.pair_correct):
-                i, j = key
-                if not 0 <= i < j < len(c_a):
-                    raise SketchError(f"bad pair key {key!r} for {len(c_a)} classifiers")
-                ja, jb = self.pair_correct[key]
-                pairs[(i, j)] = (ja, jb)
-        object.__setattr__(self, "correct_a", c_a)
-        object.__setattr__(self, "correct_b", c_b)
-        object.__setattr__(
-            self, "pair_correct", MappingProxyType(pairs) if pairs is not None else None
-        )
+        object.__setattr__(self, "correct_a", tuple(c_a))
+        object.__setattr__(self, "correct_b", tuple(c_b))
+        if pairs is None:
+            return
+        if not isinstance(pairs, Mapping):
+            raise SketchError("pair_correct must map index pairs to joint counts")
+        for key, entry in pairs.items():
+            if not (_is_ints(key, True) and 0 <= key[0] < key[1] < size):
+                raise SketchError(f"bad pair key {key!r} for {size} classifiers")
+            if not _is_ints(entry, True):
+                raise SketchError(f"pair {key!r}: joint counts must be a pair of integers")
+        pairs = {tuple(key): tuple(pairs[key]) for key in sorted(pairs)}
+        object.__setattr__(self, "pair_correct", MappingProxyType(pairs))
 
     @property
     def size(self) -> int:

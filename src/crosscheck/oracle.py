@@ -13,8 +13,9 @@ budget.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from types import MappingProxyType
 
 from .axioms import point_axiom_violations
 from .model import (
@@ -23,6 +24,7 @@ from .model import (
     EvaluationSketch,
     Marginals,
     SketchError,
+    _is_ints,
     marginalize,
     point_bound_violations,
     validate_sketch,
@@ -143,12 +145,22 @@ def enumerate_variety(
 class SummaryClaims:
     """An externally supplied summary of an evaluation to be audited.
 
-    ``marginals`` maps classifier id to claimed response totals;
-    ``point`` is an optional claimed ground truth.
+    ``marginals`` maps classifier id to claimed response totals, two ints
+    in a list or tuple, kept as :class:`Marginals`; ``point`` is an
+    optional claimed ground truth.
     """
 
     marginals: Mapping[str, Marginals]
     point: EvaluationPoint | None = None
+
+    def __post_init__(self) -> None:
+        claimed = self.marginals
+        if not isinstance(claimed, Mapping) or not all(
+            isinstance(cid, str) and _is_ints(entry, True) for cid, entry in claimed.items()
+        ):
+            raise SketchError("claimed marginals must map ids to pairs of integers")
+        margs = {cid: Marginals(*entry) for cid, entry in claimed.items()}
+        object.__setattr__(self, "marginals", MappingProxyType(margs))
 
 
 @dataclass(frozen=True)

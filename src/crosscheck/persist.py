@@ -31,6 +31,8 @@ from .model import (
     PerLabelSpec,
     SafetySpec,
     SketchError,
+    _is_int,
+    _is_ints,
 )
 
 if TYPE_CHECKING:
@@ -142,18 +144,11 @@ def _require_keys(obj: Mapping, required: Sequence[str], optional: Sequence[str]
 def parse_sketch(text: str) -> EvaluationSketch:
     obj = _load_json(text)
     _require_keys(obj, ("classifiers", "q", "counts"), ("truth_split",), "sketch file")
-    classifiers = obj["classifiers"]
-    if not isinstance(classifiers, list) or not all(
-        isinstance(c, str) for c in classifiers
-    ):
-        raise FormatError("'classifiers' must be a list of strings")
-    if not isinstance(obj["counts"], dict):
-        raise FormatError("'counts' must be an object mapping patterns to integers")
     split = obj.get("truth_split")
-    if "truth_split" in obj and not isinstance(split, dict):
+    if split is None and "truth_split" in obj:
         raise FormatError("'truth_split' must be an object")
     try:
-        return EvaluationSketch(tuple(classifiers), obj["q"], obj["counts"], split)
+        return EvaluationSketch(obj["classifiers"], obj["q"], obj["counts"], split)
     except SketchError as exc:
         raise FormatError(str(exc)) from None
 
@@ -203,15 +198,12 @@ def _spec_from_obj(obj: Mapping) -> SafetySpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("spec must be an object with a 'kind'")
     if obj["kind"] == "per-label":
-        keys = ("threshold_a", "threshold_b")
-        _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
-        build = PerLabelSpec
+        keys, build = ("threshold_a", "threshold_b"), PerLabelSpec
     elif obj["kind"] == "overall":
-        keys = ("threshold",)
-        _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
-        build = OverallSpec
+        keys, build = ("threshold",), OverallSpec
     else:
         raise FormatError(f"unknown spec kind {obj['kind']!r}")
+    _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
     if not all(isinstance(obj[key], str) for key in keys):
         raise FormatError('spec thresholds must be "n/d" strings')
     strict = _flag(obj["strict"], "spec 'strict'")
@@ -268,9 +260,14 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
 
 def _ends_from(value: object, size: int, what: str) -> list[int]:
     """The lo and hi ends of a JSON list of ``size`` intervals, in order."""
-    if not isinstance(value, list) or len(value) != size:
-        raise FormatError(f"{what} must be a list of {size} intervals")
-    return [end for iv in value for end in _int_list(iv, 2, f"each of {what}")]
+    if not isinstance(value, list) or len(value) != size or not all(
+        _is_ints(iv, True) for iv in value
+    ):
+        raise FormatError(f"{what} must be a list of {size} intervals of two integers")
+    return [end for iv in value for end in iv]
+
+
+_SLICE_KEYS = ("q_a", "intervals_a", "intervals_b", "safe_exists", "refined")
 
 
 def parse_trace(text: str) -> AlarmTrace:
@@ -288,14 +285,8 @@ def parse_trace(text: str) -> AlarmTrace:
         obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
     )
     q, classifiers, raw_slices = obj["q"], obj["classifiers"], obj["slices"]
-    if not _is_int(q):
-        raise FormatError("trace 'q' must be an integer")
-    if not isinstance(classifiers, list) or not all(
-        isinstance(c, str) for c in classifiers
-    ):
-        raise FormatError("trace 'classifiers' must be a list of strings")
-    if not isinstance(raw_slices, list):
-        raise FormatError("trace 'slices' must be a list")
+    if not (_is_int(q) and isinstance(classifiers, list) and isinstance(raw_slices, list)):
+        raise FormatError("trace 'q' must be an integer, 'classifiers' and 'slices' lists")
     try:
         verdict = Verdict(obj["verdict"])
     except ValueError:
@@ -306,12 +297,7 @@ def parse_trace(text: str) -> AlarmTrace:
         # let each parsed slice go once it is read, so that the parsed
         # file and the rows are never both held whole
         raw_slices[k] = None
-        _require_keys(
-            raw,
-            ("q_a", "intervals_a", "intervals_b", "safe_exists", "refined"),
-            (),
-            "trace slice",
-        )
+        _require_keys(raw, _SLICE_KEYS, (), "trace slice")
         if not _is_int(raw["q_a"]):
             raise FormatError("slice 'q_a' must be an integer")
         rows.append((
@@ -370,76 +356,48 @@ def emit_trace(trace: AlarmTrace, fmt: str, path: str) -> None:
 
 # ------------------------------------------------------------- claims/params
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_list(value: object, length: int | None, what: str) -> list[int]:
-    """A JSON list of integers, of ``length`` entries if given."""
-    if (
-        not isinstance(value, list)
-        or (length is not None and len(value) != length)
-        or not all(map(_is_int, value))
-    ):
-        size = "a list" if length is None else f"a {length}-element list"
-        raise FormatError(f"{what} must be {size} of integers")
-    return value
-
-
-def _object(value: object, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise FormatError(f"{what} must be a JSON object")
-    return value
-
-
 def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
     """Claims file: optional marginal totals and an optional full point.
 
-    The sketch supplies the roster so pair keys can be index pairs; a
-    pair named twice, in either order, is an error.  Every claimed count
-    must be a JSON integer.
+    The sketch supplies the roster so that a pair key, "first,second",
+    becomes an index pair; a pair named twice, in either order, is an
+    error.  :class:`SummaryClaims` and :class:`EvaluationPoint` refuse any
+    count that is not a JSON integer.
     """
     from .oracle import SummaryClaims
 
     obj = _load_json(text)
     _require_keys(obj, (), ("marginals", "point"), "claims file")
-    marginals: dict[str, Marginals] = {}
-    for cid, entry in _object(obj.get("marginals", {}), "'marginals'").items():
-        marginals[cid] = Marginals(*_int_list(entry, 2, f"marginals for {cid!r}"))
-    point = None
-    if "point" in obj:
-        raw = obj["point"]
-        _require_keys(
-            raw, ("q_a", "correct_a", "correct_b"), ("pair_correct",), "claimed point"
-        )
-        if not _is_int(raw["q_a"]):
-            raise FormatError("claimed q_a must be an integer")
-        pair_correct = None
-        if "pair_correct" in raw:
-            pair_correct = {}
-            for key, entry in _object(raw["pair_correct"], "'pair_correct'").items():
-                ids = key.split(",")
-                if len(ids) != 2:
-                    raise FormatError(
-                        f"pair key {key!r} must be 'first,second' classifier ids"
-                    )
-                joint = _int_list(entry, 2, f"pair claim {key!r}")
-                i, j = sorted(sketch.index_of(cid.strip()) for cid in ids)
-                # joint correctness is symmetric, so order only normalizes the
-                # key, and a pair named in both orders is one pair named twice
-                if (i, j) in pair_correct:
-                    raise FormatError(f"pair claim {key!r} names a pair already claimed")
-                pair_correct[(i, j)] = (joint[0], joint[1])
-        try:
-            point = EvaluationPoint(
-                raw["q_a"],
-                tuple(_int_list(raw["correct_a"], None, "claimed correct_a")),
-                tuple(_int_list(raw["correct_b"], None, "claimed correct_b")),
-                pair_correct,
-            )
-        except SketchError as exc:
-            raise FormatError(str(exc)) from None
-    return SummaryClaims(marginals, point)
+    try:
+        point = None
+        if "point" in obj:
+            raw = obj["point"]
+            keys = ("q_a", "correct_a", "correct_b")
+            _require_keys(raw, keys, ("pair_correct",), "claimed point")
+            named = "pair_correct" in raw
+            pairs = _pairs_by_index(raw["pair_correct"], sketch) if named else None
+            point = EvaluationPoint(raw["q_a"], raw["correct_a"], raw["correct_b"], pairs)
+        return SummaryClaims(obj.get("marginals", {}), point)
+    except SketchError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _pairs_by_index(claimed: object, sketch: EvaluationSketch) -> dict:
+    """A claims file's pair claims, keyed "first,second", by index pair."""
+    if not isinstance(claimed, dict):
+        raise FormatError("'pair_correct' must be a JSON object")
+    pairs: dict = {}
+    for key, entry in claimed.items():
+        ids = key.split(",")
+        if len(ids) != 2:
+            raise FormatError(f"pair key {key!r} must be 'first,second' classifier ids")
+        i, j = sorted(sketch.index_of(cid.strip()) for cid in ids)
+        # joint correctness is symmetric, so order only normalizes the
+        # key, and a pair named in both orders is one pair named twice
+        if (i, j) in pairs:
+            raise FormatError(f"pair claim {key!r} names a pair already claimed")
+        pairs[(i, j)] = entry
+    return pairs
 
 
 def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
@@ -447,6 +405,7 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
 
     Returns optional classifier ids (None when the file does not name
     them) and the parameter point.  Rationals are "n/d" strings.
+    :func:`generate_decisions` checks the ids.
     """
     from .independent import IndependentParams
 
@@ -454,21 +413,12 @@ def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
     _require_keys(
         obj, ("p_a", "accuracy_a", "accuracy_b"), ("classifiers",), "params file"
     )
-    for key in ("accuracy_a", "accuracy_b", "classifiers"):
-        if key in obj and not isinstance(obj[key], list):
-            raise FormatError(f"params file: {key} must be a list")
-    ids = None
-    if "classifiers" in obj:
-        ids = tuple(obj["classifiers"])
-        if not all(isinstance(cid, str) and cid for cid in ids):
-            raise FormatError("params file: classifier ids must be non-empty strings")
+    ids = obj.get("classifiers")
+    # a tuple of a string would be a roster of its characters
+    if "classifiers" in obj and not isinstance(ids, list):
+        raise FormatError("params file: 'classifiers' must be a list")
     try:
         params = IndependentParams(obj["p_a"], obj["accuracy_a"], obj["accuracy_b"])
-    # JSON's Infinity is a float Fraction() cannot take: OverflowError
-    except (SketchError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except SketchError as exc:
         raise FormatError(f"bad parameters: {exc}") from None
-    if ids is not None and len(ids) != params.size:
-        raise FormatError(
-            f"{len(ids)} classifier ids for {params.size} parameter entries"
-        )
-    return ids, params
+    return None if ids is None else tuple(ids), params

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .independent import IndependentParams
-from .model import LABEL_A, LABEL_B, SketchError
+from .model import LABEL_A, LABEL_B, SketchError, _is_int, _roster
 
 
 def _bernoulli(rng: random.Random, prob: Fraction) -> bool:
@@ -26,14 +26,15 @@ def generate_decisions(
     Each item's true label is a with probability ``p_a``; responses are
     then drawn independently per classifier with that label's accuracy.
     The draw order is fixed (items outer, roster order inner), so one
-    seed always produces one table.
+    seed always produces one table.  The ids are a list or tuple of
+    distinct non-empty strings, one per parameter entry.
     """
-    ids = tuple(classifier_ids)
+    ids = _roster(classifier_ids)
     if len(ids) != params.size:
         raise SketchError(
             f"{len(ids)} classifier ids for {params.size} parameter entries"
         )
-    if q < 1:
+    if not _is_int(q) or q < 1:
         raise SketchError("q must be a positive integer")
     rng = random.Random(seed)
     width = len(str(q))

@@ -14,20 +14,19 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import starmap
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .model import LABELS
 from .persist import _DECODER, FormatError, IngestError, _load_json, _require_keys
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     """One kept item.  ``responses`` maps classifier id to canonical label
     in roster order.  It is read-only, and records that give the same
-    answers share one mapping."""
+    answers share one mapping.  A named tuple, so that building one per
+    item costs no attribute assignment."""
 
     item_id: str
     responses: Mapping[str, str]
@@ -244,7 +243,7 @@ def _read_rows(
         dupes = sorted(item for item, n in counts.items() if n > 1)
         raise IngestError(f"duplicate item id(s): {', '.join(dupes)}")
     kept.sort(key=itemgetter(0))
-    return IngestResult(tuple(starmap(DecisionRecord, kept)), tuple(dropped))
+    return IngestResult(tuple(map(DecisionRecord._make, kept)), tuple(dropped))
 
 
 def ingest(

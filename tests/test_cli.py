@@ -511,6 +511,27 @@ class TestGenerate:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("ids", [
+        ["x", "x"], ["x", ""], ["x", 5], ["x"], ["x", "y", "z"],
+    ])
+    def test_ids_the_table_cannot_hold_are_an_error(self, capsys, tmp_path, ids):
+        """A repeated, empty or non-string id, or one id too few or too many
+        for the parameters, writes no table: its header could not be
+        ingested."""
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "classifiers": ids, "p_a": "1/2",
+            "accuracy_a": ["3/4", "3/4"], "accuracy_b": ["3/4", "3/4"],
+        }))
+        table = tmp_path / "table.csv"
+        code, out, err = run(
+            capsys, "generate", "--seed", "1", "--params", str(params), "--q", "2",
+            "--out", str(table),
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error:")
+        assert not table.exists()
+
     def test_params_booleans_are_an_error(self, capsys, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({

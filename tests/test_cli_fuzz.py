@@ -2,9 +2,11 @@
 
 Whatever a sketch, claims, params or decision-table file holds, ``main``
 must return 0, 1 or 2 and never raise, and an exit 1 must say why:
-``error:`` on stderr or ``violation:`` on stdout.  Sizes stay small so
-every run is quick: q is capped for ``generate`` and drawn sketches hold
-a few items.
+``error:`` on stderr or ``violation:`` on stdout.  A file that holds a
+float, a bool, a str, None, a nested list or a dict where a count goes,
+or a string where a roster goes, must be refused (exit 1, ``error:``)
+before any of it is used.  Sizes stay small so every run is quick: q is
+capped for ``generate`` and drawn sketches hold a few items.
 """
 
 import contextlib
@@ -65,37 +67,43 @@ def documents(draw, values):
     return text
 
 
-SMALL = st.integers(-1, 4)
+# what no count slot takes, one of each kind
+NOT_COUNT = st.sampled_from((1.0, 0.5, True, False, "1", None, [[1]], {"a": 1}))
+SMALL = st.integers(-1, 4) | NOT_COUNT
 PATTERN = st.sampled_from(("a", "b", "aa", "ab", "ba", "bb", "aab", "abc", ""))
+# a string where a roster or a list of counts goes
+WORD = st.sampled_from(("c1", "c1c2", "ab", "12"))
 # sound sketches too, so the runs also get past the loaders
 SOUND = sketches(max_count=3, with_truth=True).map(lambda s: json.loads(sketch_to_text(s)))
 SKETCH = SOUND | objects({
-    "classifiers": st.lists(st.sampled_from(NAMES), max_size=3),
-    "q": st.integers(-1, 12),
+    "classifiers": st.lists(st.sampled_from(NAMES), max_size=3) | WORD,
+    "q": st.integers(-1, 12) | NOT_COUNT,
     "counts": st.dictionaries(PATTERN, SMALL, max_size=4),
-    "truth_split": st.dictionaries(PATTERN, st.lists(SMALL, min_size=2, max_size=2)),
+    "truth_split": st.dictionaries(
+        PATTERN, st.lists(SMALL, min_size=2, max_size=2) | NOT_COUNT
+    ),
 })
 PAIR_KEY = st.sampled_from(("c1,c2", "c2,c1", "c1,c1", "c1", "c1,c9", "0,1"))
-COUNTS = st.lists(SMALL, max_size=3)
+COUNTS = st.lists(SMALL, max_size=3) | WORD
 CLAIMS = objects({
     "marginals": st.dictionaries(
-        st.sampled_from(NAMES + ("c9",)), st.lists(SMALL, min_size=2, max_size=2)
+        st.sampled_from(NAMES + ("c9",)), st.lists(SMALL, min_size=2, max_size=2) | WORD
     ),
     "point": objects({
         "q_a": SMALL,
         "correct_a": COUNTS,
         "correct_b": COUNTS,
-        "pair_correct": st.dictionaries(PAIR_KEY, st.lists(SMALL, max_size=2)),
+        "pair_correct": st.dictionaries(PAIR_KEY, st.lists(SMALL, max_size=2) | WORD),
     }),
 })
 RATIONAL = st.sampled_from(
     ("1/2", "3/4", "0", "1", "2", "1/0", "x", 0.5, 2, -1, float("inf"), float("nan"))
 )
 PARAMS = objects({
-    "p_a": RATIONAL,
-    "accuracy_a": st.lists(RATIONAL, max_size=3),
-    "accuracy_b": st.lists(RATIONAL, max_size=3),
-    "classifiers": st.lists(st.sampled_from(NAMES + ("",)), max_size=3),
+    "p_a": RATIONAL | NOT_COUNT,
+    "accuracy_a": st.lists(RATIONAL | NOT_COUNT, max_size=3) | WORD,
+    "accuracy_b": st.lists(RATIONAL, max_size=3) | WORD,
+    "classifiers": st.lists(st.sampled_from(NAMES + ("",)), max_size=3) | WORD,
 })
 CELL = st.sampled_from(WORDS + ("truth", "item_id", "yes", "no")) | st.text(max_size=3)
 HEADER = st.sampled_from((
@@ -112,13 +120,82 @@ LABEL_MAP = st.lists(
 )
 
 
-def check(argv):
+def is_count(value):
+    return type(value) is int
+
+
+def are_counts(value, length=None):
+    return (
+        isinstance(value, list)
+        and length in (None, len(value))
+        and all(map(is_count, value))
+    )
+
+
+def values_of(obj, key):
+    """The values of the JSON object at ``obj[key]``, if there is one."""
+    inner = obj.get(key) if isinstance(obj, dict) else None
+    return list(inner.values()) if isinstance(inner, dict) else []
+
+
+def sketch_holds_junk(obj):
+    """A non-int where the sketch file's q or a count goes, or a string
+    where its roster goes."""
+    return isinstance(obj, dict) and (
+        ("q" in obj and not is_count(obj["q"]))
+        or isinstance(obj.get("classifiers"), str)
+        or not all(map(is_count, values_of(obj, "counts")))
+        or not all(are_counts(v, 2) for v in values_of(obj, "truth_split"))
+    )
+
+
+def claims_hold_junk(obj):
+    """A non-int where a claimed count goes."""
+    if not isinstance(obj, dict):
+        return False
+    point = obj.get("point")
+    return not all(are_counts(v, 2) for v in values_of(obj, "marginals")) or (
+        isinstance(point, dict) and (
+            ("q_a" in point and not is_count(point["q_a"]))
+            or any(k in point and not are_counts(point[k]) for k in ("correct_a", "correct_b"))
+            or not all(are_counts(v, 2) for v in values_of(point, "pair_correct"))
+        )
+    )
+
+
+def params_hold_junk(obj):
+    """A string where the roster or an accuracy list goes, or a float or a
+    bool where a rational goes."""
+    if not isinstance(obj, dict):
+        return False
+    rationals = [obj.get("p_a")]
+    for key in ("accuracy_a", "accuracy_b"):
+        if isinstance(obj.get(key), list):
+            rationals += obj[key]
+    return (
+        any(isinstance(obj.get(k), str) for k in ("classifiers", "accuracy_a", "accuracy_b"))
+        or any(isinstance(x, (float, bool)) for x in rationals)
+    )
+
+
+def check(argv, refused=False):
+    """Run ``argv``; with ``refused`` set it must exit 1 on an ``error:``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert "error:" in err.getvalue() or "violation:" in out.getvalue(), argv
+    if refused:
+        assert code == 1 and err.getvalue().startswith("error:"), (argv, out.getvalue())
+
+
+def junk(text, holds_junk):
+    """Whether the file ``text`` is a JSON document that ``holds_junk``."""
+    try:
+        return holds_junk(json.loads(text))
+    except (ValueError, RecursionError):
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +228,13 @@ def test_sketch_files(workdir, text, data):
         ["--trace", str(workdir / "t.json"), "--plot", str(workdir / "t.svg")],
         ["--trace", str(workdir / "t.csv")],
     )))
-    check(["sketch", sketch])
-    check(alarm)
-    check(["verify", sketch])
-    check(["solve-independent", sketch])
+    refused = junk(text, sketch_holds_junk)
+    check(["sketch", sketch], refused)
+    check(alarm, refused)
+    check(["verify", sketch], refused)
+    check(["solve-independent", sketch], refused)
     mode = data.draw(st.sampled_from(("global", "true-a", "true-b")))
-    check(["flip", sketch, "--classifier", "c1", "--mode", mode, "--out", out])
+    check(["flip", sketch, "--classifier", "c1", "--mode", mode, "--out", out], refused)
 
 
 @fuzz(40)
@@ -164,7 +242,8 @@ def test_sketch_files(workdir, text, data):
 def test_claims_files(workdir, text, budget):
     path = workdir / "claims.json"
     path.write_text(text)
-    check(["verify", str(workdir / "sound.json"), "--claims", str(path)] + budget)
+    argv = ["verify", str(workdir / "sound.json"), "--claims", str(path)] + budget
+    check(argv, junk(text, claims_hold_junk))
 
 
 @fuzz(30)
@@ -172,7 +251,8 @@ def test_claims_files(workdir, text, budget):
 def test_params_files(workdir, text, q, seed):
     path = workdir / "params.json"
     path.write_text(text)
-    check(["generate", "--seed", str(seed), "--q", str(q), "--params", str(path)])
+    argv = ["generate", "--seed", str(seed), "--q", str(q), "--params", str(path)]
+    check(argv, junk(text, params_hold_junk))
 
 
 @fuzz(30)

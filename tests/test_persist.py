@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import crosscheck.svg as svg_module
 from crosscheck import (
     AlarmTrace,
+    DecisionRecord,
     EvaluationSketch,
     FormatError,
     IngestError,
@@ -655,17 +656,12 @@ class TestParamsFormat:
             parse_params(json.dumps({
                 "p_a": "3/2", "accuracy_a": ["1/2"], "accuracy_b": ["1/2"],
             }))
-        with pytest.raises(FormatError):
-            parse_params(json.dumps({
-                "classifiers": ["u", "v"],
-                "p_a": "1/2", "accuracy_a": ["1/2"], "accuracy_b": ["1/2"],
-            }))
 
     @pytest.mark.parametrize("key, value", [
         ("accuracy_a", 5),
         ("accuracy_b", "1/2"),
         ("classifiers", "u"),
-        ("classifiers", [5]),
+        ("classifiers", {"u": 0}),
         ("accuracy_a", [None]),
         ("p_a", None),
         ("p_a", True),
@@ -771,6 +767,16 @@ class TestCsvIngest:
             x1.responses["u"] = "b"
         decisions, _ = records_to_decisions(result)
         assert decisions["x1"] is x1.responses
+
+    def test_records_are_named_tuples(self, tmp_path):
+        path = self.write(tmp_path, "item_id,u,truth\nx1,a,b\n")
+        (record,) = ingest(path, "csv").records
+        assert record == DecisionRecord("x1", {"u": "a"}, "b")
+        assert (record.item_id, record.truth) == ("x1", "b")
+        assert DecisionRecord._fields == ("item_id", "responses", "truth")
+        assert DecisionRecord("x2", {}).truth is None
+        with pytest.raises(AttributeError):
+            record.truth = "a"
 
 
 class TestJsonlIngest:

@@ -1,0 +1,150 @@
+"""Each value type refuses, with SketchError, what no input file may hold.
+
+One parametrized test per type feeds its slots a float, a bool, a str,
+None, a nested list or a dict, wherever such a value is not one the
+slot takes.  The file readers in ``persist`` rely on these checks, so a
+file holding such a value is a FormatError (``tests/test_cli_fuzz.py``).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from crosscheck import (
+    AlarmTrace,
+    EvaluationPoint,
+    EvaluationSketch,
+    IndependentParams,
+    Marginals,
+    PerLabelSpec,
+    SketchError,
+    SummaryClaims,
+    generate_decisions,
+)
+
+HALF = Fraction(1, 2)
+
+
+def cases(**slots):
+    """(slot, value) pairs, one per value of each slot's list."""
+    return [(slot, value) for slot, values in slots.items() for value in values]
+
+
+def sketch(**fields):
+    return EvaluationSketch(**{
+        "classifiers": ("u",), "q": 2, "counts": {"a": 1, "b": 1},
+        "truth_split": {"a": (1, 0), "b": (0, 1)}, **fields,
+    })
+
+
+@pytest.mark.parametrize("slot, value", cases(
+    classifiers=[1.0, True, "u", None, {"u": 0}],
+    counts=[1.0, True, "ab", None],
+    truth_split=[1.0, True, "ab"],
+))
+def test_sketch_refuses(slot, value):
+    with pytest.raises(SketchError):
+        sketch(**{slot: value})
+
+
+def point(**fields):
+    return EvaluationPoint(**{
+        "q_a": 1, "correct_a": (1, 0), "correct_b": (1, 1),
+        "pair_correct": {(0, 1): (0, 1)}, **fields,
+    })
+
+
+# a nested list and a dict of two entries, the roster's length, where a
+# count list goes
+NESTED, TABLE = [[1], [0]], {0: 1, 1: 0}
+ANY = [1.0, True, "1", None, [[1, 0]], {"1": 0}]
+
+
+@pytest.mark.parametrize("slot, value", cases(
+    q_a=ANY,
+    correct_a=[1.0, True, "10", None, NESTED, TABLE],
+    correct_b=[1.0, True, "11", None, NESTED, TABLE],
+    count=ANY,
+    pair_correct=[1.0, True, "ab"],
+    pair_entry=ANY,
+    pair_key=[1.0, True, "01", None, ((0,), (1,)), (False, True)],
+))
+def test_point_refuses(slot, value):
+    if slot == "count":
+        slot, value = "correct_a", (value, 0)
+    elif slot == "pair_entry":
+        slot, value = "pair_correct", {(0, 1): value}
+    elif slot == "pair_key":
+        slot, value = "pair_correct", {value: (0, 1)}
+    with pytest.raises(SketchError):
+        point(**{slot: value})
+
+
+@pytest.mark.parametrize("slot, value", cases(marginals=ANY, entry=ANY, total=ANY))
+def test_claims_refuse(slot, value):
+    if slot == "entry":
+        value = {"u": value}
+    elif slot == "total":
+        value = {"u": (value, 1)}
+    with pytest.raises(SketchError):
+        SummaryClaims(value)
+
+
+@pytest.mark.parametrize("slot, value", cases(
+    p_a=[0.5, "x", None, [[HALF]], {HALF: 0}],
+    accuracy_a=[0.5, True, "3/4", None, [[HALF], [HALF]], {"1/2": 0, "3/4": 0}],
+    accuracy_b=[0.5, True, "3/4", None, [[HALF], [HALF]], {"1/2": 0, "3/4": 0}],
+    accuracy=[0.5, "x", None, [[HALF]], {HALF: 0}],
+))
+def test_params_refuse(slot, value):
+    fields = dict(p_a=HALF, accuracy_a=(HALF, HALF), accuracy_b=(HALF, HALF))
+    if slot == "accuracy":
+        slot, value = "accuracy_a", (value, HALF)
+    with pytest.raises(SketchError):
+        IndependentParams(**{**fields, slot: value})
+
+
+TWO = IndependentParams(HALF, (HALF, HALF), (HALF, HALF))
+
+
+@pytest.mark.parametrize("slot, value", cases(
+    ids=[1.0, True, "uv", None, [["u"], ["v"]], {"u": 0, "v": 1}, ("u", "u")],
+    id=[1.0, True, "", None, [["v"]], {"v": 0}],
+))
+def test_generate_refuses(slot, value):
+    ids = ("u", value) if slot == "id" else value
+    with pytest.raises(SketchError):
+        generate_decisions(ids, TWO, 3, 0)
+
+
+def trace(classifiers):
+    return AlarmTrace(
+        2, PerLabelSpec(HALF, HALF), "ensemble", classifiers, (Marginals(1, 1),),
+        (False, True, False), False,
+    )
+
+
+@pytest.mark.parametrize("slot, value", cases(
+    classifiers=[1.0, True, "u", [["u"]], {"u": 0}],
+    id=[1.0, True, None, [["u"]], {"u": 0}],
+))
+def test_trace_refuses(slot, value):
+    with pytest.raises(SketchError):
+        trace((value,) if slot == "id" else value)
+
+
+def test_what_the_benchmark_passes_is_accepted():
+    """Tuples of Fractions and of distinct ids, and the lists a file holds."""
+    thirds = (Fraction(1, 3), Fraction(2, 3))
+    params = IndependentParams(Fraction(2, 5), thirds, thirds)
+    assert params.accuracy_a == thirds
+    assert IndependentParams("2/5", ["1/3", "2/3"], [1, 0]).accuracy_b == (1, 0)
+    decisions, truth = generate_decisions(("c1", "c2"), params, 4, 1)
+    assert generate_decisions(["c1", "c2"], params, 4, 1) == (decisions, truth)
+    assert all(tuple(row) == ("c1", "c2") for row in decisions.values())
+    assert sketch(classifiers=["u"], truth_split={"a": [1, 0]}).truth_split == {"a": (1, 0)}
+    listed = point(correct_a=[1, 0], correct_b=[1, 1], pair_correct={(0, 1): [0, 1]})
+    assert listed == point() and listed.pair_correct[(0, 1)] == (0, 1)
+    claims = SummaryClaims({"u": [1, 1]}, listed)
+    assert claims.marginals == {"u": Marginals(1, 1)}
+    assert trace(("u",)).classifiers == ("u",)

@@ -40,9 +40,8 @@ _EXPORTS = {
         "sketch_from_decisions", "truth_prevalence", "validate_sketch",
     ),
     "oracle": (
-        "BudgetExceededError", "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport",
-        "VarietyPoint", "check_summary", "enumerate_evaluations", "enumerate_variety",
-        "evaluation_count", "split_combinations",
+        "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport", "check_summary",
+        "enumerate_evaluations", "evaluation_count", "split_combinations",
     ),
     "persist": (
         "FormatError", "IngestError", "atomic_write_text", "emit_trace", "load_sketch",

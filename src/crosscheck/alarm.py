@@ -32,6 +32,7 @@ from .model import (
     PerLabelSpec,
     SafetySpec,
     SketchError,
+    _roster,
     marginalize,
     pair_counts,
     validate_sketch,
@@ -473,8 +474,8 @@ def _resolve_roster(
 ) -> tuple[tuple[str, ...], str]:
     if pair is None:
         return sketch.classifiers, "ensemble"
-    ids = tuple(pair)
-    if len(ids) != 2 or ids[0] == ids[1]:
+    ids = _roster(pair)
+    if len(ids) != 2:
         raise SketchError("pair mode needs exactly two distinct classifier ids")
     for cid in ids:
         sketch.index_of(cid)

@@ -166,7 +166,7 @@ def build_parser() -> _Parser:
         type=_non_negative,
         # DEFAULT_SPLIT_BUDGET, read when verify runs
         default=None,
-        help="max ground-truth combinations to enumerate",
+        help="search for a claimed point only within this many truth-split combinations",
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -21,6 +21,7 @@ from .model import (
     LABEL_A,
     EvaluationSketch,
     SketchError,
+    _rational,
     all_patterns,
     validate_sketch,
 )
@@ -37,16 +38,6 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _rational(value: object) -> Fraction:
-    """An int, a Fraction or an "n/d" string, never a float or a bool."""
-    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SketchError("probabilities must be ints, Fractions or 'n/d' strings")
-
-
 @dataclass(frozen=True)
 class IndependentParams:
     """A full parameter point: prevalence and per-label accuracies, each an
@@ -60,9 +51,9 @@ class IndependentParams:
     def __post_init__(self) -> None:
         if not all(isinstance(x, (list, tuple)) for x in (self.accuracy_a, self.accuracy_b)):
             raise SketchError("the accuracies must be lists or tuples")
-        p = _rational(self.p_a)
-        acc_a = tuple(map(_rational, self.accuracy_a))
-        acc_b = tuple(map(_rational, self.accuracy_b))
+        p = _rational(self.p_a, "probabilities")
+        acc_a = tuple(_rational(x, "probabilities") for x in self.accuracy_a)
+        acc_b = tuple(_rational(x, "probabilities") for x in self.accuracy_b)
         if len(acc_a) != len(acc_b) or not acc_a:
             raise SketchError("need matching, non-empty accuracy tuples")
         if not 0 <= p <= 1 or any(not 0 <= x <= 1 for x in acc_a + acc_b):

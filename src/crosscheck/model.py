@@ -52,6 +52,16 @@ def _roster(ids: object) -> tuple[str, ...]:
     return tuple(ids)
 
 
+def _rational(value: object, what: str) -> Fraction:
+    """An int, a Fraction or an "n/d" string, never a float or a bool."""
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SketchError(f"{what} must be ints, Fractions or 'n/d' strings")
+
+
 def other_label(label: str) -> str:
     if label == LABEL_A:
         return LABEL_B
@@ -181,7 +191,7 @@ def sketch_from_decisions(
     share one mapping, as :func:`records_to_decisions` gives them, cost a
     count each.  On a bad item the error names the first one.
     """
-    ids = tuple(classifiers)
+    ids = _roster(classifiers)
     if not decisions:
         raise SketchError("no items to sketch")
     rows = decisions.values()
@@ -381,7 +391,7 @@ def joint_correct_counts(
 
 def reorder(sketch: EvaluationSketch, order: Sequence[str]) -> EvaluationSketch:
     """Permute the roster; pattern keys are rewritten to match."""
-    ids = tuple(order)
+    ids = _roster(order)
     if sorted(ids) != sorted(sketch.classifiers):
         raise SketchError("reorder must permute the existing roster exactly")
     return project(sketch, ids)
@@ -479,6 +489,19 @@ def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:
     return problems
 
 
+def _keep_thresholds(spec: SafetySpec, *names: str) -> None:
+    """Keep a spec's thresholds as Fractions in [0, 1] (each an int, a
+    Fraction or an "n/d" string), and refuse a ``strict`` that is not a
+    bool."""
+    if not isinstance(spec.strict, bool):
+        raise SketchError("strict must be a bool")
+    for name in names:
+        t = _rational(getattr(spec, name), "thresholds")
+        if not 0 <= t <= 1:
+            raise SketchError(f"{name}={t} outside [0, 1]")
+        object.__setattr__(spec, name, t)
+
+
 @dataclass(frozen=True)
 class PerLabelSpec:
     """Require accuracy above a threshold on each label separately.
@@ -492,13 +515,7 @@ class PerLabelSpec:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        t_a = Fraction(self.threshold_a)
-        t_b = Fraction(self.threshold_b)
-        for name, t in (("threshold_a", t_a), ("threshold_b", t_b)):
-            if not 0 <= t <= 1:
-                raise ValueError(f"{name}={t} outside [0, 1]")
-        object.__setattr__(self, "threshold_a", t_a)
-        object.__setattr__(self, "threshold_b", t_b)
+        _keep_thresholds(self, "threshold_a", "threshold_b")
 
     def swapped(self) -> "PerLabelSpec":
         return PerLabelSpec(self.threshold_b, self.threshold_a, self.strict)
@@ -512,10 +529,7 @@ class OverallSpec:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        t = Fraction(self.threshold)
-        if not 0 <= t <= 1:
-            raise ValueError(f"threshold={t} outside [0, 1]")
-        object.__setattr__(self, "threshold", t)
+        _keep_thresholds(self, "threshold")
 
 
 SafetySpec = PerLabelSpec | OverallSpec

@@ -1,18 +1,16 @@
-"""Brute-force ground truth enumeration, used as an independent referee.
+"""The audit behind ``verify``, and the single-classifier outcome walk.
 
-These routines ignore the interval algebra entirely: they walk the raw
-lattice of candidate correctness counts, or the raw set of per-pattern
-truth splits, and test definitions directly.  They exist so the fast
-paths elsewhere can be checked against something with no shared code.
-On the production path, :func:`check_summary` (the audit behind
-``verify``) enumerates only to confirm a claimed point of three or more
-classifiers that already passed the bound and axiom checks, within a
-budget.
+:func:`check_summary` audits claimed marginals and a claimed evaluation
+point against a sketch.  A claimed point of three or more classifiers
+that passes the bound and axiom checks is then searched for among the
+truth splits at its prevalence: a depth-first search, pruned by the
+claim's own row sums, for one split that meets them all.
+:func:`enumerate_evaluations` walks the raw lattice of one classifier's
+outcomes for the ``enumerate`` subcommand.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -20,6 +18,7 @@ from types import MappingProxyType
 from .axioms import point_axiom_violations
 from .model import (
     LABEL_A,
+    LABEL_B,
     EvaluationPoint,
     EvaluationSketch,
     Marginals,
@@ -31,10 +30,6 @@ from .model import (
 )
 
 DEFAULT_SPLIT_BUDGET = 10_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
 
 
 def enumerate_evaluations(q: int) -> Iterator[EvaluationPoint]:
@@ -59,86 +54,13 @@ def evaluation_count(q: int) -> int:
     return (q + 1) * (q + 2) * (q + 3) // 6
 
 
-@dataclass(frozen=True)
-class VarietyPoint:
-    """One realizable ground truth for a sketch.
-
-    ``true_a_split`` records, pattern by pattern, how many of the
-    pattern's items carry true label a; everything in ``point`` is
-    derived from it.
-    """
-
-    point: EvaluationPoint
-    true_a_split: Mapping[str, int]
-
-
 def split_combinations(sketch: EvaluationSketch) -> int:
-    """Size of the raw truth-split search space for a sketch."""
+    """Size of the raw truth-split search space for a sketch: what a
+    ``budget`` of :func:`check_summary` counts."""
     total = 1
     for n in sketch.counts.values():
         total *= n + 1
     return total
-
-
-def _point_from_split(
-    sketch: EvaluationSketch, split: Mapping[str, int]
-) -> EvaluationPoint:
-    ids = sketch.classifiers
-    size = len(ids)
-    q_a = sum(split.values())
-    c_a = [0] * size
-    c_b = [0] * size
-    pairs = {
-        (i, j): [0, 0] for i in range(size) for j in range(i + 1, size)
-    }
-    for pattern, n in sketch.counts.items():
-        n_a = split.get(pattern, 0)
-        n_b = n - n_a
-        for k in range(size):
-            if pattern[k] == LABEL_A:
-                c_a[k] += n_a
-            else:
-                c_b[k] += n_b
-        for (i, j), acc in pairs.items():
-            if pattern[i] == LABEL_A and pattern[j] == LABEL_A:
-                acc[0] += n_a
-            elif pattern[i] != LABEL_A and pattern[j] != LABEL_A:
-                acc[1] += n_b
-    return EvaluationPoint(
-        q_a,
-        tuple(c_a),
-        tuple(c_b),
-        {k: (v[0], v[1]) for k, v in pairs.items()},
-    )
-
-
-def enumerate_variety(
-    sketch: EvaluationSketch,
-    q_a: int | None = None,
-    budget: int = DEFAULT_SPLIT_BUDGET,
-) -> Iterator[VarietyPoint]:
-    """All ground truths a sketch admits, optionally fixing the number
-    of true-a items.
-
-    Walks every way of declaring 0..n of each pattern's items true-a.
-    Raises :class:`BudgetExceededError` before starting when the search
-    space exceeds ``budget`` combinations.
-    """
-    problems = validate_sketch(sketch)
-    if problems:
-        raise SketchError("invalid sketch: " + "; ".join(problems))
-    if split_combinations(sketch) > budget:
-        raise BudgetExceededError(
-            f"{split_combinations(sketch)} split combinations exceed the "
-            f"budget of {budget}"
-        )
-    patterns = sorted(sketch.counts)
-    ranges = [range(sketch.counts[p] + 1) for p in patterns]
-    for choice in itertools.product(*ranges):
-        if q_a is not None and sum(choice) != q_a:
-            continue
-        split = dict(zip(patterns, choice))
-        yield VarietyPoint(_point_from_split(sketch, split), split)
 
 
 @dataclass(frozen=True)
@@ -181,6 +103,73 @@ class SummaryReport:
         return not self.violations
 
 
+def _realized(sketch: EvaluationSketch, point: EvaluationPoint) -> bool:
+    """Does some truth split meet the row sums the point fixes?
+
+    Take the patterns present in order, and let x_p in [0, n_p] be the
+    number of pattern p's items whose true label is a.  The point fixes
+    the sum of x_p over all patterns (q_a); over each classifier's "a"
+    patterns (correct_a) and "b" patterns (its b-count less correct_b);
+    and over each named pair's "aa" patterns (joint-a) and "bb" patterns
+    (its bb-count less joint-b).  Unnamed pairs fix nothing.
+
+    The search is depth first, one level per pattern, written as a loop
+    so that no recursion limit applies.  At each pattern it tries only
+    the values that keep every row's remaining need between 0 and what
+    the unvisited patterns can still add, so a complete split meets
+    every row.
+    """
+    patterns = sorted(sketch.counts)
+    sizes = [sketch.counts[p] for p in patterns]
+    fixed = [((), LABEL_A, point.q_a)]
+    for k in range(sketch.size):
+        fixed += [((k,), LABEL_A, point.correct_a[k]), ((k,), LABEL_B, point.correct_b[k])]
+    for pair, (joint_a, joint_b) in (point.pair_correct or {}).items():
+        fixed += [(pair, LABEL_A, joint_a), (pair, LABEL_B, joint_b)]
+    members, need = [], []
+    for at, label, correct in fixed:
+        row = {p for p in patterns if all(p[k] == label for k in at)}
+        members.append(row)
+        # x_p counts true-a items, so a row on label b sums to its items less the correct ones
+        need.append(correct if label == LABEL_A else sum(sketch.counts[p] for p in row) - correct)
+    rows = [[r for r, row in enumerate(members) if p in row] for p in patterns]
+    depth = len(patterns)
+    # room[d][r]: what patterns d.. can still add to row r
+    room = [[0] * len(need) for _ in range(depth + 1)]
+    for d in reversed(range(depth)):
+        room[d] = room[d + 1][:]
+        for r in rows[d]:
+            room[d][r] += sizes[d]
+    if not all(0 <= n <= most for n, most in zip(need, room[0])):
+        return False
+    x, top = [0] * depth, [0] * depth
+    d = 0
+    while d < depth:
+        # pattern d sits in the q_a row, so rows[d] is never empty
+        lo = max(0, *(need[r] - room[d + 1][r] for r in rows[d]))
+        hi = min(sizes[d], *(need[r] for r in rows[d]))
+        if lo <= hi:
+            x[d], top[d] = lo, hi
+            for r in rows[d]:
+                need[r] -= lo
+            d += 1
+            continue
+        # back to the deepest pattern with a value left to try
+        while True:
+            d -= 1
+            if d < 0:
+                return False
+            if x[d] < top[d]:
+                break
+            for r in rows[d]:
+                need[r] += x[d]
+        x[d] += 1
+        for r in rows[d]:
+            need[r] -= 1
+        d += 1
+    return True
+
+
 def check_summary(
     sketch: EvaluationSketch,
     claims: SummaryClaims,
@@ -193,13 +182,18 @@ def check_summary(
     (:func:`axioms.point_axiom_violations`, which holds every pair to the
     alarm's pair constraint whether or not the point names it).  The
     N = 1 and N = 2 axioms are complete, so at N <= 2 a point that passes
-    is realized and nothing is searched.  At N >= 3 it is searched for
-    among the ground truths at its claimed prevalence when the budget
-    allows.  Whether some ground truth realizes the sketch needs no
-    search: the pattern counts of a sound sketch are non-negative and sum
-    to q, so every q_a in [0, q] has a split (the all-b truth at q_a = 0,
-    for one).  Structural invalidity of the sketch itself is reported as
-    violations rather than raised, since auditing bad data is the point.
+    is realized and nothing is searched.  At N >= 3 a point that passes
+    is realized exactly when some truth split meets the row sums it fixes
+    (its q_a, each classifier's correct counts and each named pair's
+    joint counts; the unnamed pairs are free).  That split is searched
+    for, depth first and pruned by those sums, when the sketch has at
+    most ``budget`` split combinations (:func:`split_combinations`);
+    past it the report is undecided.  Whether some ground truth realizes
+    the sketch needs no search: the pattern counts of a sound sketch are
+    non-negative and sum to q, so every q_a in [0, q] has a split (the
+    all-b truth at q_a = 0, for one).  Structural invalidity of the
+    sketch itself is reported as violations rather than raised, since
+    auditing bad data is the point.
     """
     violations = validate_sketch(sketch)
     roster = set(sketch.classifiers)
@@ -221,21 +215,10 @@ def check_summary(
         if not violations:
             violations.extend(point_axiom_violations(sketch, point))
         if not violations and sketch.size >= 3:
-            try:
-                # a claim may name only some pairs; the others' joint counts are free
-                claimed_pairs = (point.pair_correct or {}).items()
-                realized = any(
-                    vp.point.correct_a == point.correct_a
-                    and vp.point.correct_b == point.correct_b
-                    and claimed_pairs <= vp.point.pair_correct.items()
-                    for vp in enumerate_variety(sketch, q_a=point.q_a, budget=budget)
-                )
-            except BudgetExceededError:
+            if split_combinations(sketch) > budget:
                 undecided = True
-            else:
-                if not realized:
-                    violations.append(
-                        "claimed point is not realized by any ground truth "
-                        f"with q_a={point.q_a}"
-                    )
+            elif not _realized(sketch, point):
+                violations.append(
+                    f"claimed point is not realized by any ground truth with q_a={point.q_a}"
+                )
     return SummaryReport(tuple(violations), undecided)

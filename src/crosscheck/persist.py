@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -206,11 +205,10 @@ def _spec_from_obj(obj: Mapping) -> SafetySpec:
     _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
     if not all(isinstance(obj[key], str) for key in keys):
         raise FormatError('spec thresholds must be "n/d" strings')
-    strict = _flag(obj["strict"], "spec 'strict'")
     try:
-        return build(*(Fraction(obj[key]) for key in keys), strict)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad spec threshold: {exc}") from None
+        return build(*(obj[key] for key in keys), obj["strict"])
+    except SketchError as exc:
+        raise FormatError(f"bad spec: {exc}") from None
 
 
 def _slice_json_format(size: int) -> str:

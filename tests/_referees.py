@@ -6,10 +6,15 @@ code shared with the path it checks.
 
 import csv
 import io
+import itertools
 import json
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from crosscheck import (
+    DEFAULT_SPLIT_BUDGET,
+    LABEL_A,
     LABELS,
     DecisionRecord,
     EvaluationPoint,
@@ -24,6 +29,8 @@ from crosscheck import (
     marginalize,
     min_count_above,
     pair_counts,
+    split_combinations,
+    validate_sketch,
 )
 from crosscheck.alarm import _greedy_pass, _octagon_feasible
 from crosscheck.axioms import pair_bounds
@@ -52,6 +59,89 @@ def meets_pair_bounds(q_a: int, pair, x: int, y: int) -> bool:
     """Do true-a counts x, y of a pair meet its :func:`pair_bounds`?"""
     b = pair_bounds(q_a, pair)
     return -b.max_j_minus_i <= x - y <= b.max_i_minus_j and b.min_sum <= x + y <= b.max_sum
+
+
+# ------------------------------------------------------------ truth splits
+# The walk ``verify`` ran before its search was pruned by the claim's row
+# sums: every truth split of every pattern, with the point each one gives.
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested enumeration is larger than the configured budget."""
+
+
+@dataclass(frozen=True)
+class VarietyPoint:
+    """One realizable ground truth for a sketch.
+
+    ``true_a_split`` records, pattern by pattern, how many of the
+    pattern's items carry true label a; everything in ``point`` is
+    derived from it.
+    """
+
+    point: EvaluationPoint
+    true_a_split: Mapping[str, int]
+
+
+def _point_from_split(
+    sketch: EvaluationSketch, split: Mapping[str, int]
+) -> EvaluationPoint:
+    ids = sketch.classifiers
+    size = len(ids)
+    q_a = sum(split.values())
+    c_a = [0] * size
+    c_b = [0] * size
+    pairs = {
+        (i, j): [0, 0] for i in range(size) for j in range(i + 1, size)
+    }
+    for pattern, n in sketch.counts.items():
+        n_a = split.get(pattern, 0)
+        n_b = n - n_a
+        for k in range(size):
+            if pattern[k] == LABEL_A:
+                c_a[k] += n_a
+            else:
+                c_b[k] += n_b
+        for (i, j), acc in pairs.items():
+            if pattern[i] == LABEL_A and pattern[j] == LABEL_A:
+                acc[0] += n_a
+            elif pattern[i] != LABEL_A and pattern[j] != LABEL_A:
+                acc[1] += n_b
+    return EvaluationPoint(
+        q_a,
+        tuple(c_a),
+        tuple(c_b),
+        {k: (v[0], v[1]) for k, v in pairs.items()},
+    )
+
+
+def enumerate_variety(
+    sketch: EvaluationSketch,
+    q_a: int | None = None,
+    budget: int = DEFAULT_SPLIT_BUDGET,
+) -> Iterator[VarietyPoint]:
+    """All ground truths a sketch admits, optionally fixing the number
+    of true-a items.
+
+    Walks every way of declaring 0..n of each pattern's items true-a.
+    Raises :class:`BudgetExceededError` before starting when the search
+    space exceeds ``budget`` combinations.
+    """
+    problems = validate_sketch(sketch)
+    if problems:
+        raise SketchError("invalid sketch: " + "; ".join(problems))
+    if split_combinations(sketch) > budget:
+        raise BudgetExceededError(
+            f"{split_combinations(sketch)} split combinations exceed the "
+            f"budget of {budget}"
+        )
+    patterns = sorted(sketch.counts)
+    ranges = [range(sketch.counts[p] + 1) for p in patterns]
+    for choice in itertools.product(*ranges):
+        if q_a is not None and sum(choice) != q_a:
+            continue
+        split = dict(zip(patterns, choice))
+        yield VarietyPoint(_point_from_split(sketch, split), split)
 
 
 class LabelMinimums(NamedTuple):

@@ -18,7 +18,6 @@ from crosscheck import (
     Verdict,
     correct_counts,
     enumerate_evaluations,
-    enumerate_variety,
     evaluation_count,
     feasible_interval_label_a,
     flip_labels,
@@ -36,7 +35,7 @@ from crosscheck import (
     solve_independent,
     truth_prevalence,
 )
-from ._referees import meets_pair_bounds, safe_threshold
+from ._referees import enumerate_variety, meets_pair_bounds, safe_threshold
 from ._strategies import (
     generate_for_acceptance,
     inject_pair_covariance,

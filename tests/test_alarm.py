@@ -23,7 +23,6 @@ from crosscheck import (
     SketchError,
     Verdict,
     all_patterns,
-    enumerate_variety,
     feasible_interval_label_a,
     feasible_interval_label_b,
     generate_decisions,
@@ -52,6 +51,7 @@ from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 from ._referees import (
     LabelMinimums,
     OverallMinimum,
+    enumerate_variety,
     pairwise_safe_exists,
     referee_safe_hypotheses,
     safe_threshold,

@@ -5,15 +5,15 @@ review."""
 import crosscheck
 
 PUBLIC = [
-    "AlarmTrace", "BudgetExceededError", "DEFAULT_SPLIT_BUDGET", "DecisionRecord",
+    "AlarmTrace", "DEFAULT_SPLIT_BUDGET", "DecisionRecord",
     "Diagnosis", "EvaluationPoint", "EvaluationSketch", "FLIP_MODES", "FormatError",
     "IndependentParams", "IndependentSolution", "IngestError", "IngestResult",
     "IntInterval", "LABELS", "LABEL_A", "LABEL_B", "Marginals", "OverallSpec",
     "PSpaceStats", "PerLabelSpec", "PlataniosReport", "QaSlice", "SafetySpec",
-    "SketchError", "SqrtValue", "SummaryClaims", "SummaryReport", "VarietyPoint",
+    "SketchError", "SqrtValue", "SummaryClaims", "SummaryReport",
     "Verdict", "all_patterns", "atomic_write_text", "check_summary", "correct_counts",
     "decisions_to_csv_text", "default_label", "emit_trace", "enumerate_evaluations",
-    "enumerate_variety", "evaluation_count", "feasible_interval_label_a",
+    "evaluation_count", "feasible_interval_label_a",
     "feasible_interval_label_b", "flip_labels", "flip_position", "forward_model",
     "generate_decisions", "induced_correct_b", "ingest", "joint_correct_a_window",
     "joint_correct_counts", "load_sketch", "majority_vote_prevalence", "marginalize",

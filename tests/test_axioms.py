@@ -9,7 +9,6 @@ from crosscheck import (
     IntInterval,
     Marginals,
     SketchError,
-    enumerate_variety,
     feasible_interval_label_a,
     feasible_interval_label_b,
     induced_correct_b,
@@ -24,7 +23,7 @@ from crosscheck import (
 )
 from crosscheck.axioms import pair_bounds
 
-from ._referees import meets_pair_bounds, sketch_point
+from ._referees import enumerate_variety, meets_pair_bounds, sketch_point
 from ._strategies import sketches
 
 

@@ -21,6 +21,8 @@ from ._referees import sketch_point
 
 GRADING = "fixtures/llm_grading.json"
 GRADING_CSV = "fixtures/llm_grading_decisions.csv"
+# the fixture's true point: its marginals and all three pairs
+GRADING_CLAIMS = "fixtures/llm_grading_claims.json"
 EXACT = "fixtures/independent_exact.json"
 DEMO_PARAMS = "fixtures/independent_demo.json"
 
@@ -297,6 +299,16 @@ class TestVerify:
         assert (code, out) == (
             EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n"
         )
+
+    def test_shipped_claims_are_searched_under_a_raised_budget(self, capsys):
+        # the sketch has 1 993 031 040 split combinations; under a budget
+        # that admits them the pruned search confirms the true point at once
+        code, out, _ = run(capsys, "verify", GRADING, "--claims", GRADING_CLAIMS)
+        assert (code, out) == (
+            EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n"
+        )
+        argv = ("verify", GRADING, "--claims", GRADING_CLAIMS, "--budget", "2000000000")
+        assert run(capsys, *argv) == (EXIT_OK, "ok\n", "")
 
     def test_unclaimed_pairs_meet_the_alarms_pair_constraint(self, capsys, tmp_path):
         # each count lies in its own interval, but (claude, mistral) and

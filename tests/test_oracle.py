@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosscheck import (
-    BudgetExceededError,
     EvaluationPoint,
     EvaluationSketch,
     LABEL_A,
@@ -17,7 +17,6 @@ from crosscheck import (
     all_patterns,
     check_summary,
     enumerate_evaluations,
-    enumerate_variety,
     evaluation_count,
     feasible_interval_label_a,
     induced_correct_b,
@@ -26,7 +25,12 @@ from crosscheck import (
     point_axiom_violations,
     split_combinations,
 )
-from ._referees import meets_pair_bounds, sketch_point
+from ._referees import (
+    BudgetExceededError,
+    enumerate_variety,
+    meets_pair_bounds,
+    sketch_point,
+)
 from ._strategies import ROSTER, sketches
 
 
@@ -272,6 +276,30 @@ class TestCheckSummary:
         report = check_summary(single, SummaryClaims({}, wrong_size), budget=0)
         assert report == SummaryReport(("point has 2 classifiers, sketch has 1",), False)
 
+    def test_odd_triangle_is_refuted(self):
+        # every bound and axiom holds, and so does the rational split with
+        # each x_p = 1/2, but no integer split meets the claim
+        sketch = EvaluationSketch(ROSTER, 4, {"aab": 1, "aba": 1, "baa": 1, "bbb": 1})
+        claims = SummaryClaims({}, EvaluationPoint(2, (1, 1, 1), (1, 1, 1)))
+        assert point_axiom_violations(sketch, claims.point) == []
+        assert check_summary(sketch, claims) == SummaryReport(
+            ("claimed point is not realized by any ground truth with q_a=2",), False
+        )
+        assert check_summary(sketch, claims, budget=1) == SummaryReport((), True)
+
+    def test_claim_with_millions_of_splits_is_settled_at_once(self):
+        # 7**8 = 5 764 801 splits, within the default budget; a walk that
+        # built the point of each split ran for seconds on this true claim
+        counts = dict.fromkeys(all_patterns(3), 6)
+        split = {p: (6, 0) if p[0] == LABEL_A else (0, 6) for p in counts}
+        truth = EvaluationSketch(ROSTER, 48, counts, split)
+        sketch = EvaluationSketch(truth.classifiers, truth.q, counts)
+        claims = SummaryClaims({}, sketch_point(truth))
+        start = time.perf_counter()
+        report = check_summary(sketch, claims)
+        assert time.perf_counter() - start < 1
+        assert report == SummaryReport((), False)
+
 
 # ------------------------------------------------------------ referee
 #
@@ -292,7 +320,8 @@ def audit_cases(draw, sizes=(1, 2, 3)):
     for _ in range(q):
         pattern = draw(st.sampled_from(patterns))
         counts[pattern] = counts.get(pattern, 0) + 1
-    sketch = EvaluationSketch(ROSTER[:size], q, counts)
+    # c1, c2, ...: the ids of ROSTER, which holds three
+    sketch = EvaluationSketch(tuple(f"c{k}" for k in range(1, size + 1)), q, counts)
     kind = draw(st.sampled_from(("realized", "consistent", "corner", "lattice")))
     if kind == "realized":
         split = {}
@@ -354,6 +383,15 @@ class TestAuditAgainstEnumeration:
     def test_small_rosters_are_decided_exactly(self, case):
         sketch, point = case
         report = check_summary(sketch, SummaryClaims({}, point), budget=0)
+        assert not report.undecided
+        assert report.ok == realized(sketch, point)
+
+    @given(audit_cases(sizes=(3, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_larger_rosters_are_decided_by_the_search(self, case):
+        # within the default budget, so the search always runs to an answer
+        sketch, point = case
+        report = check_summary(sketch, SummaryClaims({}, point))
         assert not report.undecided
         assert report.ok == realized(sketch, point)
 

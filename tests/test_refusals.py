@@ -2,7 +2,8 @@
 
 One parametrized test per type feeds its slots a float, a bool, a str,
 None, a nested list or a dict, wherever such a value is not one the
-slot takes.  The file readers in ``persist`` rely on these checks, so a
+slot takes; the functions that take a roster refuse a string or a
+mapping as one.  The file readers in ``persist`` rely on these checks, so a
 file holding such a value is a FormatError (``tests/test_cli_fuzz.py``).
 """
 
@@ -16,11 +17,16 @@ from crosscheck import (
     EvaluationSketch,
     IndependentParams,
     Marginals,
+    OverallSpec,
     PerLabelSpec,
     SketchError,
     SummaryClaims,
     generate_decisions,
+    reorder,
+    run_alarm,
+    sketch_from_decisions,
 )
+from crosscheck.alarm import count_safe_hypotheses
 
 HALF = Fraction(1, 2)
 
@@ -133,6 +139,41 @@ def test_trace_refuses(slot, value):
         trace((value,) if slot == "id" else value)
 
 
+def spec(slot, value):
+    if slot.startswith("overall_"):
+        return OverallSpec(**{"threshold": HALF, "strict": True, slot[8:]: value})
+    return PerLabelSpec(**{"threshold_a": HALF, "threshold_b": HALF, "strict": True, slot: value})
+
+
+@pytest.mark.parametrize("slot, value", cases(
+    threshold_a=[0.5, True, "x", "1/0", None, [HALF]],
+    threshold_b=[0.5, False, None],
+    strict=["no", 1, None],
+    overall_threshold=[0.1, True, "x", None],
+    overall_strict=["no", 0],
+))
+def test_specs_refuse(slot, value):
+    with pytest.raises(SketchError):
+        spec(slot, value)
+
+
+UV = EvaluationSketch(("u", "v"), 2, {"aa": 1, "bb": 1})
+
+
+@pytest.mark.parametrize("ids", ["uv", "vu", {"u": 0, "v": 1}])
+@pytest.mark.parametrize("call", [
+    lambda ids: run_alarm(UV, PerLabelSpec(HALF, HALF), pair=ids),
+    lambda ids: count_safe_hypotheses(UV, PerLabelSpec(HALF, HALF), pair=ids),
+    lambda ids: reorder(UV, ids),
+    lambda ids: sketch_from_decisions({"i1": {"u": "a", "v": "b"}}, ids),
+], ids=["run_alarm", "count_safe_hypotheses", "reorder", "sketch_from_decisions"])
+def test_rosters_refuse(call, ids):
+    """A string or a mapping is not a roster, even when its characters
+    or keys name classifiers."""
+    with pytest.raises(SketchError):
+        call(ids)
+
+
 def test_what_the_benchmark_passes_is_accepted():
     """Tuples of Fractions and of distinct ids, and the lists a file holds."""
     thirds = (Fraction(1, 3), Fraction(2, 3))
@@ -148,3 +189,7 @@ def test_what_the_benchmark_passes_is_accepted():
     claims = SummaryClaims({"u": [1, 1]}, listed)
     assert claims.marginals == {"u": Marginals(1, 1)}
     assert trace(("u",)).classifiers == ("u",)
+    assert PerLabelSpec("3/5", 1, False) == PerLabelSpec(Fraction(3, 5), Fraction(1), False)
+    assert OverallSpec(HALF).threshold == HALF
+    assert run_alarm(UV, OverallSpec(0), pair=["v", "u"]).classifiers == ("v", "u")
+    assert reorder(UV, ["v", "u"]).classifiers == ("v", "u")

@@ -22,13 +22,11 @@ _EXPORTS = {
     "alarm": ("AlarmTrace", "QaSlice", "Verdict", "min_count_above", "run_alarm"),
     "axioms": (
         "IntInterval", "feasible_interval_label_a", "feasible_interval_label_b",
-        "induced_correct_b", "joint_correct_a_window", "pair_axiom_sum",
-        "pattern_covariance", "point_axiom_violations", "pspace_stats",
-        "single_axiom_residual",
+        "joint_correct_a_window", "pattern_covariance", "point_axiom_violations",
+        "pspace_stats",
     ),
     "independent": (
-        "Diagnosis", "IndependentParams", "IndependentSolution", "PlataniosReport",
-        "SqrtValue", "forward_model", "majority_vote_prevalence", "platanios_error",
+        "Diagnosis", "IndependentParams", "IndependentSolution", "forward_model",
         "rational_sqrt", "solve_independent",
     ),
     "model": (

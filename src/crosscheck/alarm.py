@@ -12,11 +12,10 @@ requirement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
@@ -33,6 +32,7 @@ from .model import (
     SafetySpec,
     SketchError,
     _roster,
+    _Value,
     marginalize,
     pair_counts,
     validate_sketch,
@@ -135,8 +135,7 @@ def _window(q: int, margs: Sequence[Marginals], spec: SafetySpec) -> tuple[int, 
     return lo, hi
 
 
-@dataclass(frozen=True)
-class QaSlice:
+class QaSlice(NamedTuple):
     """Alarm state at one hypothesis for the number of true-a items.
 
     ``intervals_a``/``intervals_b`` are the per-classifier feasible
@@ -154,8 +153,7 @@ class QaSlice:
     refined: bool = False
 
 
-@dataclass(frozen=True)
-class AlarmTrace:
+class AlarmTrace(_Value):
     """Full record of one alarm run, as columns: each audited classifier's
     response totals (``marginals``, roster order), one safe flag per
     hypothesis q_a = 0..q (``safe``), and whether the pairs were enforced
@@ -179,14 +177,23 @@ class AlarmTrace:
     safe: tuple[bool, ...]
     refined: bool
 
-    def __post_init__(self) -> None:
-        q, ids, margs, safe = self.q, self.classifiers, self.marginals, self.safe
+    def __init__(
+        self,
+        q: int,
+        spec: SafetySpec,
+        mode: str,
+        classifiers: tuple[str, ...],
+        marginals: tuple[Marginals, ...],
+        safe: tuple[bool, ...],
+        refined: bool,
+    ) -> None:
+        ids, margs = classifiers, marginals
         if not isinstance(ids, tuple) or not all(isinstance(c, str) for c in ids):
             raise SketchError("a trace's classifier ids must be a tuple of strings")
         if q < 1 or not ids or len(set(ids)) != len(ids):
             raise SketchError("a trace needs q >= 1 and distinct classifiers, at least one")
-        if self.mode != "ensemble" and (self.mode != "pair" or len(ids) != 2):
-            raise SketchError(f"mode {self.mode!r}: want 'ensemble', or 'pair' for two ids")
+        if mode != "ensemble" and (mode != "pair" or len(ids) != 2):
+            raise SketchError(f"mode {mode!r}: want 'ensemble', or 'pair' for two ids")
         if len(safe) != q + 1:
             raise SketchError(f"trace holds {len(safe)} slices, not {q + 1}")
         if len(margs) != len(ids) or not all(
@@ -194,11 +201,12 @@ class AlarmTrace:
             for m in margs
         ):
             raise SketchError(f"a trace needs each classifier's totals of {q} items")
-        lo, hi = _window(q, margs, self.spec)
+        lo, hi = _window(q, margs, spec)
         if any(safe[:lo]) or any(safe[hi + 1 :]):
             raise SketchError("a safe flag lies outside the unrefined-safe hypotheses")
-        if not (self.refined and len(ids) > 1 or all(safe[lo : hi + 1])):
+        if not (refined and len(ids) > 1 or all(safe[lo : hi + 1])):
             raise SketchError("the safe flags leave unrefined-safe hypotheses unsafe")
+        self._store(q, spec, mode, ids, margs, safe, refined)
 
     @property
     def verdict(self) -> Verdict:

@@ -9,9 +9,9 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .model import (
@@ -28,8 +28,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class IntInterval:
+class IntInterval(NamedTuple):
     """Closed integer interval [lo, hi]; empty when lo > hi."""
 
     lo: int
@@ -43,7 +42,7 @@ class IntInterval:
         return self.lo <= value <= self.hi
 
 
-def single_axiom_residual(
+def _single_axiom_residual(
     q: int, q_a: int, correct_a: int, correct_b: int, marginals: Marginals
 ) -> int:
     """Zero iff one classifier's correctness counts match its responses.
@@ -59,15 +58,6 @@ def single_axiom_residual(
     return left - right
 
 
-def induced_correct_b(q: int, q_a: int, correct_a: int, marginals: Marginals) -> int:
-    """The true-b correctness forced by a true-a correctness count.
-
-    Increasing in ``correct_a``; together with the single-classifier
-    residual this is the whole content of the per-classifier constraint.
-    """
-    return q - q_a - marginals.r_a + correct_a
-
-
 def feasible_interval_label_a(q: int, q_a: int, marginals: Marginals) -> IntInterval:
     """Correct-on-true-a counts compatible with the response totals."""
     lo = max(0, marginals.r_a - (q - q_a))
@@ -78,15 +68,16 @@ def feasible_interval_label_a(q: int, q_a: int, marginals: Marginals) -> IntInte
 def feasible_interval_label_b(q: int, q_a: int, marginals: Marginals) -> IntInterval:
     """Correct-on-true-b counts compatible with the response totals.
 
-    The affine image of the label-a interval under
-    :func:`induced_correct_b`; endpoints correspond one to one.
+    The affine image of the label-a interval under the forced true-b
+    count, correct_b = q - q_a - r_a + correct_a; endpoints correspond
+    one to one.
     """
     lo = max(0, marginals.r_b - q_a)
     hi = min(q - q_a, marginals.r_b)
     return IntInterval(lo, hi)
 
 
-def pair_axiom_sum(
+def _pair_axiom_sum(
     q: int,
     q_a: int,
     marginals_i: Marginals,
@@ -270,9 +261,9 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
         p_b=p_b,
         accuracy_a=tuple(acc_a),
         accuracy_b=tuple(acc_b),
-        gamma_a=gamma_a,
-        gamma_b=gamma_b,
-        delta=delta,
+        gamma_a=MappingProxyType(gamma_a),
+        gamma_b=MappingProxyType(gamma_b),
+        delta=MappingProxyType(delta),
     )
 
 
@@ -296,7 +287,7 @@ def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> 
     q_a = point.q_a
     margs = [marginalize(sketch, cid) for cid in ids]
     for k, cid in enumerate(ids):
-        res = single_axiom_residual(
+        res = _single_axiom_residual(
             q, q_a, point.correct_a[k], point.correct_b[k], margs[k]
         )
         if res != 0:
@@ -339,7 +330,7 @@ def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> 
                 )
             continue
         ja, jb = claimed[(i, j)]
-        forced_sum = pair_axiom_sum(q, q_a, margs[i], margs[j], pair["aa"], x, y)
+        forced_sum = _pair_axiom_sum(q, q_a, margs[i], margs[j], pair["aa"], x, y)
         if ja + jb != forced_sum:
             problems.append(
                 f"pair ({ids[i]}, {ids[j]}): joint correctness counts sum to "

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple
 
 from .model import (
     LABEL_A,
     EvaluationSketch,
     SketchError,
     _rational,
+    _Value,
     all_patterns,
     validate_sketch,
 )
@@ -38,8 +38,7 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class IndependentParams:
+class IndependentParams(_Value):
     """A full parameter point: prevalence and per-label accuracies, each an
     int, a Fraction or an "n/d" string (the accuracies in lists or tuples),
     kept as Fractions in [0, 1]."""
@@ -48,19 +47,19 @@ class IndependentParams:
     accuracy_a: tuple[Fraction, ...]
     accuracy_b: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(x, (list, tuple)) for x in (self.accuracy_a, self.accuracy_b)):
+    def __init__(
+        self, p_a: Fraction, accuracy_a: tuple[Fraction, ...], accuracy_b: tuple[Fraction, ...]
+    ) -> None:
+        if not all(isinstance(x, (list, tuple)) for x in (accuracy_a, accuracy_b)):
             raise SketchError("the accuracies must be lists or tuples")
-        p = _rational(self.p_a, "probabilities")
-        acc_a = tuple(_rational(x, "probabilities") for x in self.accuracy_a)
-        acc_b = tuple(_rational(x, "probabilities") for x in self.accuracy_b)
+        p = _rational(p_a, "probabilities")
+        acc_a = tuple(_rational(x, "probabilities") for x in accuracy_a)
+        acc_b = tuple(_rational(x, "probabilities") for x in accuracy_b)
         if len(acc_a) != len(acc_b) or not acc_a:
             raise SketchError("need matching, non-empty accuracy tuples")
         if not 0 <= p <= 1 or any(not 0 <= x <= 1 for x in acc_a + acc_b):
             raise SketchError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "p_a", p)
-        object.__setattr__(self, "accuracy_a", acc_a)
-        object.__setattr__(self, "accuracy_b", acc_b)
+        self._store(p, acc_a, acc_b)
 
     @property
     def size(self) -> int:
@@ -115,8 +114,7 @@ class Diagnosis(enum.Enum):
     OUT_OF_RANGE = "out_of_range"
 
 
-@dataclass(frozen=True)
-class IndependentSolution:
+class IndependentSolution(NamedTuple):
     """Either the two observationally equivalent points, or a refusal.
 
     A successful solve always yields exactly two parameter points that
@@ -269,102 +267,3 @@ def solve_independent(
             "this is a bug, not a property of the data"
         )
     return IndependentSolution(first, second)
-
-
-def majority_vote_prevalence(sketch: EvaluationSketch) -> Fraction:
-    """Fraction of items where a majority of classifiers said "a".
-
-    A common stand-in for the true prevalence; deliberately reported so
-    it can be compared against truth, since the two differ whenever the
-    classifiers' errors pile up on one side.
-    """
-    if sketch.size % 2 == 0:
-        raise SketchError("majority vote needs an odd number of classifiers")
-    hits = sum(
-        n for p, n in sketch.counts.items() if 2 * p.count(LABEL_A) > sketch.size
-    )
-    return Fraction(hits, sketch.q)
-
-
-@dataclass(frozen=True)
-class SqrtValue:
-    """An exact value of the form offset + scale * sqrt(radicand)."""
-
-    offset: Fraction
-    scale: Fraction
-    radicand: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        object.__setattr__(self, "radicand", Fraction(self.radicand))
-        if self.radicand < 0:
-            raise SketchError("radicand must be non-negative")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.scale == 0 or rational_sqrt(self.radicand) is not None
-
-    def value(self) -> Fraction:
-        root = rational_sqrt(self.radicand)
-        if self.scale == 0:
-            return self.offset
-        if root is None:
-            raise SketchError(f"sqrt({self.radicand}) is irrational")
-        return self.offset + self.scale * root
-
-
-@dataclass(frozen=True)
-class PlataniosReport:
-    """Error rates the agreement-rate method implies, kept symbolic.
-
-    ``error_rates`` maps classifier index to the two branches of the
-    quadratic; the method itself cannot pick one.  ``c`` is the shared
-    square-root term whose irrationality the report exposes.
-    """
-
-    c_squared: Fraction
-    c: SqrtValue
-    error_rates: Mapping[int, tuple[SqrtValue, SqrtValue]]
-
-    @property
-    def c_is_rational(self) -> bool:
-        return self.c.is_rational
-
-
-def platanios_error(
-    a_12: Fraction, a_13: Fraction, a_23: Fraction
-) -> PlataniosReport:
-    """Solve the pairwise-agreement equations for three error rates.
-
-    ``a_ij`` is the observed rate at which classifiers i and j disagree
-    with each other's errors being independent; the method equates
-    a_ij with e_i + e_j - 2 e_i e_j.  The solution involves the square
-    root of a product of agreement terms; when that root is irrational
-    no exact rational error rates exist, and when an agreement rate is
-    exactly 1/2 the equations divide by zero.
-    """
-    rates = {(1, 2): Fraction(a_12), (1, 3): Fraction(a_13), (2, 3): Fraction(a_23)}
-    r = {key: 1 - 2 * value for key, value in rates.items()}
-    for key, value in r.items():
-        if value == 0:
-            raise ValueError(
-                f"agreement rate a_{key[0]}{key[1]} = 1/2 makes the "
-                "error-rate equations divide by zero"
-            )
-    c_squared = r[(1, 2)] * r[(1, 3)] * r[(2, 3)]
-    if c_squared < 0:
-        raise ValueError(
-            f"agreement terms multiply to {c_squared} < 0; no real solution"
-        )
-    c = SqrtValue(Fraction(0), Fraction(1), c_squared)
-    opposite = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-    half = Fraction(1, 2)
-    error_rates = {}
-    for i, pair in opposite.items():
-        scale = 1 / (2 * r[pair])
-        error_rates[i] = (
-            SqrtValue(half, -scale, c_squared),
-            SqrtValue(half, scale, c_squared),
-        )
-    return PlataniosReport(c_squared, c, error_rates)

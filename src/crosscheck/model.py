@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Literal, NamedTuple
@@ -62,6 +61,50 @@ def _rational(value: object, what: str) -> Fraction:
     raise SketchError(f"{what} must be ints, Fractions or 'n/d' strings")
 
 
+class _Value:
+    """Base of the immutable value types that check their input.
+
+    A subclass declares its fields as class annotations, checks its
+    arguments in ``__init__`` and ends it with one call to
+    :meth:`_store`.  A record equals only a record of its own class with
+    equal fields; its hash and its repr are over the fields, and it
+    refuses assignment and deletion.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def _store(self, *values: object) -> None:
+        """Keep ``values`` as the fields, in their declared order."""
+        # one attribute at a time: on CPython 3.11 a bulk update of
+        # ``__dict__`` leaves every later field load about four times slower
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def other_label(label: str) -> str:
     if label == LABEL_A:
         return LABEL_B
@@ -86,8 +129,7 @@ class Marginals(NamedTuple):
     r_b: int
 
 
-@dataclass(frozen=True)
-class EvaluationSketch:
+class EvaluationSketch(_Value):
     """Counts of joint decision patterns produced on a test of ``q`` items.
 
     ``counts`` maps pattern strings over the alphabet "ab" (position k
@@ -107,43 +149,45 @@ class EvaluationSketch:
     classifiers: tuple[str, ...]
     q: int
     counts: Mapping[str, int]
-    truth_split: Mapping[str, tuple[int, int]] | None = None
+    truth_split: Mapping[str, tuple[int, int]] | None
 
-    def __post_init__(self) -> None:
-        ids = _roster(self.classifiers)
+    def __init__(
+        self,
+        classifiers: Sequence[str],
+        q: int,
+        counts: Mapping[str, int],
+        truth_split: Mapping[str, tuple[int, int]] | None = None,
+    ) -> None:
+        ids = _roster(classifiers)
         if not ids:
             raise SketchError("a sketch needs at least one classifier")
-        if not _is_int(self.q) or self.q < 1:
+        if not _is_int(q) or q < 1:
             raise SketchError("q must be a positive integer")
-        if not isinstance(self.counts, Mapping) or not isinstance(
-            self.truth_split, Mapping | None
-        ):
+        if not isinstance(counts, Mapping) or not isinstance(truth_split, Mapping | None):
             raise SketchError("counts and truth split must map patterns to counts")
         size = len(ids)
-        counts: dict[str, int] = {}
-        for pattern in sorted(self.counts, key=str):  # a non-str key reaches the check
+        kept: dict[str, int] = {}
+        for pattern in sorted(counts, key=str):  # a non-str key reaches the check
             self._check_pattern(pattern, size)
-            value = self.counts[pattern]
+            value = counts[pattern]
             if not _is_int(value):
                 raise SketchError(f"count for pattern {pattern!r} must be an integer")
             if value != 0:
-                counts[pattern] = value
+                kept[pattern] = value
         split: dict[str, tuple[int, int]] | None = None
-        if self.truth_split is not None:
+        if truth_split is not None:
             split = {}
-            for pattern in sorted(self.truth_split, key=str):
+            for pattern in sorted(truth_split, key=str):
                 self._check_pattern(pattern, size)
-                entry = self.truth_split[pattern]
+                entry = truth_split[pattern]
                 if not _is_ints(entry, True):
                     raise SketchError(
                         f"truth split for pattern {pattern!r} must be a pair of integers"
                     )
                 if entry[0] or entry[1]:
                     split[pattern] = (entry[0], entry[1])
-        object.__setattr__(self, "classifiers", ids)
-        object.__setattr__(self, "counts", MappingProxyType(counts))
-        object.__setattr__(
-            self, "truth_split", MappingProxyType(split) if split is not None else None
+        self._store(
+            ids, q, MappingProxyType(kept), None if split is None else MappingProxyType(split)
         )
 
     @staticmethod
@@ -417,8 +461,7 @@ def project(sketch: EvaluationSketch, keep: Sequence[str]) -> EvaluationSketch:
     return EvaluationSketch(ids, sketch.q, counts, split)
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
+class EvaluationPoint(_Value):
     """A candidate ground truth: the unobservable correctness counts.
 
     ``pair_correct`` maps index pairs (i, j) with i < j to the pair's
@@ -432,28 +475,31 @@ class EvaluationPoint:
     q_a: int
     correct_a: tuple[int, ...]
     correct_b: tuple[int, ...]
-    pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None = None
+    pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None
 
-    def __post_init__(self) -> None:
-        c_a, c_b, pairs = self.correct_a, self.correct_b, self.pair_correct
-        if not (_is_int(self.q_a) and _is_ints(c_a) and _is_ints(c_b)):
+    def __init__(
+        self,
+        q_a: int,
+        correct_a: Sequence[int],
+        correct_b: Sequence[int],
+        pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None = None,
+    ) -> None:
+        if not (_is_int(q_a) and _is_ints(correct_a) and _is_ints(correct_b)):
             raise SketchError("q_a must be an int, correct_a and correct_b lists or tuples of ints")
-        size = len(c_a)
-        if len(c_b) != size:
+        size = len(correct_a)
+        if len(correct_b) != size:
             raise SketchError("correct_a and correct_b must have one entry per classifier")
-        object.__setattr__(self, "correct_a", tuple(c_a))
-        object.__setattr__(self, "correct_b", tuple(c_b))
-        if pairs is None:
-            return
-        if not isinstance(pairs, Mapping):
-            raise SketchError("pair_correct must map index pairs to joint counts")
-        for key, entry in pairs.items():
-            if not (_is_ints(key, True) and 0 <= key[0] < key[1] < size):
-                raise SketchError(f"bad pair key {key!r} for {size} classifiers")
-            if not _is_ints(entry, True):
-                raise SketchError(f"pair {key!r}: joint counts must be a pair of integers")
-        pairs = {tuple(key): tuple(pairs[key]) for key in sorted(pairs)}
-        object.__setattr__(self, "pair_correct", MappingProxyType(pairs))
+        pairs = pair_correct
+        if pairs is not None:
+            if not isinstance(pairs, Mapping):
+                raise SketchError("pair_correct must map index pairs to joint counts")
+            for key, entry in pairs.items():
+                if not (_is_ints(key, True) and 0 <= key[0] < key[1] < size):
+                    raise SketchError(f"bad pair key {key!r} for {size} classifiers")
+                if not _is_ints(entry, True):
+                    raise SketchError(f"pair {key!r}: joint counts must be a pair of integers")
+            pairs = MappingProxyType({tuple(key): tuple(pairs[key]) for key in sorted(pairs)})
+        self._store(q_a, tuple(correct_a), tuple(correct_b), pairs)
 
     @property
     def size(self) -> int:
@@ -489,21 +535,22 @@ def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:
     return problems
 
 
-def _keep_thresholds(spec: SafetySpec, *names: str) -> None:
-    """Keep a spec's thresholds as Fractions in [0, 1] (each an int, a
-    Fraction or an "n/d" string), and refuse a ``strict`` that is not a
-    bool."""
-    if not isinstance(spec.strict, bool):
+def _thresholds(strict: object, **named: object) -> list[Fraction]:
+    """A spec's thresholds as Fractions in [0, 1] (each an int, a
+    Fraction or an "n/d" string), in the order named; refuses a
+    ``strict`` that is not a bool."""
+    if not isinstance(strict, bool):
         raise SketchError("strict must be a bool")
-    for name in names:
-        t = _rational(getattr(spec, name), "thresholds")
+    kept = []
+    for name, value in named.items():
+        t = _rational(value, "thresholds")
         if not 0 <= t <= 1:
             raise SketchError(f"{name}={t} outside [0, 1]")
-        object.__setattr__(spec, name, t)
+        kept.append(t)
+    return kept
 
 
-@dataclass(frozen=True)
-class PerLabelSpec:
+class PerLabelSpec(_Value):
     """Require accuracy above a threshold on each label separately.
 
     With ``strict`` set (the default) the comparison is a strict
@@ -512,38 +559,41 @@ class PerLabelSpec:
 
     threshold_a: Fraction
     threshold_b: Fraction
-    strict: bool = True
+    strict: bool
 
-    def __post_init__(self) -> None:
-        _keep_thresholds(self, "threshold_a", "threshold_b")
+    def __init__(
+        self, threshold_a: Fraction, threshold_b: Fraction, strict: bool = True
+    ) -> None:
+        self._store(
+            *_thresholds(strict, threshold_a=threshold_a, threshold_b=threshold_b), strict
+        )
 
     def swapped(self) -> "PerLabelSpec":
         return PerLabelSpec(self.threshold_b, self.threshold_a, self.strict)
 
 
-@dataclass(frozen=True)
-class OverallSpec:
+class OverallSpec(_Value):
     """Require prevalence-weighted overall accuracy above a threshold."""
 
     threshold: Fraction
-    strict: bool = True
+    strict: bool
 
-    def __post_init__(self) -> None:
-        _keep_thresholds(self, "threshold")
+    def __init__(self, threshold: Fraction, strict: bool = True) -> None:
+        self._store(*_thresholds(strict, threshold=threshold), strict)
 
 
 SafetySpec = PerLabelSpec | OverallSpec
 
 
-@dataclass(frozen=True)
-class PSpaceStats:
+class PSpaceStats(NamedTuple):
     """Exact ratio statistics of a truth-split sketch.
 
     Per-classifier accuracies are None when their label has no items.
     ``gamma_a``/``gamma_b`` are the pair correlations of correctness
     within each label (None when undefined); ``delta`` is the observable
     pattern covariance of each pair, which never needs the truth split.
-    Mapping keys are classifier id pairs in roster order.
+    Mapping keys are classifier id pairs in roster order, and
+    :func:`pspace_stats` gives the mappings read-only.
     """
 
     classifiers: tuple[str, ...]
@@ -554,9 +604,3 @@ class PSpaceStats:
     gamma_a: Mapping[tuple[str, str], Fraction | None]
     gamma_b: Mapping[tuple[str, str], Fraction | None]
     delta: Mapping[tuple[str, str], Fraction]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        object.__setattr__(self, "gamma_a", MappingProxyType(dict(self.gamma_a)))
-        object.__setattr__(self, "gamma_b", MappingProxyType(dict(self.gamma_b)))
-        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))

@@ -12,8 +12,8 @@ outcomes for the ``enumerate`` subcommand.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .axioms import point_axiom_violations
 from .model import (
@@ -24,6 +24,7 @@ from .model import (
     Marginals,
     SketchError,
     _is_ints,
+    _Value,
     marginalize,
     point_bound_violations,
     validate_sketch,
@@ -63,8 +64,7 @@ def split_combinations(sketch: EvaluationSketch) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SummaryClaims:
+class SummaryClaims(_Value):
     """An externally supplied summary of an evaluation to be audited.
 
     ``marginals`` maps classifier id to claimed response totals, two ints
@@ -73,20 +73,20 @@ class SummaryClaims:
     """
 
     marginals: Mapping[str, Marginals]
-    point: EvaluationPoint | None = None
+    point: EvaluationPoint | None
 
-    def __post_init__(self) -> None:
-        claimed = self.marginals
-        if not isinstance(claimed, Mapping) or not all(
-            isinstance(cid, str) and _is_ints(entry, True) for cid, entry in claimed.items()
+    def __init__(
+        self, marginals: Mapping[str, Marginals], point: EvaluationPoint | None = None
+    ) -> None:
+        if not isinstance(marginals, Mapping) or not all(
+            isinstance(cid, str) and _is_ints(entry, True) for cid, entry in marginals.items()
         ):
             raise SketchError("claimed marginals must map ids to pairs of integers")
-        margs = {cid: Marginals(*entry) for cid, entry in claimed.items()}
-        object.__setattr__(self, "marginals", MappingProxyType(margs))
+        margs = {cid: Marginals(*entry) for cid, entry in marginals.items()}
+        self._store(MappingProxyType(margs), point)
 
 
-@dataclass(frozen=True)
-class SummaryReport:
+class SummaryReport(NamedTuple):
     """Outcome of auditing claims against a sketch.
 
     ``undecided`` is True when a claimed point of three or more

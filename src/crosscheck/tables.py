@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -33,8 +32,7 @@ class DecisionRecord(NamedTuple):
     truth: str | None = None
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     """Kept records (sorted by item id) plus what was dropped and why."""
 
     records: tuple[DecisionRecord, ...]

@@ -10,6 +10,7 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from crosscheck import (
@@ -21,6 +22,7 @@ from crosscheck import (
     EvaluationSketch,
     IngestError,
     IngestResult,
+    Marginals,
     PerLabelSpec,
     SafetySpec,
     SketchError,
@@ -29,6 +31,7 @@ from crosscheck import (
     marginalize,
     min_count_above,
     pair_counts,
+    rational_sqrt,
     split_combinations,
     validate_sketch,
 )
@@ -161,6 +164,15 @@ def safe_threshold(spec: SafetySpec, q: int, q_a: int) -> LabelMinimums | Overal
             min_count_above(q - q_a, spec.threshold_b, spec.strict),
         )
     return OverallMinimum(min_count_above(q, spec.threshold, spec.strict))
+
+
+def induced_correct_b(q: int, q_a: int, correct_a: int, marginals: Marginals) -> int:
+    """The true-b correctness forced by a true-a correctness count.
+
+    Increasing in ``correct_a``; together with the single-classifier
+    residual this is the whole content of the per-classifier constraint.
+    """
+    return q - q_a - marginals.r_a + correct_a
 
 
 # ------------------------------------------------------------ refined sweep
@@ -441,3 +453,108 @@ def referee_sketch_from_decisions(
         counts,
         None if split is None else {p: (a, b) for p, (a, b) in split.items()},
     )
+
+
+# --------------------------------------------------------------- baselines
+# Two estimates the paper sets the exact methods against, kept so that the
+# acceptance suite can show where they go wrong: majority vote as a stand-in
+# for the prevalence, and the agreement-rate equations for error rates.
+
+
+def majority_vote_prevalence(sketch: EvaluationSketch) -> Fraction:
+    """Fraction of items where a majority of classifiers said "a".
+
+    A common stand-in for the true prevalence; deliberately reported so
+    it can be compared against truth, since the two differ whenever the
+    classifiers' errors pile up on one side.
+    """
+    if sketch.size % 2 == 0:
+        raise SketchError("majority vote needs an odd number of classifiers")
+    hits = sum(
+        n for p, n in sketch.counts.items() if 2 * p.count(LABEL_A) > sketch.size
+    )
+    return Fraction(hits, sketch.q)
+
+
+@dataclass(frozen=True)
+class SqrtValue:
+    """An exact value of the form offset + scale * sqrt(radicand)."""
+
+    offset: Fraction
+    scale: Fraction
+    radicand: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "radicand", Fraction(self.radicand))
+        if self.radicand < 0:
+            raise SketchError("radicand must be non-negative")
+
+    @property
+    def is_rational(self) -> bool:
+        return self.scale == 0 or rational_sqrt(self.radicand) is not None
+
+    def value(self) -> Fraction:
+        root = rational_sqrt(self.radicand)
+        if self.scale == 0:
+            return self.offset
+        if root is None:
+            raise SketchError(f"sqrt({self.radicand}) is irrational")
+        return self.offset + self.scale * root
+
+
+@dataclass(frozen=True)
+class PlataniosReport:
+    """Error rates the agreement-rate method implies, kept symbolic.
+
+    ``error_rates`` maps classifier index to the two branches of the
+    quadratic; the method itself cannot pick one.  ``c`` is the shared
+    square-root term whose irrationality the report exposes.
+    """
+
+    c_squared: Fraction
+    c: SqrtValue
+    error_rates: Mapping[int, tuple[SqrtValue, SqrtValue]]
+
+    @property
+    def c_is_rational(self) -> bool:
+        return self.c.is_rational
+
+
+def platanios_error(
+    a_12: Fraction, a_13: Fraction, a_23: Fraction
+) -> PlataniosReport:
+    """Solve the pairwise-agreement equations for three error rates.
+
+    ``a_ij`` is the observed rate at which classifiers i and j disagree
+    with each other's errors being independent; the method equates
+    a_ij with e_i + e_j - 2 e_i e_j.  The solution involves the square
+    root of a product of agreement terms; when that root is irrational
+    no exact rational error rates exist, and when an agreement rate is
+    exactly 1/2 the equations divide by zero.
+    """
+    rates = {(1, 2): Fraction(a_12), (1, 3): Fraction(a_13), (2, 3): Fraction(a_23)}
+    r = {key: 1 - 2 * value for key, value in rates.items()}
+    for key, value in r.items():
+        if value == 0:
+            raise ValueError(
+                f"agreement rate a_{key[0]}{key[1]} = 1/2 makes the "
+                "error-rate equations divide by zero"
+            )
+    c_squared = r[(1, 2)] * r[(1, 3)] * r[(2, 3)]
+    if c_squared < 0:
+        raise ValueError(
+            f"agreement terms multiply to {c_squared} < 0; no real solution"
+        )
+    c = SqrtValue(Fraction(0), Fraction(1), c_squared)
+    opposite = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+    half = Fraction(1, 2)
+    error_rates = {}
+    for i, pair in opposite.items():
+        scale = 1 / (2 * r[pair])
+        error_rates[i] = (
+            SqrtValue(half, -scale, c_squared),
+            SqrtValue(half, scale, c_squared),
+        )
+    return PlataniosReport(c_squared, c, error_rates)

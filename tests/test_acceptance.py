@@ -23,19 +23,23 @@ from crosscheck import (
     flip_labels,
     forward_model,
     ingest,
-    majority_vote_prevalence,
     marginalize,
     min_count_above,
     pair_counts,
     pattern_covariance,
-    platanios_error,
     records_to_decisions,
     run_alarm,
     sketch_from_decisions,
     solve_independent,
     truth_prevalence,
 )
-from ._referees import enumerate_variety, meets_pair_bounds, safe_threshold
+from ._referees import (
+    enumerate_variety,
+    majority_vote_prevalence,
+    meets_pair_bounds,
+    platanios_error,
+    safe_threshold,
+)
 from ._strategies import (
     generate_for_acceptance,
     inject_pair_covariance,

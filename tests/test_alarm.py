@@ -3,7 +3,6 @@ import io
 import itertools
 import json
 import random
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -609,18 +608,17 @@ class TestPerSliceReferee:
 
     def test_slices_are_a_tuple_built_from_the_columns(self, grading_sketch):
         """A trace's fields are its columns; ``slices`` is a plain tuple
-        built from them once, and is no field: ``asdict`` gives the
+        built from them once, and is no field: the record's fields are the
         columns, and equality and hashing read only them."""
         trace = run_alarm(grading_sketch, DEFAULT, refine=True)
         ref = referee_trace(grading_sketch, DEFAULT, refine=True)
         assert isinstance(trace.slices, tuple) and trace.slices == ref.slices
         assert trace.slices is trace.slices
         assert trace.slices + () == ref.slices
-        fields = asdict(trace)
-        assert list(fields) == [
+        assert trace._fields == (
             "q", "spec", "mode", "classifiers", "marginals", "safe", "refined"
-        ]
-        assert fields["safe"] == tuple(s.safe_exists for s in ref.slices)
+        )
+        assert trace.safe == tuple(s.safe_exists for s in ref.slices)
         again = run_alarm(grading_sketch, DEFAULT, refine=True)
         assert again == trace and hash(again) == hash(trace)
 

@@ -5,25 +5,24 @@ review."""
 import crosscheck
 
 PUBLIC = [
-    "AlarmTrace", "DEFAULT_SPLIT_BUDGET", "DecisionRecord",
-    "Diagnosis", "EvaluationPoint", "EvaluationSketch", "FLIP_MODES", "FormatError",
+    "AlarmTrace", "DEFAULT_SPLIT_BUDGET", "DecisionRecord", "Diagnosis",
+    "EvaluationPoint", "EvaluationSketch", "FLIP_MODES", "FormatError",
     "IndependentParams", "IndependentSolution", "IngestError", "IngestResult",
     "IntInterval", "LABELS", "LABEL_A", "LABEL_B", "Marginals", "OverallSpec",
-    "PSpaceStats", "PerLabelSpec", "PlataniosReport", "QaSlice", "SafetySpec",
-    "SketchError", "SqrtValue", "SummaryClaims", "SummaryReport",
-    "Verdict", "all_patterns", "atomic_write_text", "check_summary", "correct_counts",
-    "decisions_to_csv_text", "default_label", "emit_trace", "enumerate_evaluations",
-    "evaluation_count", "feasible_interval_label_a",
-    "feasible_interval_label_b", "flip_labels", "flip_position", "forward_model",
-    "generate_decisions", "induced_correct_b", "ingest", "joint_correct_a_window",
-    "joint_correct_counts", "load_sketch", "majority_vote_prevalence", "marginalize",
-    "min_count_above", "other_label", "pair_axiom_sum", "pair_counts", "parse_claims",
-    "parse_params", "parse_sketch", "parse_trace", "pattern_covariance",
-    "platanios_error", "point_axiom_violations", "point_bound_violations", "project",
-    "pspace_stats", "rational_sqrt", "records_to_decisions", "render_traces", "reorder",
-    "run_alarm", "save_sketch", "single_axiom_residual", "sketch_from_decisions",
-    "sketch_to_text", "solve_independent", "split_combinations", "trace_to_csv_text",
-    "trace_to_json_text", "truth_prevalence", "validate_sketch",
+    "PSpaceStats", "PerLabelSpec", "QaSlice", "SafetySpec", "SketchError",
+    "SummaryClaims", "SummaryReport", "Verdict", "all_patterns", "atomic_write_text",
+    "check_summary", "correct_counts", "decisions_to_csv_text", "default_label",
+    "emit_trace", "enumerate_evaluations", "evaluation_count",
+    "feasible_interval_label_a", "feasible_interval_label_b", "flip_labels",
+    "flip_position", "forward_model", "generate_decisions", "ingest",
+    "joint_correct_a_window", "joint_correct_counts", "load_sketch", "marginalize",
+    "min_count_above", "other_label", "pair_counts", "parse_claims", "parse_params",
+    "parse_sketch", "parse_trace", "pattern_covariance", "point_axiom_violations",
+    "point_bound_violations", "project", "pspace_stats", "rational_sqrt",
+    "records_to_decisions", "render_traces", "reorder", "run_alarm", "save_sketch",
+    "sketch_from_decisions", "sketch_to_text", "solve_independent",
+    "split_combinations", "trace_to_csv_text", "trace_to_json_text", "truth_prevalence",
+    "validate_sketch",
 ]
 
 

@@ -11,19 +11,21 @@ from crosscheck import (
     SketchError,
     feasible_interval_label_a,
     feasible_interval_label_b,
-    induced_correct_b,
     joint_correct_a_window,
     marginalize,
-    pair_axiom_sum,
     pair_counts,
     pattern_covariance,
     point_axiom_violations,
     pspace_stats,
-    single_axiom_residual,
 )
-from crosscheck.axioms import pair_bounds
+from crosscheck.axioms import _pair_axiom_sum, _single_axiom_residual, pair_bounds
 
-from ._referees import enumerate_variety, meets_pair_bounds, sketch_point
+from ._referees import (
+    enumerate_variety,
+    induced_correct_b,
+    meets_pair_bounds,
+    sketch_point,
+)
 from ._strategies import sketches
 
 
@@ -45,9 +47,9 @@ class TestIntInterval:
 
 class TestSingleClassifier:
     def test_residual_frozen(self):
-        assert single_axiom_residual(1, 1, 1, 0, Marginals(1, 0)) == 0
-        assert single_axiom_residual(100, 60, 20, 20, Marginals(40, 60)) == 0
-        assert single_axiom_residual(100, 60, 21, 20, Marginals(40, 60)) != 0
+        assert _single_axiom_residual(1, 1, 1, 0, Marginals(1, 0)) == 0
+        assert _single_axiom_residual(100, 60, 20, 20, Marginals(40, 60)) == 0
+        assert _single_axiom_residual(100, 60, 21, 20, Marginals(40, 60)) != 0
 
     def test_interval_a_frozen(self):
         iv = feasible_interval_label_a(100, 60, Marginals(20, 80))
@@ -75,7 +77,7 @@ class TestSingleClassifier:
         images = [induced_correct_b(q, q_a, c_a, marg) for c_a in members(ia)]
         assert images == members(ib)
         for c_a, c_b in zip(members(ia), images):
-            assert single_axiom_residual(q, q_a, c_a, c_b, marg) == 0
+            assert _single_axiom_residual(q, q_a, c_a, c_b, marg) == 0
 
     @given(sketches(min_size=1, max_size=1, max_count=5))
     @settings(max_examples=60)
@@ -105,10 +107,10 @@ def _variety_by_singles(sketch, q_a):
 class TestPairAxioms:
     def test_forced_sum_single_item(self):
         # one true-a item, both classifiers respond a: each is right once
-        both_a = pair_axiom_sum(1, 1, Marginals(1, 0), Marginals(1, 0), 1, 1, 1)
+        both_a = _pair_axiom_sum(1, 1, Marginals(1, 0), Marginals(1, 0), 1, 1, 1)
         assert both_a == 1
         # one true-b item, both respond b
-        both_b = pair_axiom_sum(1, 0, Marginals(0, 1), Marginals(0, 1), 0, 0, 0)
+        both_b = _pair_axiom_sum(1, 0, Marginals(0, 1), Marginals(0, 1), 0, 0, 0)
         assert both_b == 1
 
     def test_window_cuts_rectangle_corner(self):
@@ -142,7 +144,7 @@ class TestPairAxioms:
                     window = joint_correct_a_window(q_a, pair, x, y)
                     realized_ja = {p.pair_correct[(0, 1)][0] for p in points}
                     assert realized_ja == set(members(window))
-                    forced = pair_axiom_sum(
+                    forced = _pair_axiom_sum(
                         sketch.q, q_a, m_i, m_j, pair["aa"], x, y
                     )
                     for p in points:

@@ -1,5 +1,6 @@
 """What a process imports: the package resolves its exports on first use,
-and each subcommand loads only the modules it runs."""
+each subcommand loads only the modules it runs, and none loads the
+``dataclasses`` framework."""
 
 import importlib
 import json
@@ -13,17 +14,19 @@ import pytest
 
 import crosscheck
 
-from .test_cli import GRADING, GRADING_CSV
+from .test_cli import DEMO_PARAMS, EXACT, GRADING, GRADING_CLAIMS, GRADING_CSV
 
 SRC = pathlib.Path(crosscheck.__file__).resolve().parents[1]
 
 # Runs main on argv in a fresh interpreter, then prints its exit code
-# and the crosscheck modules it loaded.
+# and the modules it loaded beyond those of a bare interpreter start.
 LOADED = """\
-import json, sys
+import sys
+bare = set(sys.modules)
+import json
 from crosscheck.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "crosscheck")]))
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
 
 
@@ -38,9 +41,20 @@ def fresh_python(script, *argv):
     return done.stdout.splitlines()[-1]
 
 
-def fresh_run(*argv):
+def fresh_loads(*argv):
+    """main's exit code on argv in a fresh interpreter, and every module
+    it loaded beyond a bare start."""
     code, modules = json.loads(fresh_python(LOADED, *argv))
-    return code, {m.removeprefix("crosscheck.") for m in modules}
+    return code, set(modules)
+
+
+def fresh_run(*argv):
+    """main's exit code on argv in a fresh interpreter, and the crosscheck
+    modules it loaded, named within the package."""
+    code, modules = fresh_loads(*argv)
+    return code, {
+        m.removeprefix("crosscheck.") for m in modules if m.split(".")[0] == "crosscheck"
+    }
 
 
 class TestModulesLoaded:
@@ -74,6 +88,37 @@ class TestModulesLoaded:
         assert code == 0
         assert "oracle" in modules
         assert not modules & {"independent", "svg", "tables"}
+
+
+# Every command of the console smoke run, plus a refined alarm that writes
+# a trace and a plot; "{out}" is a fresh output directory.
+COMMANDS = [
+    (0, ["sketch", GRADING]),
+    (0, ["alarm", GRADING, "--pair", "claude", "mistral"]),
+    (2, ["alarm", GRADING, "--pair", "mistral", "gpt4"]),
+    (0, ["alarm", GRADING, "--pair", "claude", "mistral", "--refine-pairs",
+         "--trace", "{out}/trace.json", "--plot", "{out}/trace.svg"]),
+    (0, ["ingest", GRADING_CSV, "--format", "csv", "--map", "incorrect=a",
+         "--map", "correct=b", "--out", "{out}/sketch.json"]),
+    (0, ["verify", GRADING]),
+    (0, ["verify", GRADING, "--claims", GRADING_CLAIMS]),
+    (0, ["verify", GRADING, "--claims", GRADING_CLAIMS, "--budget", "2000000000"]),
+    (0, ["solve-independent", EXACT]),
+    (0, ["generate", "--params", DEMO_PARAMS, "--q", "20", "--seed", "1",
+         "--out", "{out}/generated.csv"]),
+    (0, ["flip", GRADING, "--classifier", "claude", "--mode", "global",
+         "--out", "{out}/flipped.json"]),
+    (0, ["enumerate", "--q", "3", "--count-only"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", COMMANDS, ids=[" ".join(argv) for _, argv in COMMANDS])
+def test_no_command_loads_the_dataclasses_framework(code, argv, tmp_path):
+    """The value types are plain classes and named tuples, so no command
+    pays for ``dataclasses`` and the ``inspect`` it imports."""
+    done, loaded = fresh_loads(*(arg.format(out=tmp_path) for arg in argv))
+    assert done == code
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestLazySurface:

@@ -10,15 +10,13 @@ from crosscheck import (
     EvaluationSketch,
     IndependentParams,
     SketchError,
-    SqrtValue,
     all_patterns,
     forward_model,
-    majority_vote_prevalence,
-    platanios_error,
     rational_sqrt,
     solve_independent,
 )
 
+from ._referees import SqrtValue, majority_vote_prevalence, platanios_error
 from ._strategies import independent_params, inject_pair_covariance, random_params
 
 THREE_QUARTERS = (Fraction(3, 4),) * 3

@@ -19,7 +19,6 @@ from crosscheck import (
     enumerate_evaluations,
     evaluation_count,
     feasible_interval_label_a,
-    induced_correct_b,
     marginalize,
     pair_counts,
     point_axiom_violations,
@@ -28,6 +27,7 @@ from crosscheck import (
 from ._referees import (
     BudgetExceededError,
     enumerate_variety,
+    induced_correct_b,
     meets_pair_bounds,
     sketch_point,
 )

@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "oracle": (
         "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport", "check_summary",
-        "enumerate_evaluations", "evaluation_count", "split_combinations",
+        "enumerate_evaluations", "evaluation_count",
     ),
     "persist": (
         "FormatError", "IngestError", "atomic_write_text", "emit_trace", "load_sketch",

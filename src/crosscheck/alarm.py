@@ -31,6 +31,8 @@ from .model import (
     PerLabelSpec,
     SafetySpec,
     SketchError,
+    _is_int,
+    _is_ints,
     _roster,
     _Value,
     marginalize,
@@ -162,8 +164,8 @@ class AlarmTrace(_Value):
     :class:`QaSlice` objects, and :meth:`rows` as plain ints.
 
     The constructor refuses, with SketchError, any columns that no run
-    gives: it needs q >= 1, a tuple of distinct string ids (two in "pair"
-    mode), each classifier's totals of q items, and q + 1 safe flags
+    gives: it needs an int q >= 1, a tuple of distinct string ids (two in
+    "pair" mode), each classifier's int totals of q items, and q + 1 safe flags
     inside the window of unrefined-safe hypotheses, which they fill unless
     the pairs were enforced on two or more classifiers
     (:meth:`_Sweep.safe_hypotheses`).
@@ -190,14 +192,14 @@ class AlarmTrace(_Value):
         ids, margs = classifiers, marginals
         if not isinstance(ids, tuple) or not all(isinstance(c, str) for c in ids):
             raise SketchError("a trace's classifier ids must be a tuple of strings")
-        if q < 1 or not ids or len(set(ids)) != len(ids):
-            raise SketchError("a trace needs q >= 1 and distinct classifiers, at least one")
+        if not _is_int(q) or q < 1 or not ids or len(set(ids)) != len(ids):
+            raise SketchError("a trace needs an int q >= 1 and distinct classifiers, at least one")
         if mode != "ensemble" and (mode != "pair" or len(ids) != 2):
             raise SketchError(f"mode {mode!r}: want 'ensemble', or 'pair' for two ids")
         if len(safe) != q + 1:
             raise SketchError(f"trace holds {len(safe)} slices, not {q + 1}")
         if len(margs) != len(ids) or not all(
-            isinstance(m, Marginals) and m.r_a >= 0 and m.r_b >= 0 and m.r_a + m.r_b == q
+            isinstance(m, Marginals) and _is_ints(m) and min(m) >= 0 and sum(m) == q
             for m in margs
         ):
             raise SketchError(f"a trace needs each classifier's totals of {q} items")

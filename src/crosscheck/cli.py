@@ -164,9 +164,9 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--budget",
         type=_non_negative,
-        # DEFAULT_SPLIT_BUDGET, read when verify runs
+        # DEFAULT_SPLIT_BUDGET steps, read when verify runs
         default=None,
-        help="search for a claimed point only within this many truth-split combinations",
+        help="give up the search for a claimed point after this many steps",
     )
     p.set_defaults(func=_cmd_verify)
 
@@ -372,6 +372,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     # SketchError, FormatError and IngestError are ValueErrors
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:  # say, a trace of more hypotheses than memory holds
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

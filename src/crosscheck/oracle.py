@@ -3,8 +3,8 @@
 :func:`check_summary` audits claimed marginals and a claimed evaluation
 point against a sketch.  A claimed point of three or more classifiers
 that passes the bound and axiom checks is then searched for among the
-truth splits at its prevalence: a depth-first search, pruned by the
-claim's own row sums, for one split that meets them all.
+truth splits at its prevalence: a depth-first search in budgeted steps,
+pruned by the claim's own row sums, for one split that meets them all.
 :func:`enumerate_evaluations` walks the raw lattice of one classifier's
 outcomes for the ``enumerate`` subcommand.
 """
@@ -30,6 +30,7 @@ from .model import (
     validate_sketch,
 )
 
+# steps of the claim search (see _realized) that verify takes by default
 DEFAULT_SPLIT_BUDGET = 10_000_000
 
 
@@ -53,15 +54,6 @@ def evaluation_count(q: int) -> int:
     if q < 0:
         raise SketchError("q must be non-negative")
     return (q + 1) * (q + 2) * (q + 3) // 6
-
-
-def split_combinations(sketch: EvaluationSketch) -> int:
-    """Size of the raw truth-split search space for a sketch: what a
-    ``budget`` of :func:`check_summary` counts."""
-    total = 1
-    for n in sketch.counts.values():
-        total *= n + 1
-    return total
 
 
 class SummaryClaims(_Value):
@@ -91,8 +83,8 @@ class SummaryReport(NamedTuple):
 
     ``undecided`` is True when a claimed point of three or more
     classifiers passed the bound and axiom checks but the exact search
-    for a ground truth realizing it was skipped for budget: the point is
-    neither confirmed nor refuted.
+    for a ground truth realizing it ran out of budget steps: the point
+    is neither confirmed nor refuted.
     """
 
     violations: tuple[str, ...]
@@ -103,8 +95,9 @@ class SummaryReport(NamedTuple):
         return not self.violations
 
 
-def _realized(sketch: EvaluationSketch, point: EvaluationPoint) -> bool:
-    """Does some truth split meet the row sums the point fixes?
+def _realized(sketch: EvaluationSketch, point: EvaluationPoint, budget: int) -> bool | None:
+    """Does some truth split meet the row sums the point fixes?  None if
+    the search would take more than ``budget`` steps to say.
 
     Take the patterns present in order, and let x_p in [0, n_p] be the
     number of pattern p's items whose true label is a.  The point fixes
@@ -117,7 +110,9 @@ def _realized(sketch: EvaluationSketch, point: EvaluationPoint) -> bool:
     so that no recursion limit applies.  At each pattern it tries only
     the values that keep every row's remaining need between 0 and what
     the unvisited patterns can still add, so a complete split meets
-    every row.
+    every row.  A step is one pass of the loop: a visit to one pattern,
+    given the values before it, which never repeats.  As every n_p >= 1,
+    a search takes fewer steps than the prod (n_p + 1) truth splits.
     """
     patterns = sorted(sketch.counts)
     sizes = [sketch.counts[p] for p in patterns]
@@ -144,7 +139,8 @@ def _realized(sketch: EvaluationSketch, point: EvaluationPoint) -> bool:
         return False
     x, top = [0] * depth, [0] * depth
     d = 0
-    while d < depth:
+    while d < depth and budget:
+        budget -= 1
         # pattern d sits in the q_a row, so rows[d] is never empty
         lo = max(0, *(need[r] - room[d + 1][r] for r in rows[d]))
         hi = min(sizes[d], *(need[r] for r in rows[d]))
@@ -167,7 +163,7 @@ def _realized(sketch: EvaluationSketch, point: EvaluationPoint) -> bool:
         for r in rows[d]:
             need[r] -= 1
         d += 1
-    return True
+    return True if d == depth else None
 
 
 def check_summary(
@@ -185,15 +181,13 @@ def check_summary(
     is realized and nothing is searched.  At N >= 3 a point that passes
     is realized exactly when some truth split meets the row sums it fixes
     (its q_a, each classifier's correct counts and each named pair's
-    joint counts; the unnamed pairs are free).  That split is searched
-    for, depth first and pruned by those sums, when the sketch has at
-    most ``budget`` split combinations (:func:`split_combinations`);
-    past it the report is undecided.  Whether some ground truth realizes
-    the sketch needs no search: the pattern counts of a sound sketch are
-    non-negative and sum to q, so every q_a in [0, q] has a split (the
-    all-b truth at q_a = 0, for one).  Structural invalidity of the
-    sketch itself is reported as violations rather than raised, since
-    auditing bad data is the point.
+    joint counts; the unnamed pairs are free).  :func:`_realized` looks
+    for one in at most ``budget`` steps, or leaves the report undecided.
+    Whether some ground truth realizes the sketch needs no search: the
+    pattern counts of a sound sketch are non-negative and sum to q, so
+    every q_a in [0, q] has a split (the all-b truth at q_a = 0, for
+    one).  Structural invalidity of the sketch itself is reported as
+    violations rather than raised, since auditing bad data is the point.
     """
     violations = validate_sketch(sketch)
     roster = set(sketch.classifiers)
@@ -215,9 +209,9 @@ def check_summary(
         if not violations:
             violations.extend(point_axiom_violations(sketch, point))
         if not violations and sketch.size >= 3:
-            if split_combinations(sketch) > budget:
-                undecided = True
-            elif not _realized(sketch, point):
+            found = _realized(sketch, point, budget)
+            undecided = found is None
+            if found is False:
                 violations.append(
                     f"claimed point is not realized by any ground truth with q_a={point.q_a}"
                 )

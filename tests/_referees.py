@@ -32,7 +32,6 @@ from crosscheck import (
     min_count_above,
     pair_counts,
     rational_sqrt,
-    split_combinations,
     validate_sketch,
 )
 from crosscheck.alarm import _greedy_pass, _octagon_feasible
@@ -71,6 +70,15 @@ def meets_pair_bounds(q_a: int, pair, x: int, y: int) -> bool:
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
+
+
+def split_combinations(sketch: EvaluationSketch) -> int:
+    """Size of the raw truth-split search space for a sketch: what a
+    ``budget`` of :func:`enumerate_variety` counts."""
+    total = 1
+    for n in sketch.counts.values():
+        total *= n + 1
+    return total
 
 
 @dataclass(frozen=True)

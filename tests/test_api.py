@@ -21,8 +21,7 @@ PUBLIC = [
     "point_bound_violations", "project", "pspace_stats", "rational_sqrt",
     "records_to_decisions", "render_traces", "reorder", "run_alarm", "save_sketch",
     "sketch_from_decisions", "sketch_to_text", "solve_independent",
-    "split_combinations", "trace_to_csv_text", "trace_to_json_text", "truth_prevalence",
-    "validate_sketch",
+    "trace_to_csv_text", "trace_to_json_text", "truth_prevalence", "validate_sketch",
 ]
 
 

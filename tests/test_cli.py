@@ -219,6 +219,19 @@ class TestAlarm:
         assert err == "error: bad hypothesis range [5, 300] for q=281\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, name", [("--trace", "t.json"), ("--plot", "t.svg")])
+    def test_trace_too_large_to_hold_is_an_error(self, capsys, tmp_path, flag, name):
+        # q + 1 safe flags take 8 (q + 1) bytes, past what CPython asks the
+        # allocator for at q = 2**61, so the list is refused before any memory
+        half = 2**60
+        sketch = tmp_path / "huge.json"
+        sketch.write_text(json.dumps({
+            "classifiers": ["u", "v"], "q": 2 * half, "counts": {"aa": half, "bb": half},
+        }))
+        code, out, err = run(capsys, "alarm", str(sketch), flag, str(tmp_path / name))
+        assert (code, out, err) == (EXIT_ERROR, "", "error: out of memory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
     @pytest.mark.parametrize("name, argv", [
         ("check_summary", ("verify", GRADING)),
         ("solve_independent", ("solve-independent", GRADING)),
@@ -289,26 +302,30 @@ class TestVerify:
         # a sound sketch is realized by some ground truth: nothing to search
         code, out, _ = run(capsys, "verify", GRADING)
         assert (code, out) == (EXIT_OK, "ok\n")
-        # the true point passes the axioms; confirming it exactly would take
-        # more ground-truth splits than the default budget
+        # the true point passes the axioms, and the search confirms it in 7
+        # steps, far inside the default budget
         true = sketch_point(load_sketch(GRADING))
         claims = write_point_claims(
             tmp_path, true.q_a, list(true.correct_a), list(true.correct_b)
         )
         code, out, _ = run(capsys, "verify", GRADING, "--claims", claims)
-        assert (code, out) == (
-            EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n"
-        )
+        assert (code, out) == (EXIT_OK, "ok\n")
 
     def test_shipped_claims_are_searched_under_a_raised_budget(self, capsys):
-        # the sketch has 1 993 031 040 split combinations; under a budget
-        # that admits them the pruned search confirms the true point at once
+        # the sketch has 1 993 031 040 split combinations, but the budget
+        # counts search steps, so the default one confirms the true point
         code, out, _ = run(capsys, "verify", GRADING, "--claims", GRADING_CLAIMS)
-        assert (code, out) == (
-            EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n"
-        )
+        assert (code, out) == (EXIT_OK, "ok\n")
         argv = ("verify", GRADING, "--claims", GRADING_CLAIMS, "--budget", "2000000000")
         assert run(capsys, *argv) == (EXIT_OK, "ok\n", "")
+
+    def test_budget_counts_search_steps(self, capsys):
+        # one step per pattern of the fixture's seven, with no backtracking
+        argv = ("verify", GRADING, "--claims", GRADING_CLAIMS, "--budget")
+        assert run(capsys, *argv, "7") == (EXIT_OK, "ok\n", "")
+        assert run(capsys, *argv, "6") == (
+            EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n", ""
+        )
 
     def test_unclaimed_pairs_meet_the_alarms_pair_constraint(self, capsys, tmp_path):
         # each count lies in its own interval, but (claude, mistral) and
@@ -361,7 +378,7 @@ class TestVerify:
             "counts": {"aab": 1, "aba": 1, "baa": 1, "bbb": 1},
         }))
         triangle = write_point_claims(tmp_path, 2, [1, 1, 1], [1, 1, 1])
-        # the fixture's true point takes more splits than the default allows
+        # the fixture's true point, confirmed in 7 steps
         true = sketch_point(load_sketch(GRADING))
         (tmp_path / "grading").mkdir()
         grading = write_point_claims(
@@ -374,6 +391,7 @@ class TestVerify:
         assert run(capsys, "verify", str(sketch), "--claims", triangle) == (EXIT_ERROR, (
             "violation: claimed point is not realized by any ground truth with q_a=2\n"
         ), "")
+        # the search takes 5 steps to refute it
         assert run(capsys, "verify", str(sketch), "--claims", triangle, "--budget", "1") == (
             EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n", ""
         )

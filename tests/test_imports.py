@@ -102,7 +102,6 @@ COMMANDS = [
          "--map", "correct=b", "--out", "{out}/sketch.json"]),
     (0, ["verify", GRADING]),
     (0, ["verify", GRADING, "--claims", GRADING_CLAIMS]),
-    (0, ["verify", GRADING, "--claims", GRADING_CLAIMS, "--budget", "2000000000"]),
     (0, ["solve-independent", EXACT]),
     (0, ["generate", "--params", DEMO_PARAMS, "--q", "20", "--seed", "1",
          "--out", "{out}/generated.csv"]),

@@ -22,7 +22,6 @@ from crosscheck import (
     marginalize,
     pair_counts,
     point_axiom_violations,
-    split_combinations,
 )
 from ._referees import (
     BudgetExceededError,
@@ -30,6 +29,7 @@ from ._referees import (
     induced_correct_b,
     meets_pair_bounds,
     sketch_point,
+    split_combinations,
 )
 from ._strategies import ROSTER, sketches
 
@@ -258,9 +258,12 @@ class TestCheckSummary:
         )
         sketch = EvaluationSketch(truth.classifiers, truth.q, dict(truth.counts))
         # at N = 3 a point that passes the bounds and the axioms is
-        # confirmed only by the search, and a budget of 3 of 16 splits skips it
+        # confirmed only by the search, which takes 4 steps, one per pattern
         point = sketch_point(truth)
         assert check_summary(sketch, SummaryClaims({}, point)) == SummaryReport((), False)
+        assert check_summary(sketch, SummaryClaims({}, point), budget=4) == SummaryReport(
+            (), False
+        )
         report = check_summary(sketch, SummaryClaims({}, point), budget=3)
         assert report == SummaryReport((), True)
         assert report.ok
@@ -285,11 +288,13 @@ class TestCheckSummary:
         assert check_summary(sketch, claims) == SummaryReport(
             ("claimed point is not realized by any ground truth with q_a=2",), False
         )
-        assert check_summary(sketch, claims, budget=1) == SummaryReport((), True)
+        # the search refutes it in 5 steps
+        assert check_summary(sketch, claims, budget=5) == check_summary(sketch, claims)
+        assert check_summary(sketch, claims, budget=4) == SummaryReport((), True)
 
     def test_claim_with_millions_of_splits_is_settled_at_once(self):
-        # 7**8 = 5 764 801 splits, within the default budget; a walk that
-        # built the point of each split ran for seconds on this true claim
+        # 7**8 = 5 764 801 splits, but 8 search steps; a walk that built
+        # the point of each split ran for seconds on this true claim
         counts = dict.fromkeys(all_patterns(3), 6)
         split = {p: (6, 0) if p[0] == LABEL_A else (0, 6) for p in counts}
         truth = EvaluationSketch(ROSTER, 48, counts, split)
@@ -392,6 +397,17 @@ class TestAuditAgainstEnumeration:
         # within the default budget, so the search always runs to an answer
         sketch, point = case
         report = check_summary(sketch, SummaryClaims({}, point))
+        assert not report.undecided
+        assert report.ok == realized(sketch, point)
+
+    @given(audit_cases(sizes=(3, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_step_budget_of_the_split_count_always_decides(self, case):
+        # the search takes fewer steps than there are truth splits, so a
+        # budget one short of their count still decides every claim
+        sketch, point = case
+        budget = split_combinations(sketch) - 1
+        report = check_summary(sketch, SummaryClaims({}, point), budget=budget)
         assert not report.undecided
         assert report.ok == realized(sketch, point)
 

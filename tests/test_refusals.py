@@ -123,20 +123,23 @@ def test_generate_refuses(slot, value):
         generate_decisions(ids, TWO, 3, 0)
 
 
-def trace(classifiers):
+def trace(classifiers=("u",), q=1, totals=Marginals(1, 0)):
+    """A one-item trace, safe at q_a = 1 only."""
     return AlarmTrace(
-        2, PerLabelSpec(HALF, HALF), "ensemble", classifiers, (Marginals(1, 1),),
-        (False, True, False), False,
+        q, PerLabelSpec(HALF, HALF), "ensemble", classifiers, (totals,), (False, True), False
     )
 
 
 @pytest.mark.parametrize("slot, value", cases(
     classifiers=[1.0, True, "u", [["u"]], {"u": 0}],
     id=[1.0, True, None, [["u"]], {"u": 0}],
+    # a bool q would be written as "q": true, which parse_trace refuses
+    q=[True, 1.0, "1"],
+    totals=[Marginals(True, False), Marginals(1.0, 0), Marginals("1", 0)],
 ))
 def test_trace_refuses(slot, value):
     with pytest.raises(SketchError):
-        trace((value,) if slot == "id" else value)
+        trace(**({"classifiers": (value,)} if slot == "id" else {slot: value}))
 
 
 def spec(slot, value):

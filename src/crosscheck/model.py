@@ -165,22 +165,30 @@ class EvaluationSketch(_Value):
             raise SketchError("q must be a positive integer")
         if not isinstance(counts, Mapping) or not isinstance(truth_split, Mapping | None):
             raise SketchError("counts and truth split must map patterns to counts")
+        # each entry costs only C-level work, no Python call: a key is a
+        # string of the roster's length that strips to nothing over "ab"
         size = len(ids)
+        bad_key = "bad pattern key {!r}: want length %d over alphabet 'ab'" % size
         kept: dict[str, int] = {}
         for pattern in sorted(counts, key=str):  # a non-str key reaches the check
-            self._check_pattern(pattern, size)
+            if not isinstance(pattern, str) or len(pattern) != size or pattern.strip("ab"):
+                raise SketchError(bad_key.format(pattern))
             value = counts[pattern]
-            if not _is_int(value):
+            if type(value) is not int:
                 raise SketchError(f"count for pattern {pattern!r} must be an integer")
-            if value != 0:
+            if value:
                 kept[pattern] = value
         split: dict[str, tuple[int, int]] | None = None
         if truth_split is not None:
             split = {}
             for pattern in sorted(truth_split, key=str):
-                self._check_pattern(pattern, size)
+                if not isinstance(pattern, str) or len(pattern) != size or pattern.strip("ab"):
+                    raise SketchError(bad_key.format(pattern))
                 entry = truth_split[pattern]
-                if not _is_ints(entry, True):
+                if not (
+                    isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and type(entry[0]) is int and type(entry[1]) is int
+                ):
                     raise SketchError(
                         f"truth split for pattern {pattern!r} must be a pair of integers"
                     )
@@ -189,17 +197,6 @@ class EvaluationSketch(_Value):
         self._store(
             ids, q, MappingProxyType(kept), None if split is None else MappingProxyType(split)
         )
-
-    @staticmethod
-    def _check_pattern(pattern: object, size: int) -> None:
-        if (
-            not isinstance(pattern, str)
-            or len(pattern) != size
-            or any(c not in LABELS for c in pattern)
-        ):
-            raise SketchError(
-                f"bad pattern key {pattern!r}: want length {size} over alphabet 'ab'"
-            )
 
     @property
     def size(self) -> int:

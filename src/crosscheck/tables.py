@@ -262,11 +262,13 @@ def ingest(
     mapping.
     """
     with open(path, encoding="utf-8-sig") as handle:
-        # the file's text is not kept beside its lines
+        # the file's text is not kept beside its lines; jsonl records end
+        # at "\n" only (universal newlines turn "\r\n" and "\r" into it),
+        # since JSON strings may hold U+2028, U+2029 and U+0085 raw
         if fmt == "csv":
             rows: _CsvRows | _JsonlRows = _CsvRows(handle.read())
         elif fmt == "jsonl":
-            rows = _JsonlRows(handle.read().splitlines())
+            rows = _JsonlRows(handle.read().split("\n"))
         else:
             raise IngestError(f"unknown ingest format {fmt!r}")
     return _read_rows(rows, label_map)

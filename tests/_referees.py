@@ -57,6 +57,48 @@ def sketch_point(sketch: EvaluationSketch) -> EvaluationPoint:
     return EvaluationPoint(q_a, tuple(c_a), tuple(c_b), pairs)
 
 
+def referee_sketch_entries(size: int, counts, truth_split):
+    """The counts and truth split :class:`EvaluationSketch` keeps, by one
+    check call per entry (the first bad entry raises its SketchError)."""
+
+    def check_pattern(pattern):
+        if (
+            not isinstance(pattern, str)
+            or len(pattern) != size
+            or any(c not in LABELS for c in pattern)
+        ):
+            raise SketchError(
+                f"bad pattern key {pattern!r}: want length {size} over alphabet 'ab'"
+            )
+
+    def is_int(value):
+        return type(value) is int
+
+    kept = {}
+    for pattern in sorted(counts, key=str):
+        check_pattern(pattern)
+        value = counts[pattern]
+        if not is_int(value):
+            raise SketchError(f"count for pattern {pattern!r} must be an integer")
+        if value != 0:
+            kept[pattern] = value
+    split = None
+    if truth_split is not None:
+        split = {}
+        for pattern in sorted(truth_split, key=str):
+            check_pattern(pattern)
+            entry = truth_split[pattern]
+            if not (
+                isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(is_int, entry))
+            ):
+                raise SketchError(
+                    f"truth split for pattern {pattern!r} must be a pair of integers"
+                )
+            if entry[0] or entry[1]:
+                split[pattern] = (entry[0], entry[1])
+    return kept, split
+
+
 def meets_pair_bounds(q_a: int, pair, x: int, y: int) -> bool:
     """Do true-a counts x, y of a pair meet its :func:`pair_bounds`?"""
     b = pair_bounds(q_a, pair)
@@ -361,7 +403,7 @@ def _referee_jsonl(text: str, label_map) -> IngestResult:
     dropped = []
     roster = None
     any_truth = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"line {line_no}"

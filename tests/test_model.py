@@ -30,6 +30,7 @@ from crosscheck import (
     validate_sketch,
 )
 
+from ._referees import referee_sketch_entries
 from ._strategies import sketches
 
 
@@ -108,6 +109,36 @@ class TestSketchConstruction:
         sketch = EvaluationSketch(("u",), 1, {"a": 1}, {"a": [1, 0], "b": [0, 0]})
         assert dict(sketch.truth_split) == {"a": (1, 0)}
 
+    @pytest.mark.parametrize("counts, split, message", [
+        ({"ab": 1}, None, "bad pattern key 'ab': want length 1 over alphabet 'ab'"),
+        ({3: 1}, None, "bad pattern key 3: want length 1 over alphabet 'ab'"),
+        ({"a": 1}, {"c": (1, 0)}, "bad pattern key 'c': want length 1 over alphabet 'ab'"),
+        ({"a": 1.0}, None, "count for pattern 'a' must be an integer"),
+        ({"a": True}, None, "count for pattern 'a' must be an integer"),
+        ({"a": 1}, {"a": (1, True)}, "truth split for pattern 'a' must be a pair of integers"),
+        ({"a": 1}, {"a": [1, 0, 0]}, "truth split for pattern 'a' must be a pair of integers"),
+    ])
+    def test_refusal_messages(self, counts, split, message):
+        with pytest.raises(SketchError) as refused:
+            EvaluationSketch(("u",), 1, counts, split)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("counts, split, message", [
+        # pattern order, not the mapping's order
+        ({"bb": "1", "ab": 1.5}, None, "count for pattern 'ab' must be an integer"),
+        ({"ba": 1, "ac": None}, None, "bad pattern key 'ac': want length 2 over alphabet 'ab'"),
+        # an entry's key before its value
+        ({"aab": 1.0}, None, "bad pattern key 'aab': want length 2 over alphabet 'ab'"),
+        # the counts before the truth split
+        ({"bb": None}, {"aa": [1]}, "count for pattern 'bb' must be an integer"),
+        ({"bb": 1}, {"ba": (1,), "aa": None},
+         "truth split for pattern 'aa' must be a pair of integers"),
+    ])
+    def test_first_bad_entry_is_named(self, counts, split, message):
+        with pytest.raises(SketchError) as refused:
+            EvaluationSketch(("u", "v"), 1, counts, split)
+        assert str(refused.value) == message
+
     def test_counts_immutable(self):
         sketch = EvaluationSketch(("u",), 1, {"a": 1})
         with pytest.raises(TypeError):
@@ -134,6 +165,71 @@ class TestSketchConstruction:
         assert sketch.index_of("v") == 1
         with pytest.raises(SketchError):
             sketch.index_of("w")
+
+
+# what a sketch entry may be handed besides a good one: keys that are too
+# short or too long, hold a character other than a/b, or are no string, and
+# values of every JSON-ish type
+def bad_keys(size):
+    return st.one_of(
+        st.text("ab", max_size=size + 2).filter(lambda key: len(key) != size),
+        st.text("abc A\u2028", min_size=size, max_size=size),
+        st.integers(-2, 2), st.none(), st.floats(allow_nan=False),
+        st.tuples(st.just("a")), st.binary(max_size=2),
+    )
+
+
+SCALARS = st.one_of(
+    st.integers(-2, 3), st.booleans(), st.floats(), st.text("ab1", max_size=2), st.none()
+)
+BAD_VALUES = st.one_of(SCALARS, st.lists(SCALARS, min_size=1, max_size=3),
+                       st.tuples(SCALARS, SCALARS))
+GOOD_COUNTS = st.one_of(st.just(0), st.integers(-2, 5))
+GOOD_SPLITS = st.one_of(st.just((0, 0)), st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+                        st.lists(st.integers(0, 2), min_size=2, max_size=2))
+
+
+@st.composite
+def sketch_entries(draw):
+    """(roster size, counts, truth split), each mapping good but for up to
+    two drawn entries, any of which may also be good."""
+    size = draw(st.integers(1, 3))
+    patterns = all_patterns(size)
+
+    def entries(good):
+        keys = draw(st.lists(st.sampled_from(patterns), unique=True, max_size=len(patterns)))
+        drawn = {key: draw(good) for key in keys}
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            key = draw(st.sampled_from(patterns) if draw(st.integers(0, 2)) else bad_keys(size))
+            drawn[key] = draw(st.one_of(good, BAD_VALUES))
+        return drawn
+
+    counts = entries(GOOD_COUNTS)
+    return size, counts, None if draw(st.booleans()) else entries(GOOD_SPLITS)
+
+
+class TestSketchEntriesAgainstReferee:
+    """Each entry checked by string and type operations alone keeps what
+    one check call per entry kept, or refuses with the same message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(sketch_entries())
+    def test_drawn_entries(self, entries):
+        size, counts, split = entries
+        roster = ("u", "v", "w")[:size]
+        try:
+            want = referee_sketch_entries(size, counts, split)
+        except SketchError as exc:
+            with pytest.raises(SketchError) as refused:
+                EvaluationSketch(roster, 1, counts, split)
+            assert str(refused.value) == str(exc)
+            return
+        sketch = EvaluationSketch(roster, 1, counts, split)
+
+        def items(mapping):  # in order, so the kept order is pinned too
+            return None if mapping is None else list(mapping.items())
+
+        assert (items(sketch.counts), items(sketch.truth_split)) == tuple(map(items, want))
 
 
 class TestValidation:

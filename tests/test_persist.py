@@ -837,6 +837,38 @@ class TestJsonlIngest:
         with pytest.raises(IngestError, match=bom_error):
             ingest(str(path), "jsonl")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_separators_inside_strings(self, tmp_path, char):
+        # JSON strings may hold these raw; str.splitlines would break there
+        item = f"x{char}y"
+        decisions = {item: {"u": "a", "v": "b"}, "z": {"u": "b", "v": "b"}}
+        truth = {item: "a", "z": "b"}
+        path = self.write(tmp_path, [
+            json.dumps({"item_id": i, "responses": decisions[i], "truth": truth[i]},
+                       ensure_ascii=False)
+            for i in decisions
+        ])
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text(decisions_to_csv_text(decisions, ("u", "v"), truth))
+        from_jsonl = ingest(path, "jsonl")
+        assert from_jsonl == ingest(str(csv_path), "csv")
+        assert [rec.item_id for rec in from_jsonl.records] == [item, "z"]
+        got_decisions, got_truth = records_to_decisions(from_jsonl)
+        assert sketch_from_decisions(got_decisions, from_jsonl.roster, got_truth) == (
+            sketch_from_decisions(decisions, ("u", "v"), truth)
+        )
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_carriage_return_line_ends(self, tmp_path, end):
+        lines = [
+            json.dumps({"item_id": "x1", "responses": {"u": "a"}}),
+            json.dumps({"item_id": "x2", "responses": {"u": "b"}}),
+        ]
+        want = ingest(self.write(tmp_path, lines), "jsonl")
+        path = tmp_path / "table.jsonl"
+        path.write_bytes((end.join(lines) + end).encode())
+        assert ingest(str(path), "jsonl") == want
+
     def test_errors(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(self.write(tmp_path, ["{bad json"]), "jsonl")

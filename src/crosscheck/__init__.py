@@ -34,8 +34,8 @@ _EXPORTS = {
         "EvaluationSketch", "Marginals", "OverallSpec", "PerLabelSpec", "PSpaceStats",
         "SafetySpec", "SketchError", "all_patterns", "correct_counts", "flip_labels",
         "flip_position", "joint_correct_counts", "marginalize", "other_label",
-        "pair_counts", "point_bound_violations", "project", "reorder",
-        "sketch_from_decisions", "truth_prevalence", "validate_sketch",
+        "pair_counts", "point_bound_violations", "sketch_from_decisions",
+        "truth_prevalence", "validate_sketch",
     ),
     "oracle": (
         "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport", "check_summary",

@@ -223,47 +223,24 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
         raise SketchError("invalid sketch: " + "; ".join(problems))
     q = sketch.q
     q_a = sum(a for a, _ in sketch.truth_split.values())
-    q_b = q - q_a
-    p_a = Fraction(q_a, q)
-    p_b = Fraction(q_b, q)
-    acc_a: list[Fraction | None] = []
-    acc_b: list[Fraction | None] = []
-    for cid in sketch.classifiers:
-        on_a, on_b = correct_counts(sketch, cid)
-        acc_a.append(Fraction(on_a, q_a) if q_a else None)
-        acc_b.append(Fraction(on_b, q_b) if q_b else None)
-    gamma_a: dict[tuple[str, str], Fraction | None] = {}
-    gamma_b: dict[tuple[str, str], Fraction | None] = {}
-    delta: dict[tuple[str, str], Fraction] = {}
     ids = sketch.classifiers
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            key = (ids[i], ids[j])
-            joint_a, joint_b = joint_correct_counts(sketch, ids[i], ids[j])
-            if q_a:
-                pi = acc_a[i]
-                pj = acc_a[j]
-                assert pi is not None and pj is not None
-                gamma_a[key] = Fraction(joint_a, q_a) - pi * pj
-            else:
-                gamma_a[key] = None
-            if q_b:
-                pi = acc_b[i]
-                pj = acc_b[j]
-                assert pi is not None and pj is not None
-                gamma_b[key] = Fraction(joint_b, q_b) - pi * pj
-            else:
-                gamma_b[key] = None
-            delta[key] = pattern_covariance(sketch, ids[i], ids[j])
+    pairs = list(combinations(range(len(ids)), 2))
+    keys = [(ids[i], ids[j]) for i, j in pairs]
+    singles = [correct_counts(sketch, cid) for cid in ids]
+    joints = [joint_correct_counts(sketch, *key) for key in keys]
+    accuracy = []
+    gamma = []
+    # side 0 is the true-a items, side 1 the true-b items
+    for side, size in enumerate((q_a, q - q_a)):
+        acc = tuple(Fraction(c[side], size) if size else None for c in singles)
+        accuracy.append(acc)
+        gamma.append(MappingProxyType({
+            key: Fraction(joint[side], size) - acc[i] * acc[j] if size else None
+            for key, (i, j), joint in zip(keys, pairs, joints)
+        }))
+    delta = {key: pattern_covariance(sketch, *key) for key in keys}
     return PSpaceStats(
-        classifiers=ids,
-        p_a=p_a,
-        p_b=p_b,
-        accuracy_a=tuple(acc_a),
-        accuracy_b=tuple(acc_b),
-        gamma_a=MappingProxyType(gamma_a),
-        gamma_b=MappingProxyType(gamma_b),
-        delta=MappingProxyType(delta),
+        ids, Fraction(q_a, q), Fraction(q - q_a, q), *accuracy, *gamma, MappingProxyType(delta)
     )
 
 

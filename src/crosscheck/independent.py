@@ -150,7 +150,7 @@ def _frequencies(source: EvaluationSketch | Mapping[str, Fraction]) -> dict[str,
     for key in source:
         if key not in freqs:
             raise SketchError(f"bad pattern key {key!r}: want length 3 over alphabet 'ab'")
-        freqs[key] = Fraction(source[key])
+        freqs[key] = _rational(source[key], "frequencies")
     if any(v < 0 for v in freqs.values()):
         raise SketchError("frequencies must be non-negative")
     if sum(freqs.values()) != 1:

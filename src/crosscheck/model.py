@@ -319,20 +319,33 @@ def pair_counts(sketch: EvaluationSketch, first: str, second: str) -> dict[str, 
 
 def validate_sketch(sketch: EvaluationSketch) -> list[str]:
     """Numeric consistency violations, empty when the sketch is sound."""
+    counts, split = sketch.counts, sketch.truth_split
+    # a sound sketch passes these C-level checks alone (a split's parts,
+    # kept in pattern order like the counts, bound each count from below);
+    # the problems are worded, in pattern order, only when one fails
+    if split is None:
+        sound = min(counts.values(), default=0) >= 0
+    else:
+        sound = (
+            list(split) == list(counts)
+            and min(itertools.chain.from_iterable(split.values()), default=0) >= 0
+            and list(map(sum, split.values())) == list(counts.values())
+        )
+    if sound and sum(counts.values()) == sketch.q:
+        return []
     problems: list[str] = []
-    for pattern in sorted(sketch.counts):
-        if sketch.counts[pattern] < 0:
+    for pattern in sorted(counts):
+        if counts[pattern] < 0:
             problems.append(f"negative count for pattern {pattern}")
-    total = sum(sketch.counts.values())
+    total = sum(counts.values())
     if total != sketch.q:
         problems.append(f"pattern counts do not sum to Q (got {total}, expected {sketch.q})")
-    if sketch.truth_split is not None:
-        patterns = sorted(set(sketch.counts) | set(sketch.truth_split))
-        for pattern in patterns:
-            n_a, n_b = sketch.truth_split.get(pattern, (0, 0))
+    if split is not None:
+        for pattern in sorted(set(counts) | set(split)):
+            n_a, n_b = split.get(pattern, (0, 0))
             if n_a < 0 or n_b < 0:
                 problems.append(f"negative truth split for pattern {pattern}")
-            expected = sketch.counts.get(pattern, 0)
+            expected = counts.get(pattern, 0)
             if n_a + n_b != expected:
                 problems.append(
                     f"truth split mismatch for pattern {pattern} "
@@ -367,25 +380,16 @@ def flip_labels(
             "cannot apply a truth-conditioned flip to an inconsistent sketch: "
             + "; ".join(mismatch)
         )
-    new_split: dict[str, list[int]] = {}
-
-    def bump(pattern: str, part_a: int, part_b: int) -> None:
-        entry = new_split.setdefault(pattern, [0, 0])
-        entry[0] += part_a
-        entry[1] += part_b
-
-    for pattern in set(sketch.counts) | set(sketch.truth_split):
-        n_a, n_b = sketch.truth_split.get(pattern, (0, 0))
+    # the check above leaves no counted pattern outside the split; each
+    # entry sends its true-a part to one key and its true-b part to the other
+    moved: dict[str, list[int]] = {}
+    for pattern, (n_a, n_b) in sketch.truth_split.items():
         flipped = flip_position(pattern, idx)
-        if mode == "true-a":
-            bump(flipped, n_a, 0)
-            bump(pattern, 0, n_b)
-        else:
-            bump(pattern, n_a, 0)
-            bump(flipped, 0, n_b)
-    counts = {p: a + b for p, (a, b) in new_split.items()}
-    split = {p: (a, b) for p, (a, b) in new_split.items()}
-    return EvaluationSketch(sketch.classifiers, sketch.q, counts, split)
+        to_a, to_b = (flipped, pattern) if mode == "true-a" else (pattern, flipped)
+        moved.setdefault(to_a, [0, 0])[0] += n_a
+        moved.setdefault(to_b, [0, 0])[1] += n_b
+    counts = {p: a + b for p, (a, b) in moved.items()}
+    return EvaluationSketch(sketch.classifiers, sketch.q, counts, moved)
 
 
 def truth_prevalence(sketch: EvaluationSketch) -> int:
@@ -428,34 +432,6 @@ def joint_correct_counts(
         elif pattern[i] == LABEL_B and pattern[j] == LABEL_B:
             on_b += n_b
     return on_a, on_b
-
-
-def reorder(sketch: EvaluationSketch, order: Sequence[str]) -> EvaluationSketch:
-    """Permute the roster; pattern keys are rewritten to match."""
-    ids = _roster(order)
-    if sorted(ids) != sorted(sketch.classifiers):
-        raise SketchError("reorder must permute the existing roster exactly")
-    return project(sketch, ids)
-
-
-def project(sketch: EvaluationSketch, keep: Sequence[str]) -> EvaluationSketch:
-    """Marginalize onto a sub-roster by summing over the dropped positions."""
-    ids = _roster(keep)
-    indices = [sketch.index_of(cid) for cid in ids]
-    counts: dict[str, int] = {}
-    for pattern, n in sketch.counts.items():
-        short = "".join(pattern[k] for k in indices)
-        counts[short] = counts.get(short, 0) + n
-    split: dict[str, tuple[int, int]] | None = None
-    if sketch.truth_split is not None:
-        acc: dict[str, list[int]] = {}
-        for pattern, (n_a, n_b) in sketch.truth_split.items():
-            short = "".join(pattern[k] for k in indices)
-            entry = acc.setdefault(short, [0, 0])
-            entry[0] += n_a
-            entry[1] += n_b
-        split = {p: (a, b) for p, (a, b) in acc.items()}
-    return EvaluationSketch(ids, sketch.q, counts, split)
 
 
 class EvaluationPoint(_Value):

@@ -15,6 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from crosscheck import (
     DEFAULT_SPLIT_BUDGET,
+    FLIP_MODES,
     LABEL_A,
     LABELS,
     DecisionRecord,
@@ -27,6 +28,7 @@ from crosscheck import (
     SafetySpec,
     SketchError,
     correct_counts,
+    flip_position,
     joint_correct_counts,
     marginalize,
     min_count_above,
@@ -97,6 +99,72 @@ def referee_sketch_entries(size: int, counts, truth_split):
             if entry[0] or entry[1]:
                 split[pattern] = (entry[0], entry[1])
     return kept, split
+
+
+def referee_validate_sketch(sketch: EvaluationSketch) -> list[str]:
+    """Numeric consistency violations, empty when the sketch is sound,
+    worded in pattern order by one sorted walk over every pattern."""
+    problems: list[str] = []
+    for pattern in sorted(sketch.counts):
+        if sketch.counts[pattern] < 0:
+            problems.append(f"negative count for pattern {pattern}")
+    total = sum(sketch.counts.values())
+    if total != sketch.q:
+        problems.append(f"pattern counts do not sum to Q (got {total}, expected {sketch.q})")
+    if sketch.truth_split is not None:
+        patterns = sorted(set(sketch.counts) | set(sketch.truth_split))
+        for pattern in patterns:
+            n_a, n_b = sketch.truth_split.get(pattern, (0, 0))
+            if n_a < 0 or n_b < 0:
+                problems.append(f"negative truth split for pattern {pattern}")
+            expected = sketch.counts.get(pattern, 0)
+            if n_a + n_b != expected:
+                problems.append(
+                    f"truth split mismatch for pattern {pattern} "
+                    f"({n_a}+{n_b} != {expected})"
+                )
+    return problems
+
+
+def referee_flip_labels(sketch: EvaluationSketch, classifier: str, mode) -> EvaluationSketch:
+    """Relabel one classifier's responses, every truth-conditioned mode
+    by moving each part of every pattern in counts or split on its own."""
+    if mode not in FLIP_MODES:
+        raise SketchError(f"unknown flip mode {mode!r}; expected one of {FLIP_MODES}")
+    idx = sketch.index_of(classifier)
+    if mode == "global":
+        counts = {flip_position(p, idx): n for p, n in sketch.counts.items()}
+        split = None
+        if sketch.truth_split is not None:
+            split = {flip_position(p, idx): v for p, v in sketch.truth_split.items()}
+        return EvaluationSketch(sketch.classifiers, sketch.q, counts, split)
+    if sketch.truth_split is None:
+        raise SketchError(f"flip mode {mode!r} needs a truth split")
+    mismatch = [p for p in referee_validate_sketch(sketch) if "truth split" in p]
+    if mismatch:
+        raise SketchError(
+            "cannot apply a truth-conditioned flip to an inconsistent sketch: "
+            + "; ".join(mismatch)
+        )
+    new_split: dict[str, list[int]] = {}
+
+    def bump(pattern: str, part_a: int, part_b: int) -> None:
+        entry = new_split.setdefault(pattern, [0, 0])
+        entry[0] += part_a
+        entry[1] += part_b
+
+    for pattern in set(sketch.counts) | set(sketch.truth_split):
+        n_a, n_b = sketch.truth_split.get(pattern, (0, 0))
+        flipped = flip_position(pattern, idx)
+        if mode == "true-a":
+            bump(flipped, n_a, 0)
+            bump(pattern, 0, n_b)
+        else:
+            bump(pattern, n_a, 0)
+            bump(flipped, 0, n_b)
+    counts = {p: a + b for p, (a, b) in new_split.items()}
+    split = {p: (a, b) for p, (a, b) in new_split.items()}
+    return EvaluationSketch(sketch.classifiers, sketch.q, counts, split)
 
 
 def meets_pair_bounds(q_a: int, pair, x: int, y: int) -> bool:

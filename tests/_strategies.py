@@ -38,6 +38,27 @@ def sketches(draw, min_size=1, max_size=3, max_count=4, with_truth=False):
     return EvaluationSketch(ROSTER[:size], total, counts, split)
 
 
+@st.composite
+def raw_sketches(draw):
+    """Sketches sound or not: a sound sketch with or without a split, and
+    maybe some counts or split entries set to small values of either
+    sign, split keys dropped, or a q that is not the counts' sum."""
+    sketch = draw(sketches(with_truth=draw(st.booleans())))
+    counts = dict(sketch.counts)
+    split = None if sketch.truth_split is None else dict(sketch.truth_split)
+    pattern = st.sampled_from(all_patterns(sketch.size))
+    small = st.integers(-2, 3)
+    for key in draw(st.lists(pattern, max_size=2)):
+        counts[key] = draw(small)
+    if split is not None:
+        for key in draw(st.lists(pattern, max_size=2)):
+            split[key] = draw(st.tuples(small, small))
+        for key in draw(st.lists(pattern, max_size=2)):
+            split.pop(key, None)
+    q = draw(st.sampled_from([sketch.q, sum(counts.values()), sketch.q + 1]))
+    return EvaluationSketch(sketch.classifiers, max(q, 1), counts, split)
+
+
 def probabilities(max_denominator=16):
     return st.fractions(
         min_value=0, max_value=1, max_denominator=max_denominator

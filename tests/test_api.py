@@ -18,8 +18,8 @@ PUBLIC = [
     "joint_correct_a_window", "joint_correct_counts", "load_sketch", "marginalize",
     "min_count_above", "other_label", "pair_counts", "parse_claims", "parse_params",
     "parse_sketch", "parse_trace", "pattern_covariance", "point_axiom_violations",
-    "point_bound_violations", "project", "pspace_stats", "rational_sqrt",
-    "records_to_decisions", "render_traces", "reorder", "run_alarm", "save_sketch",
+    "point_bound_violations", "pspace_stats", "rational_sqrt",
+    "records_to_decisions", "render_traces", "run_alarm", "save_sketch",
     "sketch_from_decisions", "sketch_to_text", "solve_independent",
     "trace_to_csv_text", "trace_to_json_text", "truth_prevalence", "validate_sketch",
 ]

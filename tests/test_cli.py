@@ -38,14 +38,20 @@ class TestSketch:
         code, out, err = run(capsys, "sketch", str(fixtures_dir / "llm_grading.json"))
         assert code == EXIT_OK
         assert err == ""
-        lines = out.splitlines()
-        assert lines[0] == "q: 281"
-        assert lines[1] == "classifiers: claude, mistral, gpt4"
-        assert "marginals mistral: said-a 27, said-b 254" in lines
-        assert "true-a items: 237 of 281" in lines
-        assert "accuracy claude: true-a 136/237, true-b 17/22" in lines
-        assert "pattern covariance claude,mistral: -570/78961" in lines
-        assert "pattern covariance mistral,gpt4: 988/78961" in lines
+        assert out.splitlines() == [
+            "q: 281",
+            "classifiers: claude, mistral, gpt4",
+            "marginals claude: said-a 146, said-b 135",
+            "marginals mistral: said-a 27, said-b 254",
+            "marginals gpt4: said-a 234, said-b 47",
+            "true-a items: 237 of 281",
+            "accuracy claude: true-a 136/237, true-b 17/22",
+            "accuracy mistral: true-a 26/237, true-b 43/44",
+            "accuracy gpt4: true-a 211/237, true-b 21/44",
+            "pattern covariance claude,mistral: -570/78961",
+            "pattern covariance claude,gpt4: 3209/78961",
+            "pattern covariance mistral,gpt4: 988/78961",
+        ]
 
     def test_truthless_sketch_omits_truth_lines(self, capsys, tmp_path, grading_bare):
         from crosscheck import save_sketch

@@ -232,6 +232,19 @@ class TestInputValidation:
         with pytest.raises(SketchError):
             solve_independent({"aaa": Fraction(3, 2), "bbb": Fraction(-1, 2)})
 
+    def test_frequencies_are_exact_rationals(self):
+        """A float or a bool is no frequency; an int, a Fraction or an
+        "n/d" string is."""
+        for freqs in ({"aaa": 0.5, "bbb": 0.5}, {"aaa": True}):
+            with pytest.raises(SketchError, match="frequencies must be ints"):
+                solve_independent(freqs)
+        freqs = forward_model(BALANCED)
+        solution = solve_independent(freqs)
+        assert solution.consistent
+        assert solve_independent({p: str(f) for p, f in freqs.items()}) == solution
+        whole = solve_independent({"aaa": Fraction(1)})
+        assert solve_independent({"aaa": 1}) == solve_independent({"aaa": "1/1"}) == whole
+
     def test_missing_keys_default_to_zero(self):
         solution = solve_independent({"aaa": Fraction(1, 2), "bbb": Fraction(1, 2)})
         assert solution.consistent

@@ -23,15 +23,13 @@ from crosscheck import (
     other_label,
     pair_counts,
     point_bound_violations,
-    project,
-    reorder,
     sketch_from_decisions,
     truth_prevalence,
     validate_sketch,
 )
 
-from ._referees import referee_sketch_entries
-from ._strategies import sketches
+from ._referees import referee_flip_labels, referee_sketch_entries, referee_validate_sketch
+from ._strategies import raw_sketches, sketches
 
 
 class TestBasics:
@@ -339,43 +337,45 @@ class TestFlip:
         assert via_truth == flip_labels(sketch, cid, "global")
 
 
-class TestReorderProject:
-    def test_reorder_roundtrip(self, grading_sketch):
-        shuffled = reorder(grading_sketch, ("gpt4", "claude", "mistral"))
-        assert shuffled.classifiers == ("gpt4", "claude", "mistral")
-        assert marginalize(shuffled, "claude") == marginalize(grading_sketch, "claude")
-        back = reorder(shuffled, ("claude", "mistral", "gpt4"))
-        assert back == grading_sketch
+def outcome(call, *args):
+    """What a call gives: its result, or the message of its SketchError."""
+    try:
+        return call(*args)
+    except SketchError as exc:
+        return f"SketchError: {exc}"
 
-    def test_reorder_must_be_permutation(self, grading_sketch):
-        with pytest.raises(SketchError):
-            reorder(grading_sketch, ("claude", "mistral"))
-        with pytest.raises(SketchError):
-            reorder(grading_sketch, ("claude", "mistral", "other"))
 
-    def test_project_pair_matches_pair_counts(self, grading_sketch):
-        projected = project(grading_sketch, ("mistral", "gpt4"))
-        assert dict(projected.counts) == pair_counts(grading_sketch, "mistral", "gpt4")
-        assert projected.q == grading_sketch.q
+UNSOUND = {
+    "negative count": EvaluationSketch(("u",), 1, {"a": 2, "b": -1}, {"a": (1, 1)}),
+    "wrong sum": EvaluationSketch(("u", "v"), 4, {"ab": 1, "ba": 2}, {"ab": (1, 0), "ba": (0, 2)}),
+    "key missing from split": EvaluationSketch(("u", "v"), 3, {"ab": 1, "ba": 2}, {"ab": (1, 0)}),
+    "key missing from counts": EvaluationSketch(("u",), 1, {"a": 1}, {"a": (1, 0), "b": (0, 2)}),
+    "negative split part": EvaluationSketch(("u", "v"), 3, {"aa": 3}, {"aa": (4, -1)}),
+    "no split": EvaluationSketch(("u", "v"), 2, {"aa": 1, "bb": 2}),
+}
 
-    def test_project_keeps_truth(self, grading_sketch):
-        projected = project(grading_sketch, ("claude",))
-        assert truth_prevalence(projected) == 237
-        assert correct_counts(projected, "claude") == (136, 34)
 
-    def test_project_bad_roster(self, grading_sketch):
-        with pytest.raises(SketchError):
-            project(grading_sketch, ())
-        with pytest.raises(SketchError):
-            project(grading_sketch, ("claude", "claude"))
+class TestAgainstReferees:
+    """``validate_sketch`` and ``flip_labels`` against the straight
+    walks over every pattern in ``tests/_referees.py``."""
 
-    @given(sketches(min_size=2, with_truth=True))
-    def test_projection_preserves_totals(self, sketch):
-        kept = sketch.classifiers[:1]
-        projected = project(sketch, kept)
-        assert sum(projected.counts.values()) == sketch.q
-        assert truth_prevalence(projected) == truth_prevalence(sketch)
-        assert marginalize(projected, kept[0]) == marginalize(sketch, kept[0])
+    def check(self, sketch):
+        assert validate_sketch(sketch) == referee_validate_sketch(sketch)
+        for cid in sketch.classifiers:
+            for mode in FLIP_MODES:
+                assert outcome(flip_labels, sketch, cid, mode) == outcome(
+                    referee_flip_labels, sketch, cid, mode
+                )
+
+    @pytest.mark.parametrize("sketch", UNSOUND.values(), ids=UNSOUND)
+    def test_unsound_sketches(self, sketch):
+        assert referee_validate_sketch(sketch)
+        self.check(sketch)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw_sketches())
+    def test_drawn_sketches(self, sketch):
+        self.check(sketch)
 
 
 class TestEvaluationPoint:

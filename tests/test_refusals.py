@@ -22,7 +22,6 @@ from crosscheck import (
     SketchError,
     SummaryClaims,
     generate_decisions,
-    reorder,
     run_alarm,
     sketch_from_decisions,
 )
@@ -167,9 +166,8 @@ UV = EvaluationSketch(("u", "v"), 2, {"aa": 1, "bb": 1})
 @pytest.mark.parametrize("call", [
     lambda ids: run_alarm(UV, PerLabelSpec(HALF, HALF), pair=ids),
     lambda ids: count_safe_hypotheses(UV, PerLabelSpec(HALF, HALF), pair=ids),
-    lambda ids: reorder(UV, ids),
     lambda ids: sketch_from_decisions({"i1": {"u": "a", "v": "b"}}, ids),
-], ids=["run_alarm", "count_safe_hypotheses", "reorder", "sketch_from_decisions"])
+], ids=["run_alarm", "count_safe_hypotheses", "sketch_from_decisions"])
 def test_rosters_refuse(call, ids):
     """A string or a mapping is not a roster, even when its characters
     or keys name classifiers."""
@@ -195,4 +193,3 @@ def test_what_the_benchmark_passes_is_accepted():
     assert PerLabelSpec("3/5", 1, False) == PerLabelSpec(Fraction(3, 5), Fraction(1), False)
     assert OverallSpec(HALF).threshold == HALF
     assert run_alarm(UV, OverallSpec(0), pair=["v", "u"]).classifiers == ("v", "u")
-    assert reorder(UV, ["v", "u"]).classifiers == ("v", "u")

@@ -240,7 +240,14 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
         }))
     delta = {key: pattern_covariance(sketch, *key) for key in keys}
     return PSpaceStats(
-        ids, Fraction(q_a, q), Fraction(q - q_a, q), *accuracy, *gamma, MappingProxyType(delta)
+        classifiers=ids,
+        p_a=Fraction(q_a, q),
+        p_b=Fraction(q - q_a, q),
+        accuracy_a=accuracy[0],
+        accuracy_b=accuracy[1],
+        gamma_a=gamma[0],
+        gamma_b=gamma[1],
+        delta=MappingProxyType(delta),
     )
 
 

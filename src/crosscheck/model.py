@@ -320,28 +320,15 @@ def pair_counts(sketch: EvaluationSketch, first: str, second: str) -> dict[str, 
 def validate_sketch(sketch: EvaluationSketch) -> list[str]:
     """Numeric consistency violations, empty when the sketch is sound."""
     counts, split = sketch.counts, sketch.truth_split
-    # a sound sketch passes these C-level checks alone (a split's parts,
-    # kept in pattern order like the counts, bound each count from below);
-    # the problems are worded, in pattern order, only when one fails
-    if split is None:
-        sound = min(counts.values(), default=0) >= 0
-    else:
-        sound = (
-            list(split) == list(counts)
-            and min(itertools.chain.from_iterable(split.values()), default=0) >= 0
-            and list(map(sum, split.values())) == list(counts.values())
-        )
-    if sound and sum(counts.values()) == sketch.q:
-        return []
-    problems: list[str] = []
-    for pattern in sorted(counts):
-        if counts[pattern] < 0:
-            problems.append(f"negative count for pattern {pattern}")
+    # the constructor keeps counts and split in pattern order, so one walk
+    # in that order words the problems in pattern order with no sort
+    problems = [f"negative count for pattern {p}" for p, n in counts.items() if n < 0]
     total = sum(counts.values())
     if total != sketch.q:
         problems.append(f"pattern counts do not sum to Q (got {total}, expected {sketch.q})")
     if split is not None:
-        for pattern in sorted(set(counts) | set(split)):
+        same_keys = split.keys() == counts.keys()
+        for pattern in counts if same_keys else sorted(counts.keys() | split.keys()):
             n_a, n_b = split.get(pattern, (0, 0))
             if n_a < 0 or n_b < 0:
                 problems.append(f"negative truth split for pattern {pattern}")

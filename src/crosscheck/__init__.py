@@ -46,7 +46,7 @@ _EXPORTS = {
         "parse_claims", "parse_params", "parse_sketch", "parse_trace", "save_sketch",
         "sketch_to_text", "trace_to_csv_text", "trace_to_json_text",
     ),
-    "svg": ("default_label", "render_traces"),
+    "svg": ("render_traces",),
     "synth": ("generate_decisions",),
     "tables": (
         "DecisionRecord", "IngestResult", "decisions_to_csv_text", "ingest",

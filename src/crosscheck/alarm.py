@@ -47,7 +47,7 @@ class Verdict(enum.Enum):
 
 
 def min_count_above(
-    total: int, threshold: Fraction | int | float, strict: bool = True
+    total: int, threshold: Fraction | int, strict: bool = True
 ) -> int:
     """Smallest correct count on ``total`` items whose accuracy clears a
     threshold.
@@ -56,17 +56,15 @@ def min_count_above(
     meeting it is enough.  An empty item set needs nothing.  The result
     can exceed ``total`` (an unmeetable requirement, e.g. strictly above
     1), which callers observe as an empty safe interval.  Integer
-    arithmetic on the threshold's numerator and denominator; an ``int``
-    or ``Fraction`` is used as is (the spec classes hold ``Fraction``),
-    any other number, such as a float, at its exact value
-    ``Fraction(threshold)``.
+    arithmetic on the threshold's numerator and denominator, so it must
+    be an ``int`` or a ``Fraction``, never a float or a bool.
     """
     if total < 0:
         raise SketchError("total must be non-negative")
+    if type(threshold) not in (int, Fraction):
+        raise SketchError(f"threshold must be an int or a Fraction, not {threshold!r}")
     if total == 0:
         return 0
-    if not isinstance(threshold, (int, Fraction)):
-        threshold = Fraction(threshold)
     numerator, denominator = threshold.as_integer_ratio()
     if strict:
         return numerator * total // denominator + 1

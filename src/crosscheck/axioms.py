@@ -185,28 +185,16 @@ def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
 def pattern_covariance(sketch: EvaluationSketch, first: str, second: str) -> Fraction:
     """Observable covariance of a pair's decisions, label-symmetric.
 
-    Computed both ways (agree on "a" and agree on "b"); the two must
-    match on any sketch whose counts sum to q, and a mismatch means the
-    sketch is corrupted.
+    With n_aa, r_i and r_j the pair's both-"a" count and the two
+    classifiers' "a" totals, it is (n_aa q - r_i r_j) / q^2; agreeing on
+    "b" gives the same value exactly when the pair's counts sum to q, so
+    a sketch whose counts do not is refused as corrupted.
     """
     pair = pair_counts(sketch, first, second)
-    q = Fraction(sketch.q)
-    f_aa = Fraction(pair["aa"]) / q
-    f_ab = Fraction(pair["ab"]) / q
-    f_ba = Fraction(pair["ba"]) / q
-    f_bb = Fraction(pair["bb"]) / q
-    f_ai = f_aa + f_ab
-    f_aj = f_aa + f_ba
-    f_bi = f_ba + f_bb
-    f_bj = f_ab + f_bb
-    via_a = f_aa - f_ai * f_aj
-    via_b = f_bb - f_bi * f_bj
-    if via_a != via_b:
-        raise SketchError(
-            f"pattern covariance mismatch for pair ({first!r}, {second!r}): "
-            f"{via_a} via label a, {via_b} via label b; counts do not sum to q"
-        )
-    return via_a
+    q, total, n_aa = sketch.q, sum(pair.values()), pair["aa"]
+    if total != q:
+        raise SketchError(f"pair ({first!r}, {second!r}) counts sum to {total}, not q = {q}")
+    return Fraction(n_aa * q - (n_aa + pair["ab"]) * (n_aa + pair["ba"]), q * q)
 
 
 def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:

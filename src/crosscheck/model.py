@@ -528,9 +528,6 @@ class PerLabelSpec(_Value):
             *_thresholds(strict, threshold_a=threshold_a, threshold_b=threshold_b), strict
         )
 
-    def swapped(self) -> "PerLabelSpec":
-        return PerLabelSpec(self.threshold_b, self.threshold_a, self.strict)
-
 
 class OverallSpec(_Value):
     """Require prevalence-weighted overall accuracy above a threshold."""

@@ -44,24 +44,14 @@ def _runs(trace: AlarmTrace) -> list[tuple[int, int, bool]]:
     return runs
 
 
-def default_label(trace: AlarmTrace) -> str:
-    return f"{trace.mode}: {'+'.join(trace.classifiers)}"
-
-
-def render_traces(
-    traces: Sequence[AlarmTrace], labels: Sequence[str] | None = None
-) -> str:
-    """Render one or more traces over a shared test size."""
+def render_traces(traces: Sequence[AlarmTrace]) -> str:
+    """Render one or more traces over a shared test size, a row each."""
     if not traces:
         raise SketchError("nothing to render")
     q = traces[0].q
     for trace in traces:
         if trace.q != q:
             raise SketchError("all rendered traces must share the same q")
-    if labels is None:
-        labels = [default_label(trace) for trace in traces]
-    if len(labels) != len(traces):
-        raise SketchError("need one label per trace")
 
     cell_w = _PLOT_W / (q + 1)
     height = _TOP + len(traces) * (_ROW_H + _ROW_GAP) - _ROW_GAP + _BOTTOM
@@ -91,8 +81,9 @@ def render_traces(
         f'<rect class="swatch band-unsafe" x="{_LEFT + 210}" y="8" width="14" height="12"/>'
         f'<text class="legend" x="{_LEFT + 230}" y="18">no</text>'
     )
-    for row, (trace, label) in enumerate(zip(traces, labels)):
+    for row, trace in enumerate(traces):
         y = _TOP + row * (_ROW_H + _ROW_GAP)
+        label = f"{trace.mode}: {'+'.join(trace.classifiers)}"
         parts.append(
             f'<text class="row-label" x="{_LEFT - 10}" y="{_coord(y + _ROW_H / 2)}" '
             f'text-anchor="end">{_escape(label)}</text>'

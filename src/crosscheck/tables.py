@@ -43,23 +43,17 @@ class IngestResult(NamedTuple):
         return tuple(self.records[0].responses) if self.records else ()
 
 
-def _map_label(
-    raw: str, label_map: Mapping[str, str] | None, where: str
-) -> str:
+def _unmapped(raw: object, label_map: Mapping[str, str] | None, where: str) -> IngestError:
+    """Why a raw value outside the row loop's label table maps to no label."""
     if label_map is None:
-        if raw in LABELS:
-            return raw
-        raise IngestError(
+        return IngestError(
             f"{where}: label {raw!r} is not canonical and no label map was given"
         )
-    if not isinstance(raw, str) or raw not in label_map:
-        raise IngestError(f"{where}: label {raw!r} is not in the label map")
-    mapped = label_map[raw]
-    if mapped not in LABELS:
-        raise IngestError(
-            f"label map sends {raw!r} to {mapped!r}, which is not canonical"
+    if isinstance(raw, str) and raw in label_map:
+        return IngestError(
+            f"label map sends {raw!r} to {label_map[raw]!r}, which is not canonical"
         )
-    return mapped
+    return IngestError(f"{where}: label {raw!r} is not in the label map")
 
 
 # A row source yields (line number, item id, raw responses in roster
@@ -177,7 +171,7 @@ def _read_rows(
     reason such a row is dropped.
     """
     # raw value -> canonical label, or None for an empty cell (an empty
-    # string, a JSON null, or no truth at all); :func:`_map_label` words
+    # string, a JSON null, or no truth at all); :func:`_unmapped` words
     # the error for a raw value outside it
     if label_map is None:
         table: dict = {label: label for label in LABELS}
@@ -199,7 +193,7 @@ def _read_rows(
             try:
                 label = table[raw]
             except (KeyError, TypeError):
-                label = _map_label(raw, label_map, where)
+                raise _unmapped(raw, label_map, where)
             if label is None:
                 return f"empty response for classifier {cid}"
             mapped.append(label)
@@ -224,7 +218,7 @@ def _read_rows(
         try:
             truth = table[raw_truth]
         except (KeyError, TypeError):
-            truth = _map_label(raw_truth, label_map, f"{rows.unit} {line_no}")
+            raise _unmapped(raw_truth, label_map, f"{rows.unit} {line_no}")
         if truth is not None:
             any_truth = True
         elif rows.drop_missing_truth:

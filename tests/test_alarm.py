@@ -96,11 +96,13 @@ class TestMinCountAbove:
         with pytest.raises(SketchError):
             min_count_above(-1, HALF)
 
-    def test_float_threshold_at_its_exact_value(self):
-        assert min_count_above(10, 0.5) == 6
-        assert min_count_above(10, 0.5, strict=False) == 5
-        # 0.7 is stored just below 7/10, so 7 of 10 already exceeds it
-        assert min_count_above(10, 0.7) == min_count_above(10, Fraction(0.7)) == 7
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, True, "1/2"])
+    def test_threshold_must_be_int_or_fraction(self, threshold):
+        # 0.7 is stored just below 7/10, where 7 of 10 would already clear
+        # it; a bool is an int subclass and "1/2" a spec file's spelling,
+        # and none of them is taken here
+        with pytest.raises(SketchError):
+            min_count_above(10, threshold)
 
     @given(
         st.integers(1, 60),

@@ -11,7 +11,7 @@ PUBLIC = [
     "IntInterval", "LABELS", "LABEL_A", "LABEL_B", "Marginals", "OverallSpec",
     "PSpaceStats", "PerLabelSpec", "QaSlice", "SafetySpec", "SketchError",
     "SummaryClaims", "SummaryReport", "Verdict", "all_patterns", "atomic_write_text",
-    "check_summary", "correct_counts", "decisions_to_csv_text", "default_label",
+    "check_summary", "correct_counts", "decisions_to_csv_text",
     "emit_trace", "enumerate_evaluations", "evaluation_count",
     "feasible_interval_label_a", "feasible_interval_label_b", "flip_labels",
     "flip_position", "forward_model", "generate_decisions", "ingest",

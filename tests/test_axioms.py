@@ -17,6 +17,7 @@ from crosscheck import (
     pattern_covariance,
     point_axiom_violations,
     pspace_stats,
+    validate_sketch,
 )
 from crosscheck.axioms import _pair_axiom_sum, _single_axiom_residual, pair_bounds
 
@@ -183,6 +184,12 @@ class TestPatternCovariance:
         bad = EvaluationSketch(("u", "v"), 3, {"aa": 1, "ab": 1})
         with pytest.raises(SketchError):
             pattern_covariance(bad, "u", "v")
+        # with n_aa == n_bb both labels give the same wrong value (1/20),
+        # so only the count sum shows that 8 items are not q = 10
+        short = EvaluationSketch(("u", "v"), 10, {"aa": 2, "ab": 3, "ba": 1, "bb": 2})
+        assert validate_sketch(short)
+        with pytest.raises(SketchError, match="sum to 8, not q = 10"):
+            pattern_covariance(short, "u", "v")
 
     @given(sketches(min_size=2, max_size=3))
     @settings(max_examples=60)

@@ -412,14 +412,6 @@ class TestEvaluationPoint:
 
 
 class TestSpecs:
-    def test_per_label_swapped(self):
-        spec = PerLabelSpec(Fraction(3, 4), Fraction(1, 4), strict=False)
-        swapped = spec.swapped()
-        assert swapped.threshold_a == Fraction(1, 4)
-        assert swapped.threshold_b == Fraction(3, 4)
-        assert swapped.strict is False
-        assert swapped.swapped() == spec
-
     def test_threshold_range(self):
         with pytest.raises(ValueError):
             PerLabelSpec(Fraction(3, 2), Fraction(1, 2))

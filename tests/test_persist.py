@@ -26,7 +26,6 @@ from crosscheck import (
     Verdict,
     atomic_write_text,
     decisions_to_csv_text,
-    default_label,
     emit_trace,
     ingest,
     load_sketch,
@@ -537,19 +536,14 @@ class TestSvg:
         assert "assumed number of true-a items" in svg
         assert "pair: claude+mistral" in svg
 
-    def test_custom_labels_escaped(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT, pair=("claude", "mistral"))
-        svg = render_traces([trace], labels=["a < b"])
-        assert "a &lt; b" in svg
+    def test_row_label_names_mode_and_roster(self, grading_sketch):
+        svg = render_traces([run_alarm(grading_sketch, DEFAULT)])
+        assert ">ensemble: claude+mistral+gpt4</text>" in svg
 
-    def test_label_count_must_match(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT)
-        with pytest.raises(Exception):
-            render_traces([trace], labels=["one", "two"])
-
-    def test_default_label(self, grading_sketch):
-        trace = run_alarm(grading_sketch, DEFAULT)
-        assert default_label(trace) == "ensemble: claude+mistral+gpt4"
+    def test_row_label_escaped(self):
+        sketch = EvaluationSketch(("a<b", "c&d"), 2, {"aa": 1, "bb": 1})
+        svg = render_traces([run_alarm(sketch, DEFAULT)])
+        assert ">ensemble: a&lt;b+c&amp;d</text>" in svg
 
     def test_mixed_q_rejected(self, grading_sketch):
         small = EvaluationSketch(("u",), 1, {"a": 1})

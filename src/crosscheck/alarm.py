@@ -15,6 +15,7 @@ import enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
+from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .axioms import (
@@ -338,6 +339,21 @@ def _octagon_feasible(
     return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2)), ()
 
 
+def _pair_bound(u: int, v: int, bounds: _Bounds) -> tuple[int, int] | None:
+    """The pair bound on the edge u -> v of the matrix that
+    :func:`_octagon_feasible` builds, as (slope, constant): its value at
+    shift h is slope * h + constant.  None when both nodes stand for one
+    classifier."""
+    i, j = u >> 1, v >> 1
+    if i == j:
+        return None
+    # the pair (a, b) = (min(i, j), max(i, j)) as in pair_bounds
+    max_a_minus_b, max_b_minus_a, min_sum, max_sum = bounds[min(i, j), max(i, j)]
+    if u & 1 == v & 1:  # x_j - x_i, or x_i - x_j if both are negated
+        return 0, max_b_minus_a if (i < j) != (u & 1) else max_a_minus_b
+    return (1, max_sum) if u & 1 else (-1, -min_sum)  # x_i + x_j, or -x_i - x_j
+
+
 def _cycle_weight(cycle: Sequence[int], safe: _Ends, bounds: _Bounds, shift: int) -> int:
     """Weight of a cycle of nodes, each edge u -> v to the next node (the
     last to the first), in the matrix that :func:`_octagon_feasible`
@@ -346,18 +362,62 @@ def _cycle_weight(cycle: Sequence[int], safe: _Ends, bounds: _Bounds, shift: int
     ends, lowered by the one pair bound on that edge, if any."""
     weight = 0
     for u, v in zip(cycle, (*cycle[1:], cycle[0])):
-        i, j = u >> 1, v >> 1
-        (lo_i, hi_i), (lo_j, hi_j) = safe[i], safe[j]
+        (lo_i, hi_i), (lo_j, hi_j) = safe[u >> 1], safe[v >> 1]
         entry = (-lo_j if v & 1 else hi_j) - (-hi_i if u & 1 else lo_i)
-        if i != j:
-            # the pair (a, b) = (min(i, j), max(i, j)) as in pair_bounds
-            max_a_minus_b, max_b_minus_a, min_sum, max_sum = bounds[min(i, j), max(i, j)]
-            if u & 1 == v & 1:  # x_j - x_i, or x_i - x_j if both are negated
-                entry = min(entry, max_b_minus_a if (i < j) != (u & 1) else max_a_minus_b)
-            else:  # x_i + x_j, or -x_i - x_j
-                entry = min(entry, max_sum + shift if u & 1 else -min_sum - shift)
+        pair = _pair_bound(u, v, bounds)
+        if pair is not None:
+            entry = min(entry, pair[0] * shift + pair[1])
         weight += entry
     return weight
+
+
+# a term a*h + b + sum of g * floor((n*h + c) / d) in the hypothesis h, all
+# ints, d > 0, as (a, b, ((g, n, c, d), ...))
+_Term = tuple[int, int, tuple[tuple[int, int, int, int], ...]]
+
+
+def _at(term: _Term, h: int) -> int:
+    a, b, floors = term
+    return a * h + b + sum(g * ((n * h + c) // d) for g, n, c, d in floors)
+
+
+def _cycle_bound(
+    cycle: Sequence[int], tops: Sequence[Sequence[_Term]], bounds: _Bounds, h0: int
+) -> _Term:
+    """F, the sum over ``cycle``'s edges of each entry's branch that is
+    least at hypothesis h0: at least the cycle's weight at every
+    hypothesis in [1, q - 1], and equal to it at h0 (the proof is in
+    :meth:`_Sweep.safe_hypotheses`).  ``tops[w]`` are the terms whose
+    least is upper[w], the matrix's bound on node w; -lower[u] is
+    upper[u ^ 1]."""
+    a, b, floors = 0, 0, ()
+    for u, v in zip(cycle, (*cycle[1:], cycle[0])):
+        branches = [
+            (a1 + a2, b1 + b2, f1 + f2) for a1, b1, f1 in tops[v] for a2, b2, f2 in tops[u ^ 1]
+        ]
+        pair = _pair_bound(u, v, bounds)
+        if pair is not None:
+            branches.append((*pair, ()))
+        a1, b1, f1 = min(branches, key=lambda term: _at(term, h0))
+        a, b, floors = a + a1, b + b1, floors + f1
+    return a, b, floors
+
+
+def _refuted_until(bound: _Term, h0: int, end: int) -> int:
+    """Where the sweep resumes, given a bound F below 0 at h0 < end: a
+    hypothesis in (h0, end] before which F stays below 0 from h0 on.
+    Within one period P of h0 (the lcm of F's denominators) it is the
+    first where F is not below 0; after a whole period below 0 it is
+    ``end`` if F's step per period is at most 0, else the end of the last
+    whole period that the step keeps below 0.  O(P) evaluations of F."""
+    period = lcm(*(d for *_, d in bound[2]))
+    h, worst, scanned = h0, _at(bound, h0), min(end, h0 + period)
+    while h < scanned and (weight := _at(bound, h)) < 0:
+        worst, h = max(worst, weight), h + 1
+    if h < h0 + period:
+        return h
+    delta = _at(bound, h0 + period) - _at(bound, h0)
+    return end if delta <= 0 else min(end, h + period * ((-worst - 1) // delta))
 
 
 class _Sweep:
@@ -398,6 +458,28 @@ class _Sweep:
         self.margs = tuple(marginalize(sketch, cid) for cid in ids)
         self.window = IntInterval(*_window(q, self.margs, spec))
 
+    @cached_property
+    def _tops(self) -> list[tuple[_Term, ...]]:
+        """For each node of the matrix at a hypothesis h in [1, q - 1], the
+        terms whose least is its upper bound: min(h, r_a) for +x_k, and
+        the lower-end terms of :meth:`safe_hypotheses`, negated, for -x_k."""
+        q, spec = self.q, self.spec
+        per_label, tops = isinstance(spec, PerLabelSpec), []
+        if per_label:  # for t >= 1, -min_count_above(t, n/d) = s * floor(-s n t / d) + e
+            s, e = (-1, -1) if spec.strict else (1, 0)
+            n_a, d_a = spec.threshold_a.as_integer_ratio()
+            n_b, d_b = spec.threshold_b.as_integer_ratio()
+        else:
+            need = min_count_above(q, spec.threshold, spec.strict)
+        for r_a in (m.r_a for m in self.margs):
+            if per_label:  # -need_a(h), and -need_b(u) + u - r_a with u = q - h
+                lows = ((0, e, ((s, -s * n_a, 0, d_a),)),
+                        (-1, q - r_a + e, ((s, s * n_b, -s * n_b * q, d_b),)))
+            else:  # -0, u - r_a and floor((u - r_a - need) / 2)
+                lows = ((0, 0, ()), (-1, q - r_a, ()), (0, 0, ((1, -1, q - r_a - need, 2),)))
+            tops += [((1, 0, ()), (0, r_a, ())), lows]
+        return tops
+
     def safe_hypotheses(self, lo: int, hi: int) -> list[range]:
         """The safe hypotheses in [lo, hi] as runs, ranges in order: closed
         form unless refining, else the window's hypotheses that the pairs
@@ -432,6 +514,34 @@ class _Sweep:
         alone an integer one.  Not negative, the hypothesis is judged as
         above, and a new cycle, if any, replaces the old one.  Either way
         the safe set is the same; only the work differs.
+
+        A cycle that still refutes a hypothesis h0 in [1, q - 1], the
+        second in a row, settles a run from h0 on with no more re-weighing
+        (:func:`_cycle_bound`, :func:`_refuted_until`).  A bound costs a
+        few re-weighings, so a cycle that refutes only every other
+        hypothesis, between safe ones, gets none.  Proof.  For t >= 1,
+        min_count_above(t) is floor(n t / d) + 1 strict and
+        -floor(-n t / d) otherwise; at t = 0 a strict one is 0, which is
+        why h = 0 (t = h in need_a) and h = q (t = u in need_b) are left
+        out.  So at each h in [1, q - 1] every term of
+        the safe ends above is a h + b + sum g floor((n h + c) / d), all
+        ints: a lower end is the max of such terms, an upper end the min.
+        A pair's sum bounds, shifted by h, are such terms, and its
+        difference bounds constants.  So each entry upper[v] - lower[u]
+        of the cycle is a min over branches: a term of upper[v] plus one
+        of -lower[u], or the edge's pair bound.  F, the sum over the edges
+        of the branch least at h0, is at least the cycle's weight at every
+        such h and equals it at h0, where it is below 0; at each h with
+        F(h) < 0 the weight is below 0 too, and h is unsafe.  F is
+        quasi-affine: with P the lcm of its denominators, F(h + P) - F(h)
+        is one int, delta, for every h.  So scan h0, h0 + 1, ... while
+        F < 0, for at most P steps, and resume the loop where the scan
+        stops.  If a whole period stays below 0, with largest value w,
+        each later h is j >= 1 periods past one in it, so F(h) <=
+        w + j delta.  With delta <= 0 every later h up to q - 1 is unsafe;
+        with delta > 0 so are the next k periods, for the largest k with
+        w + k delta < 0.  Ints only, and O(L P) steps for a cycle of L
+        edges, where re-weighing would take O(L) per hypothesis.
         """
         candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
         if not (self.coupled and candidates):
@@ -445,7 +555,7 @@ class _Sweep:
         per_label, strict = isinstance(spec, PerLabelSpec), spec.strict
         if not per_label:
             need = min_count_above(q, spec.threshold, strict)
-        runs, q_a, stop, cycle = [], candidates.start, candidates.stop, ()
+        runs, q_a, stop, cycle, refuted = [], candidates.start, candidates.stop, (), -1
         while q_a < stop:
             # A classifier right on x of the q_a true-a items is right on
             # x + u - r_a of the u true-b ones; its feasible x run from
@@ -461,7 +571,13 @@ class _Sweep:
             else:  # x + (x + u - r_a) >= need
                 safe = [(max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a)) for r_a in r_as]
             if cycle and _cycle_weight(cycle, safe, bounds, q_a) < 0:
-                q_a += 1
+                # a bound only for a run: the hypothesis before was refuted too
+                if q_a == refuted and 0 < q_a < q:
+                    bound = _cycle_bound(cycle, self._tops, bounds, q_a)
+                    q_a = _refuted_until(bound, q_a, min(stop, q))
+                else:
+                    q_a += 1
+                refuted = q_a
                 continue
             slack = _greedy_pass(safe, bounds, q_a)
             if slack >= 0:
@@ -520,7 +636,12 @@ def count_safe_hypotheses(
     qa_range: tuple[int, int] | None = None,
 ) -> int:
     """Number of safe hypotheses in ``qa_range`` (default all), without
-    the trace.  O(N·patterns) unless refining."""
+    the trace.  O(N·patterns) unless refining.  Refining costs one greedy
+    pass, O(N^2), per run of safe hypotheses or dead end, one closure,
+    O(N^3), per dead end that no kept cycle refutes, and O(L·P) integer
+    steps per run that a cycle of L edges refutes, P dividing the lcm of
+    the thresholds' denominators (2 for an overall spec), whatever q is
+    (:meth:`_Sweep.safe_hypotheses`)."""
     sweep = _Sweep(sketch, spec, pair, refine)
     lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
     return sum(map(len, sweep.safe_hypotheses(lo, hi)))

@@ -20,6 +20,8 @@ from .model import (
     FLIP_MODES,
     OverallSpec,
     PerLabelSpec,
+    SketchError,
+    _rational,
     flip_labels,
     marginalize,
     sketch_from_decisions,
@@ -70,9 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        return _rational(text, "thresholds")
+    except SketchError:
+        raise argparse.ArgumentTypeError(
+            f"not an 'n/d' or decimal number with no exponent: {text!r}"
+        ) from None
 
 
 def _non_negative(text: str) -> int:

@@ -52,13 +52,19 @@ def _roster(ids: object) -> tuple[str, ...]:
 
 
 def _rational(value: object, what: str) -> Fraction:
-    """An int, a Fraction or an "n/d" string, never a float or a bool."""
-    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+    """An int, a Fraction, or a string "n/d" or decimal such as "0.75",
+    never a float or a bool.  A string with an exponent is refused: a few
+    characters such as "1e100000000" would spell an integer of 10**8
+    digits, which takes longer to build than any run should."""
+    exponent = isinstance(value, str) and ("e" in value or "E" in value)
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool) and not exponent:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise SketchError(f"{what} must be ints, Fractions or 'n/d' strings")
+    raise SketchError(
+        f"{what} must be ints, Fractions, or 'n/d' or decimal strings with no exponent"
+    )
 
 
 class _Value:
@@ -505,7 +511,8 @@ def _thresholds(strict: object, **named: object) -> list[Fraction]:
     for name, value in named.items():
         t = _rational(value, "thresholds")
         if not 0 <= t <= 1:
-            raise SketchError(f"{name}={t} outside [0, 1]")
+            # no digits: a value past 4300 of them cannot be printed
+            raise SketchError(f"{name} outside [0, 1]")
         kept.append(t)
     return kept
 

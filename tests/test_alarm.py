@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -38,10 +39,12 @@ from crosscheck import (
     trace_to_json_text,
 )
 from crosscheck.alarm import (
+    _at,
     _cycle_weight,
     _greedy_pass,
     _octagon_feasible,
     _safe_qa_bounds,
+    _Sweep,
     count_safe_hypotheses,
 )
 from crosscheck.axioms import PairBounds, pair_bounds
@@ -991,7 +994,9 @@ class TestPairwiseDecision:
         ) > 0  # the unrefined alarm stays quiet: only the pairs convict
 
 
-THRESHOLDS = st.sampled_from((Fraction(0), Fraction(1))) | st.fractions(0, 1, max_denominator=12)
+# n/d for every denominator d in 2..12 and n in 0..d, so 0 and 1 too: the
+# period of a cycle's bound divides the lcm of the thresholds' denominators
+THRESHOLDS = st.integers(2, 12).flatmap(lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))
 LARGE_Q_SPECS = st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()) | st.builds(
     OverallSpec, THRESHOLDS, st.booleans()
 )
@@ -1026,10 +1031,11 @@ def dead_end_sketches(draw):
 
 
 THIRD = Fraction(1, 3)
-# about a third of the draws refute a hypothesis by a kept cycle alone
+# half from a grid on which about a third of the draws refute a hypothesis
+# by a kept cycle alone, half with any denominator from 2 to 12
 DEAD_END_SPECS = st.sampled_from(
     SPEC_GRID + (PerLabelSpec(THIRD, THIRD, strict=False), OverallSpec(THIRD, strict=False))
-)
+) | LARGE_Q_SPECS
 
 
 class TestRefinedRuns:
@@ -1038,7 +1044,9 @@ class TestRefinedRuns:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        return count_calls(monkeypatch, "_greedy_pass", "_octagon_feasible", "_cycle_weight")
+        return count_calls(
+            monkeypatch, "_greedy_pass", "_octagon_feasible", "_cycle_weight", "_cycle_bound"
+        )
 
     @given(large_q_sketches(), LARGE_Q_SPECS, st.data())
     @settings(max_examples=100, deadline=None)
@@ -1063,17 +1071,85 @@ class TestRefinedRuns:
         kw = dict(refine=True, qa_range=(lo, hi))
         assert count_safe_hypotheses(sketch, spec, **kw) == sum(lo <= q_a <= hi for q_a in safe)
 
+    @given(dead_end_sketches(), DEAD_END_SPECS)
+    @settings(max_examples=200, deadline=None)
+    def test_a_cycle_bound_bounds_its_weight(self, sketch, spec):
+        # F is at least the cycle's weight at every hypothesis of the window
+        # in [1, q - 1], with each classifier's safe ends taken by the scan,
+        # and equal to it at the hypothesis it was built at
+        import crosscheck.alarm as alarm_module
+
+        built = []
+
+        def cycle_bound(cycle, tops, bounds, h0, _original=alarm_module._cycle_bound):
+            built.append((cycle, bounds, h0, _original(cycle, tops, bounds, h0)))
+            return built[-1][-1]
+
+        sweep = _Sweep(sketch, spec, None, True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(alarm_module, "_cycle_bound", cycle_bound)
+            sweep.safe_hypotheses(0, sketch.q)
+        q, r_as = sketch.q, [m.r_a for m in sweep.margs]
+        for cycle, bounds, h0, bound in built:
+            for h in range(max(1, sweep.window.lo), min(q - 1, sweep.window.hi) + 1):
+                ends = [scan_subinterval(q, h, r_a, spec) for r_a in r_as]
+                weight = _cycle_weight(cycle, ends, bounds, h)
+                assert _at(bound, h) >= weight
+                assert h != h0 or _at(bound, h) == weight < 0
+
+    @pytest.mark.parametrize("counts, spec, skip", [
+        # h0, end, the hypothesis the loop resumes at, F's period and delta
+        ({"ab": 4, "ba": 4}, PerLabelSpec(Fraction(2, 3), Fraction(1, 6), strict=False),
+         (3, 7, 7, 3, -1)),
+        ({"ab": 3, "ba": 9}, PerLabelSpec(Fraction(1, 4), Fraction(1, 4)), (3, 12, 12, 4, 0)),
+        ({"aab": 12, "abb": 5, "bba": 8}, PerLabelSpec(Fraction(1, 4), HALF, strict=False),
+         (11, 25, 19, 4, 1)),
+        ({"ab": 4, "ba": 2}, PerLabelSpec(Fraction(0), THIRD), (3, 6, 4, 3, 1)),
+    ], ids=["delta-below-0", "delta-0", "delta-above-0", "stops-early"])
+    def test_each_path_of_the_skip(self, monkeypatch, counts, spec, skip):
+        # one bound each, with a period above 2, built where the cycle
+        # refutes a second hypothesis in a row: a full period below 0
+        # then, by delta, every later hypothesis up to the window's end
+        # (delta <= 0) or the whole periods that stay below 0 (delta > 0,
+        # resuming before the end); or a scan that meets F >= 0 first
+        import crosscheck.alarm as alarm_module
+
+        seen = []
+
+        def refuted_until(bound, h0, end, _original=alarm_module._refuted_until):
+            seen.append((bound, h0, end, _original(bound, h0, end)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(alarm_module, "_refuted_until", refuted_until)
+        ids = tuple(f"c{k}" for k in range(len(next(iter(counts)))))
+        sketch = EvaluationSketch(ids, sum(counts.values()), counts)
+        safe = [row[0] for row in run_alarm(sketch, spec, refine=True).rows() if row[-2]]
+        assert safe == referee_safe_hypotheses(sketch, spec, refine=True)
+        [(bound, h0, end, resume)] = seen
+        period = lcm(*(d for *_, d in bound[2]))
+        delta = _at(bound, h0 + period) - _at(bound, h0)
+        assert (h0, end, resume, period, delta) == skip
+        if resume < h0 + period:  # stopped early, where F no longer refutes
+            assert _at(bound, resume) >= 0
+        elif delta > 0:  # k whole periods more, and the next would not all stay below 0
+            assert resume < end and max(_at(bound, h) for h in range(h0, h0 + period)) + (
+                (resume - h0) // period
+            ) * delta >= 0
+
     def test_a_run_ends_at_its_slack(self, passes):
         # the pass at q_a = 3 has slack 1, and 5 is unsafe: a run one
         # hypothesis longer than the slack would mark it safe.  The closure
         # at 5 refutes it with a cycle that weighs 0 at 6 (which the pass
-        # finds safe) and settles 7, 8 and 9.
+        # finds safe) and below 0 at 7 and at 8, the second hypothesis in a
+        # row it refutes, where one bound settles 8 and 9.
         sketch = EvaluationSketch(("c0", "c1"), 19, {"aa": 2, "ab": 4, "ba": 4, "bb": 9})
         spec = PerLabelSpec(Fraction(2, 3), Fraction(1, 3), strict=False)
         trace = run_alarm(sketch, spec, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == [0, 1, 2, 3, 4, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 1, 2, 3, 4, 6]
-        assert passes == {"_greedy_pass": 6, "_octagon_feasible": 1, "_cycle_weight": 4}
+        assert passes == {
+            "_greedy_pass": 6, "_octagon_feasible": 1, "_cycle_weight": 3, "_cycle_bound": 1
+        }
 
     def test_a_few_passes_settle_a_wide_window(self, passes):
         # three independent classifiers, each right 3 times in 4 on either label
@@ -1084,12 +1160,13 @@ class TestRefinedRuns:
         assert window > 10_000
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == window
         assert passes["_greedy_pass"] < window / 100
-        assert passes["_octagon_feasible"] == 0
+        assert passes["_octagon_feasible"] == passes["_cycle_bound"] == 0
 
     def test_dead_ends_judge_each_hypothesis(self, passes):
         # the last classifier always answers against the first, so no
-        # greedy pass finds counts; the first dead end's cycle stays
-        # negative and refutes every later hypothesis on its own
+        # greedy pass finds counts; the first dead end's cycle still weighs
+        # below 0 at the next two hypotheses, and the bound built at the
+        # second settles it and every later one of the window in one step
         flip = {"a": "b", "b": "a"}
         counts = {
             x + y + flip[x]: 50 + 7 * k
@@ -1099,20 +1176,41 @@ class TestRefinedRuns:
         window = count_safe_hypotheses(sketch, DEFAULT)
         assert window > 100
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
-        assert passes == {"_greedy_pass": 1, "_octagon_feasible": 1, "_cycle_weight": window - 1}
+        assert passes == {
+            "_greedy_pass": 1, "_octagon_feasible": 1, "_cycle_weight": 2, "_cycle_bound": 1
+        }
+
+    @pytest.mark.parametrize("ids, patterns", [
+        (("x0", "x1", "x2"), ("aab", "abb", "baa", "bba")),
+        (("x0", "x1", "x2", "x3"), ("aaab", "abbb", "baaa", "bbba")),
+    ], ids=["N=3", "N=4"])
+    def test_dead_ends_at_huge_q_take_constant_work(self, passes, ids, patterns):
+        # the last classifier answers against the first on each of 4 * 10**15
+        # items: one pass, one closure, two re-weighings and one bound for
+        # the whole window
+        sketch = EvaluationSketch(ids, 4 * 10**15, dict.fromkeys(patterns, 10**15))
+        assert count_safe_hypotheses(sketch, DEFAULT) > 10**15
+        assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
+        assert passes == {
+            "_greedy_pass": 1, "_octagon_feasible": 1, "_cycle_weight": 2, "_cycle_bound": 1
+        }
 
     def test_a_cycle_that_stops_refuting_gets_a_fresh_closure(self, passes):
         # window [0, 6]: 0 passes; 1 dead-ends and its closure refutes it
         # with a cycle that weighs 0 at 2, so 2 gets a pass, which dead-ends,
         # and a closure, whose new cycle weighs 0 at 3 (which the pass finds
-        # safe), refutes 4 and 5 alone, and weighs 0 at 6, safe again
+        # safe) and below 0 at 4 and at 5, the second hypothesis in a row it
+        # refutes, where a bound settles 5 and stops at q = 6; there the
+        # cycle weighs 0, and 6 is safe again
         sketch = EvaluationSketch(("c0", "c1", "c2"), 6, {"abb": 2, "baa": 2, "bba": 2})
         spec = PerLabelSpec(Fraction(1, 3), Fraction(1, 3), strict=False)
         assert count_safe_hypotheses(sketch, spec) == 7
         trace = run_alarm(sketch, spec, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == [0, 3, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 3, 6]
-        assert passes == {"_greedy_pass": 5, "_octagon_feasible": 2, "_cycle_weight": 5}
+        assert passes == {
+            "_greedy_pass": 5, "_octagon_feasible": 2, "_cycle_weight": 5, "_cycle_bound": 1
+        }
 
 
 def _cli_summary(argv):

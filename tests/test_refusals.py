@@ -26,6 +26,7 @@ from crosscheck import (
     sketch_from_decisions,
 )
 from crosscheck.alarm import count_safe_hypotheses
+from crosscheck.cli import EXIT_ERROR, EXIT_TRIGGERED, main
 
 HALF = Fraction(1, 2)
 
@@ -148,7 +149,7 @@ def spec(slot, value):
 
 
 @pytest.mark.parametrize("slot, value", cases(
-    threshold_a=[0.5, True, "x", "1/0", None, [HALF]],
+    threshold_a=[0.5, True, "x", "1/0", None, [HALF], "5e-1", "1E0"],
     threshold_b=[0.5, False, None],
     strict=["no", 1, None],
     overall_threshold=[0.1, True, "x", None],
@@ -193,3 +194,54 @@ def test_what_the_benchmark_passes_is_accepted():
     assert PerLabelSpec("3/5", 1, False) == PerLabelSpec(Fraction(3, 5), Fraction(1), False)
     assert OverallSpec(HALF).threshold == HALF
     assert run_alarm(UV, OverallSpec(0), pair=["v", "u"]).classifiers == ("v", "u")
+
+
+# each spells a number of 10**8 digits, which Fraction would build in full
+EXPONENTS = ["1e100000000", "1E100000000", "5e-100000000"]
+
+
+@pytest.mark.parametrize("text", EXPONENTS)
+def test_rationals_refuse_an_exponent(text):
+    with pytest.raises(SketchError, match="no exponent"):
+        OverallSpec(text)
+    with pytest.raises(SketchError, match="no exponent"):
+        IndependentParams(text, (HALF,), (HALF,))
+
+
+def test_rationals_take_fractions_and_plain_decimals():
+    assert PerLabelSpec("0.75", "3/4") == PerLabelSpec(Fraction(3, 4), Fraction(3, 4))
+    assert IndependentParams("0.5", ["0.25"], [1]).accuracy_a == (Fraction(1, 4),)
+
+
+def test_an_out_of_range_threshold_is_named_without_its_digits():
+    # 4 001 digits: under the 4 300 that int() reads, so the value parses,
+    # and its digits are never printed
+    with pytest.raises(SketchError) as refused:
+        OverallSpec("1" + "0" * 4000)
+    assert str(refused.value) == "threshold outside [0, 1]"
+
+
+@pytest.mark.parametrize("text, code", [
+    *((text, EXIT_ERROR) for text in EXPONENTS),
+    ("1e5000", EXIT_ERROR),
+    ("1" + "0" * 4000, EXIT_ERROR),
+    ("0.75", EXIT_TRIGGERED),
+])
+def test_cli_thresholds(capsys, fixtures_dir, text, code):
+    assert main(["alarm", str(fixtures_dir / "llm_grading.json"), "--spec-overall", text]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Exceeds" not in err
+    if code == EXIT_ERROR:
+        assert "no exponent" in err or "threshold outside [0, 1]" in err
+
+
+def test_cli_params_refuse_an_exponent(capsys, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(
+        '{"p_a": "1e100000000", "accuracy_a": ["3/4"], "accuracy_b": ["3/4"]}'
+    )
+    out = tmp_path / "generated.csv"
+    argv = ["generate", "--params", str(params), "--q", "5", "--seed", "1", "--out", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert "no exponent" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,16 +14,14 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, combinations, product, repeat
 from math import lcm
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
-    PairBounds,
     feasible_interval_label_a,
     feasible_interval_label_b,
-    pair_bounds,
 )
 from .model import (
     EvaluationSketch,
@@ -243,134 +241,6 @@ class AlarmTrace(_Value):
         return zip(range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined))
 
 
-# each classifier's safe interval as (lo, hi), and each pair's pair_bounds
-_Ends = Sequence[tuple[int, int]]
-_Bounds = Mapping[tuple[int, int], PairBounds]
-
-
-def _greedy_pass(safe: _Ends, bounds: _Bounds, shift: int) -> int:
-    """One greedy pass in roster order: each classifier takes the lowest
-    count in its safe interval (lo, hi) that the pair bounds allow, given
-    the counts already taken.  Both sum bounds of :func:`pair_bounds`
-    move by exactly the hypothesis, so ``bounds`` taken at hypothesis h
-    serve hypothesis h + ``shift``.  If those counts are a witness, the
-    result is the pass's slack: the least hi - lo at any classifier's
-    turn, so at least 0; -1 only means this pass dead-ended.  O(N^2)."""
-    chosen: list[int] = []
-    slack: list[int] = []
-    for k, (lo, hi) in enumerate(safe):
-        for i, x in enumerate(chosen):
-            max_i_minus_j, max_j_minus_i, min_sum, max_sum = bounds[i, k]
-            lo = max(lo, x - max_i_minus_j, min_sum + shift - x)
-            hi = min(hi, x + max_j_minus_i, max_sum + shift - x)
-        if lo > hi:
-            return -1
-        chosen.append(lo)
-        slack.append(hi - lo)
-    return min(slack)
-
-
-def _octagon_feasible(
-    safe: _Ends, bounds: _Bounds, shift: int
-) -> tuple[bool, tuple[int, ...]]:
-    """Do integer counts exist, each in its safe interval (lo, hi), that
-    meet every pair's bounds (shifted as in :func:`_greedy_pass`)?
-    Exact, O(N^3).  The answer comes with a cycle: () unless the system
-    has no rational solution, else a simple negative cycle of the matrix
-    as built, its nodes in edge order (see :func:`_cycle_weight`).
-
-    The safe intervals and the :func:`pair_bounds` of every pair are unit
-    two-variable inequalities (+-x_i +- x_j <= c), so this is integer
-    octagon feasibility, decided by tight closure (Lahiri & Musuvathi,
-    FroCoS 2005; Bagnara, Hill & Zaffanella, VMCAI 2008).  In the
-    difference-bound matrix node 2k stands for +x_k and node 2k+1 for
-    -x_k, and m[u][v] bounds V_v - V_u.  The system has a rational
-    solution iff the shortest-path closure has no negative cycle.  A
-    rational solution may still have no integer one: over the integers
-    2 x_k <= c implies 2 x_k <= 2 floor(c / 2), and a closed, rationally
-    consistent matrix has an integer solution iff, with every unary
-    entry so tightened, m[2k][2k+1] + m[2k+1][2k] >= 0 for every k.
-    Every entry starts at the bound the safe intervals imply by
-    themselves, so the matrix is complete and all-integer: no infinity.
-
-    The cycle is read off the matrix as built, by walk length: walks[k][v]
-    is the least weight of a k-edge walk ending at v, whose last edge
-    leaves before[k][v].  With a negative cycle the least walks never stop
-    falling, so at some end the least n-edge walk beats every shorter one.
-    Each cycle on it is negative, because cutting it out leaves a shorter
-    walk to that end, and the first node it repeats closes a simple one.
-    """
-    upper = [v for lo, hi in safe for v in (hi, -lo)]  # of V_u, by node
-    lower = [v for lo, hi in safe for v in (lo, -hi)]
-    n = len(upper)
-    m = [[up - low for up in upper] for low in lower]
-    for (i, j), (max_i_minus_j, max_j_minus_i, min_sum, max_sum) in bounds.items():
-        min_sum, max_sum = min_sum + shift, max_sum + shift
-        pi, ni, pj, nj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-        for u, v, c in (
-            (pj, pi, max_i_minus_j), (ni, nj, max_i_minus_j),
-            (pi, pj, max_j_minus_i), (nj, ni, max_j_minus_i),
-            (nj, pi, max_sum), (ni, pj, max_sum),
-            (pj, ni, -min_sum), (pi, nj, -min_sum),
-        ):
-            m[u][v] = min(m[u][v], c)
-    built = m[:]  # the closure replaces rows and never edits one
-    for k in range(n):  # Floyd-Warshall shortest-path closure
-        row_k = m[k]
-        for u in range(n):
-            row_u = m[u]
-            d = row_u[k]
-            m[u] = [a if a <= d + b else d + b for a, b in zip(row_u, row_k)]
-    if any(m[u][u] < 0 for u in range(n)):
-        walks, before = [[0] * n], [None]
-        for _ in range(n):
-            last = walks[-1]
-            best = [min((last[u] + built[u][v], u) for u in range(n)) for v in range(n)]
-            walks.append([w for w, _ in best])
-            before.append([u for _, u in best])
-        end = next(v for v in range(n) if walks[n][v] < min(w[v] for w in walks[:n]))
-        back = [end]  # the walk's nodes from its end back to its start
-        for k in range(n, 0, -1):
-            back.append(before[k][back[-1]])
-        again = next(i for i, v in enumerate(back) if v in back[:i])
-        return False, tuple(reversed(back[back.index(back[again]):again]))
-    for u in range(n):  # tighten the unary entries
-        m[u][u ^ 1] = 2 * (m[u][u ^ 1] // 2)
-    return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2)), ()
-
-
-def _pair_bound(u: int, v: int, bounds: _Bounds) -> tuple[int, int] | None:
-    """The pair bound on the edge u -> v of the matrix that
-    :func:`_octagon_feasible` builds, as (slope, constant): its value at
-    shift h is slope * h + constant.  None when both nodes stand for one
-    classifier."""
-    i, j = u >> 1, v >> 1
-    if i == j:
-        return None
-    # the pair (a, b) = (min(i, j), max(i, j)) as in pair_bounds
-    max_a_minus_b, max_b_minus_a, min_sum, max_sum = bounds[min(i, j), max(i, j)]
-    if u & 1 == v & 1:  # x_j - x_i, or x_i - x_j if both are negated
-        return 0, max_b_minus_a if (i < j) != (u & 1) else max_a_minus_b
-    return (1, max_sum) if u & 1 else (-1, -min_sum)  # x_i + x_j, or -x_i - x_j
-
-
-def _cycle_weight(cycle: Sequence[int], safe: _Ends, bounds: _Bounds, shift: int) -> int:
-    """Weight of a cycle of nodes, each edge u -> v to the next node (the
-    last to the first), in the matrix that :func:`_octagon_feasible`
-    builds from ``safe``, ``bounds`` and ``shift``.  O(length): each
-    entry is recomputed on its own, as upper[v] - lower[u] from the safe
-    ends, lowered by the one pair bound on that edge, if any."""
-    weight = 0
-    for u, v in zip(cycle, (*cycle[1:], cycle[0])):
-        (lo_i, hi_i), (lo_j, hi_j) = safe[u >> 1], safe[v >> 1]
-        entry = (-lo_j if v & 1 else hi_j) - (-hi_i if u & 1 else lo_i)
-        pair = _pair_bound(u, v, bounds)
-        if pair is not None:
-            entry = min(entry, pair[0] * shift + pair[1])
-        weight += entry
-    return weight
-
-
 # a term a*h + b + sum of g * floor((n*h + c) / d) in the hypothesis h, all
 # ints, d > 0, as (a, b, ((g, n, c, d), ...))
 _Term = tuple[int, int, tuple[tuple[int, int, int, int], ...]]
@@ -381,43 +251,45 @@ def _at(term: _Term, h: int) -> int:
     return a * h + b + sum(g * ((n * h + c) // d) for g, n, c, d in floors)
 
 
-def _cycle_bound(
-    cycle: Sequence[int], tops: Sequence[Sequence[_Term]], bounds: _Bounds, h0: int
-) -> _Term:
-    """F, the sum over ``cycle``'s edges of each entry's branch that is
-    least at hypothesis h0: at least the cycle's weight at every
-    hypothesis in [1, q - 1], and equal to it at h0 (the proof is in
-    :meth:`_Sweep.safe_hypotheses`).  ``tops[w]`` are the terms whose
-    least is upper[w], the matrix's bound on node w; -lower[u] is
-    upper[u ^ 1]."""
-    a, b, floors = 0, 0, ()
-    for u, v in zip(cycle, (*cycle[1:], cycle[0])):
-        branches = [
-            (a1 + a2, b1 + b2, f1 + f2) for a1, b1, f1 in tops[v] for a2, b2, f2 in tops[u ^ 1]
-        ]
-        pair = _pair_bound(u, v, bounds)
-        if pair is not None:
-            branches.append((*pair, ()))
-        a1, b1, f1 = min(branches, key=lambda term: _at(term, h0))
-        a, b, floors = a + a1, b + b1, floors + f1
-    return a, b, floors
+def _floor_term(a: int, b: int, g: int, n: int, c: int, d: int) -> _Term:
+    """a*h + b + g*floor((n*h + c) / d) with c reduced mod d, so that two
+    terms that differ by a constant differ only in b."""
+    return a, b + g * (c // d), ((g, n, c % d, d),)
 
 
-def _refuted_until(bound: _Term, h0: int, end: int) -> int:
-    """Where the sweep resumes, given a bound F below 0 at h0 < end: a
-    hypothesis in (h0, end] before which F stays below 0 from h0 on.
-    Within one period P of h0 (the lcm of F's denominators) it is the
-    first where F is not below 0; after a whole period below 0 it is
-    ``end`` if F's step per period is at most 0, else the end of the last
-    whole period that the step keeps below 0.  O(P) evaluations of F."""
-    period = lcm(*(d for *_, d in bound[2]))
-    h, worst, scanned = h0, _at(bound, h0), min(end, h0 + period)
-    while h < scanned and (weight := _at(bound, h)) < 0:
-        worst, h = max(worst, weight), h + 1
-    if h < h0 + period:
-        return h
-    delta = _at(bound, h0 + period) - _at(bound, h0)
-    return end if delta <= 0 else min(end, h + period * ((-worst - 1) // delta))
+def _never_binds(condition: _Term, first: int, last: int) -> bool:
+    """Is the condition's affine upper envelope at most 0 at ``first`` and
+    at ``last``, so the condition at most 0 on all of [first, last]?  The
+    envelope bounds g*floor(m/d) by g*m/d for g > 0 and by
+    g*(m - d + 1)/d for g < 0, scaled here by the lcm of the
+    denominators to stay in ints."""
+    a, b, floors = condition
+    scale = lcm(*(d for *_, d in floors))
+    return all(
+        (a * h + b) * scale
+        + sum(g * (n * h + c - (d - 1 if g < 0 else 0)) * (scale // d) for g, n, c, d in floors)
+        <= 0
+        for h in (first, last)
+    )
+
+
+def _class_run(conditions: Sequence[_Term], rho: int, period: int, last: int) -> range:
+    """The hypotheses rho + k*period <= ``last``, k >= 0, at which every
+    condition is at most 0, as one range: ``period`` is a multiple of
+    every denominator, so each condition moves by one int step per k."""
+    k_lo, k_hi = 0, (last - rho) // period
+    for condition in conditions:
+        at = _at(condition, rho)
+        step = _at(condition, rho + period) - at
+        if step > 0:
+            k_hi = min(k_hi, -at // step)
+        elif step < 0:
+            k_lo = max(k_lo, -(at // step))
+        elif at > 0:
+            k_hi = -1
+    if k_lo > k_hi:
+        return range(0)
+    return range(rho + k_lo * period, rho + k_hi * period + 1, period)
 
 
 class _Sweep:
@@ -430,15 +302,12 @@ class _Sweep:
     (:func:`_safe_qa_bounds`).  Their intersection, ``window``, is
     exactly the set of unrefined-safe hypotheses.  Refinement searches
     only the window, because a refined-safe hypothesis is also
-    unrefined-safe, in one loop with no object per hypothesis: each
-    classifier's safe interval is an int expression of q_a, and each
-    pair's :func:`pair_bounds` is taken once, at hypothesis 0, and
-    shifted by q_a.  A greedy pass that finds counts settles a whole run
-    of hypotheses; one that dead-ends leaves its hypothesis to the
-    closure.  For two classifiers the couplings are the whole story, so
-    the refined answer is exact; for three or more only pairwise
-    couplings are enforced, which tightens the unrefined alarm and never
-    loosens it.
+    unrefined-safe, and judges no hypothesis on its own: the pair rule of
+    :meth:`safe_hypotheses` becomes a few quasi-affine conditions in the
+    hypothesis, solved once per residue class of their period.  For two
+    classifiers the couplings are the whole story, so the refined answer
+    is exact; for three or more only pairwise couplings are enforced,
+    which tightens the unrefined alarm and never loosens it.
     """
 
     def __init__(
@@ -458,138 +327,112 @@ class _Sweep:
         self.margs = tuple(marginalize(sketch, cid) for cid in ids)
         self.window = IntInterval(*_window(q, self.margs, spec))
 
-    @cached_property
-    def _tops(self) -> list[tuple[_Term, ...]]:
-        """For each node of the matrix at a hypothesis h in [1, q - 1], the
-        terms whose least is its upper bound: min(h, r_a) for +x_k, and
-        the lower-end terms of :meth:`safe_hypotheses`, negated, for -x_k."""
-        q, spec = self.q, self.spec
-        per_label, tops = isinstance(spec, PerLabelSpec), []
-        if per_label:  # for t >= 1, -min_count_above(t, n/d) = s * floor(-s n t / d) + e
+    def _lower_terms(self) -> list[tuple[_Term, ...]]:
+        """For each classifier, the terms whose max is the lower end of its
+        safe interval at a hypothesis h in [1, q - 1].
+
+        A classifier right on x of the h true-a items is right on
+        x + u - r_a of the u = q - h true-b ones; its feasible x run from
+        max(0, r_a - u) to min(h, r_a) (feasible_interval_label_a), and
+        the spec's minimums (min_count_above) raise the lower end.  For
+        t >= 1, min_count_above(t, n/d) is floor(n t / d) + 1 strict and
+        -floor(-n t / d) otherwise, and here both h and u are at least 1.
+        """
+        q, spec, r_as = self.q, self.spec, [m.r_a for m in self.margs]
+        if isinstance(spec, PerLabelSpec):
+            # need_a(h), and need_b(u) - u + r_a, which clear 0 and r_a - u
+            # because min_count_above(t, n/d) = -s floor(-s n t / d) - e >= 0
             s, e = (-1, -1) if spec.strict else (1, 0)
             n_a, d_a = spec.threshold_a.as_integer_ratio()
             n_b, d_b = spec.threshold_b.as_integer_ratio()
-        else:
-            need = min_count_above(q, spec.threshold, spec.strict)
-        for r_a in (m.r_a for m in self.margs):
-            if per_label:  # -need_a(h), and -need_b(u) + u - r_a with u = q - h
-                lows = ((0, e, ((s, -s * n_a, 0, d_a),)),
-                        (-1, q - r_a + e, ((s, s * n_b, -s * n_b * q, d_b),)))
-            else:  # -0, u - r_a and floor((u - r_a - need) / 2)
-                lows = ((0, 0, ()), (-1, q - r_a, ()), (0, 0, ((1, -1, q - r_a - need, 2),)))
-            tops += [((1, 0, ()), (0, r_a, ())), lows]
-        return tops
+            need_a = _floor_term(0, -e, -s, -s * n_a, 0, d_a)
+            return [
+                (need_a, _floor_term(1, r_a - q - e, -s, s * n_b, -s * n_b * q, d_b))
+                for r_a in r_as
+            ]
+        # 0, r_a - u, and x + (x + u - r_a) >= need: ceil((need - u + r_a) / 2)
+        need = min_count_above(q, spec.threshold, spec.strict)
+        return [
+            ((0, 0, ()), (1, r_a - q, ()), _floor_term(0, 0, -1, -1, q - r_a - need, 2))
+            for r_a in r_as
+        ]
 
     def safe_hypotheses(self, lo: int, hi: int) -> list[range]:
-        """The safe hypotheses in [lo, hi] as runs, ranges in order: closed
-        form unless refining, else the window's hypotheses that the pairs
-        leave safe.
+        """The safe hypotheses in [lo, hi] as ranges: the window's, in
+        closed form, unless refining; else those of the window that the
+        pair rule keeps, one range with step P per residue class mod P.
 
-        Refining evaluates runs, not hypotheses: a greedy pass with slack
-        S >= 0 at q_a also finds counts at each of the next S hypotheses
-        of the window, which are marked safe unevaluated.  Proof.  Take a
-        step q_a -> q_a + 1 inside the window, so u = q - q_a falls by 1.
-        need(t) = min_count_above(t, T, strict) rises by 0 or 1 per step
-        of t for 0 <= T <= 1, except need(1) - need(0) = 2 under a strict
-        T = 1; but then need(t) <= t holds only at t = 0, so the window is
-        {0} (threshold_a) or {q} (threshold_b) and holds no step.  So each
-        term of a classifier's lower end rises by 0 or 1: need_a, and
-        need_b - u + r_a (1 minus a step of need_b); overall,
-        ceil((need - u + r_a) / 2), r_a - u and 0.  So does its upper end
-        min(q_a, r_a).  Each pair's sum bounds rise by exactly 1, and its
-        difference bounds do not move.  At classifier k's turn its ends
-        are the max and the min of its own end and, for each count x_i
-        taken before it, x_i - d or x_i + d and s + q_a - x_i.  If each
-        such x_i rises by 0 or 1, so does each of these terms, so do both
-        ends, and so does x_k, the lower one: by induction on k every
-        slack moves by at most 1.  After n <= S steps each is still at
-        least S - n >= 0, and the pass finds counts.
+        The pair rule.  At a hypothesis h let classifier k's safe interval
+        be [L_k, U_k], U_k = min(h, r_k), and let n_aa^ij count the items
+        on which both i and j said "a".  Integer counts x_k in [L_k, U_k]
+        that meet every pair's :func:`.axioms.pair_bounds` at h exist iff
+        every interval is non-empty and L_i + L_j <= h + n_aa^ij for every
+        pair.
 
-        A dead end's closure that finds no rational point hands back a
-        negative cycle, and each later hypothesis first recomputes that
-        cycle's weight from its own entries (:func:`_cycle_weight`,
-        O(N)).  Still negative, it proves the hypothesis unsafe with no
-        pass and no closure: the weight is a sum of the very entries the
-        closure would build there, so no rational point exists there, let
-        alone an integer one.  Not negative, the hypothesis is judged as
-        above, and a new cycle, if any, replaces the old one.  Either way
-        the safe set is the same; only the work differs.
+        Only if: x >= L, and x_i + x_j <= h + n_aa^ij is a pair bound.
 
-        A cycle that still refutes a hypothesis h0 in [1, q - 1], the
-        second in a row, settles a run from h0 on with no more re-weighing
-        (:func:`_cycle_bound`, :func:`_refuted_until`).  A bound costs a
-        few re-weighings, so a cycle that refutes only every other
-        hypothesis, between safe ones, gets none.  Proof.  For t >= 1,
-        min_count_above(t) is floor(n t / d) + 1 strict and
-        -floor(-n t / d) otherwise; at t = 0 a strict one is 0, which is
-        why h = 0 (t = h in need_a) and h = q (t = u in need_b) are left
-        out.  So at each h in [1, q - 1] every term of
-        the safe ends above is a h + b + sum g floor((n h + c) / d), all
-        ints: a lower end is the max of such terms, an upper end the min.
-        A pair's sum bounds, shifted by h, are such terms, and its
-        difference bounds constants.  So each entry upper[v] - lower[u]
-        of the cycle is a min over branches: a term of upper[v] plus one
-        of -lower[u], or the edge's pair bound.  F, the sum over the edges
-        of the branch least at h0, is at least the cycle's weight at every
-        such h and equals it at h0, where it is below 0; at each h with
-        F(h) < 0 the weight is below 0 too, and h is unsafe.  F is
-        quasi-affine: with P the lcm of its denominators, F(h + P) - F(h)
-        is one int, delta, for every h.  So scan h0, h0 + 1, ... while
-        F < 0, for at most P steps, and resume the loop where the scan
-        stops.  If a whole period stays below 0, with largest value w,
-        each later h is j >= 1 periods past one in it, so F(h) <=
-        w + j delta.  With delta <= 0 every later h up to q - 1 is unsafe;
-        with delta > 0 so are the next k periods, for the largest k with
-        w + k delta < 0.  Ints only, and O(L P) steps for a cycle of L
-        edges, where re-weighing would take O(L) per hypothesis.
+        If, over the rationals.  Every constraint but the lower ends holds
+        at every real truth split at h: its counts lie in [0, min(h, r_k)],
+        and the proof of pair_bounds shows that its four bounds are what a
+        real split of the pair's table meets.  Take the difference-bound
+        matrix with one edge per constraint, node +x_k and node -x_k per
+        classifier; k's lower end is the edge +x_k -> -x_k, of weight
+        -2 L_k.  Cut any cycle at its lower-end edges.  Each remaining path
+        runs from some -x_a to some +x_b and sums to x_a + x_b <= c.  Every
+        real split meets that, so c >= min(2h, r_a + r_b, h + n_aa^ab)
+        (fill the true-a items into the "aa" items first), or c >= 2 U_a
+        when a = b.  Charge half of each -2 L_k to each neighbouring path:
+        the cycle weighs the sum of c - L_a - L_b >= 0.  A cycle with no
+        lower-end edge weighs >= 0 because real splits meet it.  So no
+        cycle is negative.
+
+        If, over the integers.  A shortest path from -x_k to +x_k with no
+        lower-end edge weighs >= 2 U_k, the edge of k's upper end.
+        Otherwise its first and last paths give x_k + x_a <= c1 and
+        x_b + x_k <= c2, so it weighs >= (c1 - L_a) + (c2 - L_b) >=
+        2 min(c1 - L_a, c2 - L_b), the weight of an even path: one of
+        those paths, then the lower-end edge, then the path's coherent
+        mirror.  The same holds from +x_k to -x_k.  So every unary bound
+        of the closure is even, tightening changes nothing (Lahiri &
+        Musuvathi, FroCoS 2005), and the rational point gives an integer
+        one.
+
+        The sweep.  h = 0 and h = q are safe whenever they lie in the
+        window: there x = 0, and x_k = r_k, meet every pair.  On
+        [1, q - 1] each L_k is the max of :meth:`_lower_terms`, so the
+        rule says F(h) = t_i(h) + t_j(h) - h - n_aa^ij <= 0 for every
+        pair and each term t_i of L_i and t_j of L_j.  Of the conditions
+        that differ only in their constant, the largest constant is kept;
+        a condition whose affine upper envelope is at most 0 at both ends
+        of the searched hypotheses never binds (:func:`_never_binds`) and
+        is dropped.  With P the lcm of the denominators that remain (1 if
+        none), floor((n (h + P) + c) / d) = floor((n h + c) / d) + n P / d,
+        so F(rho + k P) = F(rho) + k (F(rho + P) - F(rho)) exactly: along
+        each residue class rho the conditions hold on one interval of k,
+        which one int division per condition finds (:func:`_class_run`).
+        Ints only: O(N^2) to build the conditions, then O(C) for each of
+        min(P, window) classes, for C conditions, whatever q is.
         """
         candidates = range(max(lo, self.window.lo), min(hi, self.window.hi) + 1)
         if not (self.coupled and candidates):
             return [candidates]
-        q, spec, ids, r_as = self.q, self.spec, self.ids, [m.r_a for m in self.margs]
-        bounds = {
-            (i, j): pair_bounds(0, pair_counts(self.sketch, ids[i], ids[j]))
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        }
-        per_label, strict = isinstance(spec, PerLabelSpec), spec.strict
-        if not per_label:
-            need = min_count_above(q, spec.threshold, strict)
-        runs, q_a, stop, cycle, refuted = [], candidates.start, candidates.stop, (), -1
-        while q_a < stop:
-            # A classifier right on x of the q_a true-a items is right on
-            # x + u - r_a of the u true-b ones; its feasible x run from
-            # max(0, r_a - u) to min(q_a, r_a) (feasible_interval_label_a),
-            # and the spec's minimums (min_count_above) raise the lower end.
-            u = q - q_a
-            if per_label:
-                # min_count_above is never negative, so these clear 0 and
-                # r_a - u: two terms fewer for the proof above to follow
-                need_a = min_count_above(q_a, spec.threshold_a, strict)
-                need_b = min_count_above(u, spec.threshold_b, strict)
-                safe = [(max(need_a, need_b - u + r_a), min(q_a, r_a)) for r_a in r_as]
-            else:  # x + (x + u - r_a) >= need
-                safe = [(max(0, r_a - u, -((u - r_a - need) // 2)), min(q_a, r_a)) for r_a in r_as]
-            if cycle and _cycle_weight(cycle, safe, bounds, q_a) < 0:
-                # a bound only for a run: the hypothesis before was refuted too
-                if q_a == refuted and 0 < q_a < q:
-                    bound = _cycle_bound(cycle, self._tops, bounds, q_a)
-                    q_a = _refuted_until(bound, q_a, min(stop, q))
-                else:
-                    q_a += 1
-                refuted = q_a
-                continue
-            slack = _greedy_pass(safe, bounds, q_a)
-            if slack >= 0:
-                end = min(stop, q_a + 1 + slack)
-                runs.append(range(q_a, end))
-                q_a = end
-                continue
-            feasible, refutation = _octagon_feasible(safe, bounds, q_a)
-            if feasible:
-                runs.append(range(q_a, q_a + 1))
-            cycle = refutation or cycle
-            q_a += 1
+        q, ids, lows = self.q, self.ids, self._lower_terms()
+        largest: dict[tuple, int] = {}  # (slope, floors) of a condition -> its constant
+        for i, j in combinations(range(len(ids)), 2):
+            n_aa = pair_counts(self.sketch, ids[i], ids[j])["aa"]
+            for (a_i, b_i, f_i), (a_j, b_j, f_j) in product(lows[i], lows[j]):
+                key, b = (a_i + a_j - 1, tuple(sorted(f_i + f_j))), b_i + b_j - n_aa
+                largest[key] = max(b, largest.get(key, b))
+        first, last = max(candidates.start, 1), min(candidates.stop - 1, q - 1)
+        binding = [
+            (a, b, floors)
+            for (a, floors), b in largest.items()
+            if not _never_binds((a, b, floors), first, last)
+        ]
+        period = lcm(*(d for *_, floors in binding for *_, d in floors))
+        runs = [range(h, h + 1) for h in (0, q) if h in candidates]
+        for rho in range(first, min(first + period, last + 1)):
+            runs.append(_class_run(binding, rho, period, last))
         return runs
 
 
@@ -622,7 +465,7 @@ def run_alarm(
     sweep = _Sweep(sketch, spec, pair, refine)
     safe = [False] * (sketch.q + 1)
     for run in sweep.safe_hypotheses(0, sketch.q):
-        safe[run.start:run.stop] = repeat(True, len(run))
+        safe[run.start:run.stop:run.step] = repeat(True, len(run))
     return AlarmTrace(
         sketch.q, spec, sweep.mode, sweep.ids, sweep.margs, tuple(safe), sweep.refine
     )
@@ -636,12 +479,12 @@ def count_safe_hypotheses(
     qa_range: tuple[int, int] | None = None,
 ) -> int:
     """Number of safe hypotheses in ``qa_range`` (default all), without
-    the trace.  O(N·patterns) unless refining.  Refining costs one greedy
-    pass, O(N^2), per run of safe hypotheses or dead end, one closure,
-    O(N^3), per dead end that no kept cycle refutes, and O(L·P) integer
-    steps per run that a cycle of L edges refutes, P dividing the lcm of
-    the thresholds' denominators (2 for an overall spec), whatever q is
-    (:meth:`_Sweep.safe_hypotheses`)."""
+    the trace.  O(N·patterns) unless refining.  Refining adds the pair
+    tables and O(N^2) conditions, then O(C) integer steps for each of at
+    most P residue classes, for the C conditions that can bind and P the
+    lcm of their denominators, which divides the lcm of the thresholds'
+    denominators (2 for an overall spec), whatever q is; the count sums
+    the classes' lengths (:meth:`_Sweep.safe_hypotheses`)."""
     sweep = _Sweep(sketch, spec, pair, refine)
     lo, hi = check_qa_range(sketch.q, qa_range if qa_range is not None else (0, sketch.q))
     return sum(map(len, sweep.safe_hypotheses(lo, hi)))

@@ -36,7 +36,6 @@ from crosscheck import (
     rational_sqrt,
     validate_sketch,
 )
-from crosscheck.alarm import _greedy_pass, _octagon_feasible
 from crosscheck.axioms import pair_bounds
 
 
@@ -294,19 +293,55 @@ def induced_correct_b(q: int, q_a: int, correct_a: int, marginals: Marginals) ->
 
 
 # ------------------------------------------------------------ refined sweep
-# The alarm's sweep as it was before one greedy pass settled a run of
-# hypotheses and one negative cycle a run of dead ends: every hypothesis
-# judged on its own, each classifier's lower end with the feasibility
-# bounds 0 and r_a - u spelled out.  It shares the greedy pass and the
-# closure with the library; tests/test_alarm.py referees those against a
-# backtracking search.
+# The alarm's sweep as it was before the pair rule settled each residue
+# class of hypotheses at once: every hypothesis judged on its own, each
+# classifier's lower end with the feasibility bounds 0 and r_a - u spelled
+# out, and the pairs enforced by tight closure of the integer octagon.
+# tests/test_alarm.py referees the closure against a backtracking search.
 
 
 def pairwise_safe_exists(safe, bounds, shift: int) -> bool:
-    """Do counts exist in every classifier's safe interval (lo, hi) that
-    meet every pair's bounds, shifted by ``shift``?  A greedy pass, then
-    the closure if the pass dead-ends."""
-    return _greedy_pass(safe, bounds, shift) >= 0 or _octagon_feasible(safe, bounds, shift)[0]
+    """Do integer counts exist, each in its safe interval (lo, hi), that
+    meet every pair's :func:`pair_bounds` (both sum bounds moved by
+    ``shift``)?  Exact, O(N^3).
+
+    The safe intervals and the bounds of every pair are unit
+    two-variable inequalities (+-x_i +- x_j <= c), so this is integer
+    octagon feasibility, decided by tight closure (Lahiri & Musuvathi,
+    FroCoS 2005; Bagnara, Hill & Zaffanella, VMCAI 2008).  In the
+    difference-bound matrix node 2k stands for +x_k and node 2k+1 for
+    -x_k, and m[u][v] bounds V_v - V_u.  The system has a rational
+    solution iff the shortest-path closure has no negative cycle.  Over
+    the integers 2 x_k <= c implies 2 x_k <= 2 floor(c / 2), and a
+    closed, rationally consistent matrix has an integer solution iff,
+    with every unary entry so tightened, m[2k][2k+1] + m[2k+1][2k] >= 0
+    for every k.  Every entry starts at the bound the safe intervals
+    imply by themselves, so the matrix is complete: no infinity.
+    """
+    upper = [v for lo, hi in safe for v in (hi, -lo)]  # of V_u, by node
+    lower = [v for lo, hi in safe for v in (lo, -hi)]
+    n = len(upper)
+    m = [[up - low for up in upper] for low in lower]
+    for (i, j), (max_i_minus_j, max_j_minus_i, min_sum, max_sum) in bounds.items():
+        min_sum, max_sum = min_sum + shift, max_sum + shift
+        pi, ni, pj, nj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+        for u, v, c in (
+            (pj, pi, max_i_minus_j), (ni, nj, max_i_minus_j),
+            (pi, pj, max_j_minus_i), (nj, ni, max_j_minus_i),
+            (nj, pi, max_sum), (ni, pj, max_sum),
+            (pj, ni, -min_sum), (pi, nj, -min_sum),
+        ):
+            m[u][v] = min(m[u][v], c)
+    for k in range(n):  # Floyd-Warshall shortest-path closure
+        row_k = m[k]
+        for u in range(n):
+            d = m[u][k]
+            m[u] = [a if a <= d + b else d + b for a, b in zip(m[u], row_k)]
+    if any(m[u][u] < 0 for u in range(n)):
+        return False
+    for u in range(n):  # tighten the unary entries
+        m[u][u ^ 1] = 2 * (m[u][u ^ 1] // 2)
+    return all(m[u][u ^ 1] + m[u ^ 1][u] >= 0 for u in range(0, n, 2))
 
 
 def referee_safe_hypotheses(

@@ -38,15 +38,7 @@ from crosscheck import (
     trace_to_csv_text,
     trace_to_json_text,
 )
-from crosscheck.alarm import (
-    _at,
-    _cycle_weight,
-    _greedy_pass,
-    _octagon_feasible,
-    _safe_qa_bounds,
-    _Sweep,
-    count_safe_hypotheses,
-)
+from crosscheck.alarm import _safe_qa_bounds, count_safe_hypotheses
 from crosscheck.axioms import PairBounds, pair_bounds
 from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
@@ -844,105 +836,95 @@ def random_refinement_case(rng, max_size=4, max_q=40):
 
 
 def decide(q_a, safe, tables):
-    """(decision, closure alone, greedy pass alone, referee).  The sweep's
+    """(the referee's closure, the backtracking search).  The sweep's
     form, bounds taken at hypothesis 0 and shifted by q_a, must agree with
     bounds taken at q_a itself."""
     bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
     at_zero = {ij: pair_bounds(0, table) for ij, table in tables.items()}
     ends = [(iv.lo, iv.hi) for iv in safe]
-    closure, cycle = _octagon_feasible(ends, bounds, 0)
-    slack = _greedy_pass(ends, bounds, 0)
-    assert _octagon_feasible(ends, at_zero, q_a) == (closure, cycle)
-    assert _greedy_pass(ends, at_zero, q_a) == slack
-    return (
-        pairwise_safe_exists(ends, at_zero, q_a),
-        closure,
-        slack >= 0,
-        backtrack_safe_exists(q_a, safe, tables),
+    closure = pairwise_safe_exists(ends, bounds, 0)
+    assert pairwise_safe_exists(ends, at_zero, q_a) is closure
+    return closure, backtrack_safe_exists(q_a, safe, tables)
+
+
+def meets_pair(bounds, x_i, x_j):
+    max_i_minus_j, max_j_minus_i, min_sum, max_sum = bounds
+    return x_i - x_j <= max_i_minus_j and x_j - x_i <= max_j_minus_i and (
+        min_sum <= x_i + x_j <= max_sum
     )
 
 
-def built_matrix(safe, bounds, shift):
-    """The difference-bound matrix of the refined question, entry by entry
-    from its definition: with V_2k = x_k and V_2k+1 = -x_k, m[u][v] bounds
-    V_v - V_u by max V_v - min V_u over the safe intervals, or by the pair
-    inequality on that same linear form, whichever is less."""
-    pair_forms = {}
-    for (i, j), (max_i_minus_j, max_j_minus_i, min_sum, max_sum) in bounds.items():
-        pair_forms[frozenset({(i, 1), (j, -1)})] = max_i_minus_j
-        pair_forms[frozenset({(i, -1), (j, 1)})] = max_j_minus_i
-        pair_forms[frozenset({(i, 1), (j, 1)})] = max_sum + shift
-        pair_forms[frozenset({(i, -1), (j, -1)})] = -min_sum - shift
-    n = 2 * len(safe)
-    m = [[0] * n for _ in range(n)]
-    for u, v in itertools.product(range(n), repeat=2):
-        sign_u, sign_v = 1 - 2 * (u % 2), 1 - 2 * (v % 2)
-        (lo_u, hi_u), (lo_v, hi_v) = safe[u // 2], safe[v // 2]
-        entry = max(sign_v * lo_v, sign_v * hi_v) - min(sign_u * lo_u, sign_u * hi_u)
-        form = {}
-        form[v // 2] = form.get(v // 2, 0) + sign_v
-        form[u // 2] = form.get(u // 2, 0) - sign_u
-        key = frozenset((k, c) for k, c in form.items() if c)
-        m[u][v] = min(entry, pair_forms.get(key, entry))
-    return m
+def exhaustive_fit(q_a, ends, tables):
+    """Do integer counts, each in its (lo, hi), meet every pair's bounds at
+    q_a?  Every count is tried; a pair is checked once both are chosen."""
+    bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
+
+    def search(chosen):
+        k = len(chosen)
+        return k == len(ends) or any(
+            all(meets_pair(bounds[i, k], y, x) for i, y in enumerate(chosen))
+            and search(chosen + [x])
+            for x in range(ends[k][0], ends[k][1] + 1)
+        )
+
+    return search([])
 
 
-def has_negative_cycle(m):
-    """Floyd-Warshall on a copy: some closed walk weighs less than 0."""
-    d = [row[:] for row in m]
-    n = len(d)
-    for k, u, v in itertools.product(range(n), repeat=3):
-        d[u][v] = min(d[u][v], d[u][k] + d[k][v])
-    return any(d[u][u] < 0 for u in range(n))
+def random_rule_case(rng):
+    """A sketch of 2 to 4 classifiers on at most 16 items, a hypothesis
+    q_a, and each classifier's (lower end, min(q_a, r_k)), the lower end
+    anywhere in [0, min(q_a, r_k)], drawn from its top third half the
+    time so that the pairs often cannot fit."""
+    size = rng.randint(2, 4)
+    q = rng.randint(1, 16)
+    counts = {}
+    for _ in range(q):
+        pattern = rng.choice(all_patterns(size))
+        counts[pattern] = counts.get(pattern, 0) + 1
+    sketch = EvaluationSketch(REFINE_ROSTER[:size], q, counts)
+    ids, q_a = sketch.classifiers, rng.randint(0, q)
+    ends = []
+    for cid in ids:
+        top = min(q_a, marginalize(sketch, cid).r_a)
+        ends.append((rng.randint(top - top // 3 if rng.random() < 0.5 else 0, top), top))
+    tables = {
+        (i, j): pair_counts(sketch, ids[i], ids[j])
+        for i, j in itertools.combinations(range(size), 2)
+    }
+    return q_a, ends, tables
 
 
-def check_refutation(safe, bounds, shift):
-    """The closure's cycle, checked against the matrix built by hand: one
-    exactly when the system has no rational solution, simple, negative,
-    and weighed alike by the matrix and by :func:`_cycle_weight`."""
-    feasible, cycle = _octagon_feasible(safe, bounds, shift)
-    m = built_matrix(safe, bounds, shift)
-    assert bool(cycle) == has_negative_cycle(m)
-    if cycle:
-        assert not feasible
-        assert len(set(cycle)) == len(cycle) and set(cycle) <= set(range(len(m)))
-        weight = sum(m[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
-        assert weight == _cycle_weight(cycle, safe, bounds, shift) < 0
-    return cycle
+def pair_rule(q_a, ends, tables):
+    """The rule of :meth:`_Sweep.safe_hypotheses`: every interval is
+    non-empty and every pair's lower ends fit under q_a + n_aa."""
+    return all(lo <= hi for lo, hi in ends) and all(
+        ends[i][0] + ends[j][0] <= q_a + table["aa"] for (i, j), table in tables.items()
+    )
 
 
 class TestPairwiseDecision:
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     def test_matches_backtracking(self, rng):
-        decision, closure, greedy, referee = decide(*random_refinement_case(rng))
-        assert decision == closure == referee
-        if greedy:
-            assert referee
-
-    def test_refutations_carry_a_simple_negative_cycle(self):
-        rng = random.Random(20261019)
-        cycles = 0
-        for _ in range(600):
-            q_a, safe, tables = random_refinement_case(rng)
-            bounds = {ij: pair_bounds(0, table) for ij, table in tables.items()}
-            cycles += bool(check_refutation([(iv.lo, iv.hi) for iv in safe], bounds, q_a))
-        assert cycles >= 30, cycles
+        closure, referee = decide(*random_refinement_case(rng))
+        assert closure is referee
 
     def test_both_answers_and_both_steps_exercised(self):
+        # both answers, and both kinds of feasible case: the lower ends
+        # themselves a witness, or only counts above them
         rng = random.Random(20261018)
-        seen = {"infeasible": 0, "closure_finds": 0, "greedy_finds": 0}
+        seen = {"infeasible": 0, "lower_ends_fit": 0, "witness_above": 0}
         for _ in range(1000):
-            decision, closure, greedy, referee = decide(*random_refinement_case(rng))
-            assert decision == closure == referee
+            q_a, safe, tables = random_refinement_case(rng)
+            closure, referee = decide(q_a, safe, tables)
+            assert closure is referee
+            bounds = {ij: pair_bounds(q_a, table) for ij, table in tables.items()}
             if not referee:
                 seen["infeasible"] += 1
-            elif greedy:
-                seen["greedy_finds"] += 1
+            elif all(meets_pair(bounds[i, j], safe[i].lo, safe[j].lo) for i, j in bounds):
+                seen["lower_ends_fit"] += 1
             else:
-                seen["closure_finds"] += 1
-        # infeasible cases and greedy dead-ends with a solution are both
-        # common enough that a wrong answer on either side shows
+                seen["witness_above"] += 1
         assert min(seen.values()) >= 30, seen
 
     @pytest.mark.parametrize("safe, bounds, feasible", [
@@ -950,7 +932,7 @@ class TestPairwiseDecision:
         # over the rationals, so only the tightening step rejects it
         ([(0, 1), (0, 1)], {(0, 1): (0, 0, 1, 1)}, False),
         ([(0, 1), (0, 1)], {(0, 1): (0, 0, 1, 2)}, True),  # x = y = 1
-        # an empty sum range: a negative cycle the closure must report
+        # an empty sum range: a negative cycle
         ([(0, 3), (0, 3)], {(0, 1): (9, 9, 4, 3)}, False),
         # x2 = 1 forces x0 = 2, then x1 >= 3 but x0 + x1 <= 3: found only
         # through both coherent copies of each sum bound
@@ -961,20 +943,13 @@ class TestPairwiseDecision:
     ], ids=["rational-only", "integer", "empty-sum", "chained", "chained-open"])
     def test_closure_on_hand_written_octagons(self, safe, bounds, feasible):
         bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
-        assert _octagon_feasible(safe, bounds, 0)[0] is feasible
         assert pairwise_safe_exists(safe, bounds, 0) is feasible
-        check_refutation(safe, bounds, 0)  # a cycle for empty-sum and chained
-
-    @pytest.mark.parametrize("safe, bounds, shift, slack", [
-        ([(0, 5), (2, 4)], {(0, 1): (9, 9, -9, 9)}, 0, 2),  # the least of 5 and 2
-        ([(0, 5), (2, 9)], {(0, 1): (9, 9, -9, 3)}, 0, 1),  # x0 = 0 caps x1 at 3
-        ([(0, 5), (2, 9)], {(0, 1): (9, 9, -9, 3)}, 2, 3),  # ... at 5 two hypotheses on
-        ([(1, 1), (2, 4)], {(0, 1): (9, 9, -9, 9)}, 0, 0),
-        ([(0, 5), (2, 4)], {(0, 1): (9, -3, -9, 9)}, 0, -1),  # x1 <= x0 - 3: dead end
-    ])
-    def test_greedy_pass_slack(self, safe, bounds, shift, slack):
-        bounds = {ij: PairBounds(*b) for ij, b in bounds.items()}
-        assert _greedy_pass(safe, bounds, shift) == slack
+        # the sum bounds moved by a shift and taken back by it
+        shifted = {
+            ij: b._replace(min_sum=b.min_sum - 5, max_sum=b.max_sum - 5)
+            for ij, b in bounds.items()
+        }
+        assert pairwise_safe_exists(safe, shifted, 5) is feasible
 
     def test_complementary_pair_cannot_both_pass_bounded_run(self, tmp_path):
         # The last classifier always answers against the first, so no truth
@@ -994,8 +969,45 @@ class TestPairwiseDecision:
         ) > 0  # the unrefined alarm stays quiet: only the pairs convict
 
 
+class TestPairRule:
+    """Counts in the safe intervals that meet every pair exist exactly
+    when every pair's lower ends fit: the rule the sweep solves."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_exhaustive_search(self, rng):
+        q_a, ends, tables = random_rule_case(rng)
+        assert pair_rule(q_a, ends, tables) is exhaustive_fit(q_a, ends, tables)
+
+    def test_infeasible_draws_are_common(self):
+        rng = random.Random(20261020)
+        infeasible = 0
+        for _ in range(600):
+            q_a, ends, tables = random_rule_case(rng)
+            fits = exhaustive_fit(q_a, ends, tables)
+            assert pair_rule(q_a, ends, tables) is fits
+            infeasible += not fits
+        assert infeasible >= 30, infeasible
+
+
+def classes_evaluated(sketch, spec, **kw):
+    """The refined count, and how many residue classes it evaluated."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, "_class_run")
+        safe = count_safe_hypotheses(sketch, spec, refine=True, **kw)
+    return safe, calls["_class_run"]
+
+
+def spec_period(spec):
+    """The lcm of the thresholds' denominators, or 2 for an overall spec."""
+    if isinstance(spec, OverallSpec):
+        return 2
+    return lcm(spec.threshold_a.denominator, spec.threshold_b.denominator)
+
+
 # n/d for every denominator d in 2..12 and n in 0..d, so 0 and 1 too: the
-# period of a cycle's bound divides the lcm of the thresholds' denominators
+# period of the sweep's conditions divides the lcm of the thresholds'
+# denominators
 THRESHOLDS = st.integers(2, 12).flatmap(lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))
 LARGE_Q_SPECS = st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()) | st.builds(
     OverallSpec, THRESHOLDS, st.booleans()
@@ -1005,8 +1017,7 @@ LARGE_Q_SPECS = st.builds(PerLabelSpec, THRESHOLDS, THRESHOLDS, st.booleans()) |
 @st.composite
 def large_q_sketches(draw):
     """N = 2..6 classifiers, at most six response patterns, each seen up to
-    500 times: windows of up to thousands of hypotheses, in many of which
-    a greedy pass has the slack to settle a run."""
+    500 times: windows of up to thousands of hypotheses."""
     size = draw(st.integers(2, 6))
     patterns = draw(st.lists(
         st.sampled_from(all_patterns(size)), min_size=2, max_size=6, unique=True
@@ -1019,8 +1030,8 @@ def large_q_sketches(draw):
 def dead_end_sketches(draw):
     """N = 3..5 classifiers where the last one mostly answers against the
     first, so no truth lets both beat 1/2 on a label, plus a little noise
-    from any pattern: windows where most greedy passes dead-end and a
-    refuting cycle holds for a while, then may stop holding."""
+    from any pattern: windows where most hypotheses are unsafe, with safe
+    ones among them."""
     size = draw(st.integers(3, 5))
     against = [p for p in all_patterns(size) if p[0] != p[-1]]
     drawn = draw(st.lists(st.sampled_from(against), min_size=1, max_size=6, unique=True))
@@ -1031,22 +1042,23 @@ def dead_end_sketches(draw):
 
 
 THIRD = Fraction(1, 3)
-# half from a grid on which about a third of the draws refute a hypothesis
-# by a kept cycle alone, half with any denominator from 2 to 12
+# half from a grid on which about a third of the draws refute some
+# hypotheses by the pairs alone, half with any denominator from 2 to 12
 DEAD_END_SPECS = st.sampled_from(
     SPEC_GRID + (PerLabelSpec(THIRD, THIRD, strict=False), OverallSpec(THIRD, strict=False))
 ) | LARGE_Q_SPECS
+# x2 answers against x0 on every item: at per-label n/d the pairs refute
+# d + 1 odd hypotheses near the ends of the window, at 1/2 every one
+ADVERSARIAL = ("aab", "abb", "baa", "bba")
 
 
 class TestRefinedRuns:
-    """A greedy pass with slack settles a run of hypotheses, and a negative
-    cycle a run of dead ends; the referee judges each one on its own."""
+    """The pair rule settles each residue class of hypotheses at once;
+    the referee judges each one on its own."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        return count_calls(
-            monkeypatch, "_greedy_pass", "_octagon_feasible", "_cycle_weight", "_cycle_bound"
-        )
+        return count_calls(monkeypatch, "_class_run")
 
     @given(large_q_sketches(), LARGE_Q_SPECS, st.data())
     @settings(max_examples=100, deadline=None)
@@ -1057,8 +1069,10 @@ class TestRefinedRuns:
         safe = referee_safe_hypotheses(sketch, spec, pair, refine=True)
         trace = run_alarm(sketch, spec, pair=pair, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == safe
-        kw = dict(pair=pair, refine=True, qa_range=(lo, hi))
-        assert count_safe_hypotheses(sketch, spec, **kw) == sum(lo <= q_a <= hi for q_a in safe)
+        kw = dict(pair=pair, qa_range=(lo, hi))
+        count, classes = classes_evaluated(sketch, spec, **kw)
+        assert count == sum(lo <= q_a <= hi for q_a in safe)
+        assert classes <= spec_period(spec)
 
     @given(dead_end_sketches(), DEAD_END_SPECS, st.data())
     @settings(max_examples=200, deadline=None)
@@ -1068,105 +1082,34 @@ class TestRefinedRuns:
         safe = referee_safe_hypotheses(sketch, spec, refine=True)
         trace = run_alarm(sketch, spec, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == safe
-        kw = dict(refine=True, qa_range=(lo, hi))
-        assert count_safe_hypotheses(sketch, spec, **kw) == sum(lo <= q_a <= hi for q_a in safe)
-
-    @given(dead_end_sketches(), DEAD_END_SPECS)
-    @settings(max_examples=200, deadline=None)
-    def test_a_cycle_bound_bounds_its_weight(self, sketch, spec):
-        # F is at least the cycle's weight at every hypothesis of the window
-        # in [1, q - 1], with each classifier's safe ends taken by the scan,
-        # and equal to it at the hypothesis it was built at
-        import crosscheck.alarm as alarm_module
-
-        built = []
-
-        def cycle_bound(cycle, tops, bounds, h0, _original=alarm_module._cycle_bound):
-            built.append((cycle, bounds, h0, _original(cycle, tops, bounds, h0)))
-            return built[-1][-1]
-
-        sweep = _Sweep(sketch, spec, None, True)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(alarm_module, "_cycle_bound", cycle_bound)
-            sweep.safe_hypotheses(0, sketch.q)
-        q, r_as = sketch.q, [m.r_a for m in sweep.margs]
-        for cycle, bounds, h0, bound in built:
-            for h in range(max(1, sweep.window.lo), min(q - 1, sweep.window.hi) + 1):
-                ends = [scan_subinterval(q, h, r_a, spec) for r_a in r_as]
-                weight = _cycle_weight(cycle, ends, bounds, h)
-                assert _at(bound, h) >= weight
-                assert h != h0 or _at(bound, h) == weight < 0
-
-    @pytest.mark.parametrize("counts, spec, skip", [
-        # h0, end, the hypothesis the loop resumes at, F's period and delta
-        ({"ab": 4, "ba": 4}, PerLabelSpec(Fraction(2, 3), Fraction(1, 6), strict=False),
-         (3, 7, 7, 3, -1)),
-        ({"ab": 3, "ba": 9}, PerLabelSpec(Fraction(1, 4), Fraction(1, 4)), (3, 12, 12, 4, 0)),
-        ({"aab": 12, "abb": 5, "bba": 8}, PerLabelSpec(Fraction(1, 4), HALF, strict=False),
-         (11, 25, 19, 4, 1)),
-        ({"ab": 4, "ba": 2}, PerLabelSpec(Fraction(0), THIRD), (3, 6, 4, 3, 1)),
-    ], ids=["delta-below-0", "delta-0", "delta-above-0", "stops-early"])
-    def test_each_path_of_the_skip(self, monkeypatch, counts, spec, skip):
-        # one bound each, with a period above 2, built where the cycle
-        # refutes a second hypothesis in a row: a full period below 0
-        # then, by delta, every later hypothesis up to the window's end
-        # (delta <= 0) or the whole periods that stay below 0 (delta > 0,
-        # resuming before the end); or a scan that meets F >= 0 first
-        import crosscheck.alarm as alarm_module
-
-        seen = []
-
-        def refuted_until(bound, h0, end, _original=alarm_module._refuted_until):
-            seen.append((bound, h0, end, _original(bound, h0, end)))
-            return seen[-1][-1]
-
-        monkeypatch.setattr(alarm_module, "_refuted_until", refuted_until)
-        ids = tuple(f"c{k}" for k in range(len(next(iter(counts)))))
-        sketch = EvaluationSketch(ids, sum(counts.values()), counts)
-        safe = [row[0] for row in run_alarm(sketch, spec, refine=True).rows() if row[-2]]
-        assert safe == referee_safe_hypotheses(sketch, spec, refine=True)
-        [(bound, h0, end, resume)] = seen
-        period = lcm(*(d for *_, d in bound[2]))
-        delta = _at(bound, h0 + period) - _at(bound, h0)
-        assert (h0, end, resume, period, delta) == skip
-        if resume < h0 + period:  # stopped early, where F no longer refutes
-            assert _at(bound, resume) >= 0
-        elif delta > 0:  # k whole periods more, and the next would not all stay below 0
-            assert resume < end and max(_at(bound, h) for h in range(h0, h0 + period)) + (
-                (resume - h0) // period
-            ) * delta >= 0
+        count, classes = classes_evaluated(sketch, spec, qa_range=(lo, hi))
+        assert count == sum(lo <= q_a <= hi for q_a in safe)
+        assert classes <= spec_period(spec)
 
     def test_a_run_ends_at_its_slack(self, passes):
-        # the pass at q_a = 3 has slack 1, and 5 is unsafe: a run one
-        # hypothesis longer than the slack would mark it safe.  The closure
-        # at 5 refutes it with a cycle that weighs 0 at 6 (which the pass
-        # finds safe) and below 0 at 7 and at 8, the second hypothesis in a
-        # row it refutes, where one bound settles 8 and 9.
+        # thresholds in thirds, so three classes, each cut short by the
+        # pairs: of the window [0, 9] they refute 5, 7, 8 and 9, and keep 6
         sketch = EvaluationSketch(("c0", "c1"), 19, {"aa": 2, "ab": 4, "ba": 4, "bb": 9})
         spec = PerLabelSpec(Fraction(2, 3), Fraction(1, 3), strict=False)
         trace = run_alarm(sketch, spec, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == [0, 1, 2, 3, 4, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 1, 2, 3, 4, 6]
-        assert passes == {
-            "_greedy_pass": 6, "_octagon_feasible": 1, "_cycle_weight": 3, "_cycle_bound": 1
-        }
+        assert passes == {"_class_run": 3}
 
     def test_a_few_passes_settle_a_wide_window(self, passes):
-        # three independent classifiers, each right 3 times in 4 on either label
+        # three independent classifiers, each right 3 times in 4 on either
+        # label: no condition can bind, so one class covers the window
         ids = ("r1", "r2", "r3")
         params = IndependentParams(HALF, (Fraction(3, 4),) * 3, (Fraction(3, 4),) * 3)
         sketch = sketch_from_decisions(generate_decisions(ids, params, 20_000, 1)[0], ids)
         window = count_safe_hypotheses(sketch, DEFAULT)
         assert window > 10_000
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == window
-        assert passes["_greedy_pass"] < window / 100
-        assert passes["_octagon_feasible"] == passes["_cycle_bound"] == 0
+        assert passes == {"_class_run": 1}
 
     def test_dead_ends_judge_each_hypothesis(self, passes):
-        # the last classifier always answers against the first, so no
-        # greedy pass finds counts; the first dead end's cycle still weighs
-        # below 0 at the next two hypotheses, and the bound built at the
-        # second settles it and every later one of the window in one step
+        # the last classifier always answers against the first, so the pairs
+        # refute every hypothesis of the window, two classes at a time
         flip = {"a": "b", "b": "a"}
         counts = {
             x + y + flip[x]: 50 + 7 * k
@@ -1176,41 +1119,76 @@ class TestRefinedRuns:
         window = count_safe_hypotheses(sketch, DEFAULT)
         assert window > 100
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
-        assert passes == {
-            "_greedy_pass": 1, "_octagon_feasible": 1, "_cycle_weight": 2, "_cycle_bound": 1
-        }
+        assert passes == {"_class_run": 2}
 
     @pytest.mark.parametrize("ids, patterns", [
-        (("x0", "x1", "x2"), ("aab", "abb", "baa", "bba")),
+        (("x0", "x1", "x2"), ADVERSARIAL),
         (("x0", "x1", "x2", "x3"), ("aaab", "abbb", "baaa", "bbba")),
     ], ids=["N=3", "N=4"])
     def test_dead_ends_at_huge_q_take_constant_work(self, passes, ids, patterns):
         # the last classifier answers against the first on each of 4 * 10**15
-        # items: one pass, one closure, two re-weighings and one bound for
-        # the whole window
+        # items: two classes settle the whole window
         sketch = EvaluationSketch(ids, 4 * 10**15, dict.fromkeys(patterns, 10**15))
         assert count_safe_hypotheses(sketch, DEFAULT) > 10**15
         assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 0
-        assert passes == {
-            "_greedy_pass": 1, "_octagon_feasible": 1, "_cycle_weight": 2, "_cycle_bound": 1
-        }
+        assert passes == {"_class_run": 2}
 
     def test_a_cycle_that_stops_refuting_gets_a_fresh_closure(self, passes):
-        # window [0, 6]: 0 passes; 1 dead-ends and its closure refutes it
-        # with a cycle that weighs 0 at 2, so 2 gets a pass, which dead-ends,
-        # and a closure, whose new cycle weighs 0 at 3 (which the pass finds
-        # safe) and below 0 at 4 and at 5, the second hypothesis in a row it
-        # refutes, where a bound settles 5 and stops at q = 6; there the
-        # cycle weighs 0, and 6 is safe again
+        # window [0, 6]: 0 and 6 are safe as the window's ends; of the three
+        # classes, the pairs keep 3 and refute 1, 2, 4 and 5
         sketch = EvaluationSketch(("c0", "c1", "c2"), 6, {"abb": 2, "baa": 2, "bba": 2})
         spec = PerLabelSpec(Fraction(1, 3), Fraction(1, 3), strict=False)
         assert count_safe_hypotheses(sketch, spec) == 7
         trace = run_alarm(sketch, spec, refine=True)
         assert [row[0] for row in trace.rows() if row[-2]] == [0, 3, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 3, 6]
-        assert passes == {
-            "_greedy_pass": 5, "_octagon_feasible": 2, "_cycle_weight": 5, "_cycle_bound": 1
-        }
+        assert passes == {"_class_run": 3}
+
+    def test_the_period_takes_every_denominator(self, passes):
+        # two classifiers that answer against each other, with thresholds in
+        # halves and in quarters: the pairs keep 0, 2 and 4 of the window
+        # [0, 6], and a period of 2, from the label-a threshold alone, would
+        # keep 6 too
+        sketch = EvaluationSketch(("c0", "c1"), 8, {"ab": 3, "ba": 5})
+        spec = PerLabelSpec(HALF, Fraction(1, 4), strict=False)
+        assert count_safe_hypotheses(sketch, spec) == 7
+        trace = run_alarm(sketch, spec, refine=True)
+        assert [row[0] for row in trace.rows() if row[-2]] == [0, 2, 4]
+        assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 2, 4]
+        assert passes == {"_class_run": 4}
+
+    @pytest.mark.parametrize("threshold, unsafe", [
+        (THIRD, 4), (Fraction(2, 5), 6), (Fraction(5, 11), 12), (Fraction(499, 1000), 500),
+    ])
+    def test_pinned_pairs_at_huge_q(self, passes, threshold, unsafe):
+        # x0 and x2 answer against each other, so their pair bounds pin
+        # x0 + x2 to the hypothesis; the d + 1 unsafe hypotheses at
+        # q = 4 * 10**15 are as many as the referee finds at q = 4000
+        spec = PerLabelSpec(threshold, threshold)
+        ids = ("x0", "x1", "x2")
+        sketch = EvaluationSketch(ids, 4 * 10**15, dict.fromkeys(ADVERSARIAL, 10**15))
+        assert count_safe_hypotheses(sketch, spec, refine=True) == 4 * 10**15 + 1 - unsafe
+        assert passes == {"_class_run": threshold.denominator}
+        small = EvaluationSketch(ids, 4000, dict.fromkeys(ADVERSARIAL, 1000))
+        assert len(referee_safe_hypotheses(small, spec, refine=True)) == 4001 - unsafe
+
+    def test_an_agreeing_pair_at_huge_q(self, passes):
+        # both classifiers give the same answer on each of 10**15 items: every
+        # hypothesis of the window is safe, in one class
+        sketch = EvaluationSketch(("u", "v"), 10**15, {"aa": 5 * 10**14, "bb": 5 * 10**14})
+        assert count_safe_hypotheses(sketch, DEFAULT, refine=True) == 10**15 - 1
+        assert count_safe_hypotheses(sketch, DEFAULT) == 10**15 - 1
+        assert passes == {"_class_run": 1}
+
+    def test_a_large_denominator_that_cannot_bind(self, passes):
+        # threshold 123457/10**6 on 10**7 items: no condition can bind, so one
+        # class settles every hypothesis, not one per residue mod 10**6
+        spec = PerLabelSpec(Fraction(123457, 10**6), Fraction(123457, 10**6))
+        counts = {"aaa": 3 * 10**6, "bbb": 3 * 10**6}
+        counts.update(dict.fromkeys(("aab", "abb", "bab", "bba"), 10**6))
+        sketch = EvaluationSketch(("x0", "x1", "x2"), 10**7, counts)
+        assert count_safe_hypotheses(sketch, spec, refine=True) == 10**7 + 1
+        assert passes == {"_class_run": 1}
 
 
 def _cli_summary(argv):

@@ -65,9 +65,8 @@ def min_count_above(
     if total == 0:
         return 0
     numerator, denominator = threshold.as_integer_ratio()
-    if strict:
-        return numerator * total // denominator + 1
-    return max(0, -(-numerator * total // denominator))
+    # the least m with m * d > n * total, or >= when not strict
+    return max(0, (numerator * total - (0 if strict else 1)) // denominator + 1)
 
 
 def _last_safe(q: int, r: int, threshold: Fraction, strict: bool) -> int:

@@ -5,7 +5,8 @@ order, two-space indent, rationals as "n/d" strings, trailing newline),
 so loading a tool-written file and saving it again is byte-identical.
 A trace holds O(q·N) intervals; its JSON is written in that layout
 directly rather than through the pure-Python indenting encoder, and
-``parse_trace`` accepts only a trace that a run could write.  All writes
+``parse_trace`` reads only the bytes a run writes: it rebuilds the trace
+and requires that it writes the same text.  All writes
 go through a temp-file-and-rename so readers never observe a
 half-written file.  Decision tables are read and written in
 :mod:`crosscheck.tables`.
@@ -30,8 +31,6 @@ from .model import (
     PerLabelSpec,
     SafetySpec,
     SketchError,
-    _is_int,
-    _is_ints,
 )
 
 if TYPE_CHECKING:
@@ -187,28 +186,14 @@ def _spec_to_obj(spec: SafetySpec) -> dict:
     return {"kind": "overall", "threshold": str(spec.threshold), "strict": spec.strict}
 
 
-def _flag(value: object, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise FormatError(f"{what} must be true or false")
-    return value
-
-
 def _spec_from_obj(obj: Mapping) -> SafetySpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError("spec must be an object with a 'kind'")
+    """The spec a trace header names, by its kind; the spec refuses bad
+    thresholds, and ``parse_trace``'s comparison any other text."""
     if obj["kind"] == "per-label":
-        keys, build = ("threshold_a", "threshold_b"), PerLabelSpec
-    elif obj["kind"] == "overall":
-        keys, build = ("threshold",), OverallSpec
-    else:
-        raise FormatError(f"unknown spec kind {obj['kind']!r}")
-    _require_keys(obj, ("kind", *keys, "strict"), (), "spec")
-    if not all(isinstance(obj[key], str) for key in keys):
-        raise FormatError('spec thresholds must be "n/d" strings')
-    try:
-        return build(*(obj[key] for key in keys), obj["strict"])
-    except SketchError as exc:
-        raise FormatError(f"bad spec: {exc}") from None
+        return PerLabelSpec(obj["threshold_a"], obj["threshold_b"], obj["strict"])
+    if obj["kind"] == "overall":
+        return OverallSpec(obj["threshold"], obj["strict"])
+    raise FormatError(f"unknown spec kind {obj['kind']!r}")
 
 
 def _slice_json_format(size: int) -> str:
@@ -256,67 +241,37 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
     return ",\n".join(parts)
 
 
-def _ends_from(value: object, size: int, what: str) -> list[int]:
-    """The lo and hi ends of a JSON list of ``size`` intervals, in order."""
-    if not isinstance(value, list) or len(value) != size or not all(
-        _is_ints(iv, True) for iv in value
-    ):
-        raise FormatError(f"{what} must be a list of {size} intervals of two integers")
-    return [end for iv in value for end in iv]
-
-
-_SLICE_KEYS = ("q_a", "intervals_a", "intervals_b", "safe_exists", "refined")
-
-
 def parse_trace(text: str) -> AlarmTrace:
-    """Read a trace file in any JSON layout, checking its schema (counts
-    are integers, flags booleans, one interval per classifier and label),
-    then build the trace from the totals in slice 0 (where label b's
-    interval is [r_b, r_b]), its ``refined`` flag and the safe flags.
-    :class:`AlarmTrace` refuses columns that no run gives; each slice must
-    equal the row that the trace gives, and the verdict the one that the
-    safe flags give."""
-    from .alarm import AlarmTrace, Verdict
+    """Read a trace file as a run writes it: build the trace from the
+    header, the totals in slice 0 (where label b's interval is [r_b, r_b]),
+    its ``refined`` flag and every slice's safe flag, then require that
+    the trace writes ``text`` back byte for byte.  :class:`AlarmTrace`
+    refuses columns that no run gives; the comparison refuses every other
+    field, type, value, key order or layout, any slice that is not the one
+    its hypothesis gives, and a verdict that is not the safe flags'."""
+    from .alarm import AlarmTrace
 
     obj = _load_json(text)
-    _require_keys(
-        obj, ("q", "spec", "mode", "classifiers", "verdict", "slices"), (), "trace file"
-    )
-    q, classifiers, raw_slices = obj["q"], obj["classifiers"], obj["slices"]
-    if not (_is_int(q) and isinstance(classifiers, list) and isinstance(raw_slices, list)):
-        raise FormatError("trace 'q' must be an integer, 'classifiers' and 'slices' lists")
     try:
-        verdict = Verdict(obj["verdict"])
-    except ValueError:
-        raise FormatError(f"unknown verdict {obj['verdict']!r}") from None
-    spec, size = _spec_from_obj(obj["spec"]), len(classifiers)
-    rows = []
-    for k, raw in enumerate(raw_slices):
-        # let each parsed slice go once it is read, so that the parsed
-        # file and the rows are never both held whole
-        raw_slices[k] = None
-        _require_keys(raw, _SLICE_KEYS, (), "trace slice")
-        if not _is_int(raw["q_a"]):
-            raise FormatError("slice 'q_a' must be an integer")
-        rows.append((
-            raw["q_a"],
-            *_ends_from(raw["intervals_a"], size, "slice 'intervals_a'"),
-            *_ends_from(raw["intervals_b"], size, "slice 'intervals_b'"),
-            _flag(raw["safe_exists"], "slice 'safe_exists'"),
-            _flag(raw["refined"], "slice 'refined'"),
-        ))
-    first = rows[0] if rows else (False,)  # no slice: the trace refuses the count
-    margs = tuple(Marginals(q - r_b, r_b) for r_b in first[2 * size + 1 : 4 * size + 1 : 2])
-    safe = tuple(row[-2] for row in rows)
-    try:
-        trace = AlarmTrace(q, spec, obj["mode"], tuple(classifiers), margs, safe, first[-1])
-    except SketchError as exc:
-        raise FormatError(str(exc)) from None
-    for row, want in zip(rows, trace.rows()):
-        if row != want:
-            raise FormatError(f"slice {want[0]} is not the one a run writes after slice 0")
-    if verdict is not trace.verdict:
-        raise FormatError(f"verdict {verdict.value!r} contradicts the safe flags")
+        q, slices = obj["q"], obj["slices"]
+        # no slice: the trace refuses the count before it reads a total
+        first = slices[0] if slices else {"intervals_b": (), "refined": False}
+        trace = AlarmTrace(
+            q,
+            _spec_from_obj(obj["spec"]),
+            obj["mode"],
+            tuple(obj["classifiers"]),
+            tuple(Marginals(q - r_b, r_b) for r_b, _ in first["intervals_b"]),
+            tuple(piece["safe_exists"] for piece in slices),
+            first["refined"],
+        )
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"not a trace a run writes: {exc}") from None
+    # the parsed file goes before the trace is written out again, so that
+    # it and the written text are never both held
+    del obj, slices, first
+    if trace_to_json_text(trace) != text:
+        raise FormatError("the trace is not the text a run writes for its header and slice 0")
     return trace
 
 

@@ -23,9 +23,14 @@ _ROW_H = 26
 _ROW_GAP = 14
 
 
+# markup characters as entities, and those that XML 1.0 forbids (C0
+# controls but tab, LF and CR; U+FFFE, U+FFFF) as U+FFFD
+_XML_TEXT = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")
+_XML_TEXT.update({ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"})
+
+
 def _escape(text: str) -> str:
-    # xml.sax.saxutils.escape would do, but importing it pulls in urllib
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_XML_TEXT)
 
 
 def _coord(value: float) -> str:

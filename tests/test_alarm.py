@@ -52,7 +52,7 @@ from ._referees import (
     sketch_point,
 )
 from ._strategies import point_meets, random_sketch, sketches
-from .test_persist import RefereeTrace, referee_csv, referee_json, referee_svg
+from .test_persist import RefereeTrace, laid_out, referee_csv, referee_json, referee_svg
 
 HALF = Fraction(1, 2)
 DEFAULT = PerLabelSpec(HALF, HALF)
@@ -101,11 +101,12 @@ class TestMinCountAbove:
 
     @given(
         st.integers(1, 60),
-        st.fractions(min_value=0, max_value=1, max_denominator=24),
+        st.fractions(min_value=-1, max_value=1, max_denominator=24),
         st.booleans(),
     )
     def test_minimality(self, total, threshold, strict):
         m = min_count_above(total, threshold, strict)
+        assert m >= 0
         if strict:
             assert Fraction(m, total) > threshold
             if m > 0:
@@ -680,7 +681,7 @@ class TestParseTraceChecksRuns:
         obj = json.loads(written[1])
         edit(obj, data)
         with pytest.raises(FormatError):
-            parse_trace(json.dumps(obj))
+            parse_trace(laid_out(obj))
 
 
 def unrefined_window(trace):
@@ -732,7 +733,7 @@ class TestParseTraceRefusesForgeries:
             forged.append(dict(json.loads(text), classifiers=ids[:j] + [ids[i]] + ids[j + 1 :]))
         for obj in forged:
             with pytest.raises(FormatError):
-                parse_trace(json.dumps(obj))
+                parse_trace(laid_out(obj))
 
     def test_readme_triggered_pair(self, grading_sketch):
         """`alarm --pair mistral gpt4` is triggered; one safe flag set, with
@@ -743,7 +744,7 @@ class TestParseTraceRefusesForgeries:
         obj["slices"][5]["safe_exists"] = True
         obj["verdict"] = "not_triggered"
         with pytest.raises(FormatError, match="outside the unrefined-safe"):
-            parse_trace(json.dumps(obj))
+            parse_trace(laid_out(obj))
 
 
 def trace_with(**fields):

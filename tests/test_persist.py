@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -191,6 +192,12 @@ class TestSketchFormat:
             parse_sketch(json.dumps({"classifiers": ["u"], "q": 0, "counts": {}}))
 
 
+def laid_out(obj) -> str:
+    """``obj`` as JSON in the trace writer's layout, so that a trace made
+    from it is refused for what it holds, not for how it is laid out."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
 # the trace of `alarm --pair u v --refine-pairs --spec-per-label ...` on
 # the one-item sketch where u says a and v says b
 GOOD_TRACE = {
@@ -252,7 +259,29 @@ class TestTraceFormats:
         obj = json.loads(trace_to_json_text(run_alarm(grading_sketch, DEFAULT)))
         for kept in (obj["slices"][:101], obj["slices"][237:238], []):
             with pytest.raises(FormatError, match="slices, not 282"):
-                parse_trace(json.dumps(dict(obj, slices=kept)))
+                parse_trace(laid_out(dict(obj, slices=kept)))
+
+    def test_only_the_written_bytes_are_read(self):
+        """The trace a run writes, laid out or spelled any other way, is
+        refused: compact, key-sorted, a spec threshold as "2/4" or "0.5",
+        an id unescaped, or 1.0 for an interval end."""
+        sketch = EvaluationSketch(("é", "v"), 2, {"ab": 1, "ba": 1})
+        text = trace_to_json_text(run_alarm(sketch, DEFAULT))
+        assert '"\\u00e9"' in text
+        obj = json.loads(text)
+        spec = dict(obj["spec"], threshold_a="2/4", threshold_b="0.5")
+        ends = json.loads(text)
+        ends["slices"][2]["intervals_a"][0] = [1.0, 1]
+        # the same JSON value as the written text, in another layout
+        relaid = [
+            json.dumps(obj),
+            json.dumps(obj, indent=2, sort_keys=True) + "\n",
+            json.dumps(obj, indent=2, ensure_ascii=False) + "\n",
+        ]
+        assert all(json.loads(variant) == obj for variant in relaid)
+        for variant in (*relaid, laid_out(dict(obj, spec=spec)), laid_out(ends)):
+            with pytest.raises(FormatError, match="not the text a run writes"):
+                parse_trace(variant)
 
     def test_totals_outside_the_test_size_are_refused(self):
         """No sketch of q items has totals outside [0, q], so no trace
@@ -277,7 +306,7 @@ class TestTraceFormats:
         with pytest.raises(FormatError):
             parse_trace("[]")
         with pytest.raises(FormatError):
-            parse_trace(json.dumps({"q": 1}))
+            parse_trace(laid_out({"q": 1}))
         good = {
             "q": 1,
             "spec": {"kind": "overall", "threshold": "1/2", "strict": True},
@@ -291,13 +320,13 @@ class TestTraceFormats:
                  "safe_exists": True, "refined": False},
             ],
         }
-        parse_trace(json.dumps(good))
+        parse_trace(laid_out(good))
         bad = dict(good, verdict="maybe")
         with pytest.raises(FormatError):
-            parse_trace(json.dumps(bad))
+            parse_trace(laid_out(bad))
         bad = dict(good, spec={"kind": "sometimes"})
         with pytest.raises(FormatError):
-            parse_trace(json.dumps(bad))
+            parse_trace(laid_out(bad))
 
     @pytest.mark.parametrize("obj", [
         dict(GOOD_TRACE, q="1"),
@@ -332,13 +361,15 @@ class TestTraceFormats:
         spec_with(threshold_b=0.5),
         spec_with(threshold_b=True),
         dict(GOOD_TRACE, spec={"kind": "overall", "threshold": None, "strict": True}),
+        # q - r_b cannot be taken: an int past the float range from a float
+        dict(slice_with(intervals_b=[[10**400, 10**400], [1, 1]]), q=0.5),
     ])
     def test_trace_schema_violations_are_format_errors(self, obj):
         with pytest.raises(FormatError):
-            parse_trace(json.dumps(obj))
+            parse_trace(laid_out(obj))
 
     def test_trace_schema_accepts_the_good_case(self):
-        text = json.dumps(GOOD_TRACE, indent=2) + "\n"
+        text = laid_out(GOOD_TRACE)
         assert trace_to_json_text(parse_trace(text)) == text
 
 
@@ -396,7 +427,7 @@ def referee_json(trace: RefereeTrace) -> str:
             for s in trace.slices
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return laid_out(obj)
 
 
 def referee_csv(trace: RefereeTrace) -> str:
@@ -518,7 +549,7 @@ class TestJsonWriterReferee:
             dict(GOOD_TRACE, q=0, slices=GOOD_TRACE["slices"][:1]),
         ):
             with pytest.raises(FormatError):
-                parse_trace(json.dumps(obj))
+                parse_trace(laid_out(obj))
 
 
 class TestSvg:
@@ -544,6 +575,13 @@ class TestSvg:
         sketch = EvaluationSketch(("a<b", "c&d"), 2, {"aa": 1, "bb": 1})
         svg = render_traces([run_alarm(sketch, DEFAULT)])
         assert ">ensemble: a&lt;b+c&amp;d</text>" in svg
+
+    def test_row_label_parses_with_characters_xml_forbids(self):
+        ids = ("u\x01v", "w\x1f\ufffe\uffff\tx")
+        sketch = EvaluationSketch(ids, 4, {"aa": 2, "bb": 2})
+        root = ET.fromstring(render_traces([run_alarm(sketch, DEFAULT)]))
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "ensemble: u\ufffdv+w\ufffd\ufffd\ufffd\tx" in labels
 
     def test_mixed_q_rejected(self, grading_sketch):
         small = EvaluationSketch(("u",), 1, {"a": 1})

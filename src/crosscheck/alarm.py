@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product, repeat
 from math import lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
@@ -157,14 +157,15 @@ class AlarmTrace(_Value):
     hypothesis q_a = 0..q (``safe``), and whether the pairs were enforced
     (``refined``).  Every feasible interval follows from the totals in
     closed form, so none is stored; :attr:`slices` builds them as
-    :class:`QaSlice` objects, and :meth:`rows` as plain ints.
+    :class:`QaSlice` objects, and :meth:`columns` and :meth:`rows` as
+    plain ints.
 
     The constructor refuses, with SketchError, any columns that no run
     gives: it needs an int q >= 1, a tuple of distinct string ids (two in
-    "pair" mode), each classifier's int totals of q items, and q + 1 safe flags
-    inside the window of unrefined-safe hypotheses, which they fill unless
-    the pairs were enforced on two or more classifiers
-    (:meth:`_Sweep.safe_hypotheses`).
+    "pair" mode), each classifier's int totals of q items, a bool
+    ``refined``, and q + 1 bool safe flags inside the window of
+    unrefined-safe hypotheses, which they fill unless the pairs were
+    enforced on two or more classifiers (:meth:`_Sweep.safe_hypotheses`).
     """
 
     q: int
@@ -194,6 +195,8 @@ class AlarmTrace(_Value):
             raise SketchError(f"mode {mode!r}: want 'ensemble', or 'pair' for two ids")
         if len(safe) != q + 1:
             raise SketchError(f"trace holds {len(safe)} slices, not {q + 1}")
+        if not {*map(type, safe)} <= {bool} or type(refined) is not bool:
+            raise SketchError("a trace's safe flags and its refined flag must be bools")
         if len(margs) != len(ids) or not all(
             isinstance(m, Marginals) and _is_ints(m) and min(m) >= 0 and sum(m) == q
             for m in margs
@@ -224,11 +227,11 @@ class AlarmTrace(_Value):
             for q_a, safe in enumerate(self.safe)
         )
 
-    def rows(self) -> Iterator[tuple]:
-        """Each slice as one tuple of plain values: q_a, the lo and hi ends
-        of every classifier's label-a interval in roster order, the same
-        for label b, then safe_exists and refined.  The trace writers read
-        only this."""
+    def columns(self) -> list[Iterable]:
+        """The slices column by column, each an iterable over q_a = 0..q to
+        be read once: q_a, the lo and hi ends of every classifier's label-a
+        interval in roster order, the same for label b, then safe_exists and
+        refined.  The trace writers read only this."""
         q, ends_a, ends_b = self.q, [], []
         for r_a, r_b in self.marginals:  # 0 <= r_a = q - r_b <= q
             # max(0, r_a - q + q_a) and min(q_a, r_a) for q_a = 0..q
@@ -237,7 +240,11 @@ class AlarmTrace(_Value):
             # max(0, r_b - q_a) and min(q - q_a, r_b)
             ends_b.append(chain(range(r_b, 0, -1), repeat(0, q - r_b + 1)))
             ends_b.append(chain(repeat(r_b, q - r_b), range(r_b, -1, -1)))
-        return zip(range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined))
+        return [range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined, q + 1)]
+
+    def rows(self) -> Iterator[tuple]:
+        """Each slice as one tuple of the values :meth:`columns` gives."""
+        return zip(*self.columns())
 
 
 # a term a*h + b + sum of g * floor((n*h + c) / d) in the hypothesis h, all

@@ -3,11 +3,11 @@
 Sketch and trace files are JSON with a canonical layout (fixed key
 order, two-space indent, rationals as "n/d" strings, trailing newline),
 so loading a tool-written file and saving it again is byte-identical.
-A trace holds O(q·N) intervals; its JSON is written in that layout
-directly rather than through the pure-Python indenting encoder, and
-``parse_trace`` reads only the bytes a run writes: it rebuilds the trace
-and requires that it writes the same text.  All writes
-go through a temp-file-and-rename so readers never observe a
+A trace holds O(q·N) intervals; its JSON and CSV texts are each one
+join over the trace's columns and the layout's fixed pieces, with no
+Python step per slice, and ``parse_trace`` reads only the bytes a run
+writes: it rebuilds the trace and requires that it writes the same text.
+All writes go through a temp-file-and-rename so readers never observe a
 half-written file.  Decision tables are read and written in
 :mod:`crosscheck.tables`.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from operator import itemgetter
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .model import (
@@ -196,27 +196,14 @@ def _spec_from_obj(obj: Mapping) -> SafetySpec:
     raise FormatError(f"unknown spec kind {obj['kind']!r}")
 
 
-def _slice_json_format(size: int) -> str:
-    """``%`` template of one JSON slice: an :meth:`AlarmTrace.rows` row
-    for ``size`` >= 1 classifiers, with its two flags as JSON text."""
-    end = "        [\n          %s,\n          %s\n        ]"
-    intervals = "[\n" + ",\n".join([end] * size) + "\n      ]"
-    return (
-        '    {\n      "q_a": %s,\n'
-        f'      "intervals_a": {intervals},\n'
-        f'      "intervals_b": {intervals},\n'
-        '      "safe_exists": %s,\n      "refined": %s\n    }'
-    )
-
-
 def trace_to_json_text(trace: AlarmTrace) -> str:
     """The trace in its canonical layout, the bytes ``json.dumps(obj,
     indent=2) + "\\n"`` would give for the obvious object.
 
     ``json.dumps`` writes only the small header (so string escaping stays
-    its own); the O(q·N) slices follow the fixed schema and are formatted
-    from :meth:`AlarmTrace.rows` with one template, because with
-    ``indent`` set the encoder runs in pure Python.
+    its own).  The O(q·N) slices follow the fixed schema: one join reads
+    :meth:`AlarmTrace.columns`, each int spelled once, interleaved with
+    the layout's fixed pieces, so no Python step runs per slice.
     """
     header = json.dumps(
         {
@@ -229,16 +216,26 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
         },
         indent=2,
     )
-    template = _slice_json_format(len(trace.classifiers))
-    parts = [
-        template % (*row[:-2], "true" if row[-2] else "false", "true" if row[-1] else "false")
-        for row in trace.rows()
-    ]
-    # the header ends in '"slices": []\n}'; open that list around the
-    # slices, so that one join builds the file text and nothing else
-    parts[0] = f"{header[:-4]}[\n{parts[0]}"
-    parts[-1] += "\n  ]\n}\n"
-    return ",\n".join(parts)
+    # one slice's layout, cut where its values go; ``refined`` is the same
+    # in every slice, so it is part of the layout
+    ends = "        [\n          \0,\n          \0\n        ]"
+    intervals = "[\n" + ",\n".join([ends] * len(trace.classifiers)) + "\n      ]"
+    first, *pieces, last = (
+        '    {\n      "q_a": \0,\n'
+        f'      "intervals_a": {intervals},\n'
+        f'      "intervals_b": {intervals},\n'
+        '      "safe_exists": \0,\n'
+        f'      "refined": {"true" if trace.refined else "false"}\n    }}'
+    ).split("\0")
+    *ints, safe, _ = trace.columns()
+    digits = list(map(str, range(trace.q + 1)))
+    values = [*(map(digits.__getitem__, c) for c in ints), map(("false", "true").__getitem__, safe)]
+    # after a slice's last value: its close and the next slice's open, or,
+    # after the last slice, the close of the list and of the file (the
+    # header ends in '"slices": []\n}')
+    closes = chain(repeat(f"{last},\n{first}", trace.q), (f"{last}\n  ]\n}}\n",))
+    streams = [*chain.from_iterable(zip(values, map(repeat, pieces))), values[-1], closes]
+    return "".join(chain((f"{header[:-4]}[\n{first}",), chain.from_iterable(zip(*streams))))
 
 
 def parse_trace(text: str) -> AlarmTrace:
@@ -279,18 +276,20 @@ def trace_to_csv_text(trace: AlarmTrace) -> str:
     import csv
 
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["q_a"]
-    for cid in trace.classifiers:
-        header += [f"{cid}_lo_a", f"{cid}_hi_a", f"{cid}_lo_b", f"{cid}_hi_b"]
-    header.append("safe_exists")
-    writer.writerow(header)
-    # q_a and each classifier's lo_a, hi_a, lo_b, hi_b out of a label-major row
+    names = [f"{cid}_{x}" for cid in trace.classifiers for x in ("lo_a", "hi_a", "lo_b", "hi_b")]
+    # the writer quotes the ids (the body is ints alone); the join below
+    # puts the line ends
+    csv.writer(buffer, lineterminator="\n").writerow(["q_a", *names, "safe_exists"])
+    q_a, *ends, safe, _ = trace.columns()
+    # each classifier's lo_a, hi_a, lo_b, hi_b out of the label-major ends
     n = 2 * len(trace.classifiers)
-    order = [i for k in range(1, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
-    pick = itemgetter(0, *order)
-    writer.writerows((*pick(row), int(row[-2])) for row in trace.rows())
-    return buffer.getvalue()
+    ends = [ends[i] for k in range(0, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
+    digits = list(map(str, range(trace.q + 1)))
+    rows = zip(*(map(digits.__getitem__, c) for c in (q_a, *ends)), map("01".__getitem__, safe))
+    lines = [buffer.getvalue()[:-1], *map(",".join, rows), ""]
+    # the digits go before the join, so that it holds only the lines
+    del digits, rows
+    return "\n".join(lines)
 
 
 def emit_trace(trace: AlarmTrace, fmt: str, path: str) -> None:

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -290,6 +292,16 @@ class TestTraceFormats:
             with pytest.raises(SketchError):
                 AlarmTrace(1, DEFAULT, "ensemble", ("u",), (totals,), (False, False), False)
 
+    def test_flags_that_are_not_bools_are_refused(self):
+        """The writers spell each flag by indexing with it, so the
+        constructor takes bools only: the JSON writer once spelled "yes"
+        as true, while the CSV writer raised on it."""
+        for safe, refined in ((("yes", 1, 2.5), None), ((False, True, True), 1),
+                              ((0, 1, 1), False)):
+            with pytest.raises(SketchError, match="must be bools"):
+                AlarmTrace(2, PerLabelSpec(0, 0, False), "ensemble", ("x",),
+                           (Marginals(1, 1),), safe, refined)
+
     def test_emit_rejects_unknown_format(self, tmp_path, grading_sketch):
         trace = run_alarm(grading_sketch, DEFAULT)
         with pytest.raises(FormatError):
@@ -550,6 +562,109 @@ class TestJsonWriterReferee:
         ):
             with pytest.raises(FormatError):
                 parse_trace(laid_out(obj))
+
+
+def window_trace(q, totals, ids=None, refined=False, spec=DEFAULT, mode="ensemble"):
+    """A trace of classifiers with these label-a totals whose safe flags
+    fill the window of :func:`_safe_qa_bounds`, or, refined on two or
+    more classifiers, every other hypothesis of it."""
+    margs = tuple(Marginals(r_a, q - r_a) for r_a in totals)
+    bounds = [_safe_qa_bounds(q, m.r_a, spec) for m in margs]
+    step = 2 if refined and len(margs) > 1 else 1
+    window = range(max(lo for lo, _ in bounds), min(hi for _, hi in bounds) + 1, step)
+    ids = ids or tuple(f"x{i}" for i in range(len(margs)))
+    safe = tuple(q_a in window for q_a in range(q + 1))
+    return AlarmTrace(q, spec, mode, ids, margs, safe, refined)
+
+
+def assert_written_as_referees(trace):
+    """Both writers give the referees' bytes, the JSON reads back as the
+    trace, and the columns are the slices' values column by column."""
+    ref = referee_of(trace)
+    text = trace_to_json_text(trace)
+    assert text == referee_json(ref)
+    assert parse_trace(text) == trace
+    assert trace_to_csv_text(trace) == referee_csv(ref)
+    flat = [
+        (s.q_a, *(end for iv in s.intervals_a + s.intervals_b for end in iv),
+         s.safe_exists, s.refined)
+        for s in ref.slices
+    ]
+    assert [list(column) for column in trace.columns()] == [list(c) for c in zip(*flat)]
+
+
+class TestWritersAtTheEdges:
+    """Deterministic referee cases beyond the drawn traces' reach (q <= 30,
+    N <= 4): one item, totals of 0 or q, one and eight classifiers, the
+    benchmark's size, and ids that CSV must quote and JSON escape."""
+
+    SPECS = (DEFAULT, PerLabelSpec(0, 0, False), OverallSpec(1, True))
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_one_item(self, size):
+        for totals, refined, spec in product(
+            product((0, 1), repeat=size), (False, True), self.SPECS
+        ):
+            assert_written_as_referees(window_trace(1, totals, refined=refined, spec=spec))
+
+    @pytest.mark.parametrize("q", [2, 5, 9])
+    def test_totals_of_none_or_all(self, q):
+        for totals in product((0, q), repeat=3):
+            for spec in self.SPECS:
+                assert_written_as_referees(window_trace(q, totals, spec=spec))
+            assert_written_as_referees(window_trace(q, totals, refined=True))
+
+    def test_one_classifier(self):
+        for q in (1, 6, 30):
+            for r_a, spec in product(range(q + 1), self.SPECS):
+                assert_written_as_referees(window_trace(q, (r_a,), spec=spec))
+
+    def test_eight_classifiers(self):
+        q = 12
+        for k in range(3):
+            totals = tuple((3 * i + k) % (q + 1) for i in range(8))
+            for refined in (False, True):
+                assert_written_as_referees(window_trace(q, totals, refined=refined))
+        assert_written_as_referees(window_trace(q, (0, q) * 4, refined=True))
+
+    def test_benchmark_size(self):
+        """q = 2 500 and N = 3, as in the benchmark's tall-audit traces."""
+        trace = window_trace(2500, (1250, 1400, 1100), refined=True)
+        assert any(trace.safe)
+        assert_written_as_referees(trace)
+
+    def test_ids_that_need_quoting_and_escapes(self):
+        ids = ("w,x", 'q"t', "n\nl", "é\\\x00\u2028", "c\r", " ")
+        trace = window_trace(4, (1, 2, 3, 0, 4, 2), ids=ids, refined=True)
+        assert_written_as_referees(trace)
+        pair = window_trace(3, (1, 2), ids=ids[:2], mode="pair")
+        assert_written_as_referees(pair)
+        assert json.loads(trace_to_json_text(trace))["classifiers"] == list(ids)
+        # a lone carriage return is written unquoted, as it always was
+        quoted = window_trace(4, (1, 2, 3), ids=ids[:3])
+        header = next(csv.reader(io.StringIO(trace_to_csv_text(quoted), newline="")))
+        assert header == ["q_a", *(f"{cid}_{x}" for cid in ids[:3] for x in (
+            "lo_a", "hi_a", "lo_b", "hi_b")), "safe_exists"]
+
+    @pytest.mark.parametrize("writer, bound", [
+        # the former per-slice template writer peaked at 2.13 times its text
+        (trace_to_json_text, 2),
+        # the csv.writer row loop peaked at 4.13 times its text
+        (trace_to_csv_text, 4),
+    ])
+    def test_peak_memory(self, writer, bound):
+        """Writing a benchmark-size trace holds little beyond the text: the
+        JSON join holds one pointer a value and the shared digits, the CSV
+        join one line a slice."""
+        trace = window_trace(2500, (1250, 1400, 1100), refined=True)
+        writer(trace)
+        tracemalloc.start()
+        try:
+            text = writer(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(text)
 
 
 class TestSvg:

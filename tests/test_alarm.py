@@ -787,18 +787,18 @@ class TestTraceInvariant:
         (dict(safe=(False, True)), "trace holds 2 slices, not 3"),
         (dict(safe=(False, True, False, False)), "trace holds 4 slices, not 3"),
         (dict(q=5, marginals=(Marginals(2, 3),), safe=(True,)), "trace holds 1 slices, not 6"),
-        (dict(safe=(0, 1, 0)), "must be bools"),
-        (dict(safe=(False, "yes", False)), "must be bools"),
-        (dict(safe=(False, 1.0, False)), "must be bools"),
-        (dict(refined=None), "must be bools"),
-        (dict(refined=0), "must be bools"),
-        (dict(refined="no"), "must be bools"),
         (dict(safe=(True, True, False)), "outside the unrefined-safe"),
         (dict(safe=(False, True, True)), "outside the unrefined-safe"),
         (dict(safe=(False, False, False)), "leave unrefined-safe"),
         (dict(safe=(False, False, False), refined=True), "leave unrefined-safe"),
         (dict(classifiers=("u", "v"), marginals=(Marginals(1, 1),) * 2, safe=(False,) * 3),
          "leave unrefined-safe"),
+        (dict(safe=(0, 1, 0)), "must be bools"),
+        (dict(safe=(False, "yes", False)), "must be bools"),
+        (dict(safe=(False, 1.0, False)), "must be bools"),
+        (dict(refined=None), "must be bools"),
+        (dict(refined=0), "must be bools"),
+        (dict(refined="no"), "must be bools"),
     ])
     def test_refused(self, fields, message):
         with pytest.raises(SketchError, match=message):

@@ -162,10 +162,11 @@ class AlarmTrace(_Value):
 
     The constructor refuses, with SketchError, any columns that no run
     gives: it needs an int q >= 1, a tuple of distinct string ids (two in
-    "pair" mode), each classifier's int totals of q items, a bool
-    ``refined``, and q + 1 bool safe flags inside the window of
-    unrefined-safe hypotheses, which they fill unless the pairs were
-    enforced on two or more classifiers (:meth:`_Sweep.safe_hypotheses`).
+    "pair" mode), a tuple of each classifier's int totals of q items, a
+    bool ``refined``, and a tuple of q + 1 bool safe flags inside the
+    window of unrefined-safe hypotheses, which they fill unless the pairs
+    were enforced on two or more classifiers
+    (:meth:`_Sweep.safe_hypotheses`).
     """
 
     q: int
@@ -189,6 +190,8 @@ class AlarmTrace(_Value):
         ids, margs = classifiers, marginals
         if not isinstance(ids, tuple) or not all(isinstance(c, str) for c in ids):
             raise SketchError("a trace's classifier ids must be a tuple of strings")
+        if not (isinstance(margs, tuple) and isinstance(safe, tuple)):
+            raise SketchError("a trace's totals and safe flags must be tuples")
         if not _is_int(q) or q < 1 or not ids or len(set(ids)) != len(ids):
             raise SketchError("a trace needs an int q >= 1 and distinct classifiers, at least one")
         if mode != "ensemble" and (mode != "pair" or len(ids) != 2):

@@ -277,16 +277,16 @@ def trace_to_csv_text(trace: AlarmTrace) -> str:
 
     buffer = io.StringIO()
     names = [f"{cid}_{x}" for cid in trace.classifiers for x in ("lo_a", "hi_a", "lo_b", "hi_b")]
-    # the writer quotes the ids (the body is ints alone); the join below
-    # puts the line ends
-    csv.writer(buffer, lineterminator="\n").writerow(["q_a", *names, "safe_exists"])
+    # the writer quotes the ids (the body is ints alone), each "\r" too as a
+    # character of its terminator; the join below puts the line ends
+    csv.writer(buffer, lineterminator="\r\n").writerow(["q_a", *names, "safe_exists"])
     q_a, *ends, safe, _ = trace.columns()
     # each classifier's lo_a, hi_a, lo_b, hi_b out of the label-major ends
     n = 2 * len(trace.classifiers)
     ends = [ends[i] for k in range(0, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
     digits = list(map(str, range(trace.q + 1)))
     rows = zip(*(map(digits.__getitem__, c) for c in (q_a, *ends)), map("01".__getitem__, safe))
-    lines = [buffer.getvalue()[:-1], *map(",".join, rows), ""]
+    lines = [buffer.getvalue()[:-2], *map(",".join, rows), ""]
     # the digits go before the join, so that it holds only the lines
     del digits, rows
     return "\n".join(lines)

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import Counter
+from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .model import LABELS
-from .persist import _DECODER, FormatError, IngestError, _load_json, _require_keys
+from .persist import FormatError, IngestError, _load_json, _require_keys
 
 
 class DecisionRecord(NamedTuple):
@@ -103,13 +105,27 @@ class _CsvRows:
             yield line_no, item_id, tuple(row[1:end]), row[-1] if has_truth else None
 
 
-_RECORD_KEYS = frozenset(("item_id", "responses"))
-_RECORD_KEYS_TRUTH = _RECORD_KEYS | {"truth"}
+_scan = json.JSONDecoder().scan_once
 
 
 class _JsonlRows:
     """The rows of a jsonl table, one record a line; the first record's
-    responses fix the roster."""
+    responses fix the roster.
+
+    The plain C decoder reads each line, keeping the last of two equal
+    keys.  It is trusted with a line that holds one record with keys
+    ``item_id``, ``responses`` and maybe ``truth``, a non-empty string id
+    and responses keyed in roster order, and whose ':', less those of the
+    decoded id and roster ids, number len(record) + len(responses); none
+    are taken off when the line spells ``\\u003a`` or ``\\u003A``, the
+    escapes that decode to ':'.  Outside strings a ':' only ends a key,
+    and without those escapes a string spells each ':' it decodes to, so
+    the count left is the pairs of the record and of its responses (each
+    at least its len, equal when no key repeats) and of any other object,
+    plus the ':' of the other strings: equality leaves no key repeated and
+    every other object empty.  Any other line is read again by the hooked
+    decoder and checked key by key, which words its error.
+    """
 
     unit = "line"
     drop_missing_truth = False
@@ -120,43 +136,52 @@ class _JsonlRows:
 
     def __iter__(self) -> Iterator[_Row]:
         roster = None
+        colons = 0  # the ':' of the roster ids
         for line_no, line in enumerate(self._lines, start=1):
-            if not line or line.isspace():
-                continue
             try:
-                obj, end = _DECODER.raw_decode(line)
-            except (ValueError, RecursionError):
-                end = None
-            if end != len(line):
-                # words the error, or takes a record with space around it
-                obj = _load_json(line, f"line {line_no}")
-            if not (
-                isinstance(obj, dict) and _RECORD_KEYS <= obj.keys() <= _RECORD_KEYS_TRUTH
-            ):
+                obj, end = _scan(line, 0)
+                item_id, responses = obj["item_id"], obj["responses"]
+                if roster is None and type(responses) is dict and responses:
+                    roster = self.roster = tuple(responses)
+                    colons = sum(cid.count(":") for cid in roster)
+                extra = line.count(":") - len(obj) - len(responses)
+                plain = (
+                    end == len(line) and len(obj) - ("truth" in obj) == 2
+                    and type(item_id) is str and item_id != ""
+                    and type(responses) is dict and tuple(responses) == roster
+                    and (not extra or extra == colons + item_id.count(":")
+                         and "\\u003a" not in line and "\\u003A" not in line)
+                )
+            except (ValueError, RecursionError, StopIteration, KeyError, TypeError):
+                plain = False
+            if not plain:
+                if not line or line.isspace():
+                    continue
                 where = f"line {line_no}"
+                obj = _load_json(line, where)
                 try:
                     _require_keys(obj, ("item_id", "responses"), ("truth",), where)
                 except FormatError as exc:
                     raise IngestError(str(exc)) from None
-            item_id = obj["item_id"]
-            if not isinstance(item_id, str) or not item_id:
-                raise IngestError(f"line {line_no}: item_id must be a non-empty string")
-            responses = obj["responses"]
-            if not isinstance(responses, dict):
-                raise IngestError(f"line {line_no}: responses must be an object")
-            if roster is None:
-                roster = self.roster = tuple(responses)
-                if not roster:
-                    raise IngestError(f"line {line_no}: first record names no classifiers")
-            values = tuple(responses.values())
-            if tuple(responses) != roster:
-                if responses.keys() != set(roster):
-                    raise IngestError(
-                        f"line {line_no}: responses name classifiers "
-                        f"{sorted(responses)} but the roster is {sorted(roster)}"
-                    )
-                values = tuple(responses[cid] for cid in roster)
-            yield line_no, item_id, values, obj.get("truth")
+                item_id = obj["item_id"]
+                if not isinstance(item_id, str) or not item_id:
+                    raise IngestError(f"{where}: item_id must be a non-empty string")
+                responses = obj["responses"]
+                if not isinstance(responses, dict):
+                    raise IngestError(f"{where}: responses must be an object")
+                if roster is None:
+                    roster = self.roster = tuple(responses)
+                    if not roster:
+                        raise IngestError(f"{where}: first record names no classifiers")
+                    colons = sum(cid.count(":") for cid in roster)
+                if tuple(responses) != roster:
+                    if responses.keys() != set(roster):
+                        raise IngestError(
+                            f"{where}: responses name classifiers "
+                            f"{sorted(responses)} but the roster is {sorted(roster)}"
+                        )
+                    responses = {cid: responses[cid] for cid in roster}
+            yield line_no, item_id, tuple(responses.values()), obj.get("truth")
         if roster is None:
             raise IngestError("no records found")
 
@@ -235,7 +260,8 @@ def _read_rows(
         dupes = sorted(item for item, n in counts.items() if n > 1)
         raise IngestError(f"duplicate item id(s): {', '.join(dupes)}")
     kept.sort(key=itemgetter(0))
-    return IngestResult(tuple(map(DecisionRecord._make, kept)), tuple(dropped))
+    records = map(tuple.__new__, repeat(DecisionRecord), kept)
+    return IngestResult(tuple(records), tuple(dropped))
 
 
 def ingest(
@@ -249,11 +275,13 @@ def ingest(
     missing truth label (when the file carries truth at all) are dropped
     and reported.  Structural problems, unmapped labels and repeated JSON
     keys are errors, reported for the first bad line; an item id that two
-    kept items share is an error once every line is read.  Each line is
-    decoded and checked once; a row's labels are looked up in a table
-    built from ``label_map`` once per distinct tuple of raw answers, and
-    records that give the same answers share one read-only responses
-    mapping.
+    kept items share is an error once every line is read.  The plain C
+    decoder reads each jsonl line, and a count of its ':' certifies a
+    well-formed record (see :class:`_JsonlRows`); a line it does not
+    certify is decoded again with the duplicate-key hook and checked key
+    by key.  A row's labels are looked up in a table built from
+    ``label_map`` once per distinct tuple of raw answers, and records
+    that give the same answers share one read-only responses mapping.
     """
     with open(path, encoding="utf-8-sig") as handle:
         # the file's text is not kept beside its lines; jsonl records end

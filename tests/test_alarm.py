@@ -799,6 +799,9 @@ class TestTraceInvariant:
         (dict(refined=None), "must be bools"),
         (dict(refined=0), "must be bools"),
         (dict(refined="no"), "must be bools"),
+        (dict(safe=[False, True, False]), "must be tuples"),
+        (dict(marginals=[Marginals(1, 1)]), "must be tuples"),
+        (dict(safe=iter((False, True, False))), "must be tuples"),
     ])
     def test_refused(self, fields, message):
         with pytest.raises(SketchError, match=message):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crosscheck.svg as svg_module
+import crosscheck.tables as tables
 from crosscheck import (
     AlarmTrace,
     DecisionRecord,
@@ -138,6 +139,62 @@ class TestDuplicateKeys:
         path.write_text('{"item_id": "x1", "item_id": "x2", "responses": {"u": "a"}}\n')
         with pytest.raises(IngestError, match="^line 1: duplicate key 'item_id'$"):
             ingest(str(path), "jsonl")
+
+    # each line names a key twice and holds ':' in its ids: a count that
+    # took one ':' too many off would let it through
+    @pytest.mark.parametrize("line, key", [
+        ('{"item_id": "urn:x", "responses": {"openai:m": "a", "v": "b"}, '
+         '"truth": "a", "truth": "b"}', "truth"),
+        ('{"item_id": "urn:x", "responses": {"openai:m": "a", "v": "b", "v": "a"}}', "v"),
+        ('{"item_id": "urn:x", "item_id": "urn:y", "responses": {"openai:m": "a", "v": "b"}}',
+         "item_id"),
+        ('{"item_id": "urn:x", "responses": {"openai:m": "a", "v": "b"}, '
+         '"truth": {"k:": "a", "k:": "b"}}', "k:"),
+    ])
+    def test_jsonl_record_with_colon_ids(self, tmp_path, line, key):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"item_id": "urn:w", "responses": {"openai:m": "a", "v": "b"}}\n'
+                        + line + "\n")
+        with pytest.raises(IngestError, match=f"^line 2: duplicate key '{key}'$"):
+            ingest(str(path), "jsonl")
+
+    # a \u003a escape decodes to a ':' that the line does not spell: taking
+    # the decoded ids' ':' off the count would let each of these through
+    @pytest.mark.parametrize("line, key", [
+        ('{"item_id": "x2", "responses": {"u\\u003av": "a"}, "truth": "a", "truth": "b"}',
+         "truth"),
+        ('{"item_id": "x2", "responses": {"u\\u003Av": "a"}, "truth": "a", "truth": "b"}',
+         "truth"),
+        ('{"item_id": "x2", "responses": {"u\\u003av": "a", "u\\u003av": "b"}}', "u:v"),
+        ('{"item_id": "urn\\u003ax", "responses": {"u:v": "a"}, "truth": "a", "truth": "b"}',
+         "truth"),
+        ('{"item_id": "x", "item_id": "urn\\u003ay", "responses": {"u:v": "a"}}', "item_id"),
+    ])
+    def test_jsonl_record_with_colon_escapes(self, tmp_path, line, key):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"item_id": "x1", "responses": {"u:v": "a"}}\n' + line + "\n")
+        with pytest.raises(IngestError, match=f"^line 2: duplicate key '{key}'$"):
+            ingest(str(path), "jsonl")
+
+    @pytest.mark.parametrize("item, cid", product(("item-", "urn:item:"), ("c", "openai:c")))
+    def test_jsonl_records_of_the_benchmark_shape_skip_the_hooked_decoder(
+        self, tmp_path, monkeypatch, item, cid
+    ):
+        """The plain decoder's count of ':' certifies every well-formed
+        record of the shape the benchmark writes, ':' in its ids or not."""
+        path = tmp_path / "table.jsonl"
+        path.write_text("".join(
+            json.dumps({"item_id": f"{item}{k}",
+                        "responses": {f"{cid}{n}": "ab"[k >> n & 1] for n in range(3)},
+                        "truth": "ab"[k % 2]}) + "\n"
+            for k in range(16)
+        ))
+
+        def hooked(line, where=None):
+            raise AssertionError(f"{where} reached the hooked decoder")
+
+        monkeypatch.setattr(tables, "_load_json", hooked)
+        assert len(ingest(str(path), "jsonl").records) == 16
 
 
 class TestSketchFormat:
@@ -443,14 +500,19 @@ def referee_json(trace: RefereeTrace) -> str:
 
 
 def referee_csv(trace: RefereeTrace) -> str:
-    """The CSV trace writer as it was: one row per slice object."""
+    """The CSV trace writer as it was, one row per slice object, but for
+    the header: a name is quoted, its quotes doubled, when it holds a
+    comma, a quote or either line-end character."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["q_a"]
     for cid in trace.classifiers:
         header += [f"{cid}_lo_a", f"{cid}_hi_a", f"{cid}_lo_b", f"{cid}_hi_b"]
     header.append("safe_exists")
-    writer.writerow(header)
+    buffer.write(",".join(
+        '"%s"' % name.replace('"', '""') if {*name} & {",", '"', "\r", "\n"} else name
+        for name in header
+    ) + "\n")
     for s in trace.slices:
         row: list = [s.q_a]
         for iv_a, iv_b in zip(s.intervals_a, s.intervals_b):
@@ -640,11 +702,12 @@ class TestWritersAtTheEdges:
         pair = window_trace(3, (1, 2), ids=ids[:2], mode="pair")
         assert_written_as_referees(pair)
         assert json.loads(trace_to_json_text(trace))["classifiers"] == list(ids)
-        # a lone carriage return is written unquoted, as it always was
-        quoted = window_trace(4, (1, 2, 3), ids=ids[:3])
-        header = next(csv.reader(io.StringIO(trace_to_csv_text(quoted), newline="")))
-        assert header == ["q_a", *(f"{cid}_{x}" for cid in ids[:3] for x in (
+        # every id reads back, a lone carriage return too
+        header = next(csv.reader(io.StringIO(trace_to_csv_text(trace), newline="")))
+        assert header == ["q_a", *(f"{cid}_{x}" for cid in ids for x in (
             "lo_a", "hi_a", "lo_b", "hi_b")), "safe_exists"]
+        assert trace_to_csv_text(window_trace(1, (1,), ids=("c\r",))).startswith(
+            'q_a,"c\r_lo_a","c\r_hi_a","c\r_lo_b","c\r_hi_b",safe_exists\n')
 
     @pytest.mark.parametrize("writer, bound", [
         # the former per-slice template writer peaked at 2.13 times its text
@@ -1059,10 +1122,10 @@ class TestDecisionCsv:
 
 # ----------------------------------------------- ingest against the referee
 
-# item ids, some of which csv has to quote
-ITEM_IDS = ["x1", "x2", "x3", "x4", "a,b", 'say "hi"', "two\nlines", " s", "é"]
-CLASSIFIER_IDS = ["u", "v", "w,x", 'q"t', "z y"]
-CSV_CELLS = ["a", "b", "", "yes", "no", "maybe", "A"]
+# item ids, some of which csv has to quote, and ids and labels with a ":"
+ITEM_IDS = ["x1", "x2", "x3", "x4", "a,b", 'say "hi"', "two\nlines", " s", "é", "urn:x"]
+CLASSIFIER_IDS = ["u", "v", "w,x", 'q"t', "z y", "openai:m"]
+CSV_CELLS = ["a", "b", "", "yes", "no", "maybe", "A", "is:a"]
 # what a jsonl response or truth may hold besides text: empties, and
 # JSON values no label map takes, some of them unhashable
 JSON_CELLS = CSV_CELLS + [None, 0, 1, True, 1.5, ["a"], {"k": "a"}, []]
@@ -1072,6 +1135,7 @@ LABEL_MAPS = [
     {"yes": "a", "no": "b", "maybe": "c"},  # a label outside a/b
     {"a": "b", "b": "a", "yes": "a"},
     {"": "a", "yes": "b", "a": "a"},  # an empty cell stays empty
+    {"is:a": "a", "no": "b"},
 ]
 
 
@@ -1100,8 +1164,17 @@ def draw_item(draw, k: int) -> str:
 
 
 def json_object(pairs) -> str:
-    """An object from key/value pairs, repeated keys and all."""
-    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+    """An object from key/value texts, repeated keys and all."""
+    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+def spell(draw, value) -> str:
+    """``value`` as JSON; the ':' of a string, half of the time, spelled
+    as the escape that decodes to it."""
+    text = json.dumps(value)
+    if isinstance(value, str) and ":" in value and draw(st.booleans()):
+        text = text.replace(":", draw(st.sampled_from(["\\u003a", "\\u003A"])))
+    return text
 
 
 @st.composite
@@ -1142,23 +1215,23 @@ def draw_record(draw, label_map, roster, k: int) -> str:
     elif fault == 4 and cids:  # a classifier named twice
         cids.insert(draw(st.integers(0, len(cids))), cids[0])
     responses = json_object(
-        (cid, json.dumps(draw_cell(draw, label_map, JSON_CELLS))) for cid in cids
+        (spell(draw, cid), spell(draw, draw_cell(draw, label_map, JSON_CELLS))) for cid in cids
     )
     item = draw_item(draw, k)
     if fault == 5:
         item = draw(st.sampled_from(["", 7, None]))
-    pairs = [("item_id", json.dumps(item)), ("responses", responses)]
+    pairs = [('"item_id"', spell(draw, item)), ('"responses"', responses)]
     if draw(st.booleans()):
         truth = draw_cell(draw, label_map, JSON_CELLS)
-        pairs.append(("truth", json.dumps(truth)))
+        pairs.append(('"truth"', spell(draw, truth)))
     if fault == 6:
-        pairs.append(("notes", '"x"'))
+        pairs.append(('"notes"', '"x"'))
     elif fault == 7:
-        pairs.insert(1, ("item_id", json.dumps("x3")))
+        pairs.insert(1, ('"item_id"', spell(draw, "urn:x3")))
     elif fault < 11:
         pairs = draw(st.permutations(pairs))
     elif fault == 11:
-        pairs = [("item_id", json.dumps(item)), ("responses", '["a"]')]
+        pairs = [('"item_id"', spell(draw, item)), ('"responses"', '["a"]')]
     elif fault == 12:
         pairs = pairs[1:]
     text = json_object(pairs)

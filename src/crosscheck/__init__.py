@@ -22,8 +22,7 @@ _EXPORTS = {
     "alarm": ("AlarmTrace", "QaSlice", "Verdict", "min_count_above", "run_alarm"),
     "axioms": (
         "IntInterval", "feasible_interval_label_a", "feasible_interval_label_b",
-        "joint_correct_a_window", "pattern_covariance", "point_axiom_violations",
-        "pspace_stats",
+        "joint_correct_a_window", "point_axiom_violations", "pspace_stats",
     ),
     "independent": (
         "Diagnosis", "IndependentParams", "IndependentSolution", "forward_model",
@@ -32,10 +31,9 @@ _EXPORTS = {
     "model": (
         "FLIP_MODES", "LABEL_A", "LABEL_B", "LABELS", "EvaluationPoint",
         "EvaluationSketch", "Marginals", "OverallSpec", "PerLabelSpec", "PSpaceStats",
-        "SafetySpec", "SketchError", "all_patterns", "correct_counts", "flip_labels",
-        "flip_position", "joint_correct_counts", "marginalize", "other_label",
-        "pair_counts", "point_bound_violations", "sketch_from_decisions",
-        "truth_prevalence", "validate_sketch",
+        "SafetySpec", "SketchError", "all_patterns", "flip_labels", "flip_position",
+        "marginalize", "other_label", "pair_counts", "point_bound_violations",
+        "sketch_from_decisions", "sketch_point", "validate_sketch",
     ),
     "oracle": (
         "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport", "check_summary",

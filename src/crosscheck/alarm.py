@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product, repeat
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .axioms import (
     IntInterval,
@@ -157,15 +157,14 @@ class AlarmTrace(_Value):
     hypothesis q_a = 0..q (``safe``), and whether the pairs were enforced
     (``refined``).  Every feasible interval follows from the totals in
     closed form, so none is stored; :attr:`slices` builds them as
-    :class:`QaSlice` objects, and :meth:`columns` and :meth:`rows` as
-    plain ints.
+    :class:`QaSlice` objects, and :meth:`columns` as plain ints.
 
     The constructor refuses, with SketchError, any columns that no run
-    gives: it needs an int q >= 1, a tuple of distinct string ids (two in
-    "pair" mode), a tuple of each classifier's int totals of q items, a
-    bool ``refined``, and a tuple of q + 1 bool safe flags inside the
-    window of unrefined-safe hypotheses, which they fill unless the pairs
-    were enforced on two or more classifiers
+    gives: it needs an int q >= 1, a tuple of distinct non-empty string
+    ids (two in "pair" mode), a tuple of each classifier's int totals of q
+    items, a bool ``refined``, and a tuple of q + 1 bool safe flags inside
+    the window of unrefined-safe hypotheses, which they fill unless the
+    pairs were enforced on two or more classifiers
     (:meth:`_Sweep.safe_hypotheses`).
     """
 
@@ -188,8 +187,8 @@ class AlarmTrace(_Value):
         refined: bool,
     ) -> None:
         ids, margs = classifiers, marginals
-        if not isinstance(ids, tuple) or not all(isinstance(c, str) for c in ids):
-            raise SketchError("a trace's classifier ids must be a tuple of strings")
+        if not isinstance(ids, tuple) or not all(isinstance(c, str) and c for c in ids):
+            raise SketchError("a trace's classifier ids must be a tuple of non-empty strings")
         if not (isinstance(margs, tuple) and isinstance(safe, tuple)):
             raise SketchError("a trace's totals and safe flags must be tuples")
         if not _is_int(q) or q < 1 or not ids or len(set(ids)) != len(ids):
@@ -244,10 +243,6 @@ class AlarmTrace(_Value):
             ends_b.append(chain(range(r_b, 0, -1), repeat(0, q - r_b + 1)))
             ends_b.append(chain(repeat(r_b, q - r_b), range(r_b, -1, -1)))
         return [range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined, q + 1)]
-
-    def rows(self) -> Iterator[tuple]:
-        """Each slice as one tuple of the values :meth:`columns` gives."""
-        return zip(*self.columns())
 
 
 # a term a*h + b + sum of g * floor((n*h + c) / d) in the hypothesis h, all

@@ -20,10 +20,9 @@ from .model import (
     Marginals,
     PSpaceStats,
     SketchError,
-    correct_counts,
-    joint_correct_counts,
     marginalize,
     pair_counts,
+    sketch_point,
     validate_sketch,
 )
 
@@ -210,23 +209,21 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     if problems:
         raise SketchError("invalid sketch: " + "; ".join(problems))
     q = sketch.q
-    q_a = sum(a for a, _ in sketch.truth_split.values())
+    point = sketch_point(sketch)
+    q_a = point.q_a
     ids = sketch.classifiers
-    pairs = list(combinations(range(len(ids)), 2))
-    keys = [(ids[i], ids[j]) for i, j in pairs]
-    singles = [correct_counts(sketch, cid) for cid in ids]
-    joints = [joint_correct_counts(sketch, *key) for key in keys]
+    keys = {(i, j): (ids[i], ids[j]) for i, j in point.pair_correct}
     accuracy = []
     gamma = []
     # side 0 is the true-a items, side 1 the true-b items
-    for side, size in enumerate((q_a, q - q_a)):
-        acc = tuple(Fraction(c[side], size) if size else None for c in singles)
+    for side, (size, correct) in enumerate(((q_a, point.correct_a), (q - q_a, point.correct_b))):
+        acc = tuple(Fraction(c, size) if size else None for c in correct)
         accuracy.append(acc)
         gamma.append(MappingProxyType({
-            key: Fraction(joint[side], size) - acc[i] * acc[j] if size else None
-            for key, (i, j), joint in zip(keys, pairs, joints)
+            keys[i, j]: Fraction(joint[side], size) - acc[i] * acc[j] if size else None
+            for (i, j), joint in point.pair_correct.items()
         }))
-    delta = {key: pattern_covariance(sketch, *key) for key in keys}
+    delta = {key: pattern_covariance(sketch, *key) for key in keys.values()}
     return PSpaceStats(
         classifiers=ids,
         p_a=Fraction(q_a, q),

@@ -25,7 +25,6 @@ from .model import (
     flip_labels,
     marginalize,
     sketch_from_decisions,
-    truth_prevalence,
     validate_sketch,
 )
 from .persist import (
@@ -237,9 +236,8 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
             print(f"violation: {problem}")
         return EXIT_ERROR
     if sketch.truth_split is not None:
-        q_a = truth_prevalence(sketch)
-        print(f"true-a items: {q_a} of {sketch.q}")
         stats = _cli.pspace_stats(sketch)
+        print(f"true-a items: {stats.p_a * sketch.q} of {sketch.q}")
         for idx, cid in enumerate(sketch.classifiers):
             print(
                 f"accuracy {cid}: true-a {stats.accuracy_a[idx]}, "

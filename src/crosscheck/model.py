@@ -10,6 +10,7 @@ as `fractions.Fraction` values; nothing in this module touches floats.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
@@ -208,10 +209,6 @@ class EvaluationSketch(_Value):
     def size(self) -> int:
         return len(self.classifiers)
 
-    @property
-    def has_truth(self) -> bool:
-        return self.truth_split is not None
-
     def index_of(self, classifier: str) -> int:
         try:
             return self.classifiers.index(classifier)
@@ -385,48 +382,6 @@ def flip_labels(
     return EvaluationSketch(sketch.classifiers, sketch.q, counts, moved)
 
 
-def truth_prevalence(sketch: EvaluationSketch) -> int:
-    """Number of items whose true label is a, from the truth split."""
-    if sketch.truth_split is None:
-        raise SketchError("sketch has no truth split")
-    return sum(a for a, _ in sketch.truth_split.values())
-
-
-def correct_counts(sketch: EvaluationSketch, classifier: str) -> tuple[int, int]:
-    """(correct on true-a items, correct on true-b items) for one classifier."""
-    if sketch.truth_split is None:
-        raise SketchError("sketch has no truth split")
-    idx = sketch.index_of(classifier)
-    on_a = 0
-    on_b = 0
-    for pattern, (n_a, n_b) in sketch.truth_split.items():
-        if pattern[idx] == LABEL_A:
-            on_a += n_a
-        else:
-            on_b += n_b
-    return on_a, on_b
-
-
-def joint_correct_counts(
-    sketch: EvaluationSketch, first: str, second: str
-) -> tuple[int, int]:
-    """(both correct on true-a, both correct on true-b) for a pair."""
-    if sketch.truth_split is None:
-        raise SketchError("sketch has no truth split")
-    i = sketch.index_of(first)
-    j = sketch.index_of(second)
-    if i == j:
-        raise SketchError("joint correct counts need two distinct classifiers")
-    on_a = 0
-    on_b = 0
-    for pattern, (n_a, n_b) in sketch.truth_split.items():
-        if pattern[i] == LABEL_A and pattern[j] == LABEL_A:
-            on_a += n_a
-        elif pattern[i] == LABEL_B and pattern[j] == LABEL_B:
-            on_b += n_b
-    return on_a, on_b
-
-
 class EvaluationPoint(_Value):
     """A candidate ground truth: the unobservable correctness counts.
 
@@ -470,6 +425,38 @@ class EvaluationPoint(_Value):
     @property
     def size(self) -> int:
         return len(self.correct_a)
+
+
+# a pattern's letters as the 0/1 flags "said a" and "said b"
+_SAID = {LABEL_A: bytes.maketrans(b"ab", b"\1\0"), LABEL_B: bytes.maketrans(b"ab", b"\0\1")}
+
+
+def sketch_point(sketch: EvaluationSketch) -> EvaluationPoint:
+    """The evaluation point a truth-split sketch realizes: q_a, each
+    classifier's correct counts on each label, and every pair's (i < j)
+    joint correct counts.  Like :func:`marginalize`, it does not validate
+    the sketch.
+
+    Per label, the split is read as its item counts and each classifier's
+    0/1 flags (gave that label?) per pattern, and each sum is a C-level
+    walk: k's right answers are the counts times k's flags, and a pair's
+    joint count sums one's right answers where the other's flag is set.
+    """
+    split = sketch.truth_split
+    if split is None:
+        raise SketchError("sketch has no truth split")
+    size = sketch.size
+    pairs = list(itertools.combinations(range(size), 2))
+    patterns = "".join(split).encode()
+    sums = []
+    for side, label in enumerate(LABELS):
+        counts = [entry[side] for entry in split.values()]
+        said = [patterns[k::size].translate(_SAID[label]) for k in range(size)]
+        right = [list(map(operator.mul, counts, flags)) for flags in said]
+        joint = [sum(itertools.compress(right[i], said[j])) for i, j in pairs]
+        sums.append((sum(counts), [sum(r) for r in right], joint))
+    (q_a, correct_a, joint_a), (_, correct_b, joint_b) = sums
+    return EvaluationPoint(q_a, correct_a, correct_b, dict(zip(pairs, zip(joint_a, joint_b))))
 
 
 def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:

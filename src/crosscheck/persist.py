@@ -17,11 +17,11 @@ parameter readers import the types they build when they are called.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Mapping, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import (
     EvaluationPoint,
@@ -272,21 +272,29 @@ def parse_trace(text: str) -> AlarmTrace:
     return trace
 
 
-def trace_to_csv_text(trace: AlarmTrace) -> str:
+def _csv_lines(rows: Iterable[Sequence[object]]) -> list[str]:
+    """Each row as one csv line with no line end.  The writer's "\r\n" end
+    makes it quote every cell that holds "\r" or "\n", so the lines joined
+    by "\n" read back as these rows with ``newline=""``."""
     import csv
 
-    buffer = io.StringIO()
+    lines: list[str] = []
+    # a writer calls its file's write once per row
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return [line[:-2] for line in lines]
+
+
+def trace_to_csv_text(trace: AlarmTrace) -> str:
     names = [f"{cid}_{x}" for cid in trace.classifiers for x in ("lo_a", "hi_a", "lo_b", "hi_b")]
-    # the writer quotes the ids (the body is ints alone), each "\r" too as a
-    # character of its terminator; the join below puts the line ends
-    csv.writer(buffer, lineterminator="\r\n").writerow(["q_a", *names, "safe_exists"])
+    # the ids are the only cells that need quoting: the body is ints alone
+    (header,) = _csv_lines([["q_a", *names, "safe_exists"]])
     q_a, *ends, safe, _ = trace.columns()
     # each classifier's lo_a, hi_a, lo_b, hi_b out of the label-major ends
     n = 2 * len(trace.classifiers)
     ends = [ends[i] for k in range(0, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
     digits = list(map(str, range(trace.q + 1)))
     rows = zip(*(map(digits.__getitem__, c) for c in (q_a, *ends)), map("01".__getitem__, safe))
-    lines = [buffer.getvalue()[:-2], *map(",".join, rows), ""]
+    lines = [header, *map(",".join, rows), ""]
     # the digits go before the join, so that it holds only the lines
     del digits, rows
     return "\n".join(lines)

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .model import LABELS
-from .persist import FormatError, IngestError, _load_json, _require_keys
+from .persist import FormatError, IngestError, _csv_lines, _load_json, _require_keys
 
 
 class DecisionRecord(NamedTuple):
@@ -68,16 +68,20 @@ _Row = tuple[int, str, tuple, object]
 
 
 class _CsvRows:
-    """The rows of a csv table; the header is read and checked first."""
+    """The rows of a csv table; the header is read and checked first.  A
+    row ends at "\n", "\r\n" or a lone "\r", which a quoted cell keeps; a
+    row the csv module cannot read (a cell past its size limit) is an error."""
 
     unit = "row"
 
     def __init__(self, text: str) -> None:
-        self._reader = csv.reader(io.StringIO(text))
+        self._reader = csv.reader(io.StringIO(text, newline=""))
         try:
             header = next(self._reader)
         except StopIteration:
             raise IngestError("empty file: a header row is mandatory") from None
+        except csv.Error as exc:
+            raise IngestError(f"row 1: {exc}") from None
         if not header or header[0] != "item_id":
             raise IngestError("first header column must be 'item_id'")
         self.drop_missing_truth = header[-1] == "truth"
@@ -92,17 +96,21 @@ class _CsvRows:
         width = self._width
         end = 1 + len(self.roster)
         has_truth = self.drop_missing_truth
-        for line_no, row in enumerate(self._reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise IngestError(
-                    f"row {line_no}: expected {width} columns, found {len(row)}"
-                )
-            item_id = row[0]
-            if not item_id:
-                raise IngestError(f"row {line_no}: empty item_id")
-            yield line_no, item_id, tuple(row[1:end]), row[-1] if has_truth else None
+        line_no = 1
+        try:
+            for line_no, row in enumerate(self._reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise IngestError(
+                        f"row {line_no}: expected {width} columns, found {len(row)}"
+                    )
+                item_id = row[0]
+                if not item_id:
+                    raise IngestError(f"row {line_no}: empty item_id")
+                yield line_no, item_id, tuple(row[1:end]), row[-1] if has_truth else None
+        except csv.Error as exc:  # raised by the reader, so for the row after line_no
+            raise IngestError(f"row {line_no + 1}: {exc}") from None
 
 
 _scan = json.JSONDecoder().scan_once
@@ -283,10 +291,11 @@ def ingest(
     ``label_map`` once per distinct tuple of raw answers, and records
     that give the same answers share one read-only responses mapping.
     """
-    with open(path, encoding="utf-8-sig") as handle:
-        # the file's text is not kept beside its lines; jsonl records end
-        # at "\n" only (universal newlines turn "\r\n" and "\r" into it),
-        # since JSON strings may hold U+2028, U+2029 and U+0085 raw
+    with open(path, encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
+        # the file's text is not kept beside its lines; csv keeps its line
+        # ends for the reader, and jsonl records end at "\n" only (universal
+        # newlines turn "\r\n" and "\r" into it), since JSON strings may
+        # hold U+2028, U+2029 and U+0085 raw
         if fmt == "csv":
             rows: _CsvRows | _JsonlRows = _CsvRows(handle.read())
         elif fmt == "jsonl":
@@ -317,16 +326,15 @@ def decisions_to_csv_text(
     classifiers: Sequence[str],
     truth: Mapping[str, str] | None = None,
 ) -> str:
-    """Decision table in the csv ingest format, rows sorted by item id."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """Decision table in the csv ingest format, rows sorted by item id; an
+    id that holds "\r" or "\n" is quoted, so :func:`ingest` reads it back."""
     header = ["item_id", *classifiers]
     if truth is not None:
         header.append("truth")
-    writer.writerow(header)
+    rows = [header]
     for item_id in sorted(decisions):
         row = [item_id, *(decisions[item_id][cid] for cid in classifiers)]
         if truth is not None:
             row.append(truth[item_id])
-        writer.writerow(row)
-    return buffer.getvalue()
+        rows.append(row)
+    return "\n".join([*_csv_lines(rows), ""])

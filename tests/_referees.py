@@ -27,9 +27,7 @@ from crosscheck import (
     PerLabelSpec,
     SafetySpec,
     SketchError,
-    correct_counts,
     flip_position,
-    joint_correct_counts,
     marginalize,
     min_count_above,
     pair_counts,
@@ -37,25 +35,6 @@ from crosscheck import (
     validate_sketch,
 )
 from crosscheck.axioms import pair_bounds
-
-
-def sketch_point(sketch: EvaluationSketch) -> EvaluationPoint:
-    """The evaluation point actually realized by a truth-split sketch."""
-    if sketch.truth_split is None:
-        raise SketchError("sketch has no truth split")
-    q_a = sum(a for a, _ in sketch.truth_split.values())
-    ids = sketch.classifiers
-    c_a: list[int] = []
-    c_b: list[int] = []
-    for cid in ids:
-        on_a, on_b = correct_counts(sketch, cid)
-        c_a.append(on_a)
-        c_b.append(on_b)
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            pairs[(i, j)] = joint_correct_counts(sketch, ids[i], ids[j])
-    return EvaluationPoint(q_a, tuple(c_a), tuple(c_b), pairs)
 
 
 def referee_sketch_entries(size: int, counts, truth_split):
@@ -454,11 +433,10 @@ def _referee_finish(rows, dropped, any_truth) -> IngestResult:
 
 
 def _referee_csv(text: str, label_map) -> IngestResult:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty file: a header row is mandatory") from None
+    rows = _referee_csv_rows(text)
+    header = next(rows, None)
+    if header is None:
+        raise IngestError("empty file: a header row is mandatory")
     if not header or header[0] != "item_id":
         raise IngestError("first header column must be 'item_id'")
     has_truth = bool(header) and header[-1] == "truth"
@@ -467,9 +445,9 @@ def _referee_csv(text: str, label_map) -> IngestResult:
         raise IngestError("header names no classifier columns")
     if len(set(roster)) != len(roster):
         raise IngestError("duplicate classifier columns in header")
-    rows = []
+    kept = []
     dropped = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(header):
@@ -497,8 +475,22 @@ def _referee_csv(text: str, label_map) -> IngestResult:
                 dropped.append((item_id, "missing truth label"))
                 continue
             truth = _referee_map_label(raw, label_map, where)
-        rows.append((item_id, responses, truth))
-    return _referee_finish(rows, dropped, has_truth)
+        kept.append((item_id, responses, truth))
+    return _referee_finish(kept, dropped, has_truth)
+
+
+def _referee_csv_rows(text: str) -> Iterator[list[str]]:
+    """The csv reader's rows of ``text``, split at the line ends it keeps;
+    a row the reader cannot read raises an IngestError naming it."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for line_no in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise IngestError(f"row {line_no}: {exc}") from None
+        yield row
 
 
 def _referee_jsonl(text: str, label_map) -> IngestResult:
@@ -549,8 +541,9 @@ def _referee_jsonl(text: str, label_map) -> IngestResult:
 
 
 def referee_ingest(path: str, fmt: str, label_map=None) -> IngestResult:
-    """:func:`crosscheck.ingest` by one loop per format."""
-    with open(path, encoding="utf-8-sig") as handle:
+    """:func:`crosscheck.ingest` by one loop per format.  A csv file keeps
+    its line ends, jsonl reads with universal newlines."""
+    with open(path, encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
         text = handle.read()
     if fmt == "csv":
         return _referee_csv(text, label_map)

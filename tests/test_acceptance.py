@@ -16,7 +16,6 @@ from crosscheck import (
     Marginals,
     PerLabelSpec,
     Verdict,
-    correct_counts,
     enumerate_evaluations,
     evaluation_count,
     feasible_interval_label_a,
@@ -26,13 +25,14 @@ from crosscheck import (
     marginalize,
     min_count_above,
     pair_counts,
-    pattern_covariance,
     records_to_decisions,
     run_alarm,
     sketch_from_decisions,
+    sketch_point,
     solve_independent,
-    truth_prevalence,
 )
+from crosscheck.axioms import pattern_covariance
+
 from ._referees import (
     enumerate_variety,
     majority_vote_prevalence,
@@ -116,8 +116,8 @@ def test_criterion_05_truth_flips_quiet_the_ensemble(grading_sketch):
     flipped = flip_labels(flipped, "gpt4", "true-b")
     q_a = 237
     q_b = flipped.q - q_a
-    for name in flipped.classifiers:
-        on_a, on_b = correct_counts(flipped, name)
+    point = sketch_point(flipped)
+    for on_a, on_b in zip(point.correct_a, point.correct_b):
         assert Fraction(on_a, q_a) > HALF
         assert Fraction(on_b, q_b) > HALF
     trace = run_alarm(flipped, SPEC, refine=False)
@@ -220,7 +220,7 @@ def test_criterion_08_covariance_routes_agree(grading_sketch):
 
 def test_criterion_09_majority_vote_disagrees_with_truth(grading_sketch):
     voted = majority_vote_prevalence(grading_sketch)
-    actual = Fraction(truth_prevalence(grading_sketch), grading_sketch.q)
+    actual = Fraction(sketch_point(grading_sketch).q_a, grading_sketch.q)
     assert voted == Fraction(147, 281)
     assert actual == Fraction(237, 281)
     assert voted != actual

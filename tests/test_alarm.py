@@ -35,6 +35,7 @@ from crosscheck import (
     run_alarm,
     save_sketch,
     sketch_from_decisions,
+    sketch_point,
     trace_to_csv_text,
     trace_to_json_text,
 )
@@ -49,7 +50,6 @@ from ._referees import (
     pairwise_safe_exists,
     referee_safe_hypotheses,
     safe_threshold,
-    sketch_point,
 )
 from ._strategies import point_meets, random_sketch, sketches
 from .test_persist import RefereeTrace, laid_out, referee_csv, referee_json, referee_svg
@@ -802,6 +802,7 @@ class TestTraceInvariant:
         (dict(safe=[False, True, False]), "must be tuples"),
         (dict(marginals=[Marginals(1, 1)]), "must be tuples"),
         (dict(safe=iter((False, True, False))), "must be tuples"),
+        (dict(classifiers=("",)), "non-empty strings"),
     ])
     def test_refused(self, fields, message):
         with pytest.raises(SketchError, match=message):
@@ -1078,7 +1079,7 @@ class TestRefinedRuns:
         hi = data.draw(st.integers(lo, sketch.q))
         safe = referee_safe_hypotheses(sketch, spec, pair, refine=True)
         trace = run_alarm(sketch, spec, pair=pair, refine=True)
-        assert [row[0] for row in trace.rows() if row[-2]] == safe
+        assert [q_a for q_a, flag in enumerate(trace.safe) if flag] == safe
         kw = dict(pair=pair, qa_range=(lo, hi))
         count, classes = classes_evaluated(sketch, spec, **kw)
         assert count == sum(lo <= q_a <= hi for q_a in safe)
@@ -1091,7 +1092,7 @@ class TestRefinedRuns:
         hi = data.draw(st.integers(lo, sketch.q))
         safe = referee_safe_hypotheses(sketch, spec, refine=True)
         trace = run_alarm(sketch, spec, refine=True)
-        assert [row[0] for row in trace.rows() if row[-2]] == safe
+        assert [q_a for q_a, flag in enumerate(trace.safe) if flag] == safe
         count, classes = classes_evaluated(sketch, spec, qa_range=(lo, hi))
         assert count == sum(lo <= q_a <= hi for q_a in safe)
         assert classes <= spec_period(spec)
@@ -1102,7 +1103,7 @@ class TestRefinedRuns:
         sketch = EvaluationSketch(("c0", "c1"), 19, {"aa": 2, "ab": 4, "ba": 4, "bb": 9})
         spec = PerLabelSpec(Fraction(2, 3), Fraction(1, 3), strict=False)
         trace = run_alarm(sketch, spec, refine=True)
-        assert [row[0] for row in trace.rows() if row[-2]] == [0, 1, 2, 3, 4, 6]
+        assert [q_a for q_a, flag in enumerate(trace.safe) if flag] == [0, 1, 2, 3, 4, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 1, 2, 3, 4, 6]
         assert passes == {"_class_run": 3}
 
@@ -1150,7 +1151,7 @@ class TestRefinedRuns:
         spec = PerLabelSpec(Fraction(1, 3), Fraction(1, 3), strict=False)
         assert count_safe_hypotheses(sketch, spec) == 7
         trace = run_alarm(sketch, spec, refine=True)
-        assert [row[0] for row in trace.rows() if row[-2]] == [0, 3, 6]
+        assert [q_a for q_a, flag in enumerate(trace.safe) if flag] == [0, 3, 6]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 3, 6]
         assert passes == {"_class_run": 3}
 
@@ -1163,7 +1164,7 @@ class TestRefinedRuns:
         spec = PerLabelSpec(HALF, Fraction(1, 4), strict=False)
         assert count_safe_hypotheses(sketch, spec) == 7
         trace = run_alarm(sketch, spec, refine=True)
-        assert [row[0] for row in trace.rows() if row[-2]] == [0, 2, 4]
+        assert [q_a for q_a, flag in enumerate(trace.safe) if flag] == [0, 2, 4]
         assert referee_safe_hypotheses(sketch, spec, refine=True) == [0, 2, 4]
         assert passes == {"_class_run": 4}
 

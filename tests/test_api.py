@@ -11,17 +11,15 @@ PUBLIC = [
     "IntInterval", "LABELS", "LABEL_A", "LABEL_B", "Marginals", "OverallSpec",
     "PSpaceStats", "PerLabelSpec", "QaSlice", "SafetySpec", "SketchError",
     "SummaryClaims", "SummaryReport", "Verdict", "all_patterns", "atomic_write_text",
-    "check_summary", "correct_counts", "decisions_to_csv_text",
-    "emit_trace", "enumerate_evaluations", "evaluation_count",
-    "feasible_interval_label_a", "feasible_interval_label_b", "flip_labels",
-    "flip_position", "forward_model", "generate_decisions", "ingest",
-    "joint_correct_a_window", "joint_correct_counts", "load_sketch", "marginalize",
-    "min_count_above", "other_label", "pair_counts", "parse_claims", "parse_params",
-    "parse_sketch", "parse_trace", "pattern_covariance", "point_axiom_violations",
-    "point_bound_violations", "pspace_stats", "rational_sqrt",
-    "records_to_decisions", "render_traces", "run_alarm", "save_sketch",
-    "sketch_from_decisions", "sketch_to_text", "solve_independent",
-    "trace_to_csv_text", "trace_to_json_text", "truth_prevalence", "validate_sketch",
+    "check_summary", "decisions_to_csv_text", "emit_trace", "enumerate_evaluations",
+    "evaluation_count", "feasible_interval_label_a", "feasible_interval_label_b",
+    "flip_labels", "flip_position", "forward_model", "generate_decisions", "ingest",
+    "joint_correct_a_window", "load_sketch", "marginalize", "min_count_above",
+    "other_label", "pair_counts", "parse_claims", "parse_params", "parse_sketch",
+    "parse_trace", "point_axiom_violations", "point_bound_violations", "pspace_stats",
+    "rational_sqrt", "records_to_decisions", "render_traces", "run_alarm", "save_sketch",
+    "sketch_from_decisions", "sketch_point", "sketch_to_text", "solve_independent",
+    "trace_to_csv_text", "trace_to_json_text", "validate_sketch",
 ]
 
 

@@ -14,18 +14,22 @@ from crosscheck import (
     joint_correct_a_window,
     marginalize,
     pair_counts,
-    pattern_covariance,
     point_axiom_violations,
     pspace_stats,
+    sketch_point,
     validate_sketch,
 )
-from crosscheck.axioms import _pair_axiom_sum, _single_axiom_residual, pair_bounds
+from crosscheck.axioms import (
+    _pair_axiom_sum,
+    _single_axiom_residual,
+    pair_bounds,
+    pattern_covariance,
+)
 
 from ._referees import (
     enumerate_variety,
     induced_correct_b,
     meets_pair_bounds,
-    sketch_point,
 )
 from ._strategies import sketches
 

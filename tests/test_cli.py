@@ -13,11 +13,9 @@ import sys
 import pytest
 
 import crosscheck
-from crosscheck import load_sketch, parse_trace
+from crosscheck import load_sketch, parse_trace, sketch_point
 from crosscheck import cli
 from crosscheck.cli import EXIT_ERROR, EXIT_OK, EXIT_TRIGGERED, build_parser, main
-
-from ._referees import sketch_point
 
 GRADING = "fixtures/llm_grading.json"
 GRADING_CSV = "fixtures/llm_grading_decisions.csv"
@@ -519,7 +517,7 @@ class TestGenerate:
         sketch = load_sketch(str(tmp_path / "sketch.json"))
         assert sketch.q == 25
         assert sketch.classifiers == ("r1", "r2", "r3")
-        assert sketch.has_truth
+        assert sketch.truth_split is not None
 
     def test_default_ids_when_params_lack_them(self, capsys, tmp_path):
         params = tmp_path / "params.json"
@@ -615,6 +613,35 @@ class TestIngestAndFlip:
         )
         assert code == EXIT_ERROR
         assert err.startswith("error: ")
+
+    def test_oversized_cell_is_an_error_line(self, capsys, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("item_id,u\n" + "x" * 200_000 + ",a\n")
+        code, out, err = run(
+            capsys, "ingest", str(table), "--format", "csv",
+            "--out", str(tmp_path / "s.json"),
+        )
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: row 2: field larger than field limit (131072)\n"
+
+    def test_generated_id_with_a_carriage_return_reads_back(self, capsys, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "classifiers": ["c\r1", "v"],
+            "p_a": "1/2",
+            "accuracy_a": ["3/4", "3/4"],
+            "accuracy_b": ["3/4", "3/4"],
+        }))
+        table = tmp_path / "table.csv"
+        out_path = tmp_path / "sketch.json"
+        code, _, _ = run(
+            capsys, "generate", "--seed", "1", "--params", str(params), "--q", "9",
+            "--out", str(table),
+        )
+        assert code == EXIT_OK
+        code, _, _ = run(capsys, "ingest", str(table), "--format", "csv", "--out", str(out_path))
+        assert code == EXIT_OK
+        assert load_sketch(str(out_path)).classifiers == ("c\r1", "v")
 
     @pytest.mark.parametrize("argv", [
         ("ingest", GRADING_CSV, "--format", "csv",

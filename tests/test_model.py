@@ -10,21 +10,21 @@ from crosscheck import (
     LABEL_B,
     EvaluationPoint,
     EvaluationSketch,
+    IndependentParams,
     Marginals,
     OverallSpec,
     PerLabelSpec,
     SketchError,
     all_patterns,
-    correct_counts,
     flip_labels,
     flip_position,
-    joint_correct_counts,
+    generate_decisions,
     marginalize,
     other_label,
     pair_counts,
     point_bound_violations,
     sketch_from_decisions,
-    truth_prevalence,
+    sketch_point,
     validate_sketch,
 )
 
@@ -57,7 +57,7 @@ class TestSketchConstruction:
         assert sketch.q == 1
         assert sketch.size == 2
         assert dict(sketch.counts) == {"aa": 1}
-        assert not sketch.has_truth
+        assert sketch.truth_split is None
         assert validate_sketch(sketch) == []
 
     def test_from_decisions_one_classifier(self):
@@ -98,7 +98,7 @@ class TestSketchConstruction:
     def test_zero_split_entries_dropped_but_empty_split_is_not_none(self):
         sketch = EvaluationSketch(("u",), 1, {"a": 1}, {"a": (1, 0), "b": (0, 0)})
         assert dict(sketch.truth_split) == {"a": (1, 0)}
-        assert sketch.has_truth
+        assert sketch.truth_split is not None
 
     def test_truth_split_entries_are_pairs(self):
         for entry in (5, None, "ab", [1], (1, 0, 0), {"x": 1, "y": 0}, (True, 0), (1.0, 0)):
@@ -276,20 +276,64 @@ class TestFixtureStatistics:
             pair_counts(grading_sketch, "claude", "claude")
 
     def test_truth_prevalence(self, grading_sketch):
-        assert truth_prevalence(grading_sketch) == 237
+        assert sketch_point(grading_sketch).q_a == 237
 
     def test_correct_counts(self, grading_sketch):
-        assert correct_counts(grading_sketch, "claude") == (136, 34)
-        assert correct_counts(grading_sketch, "mistral") == (26, 43)
-        assert correct_counts(grading_sketch, "gpt4") == (211, 21)
+        # claude, mistral, gpt4; pairs by roster index
+        point = sketch_point(grading_sketch)
+        assert point.correct_a == (136, 26, 211)
+        assert point.correct_b == (34, 43, 21)
+        assert dict(point.pair_correct) == {(0, 1): (12, 33), (0, 2): (125, 19), (1, 2): (26, 20)}
 
     def test_truth_helpers_require_split(self, grading_bare):
-        with pytest.raises(SketchError):
-            truth_prevalence(grading_bare)
-        with pytest.raises(SketchError):
-            correct_counts(grading_bare, "claude")
-        with pytest.raises(SketchError):
-            joint_correct_counts(grading_bare, "claude", "gpt4")
+        with pytest.raises(SketchError, match="no truth split"):
+            sketch_point(grading_bare)
+
+
+ACCURACIES = st.sampled_from([0, Fraction(1, 2), Fraction(4, 5), 1])
+
+
+class TestSketchPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([0, Fraction(1, 3), 1]),
+        st.integers(1, 200),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_matches_a_tally_of_the_items(self, size, p_a, q, seed, data):
+        # p_a of 0 or 1 leaves one label with no items
+        acc = st.lists(ACCURACIES, min_size=size, max_size=size)
+        params = IndependentParams(p_a, data.draw(acc), data.draw(acc))
+        ids = tuple(f"c{k}" for k in range(size))
+        decisions, truth = generate_decisions(ids, params, q, seed)
+        q_a = 0
+        right = {LABEL_A: [0] * size, LABEL_B: [0] * size}
+        both = {LABEL_A: {}, LABEL_B: {}}
+        for item, row in decisions.items():
+            label = truth[item]
+            q_a += label == LABEL_A
+            got = [k for k, cid in enumerate(ids) if row[cid] == label]
+            for k in got:
+                right[label][k] += 1
+                for m in got:
+                    if k < m:
+                        both[label][k, m] = both[label].get((k, m), 0) + 1
+        pairs = {
+            (k, m): (both[LABEL_A].get((k, m), 0), both[LABEL_B].get((k, m), 0))
+            for k in range(size) for m in range(k + 1, size)
+        }
+        sketch = sketch_from_decisions(decisions, ids, truth)
+        assert sketch_point(sketch) == EvaluationPoint(
+            q_a, right[LABEL_A], right[LABEL_B], pairs
+        )
+
+    def test_unvalidated_split_is_summed_as_it_is(self):
+        empty = EvaluationSketch(("u", "v"), 1, {"aa": 1}, {})
+        assert sketch_point(empty) == EvaluationPoint(0, (0, 0), (0, 0), {(0, 1): (0, 0)})
+        odd = EvaluationSketch(("u",), 3, {"a": 1}, {"a": (-2, 1), "b": (4, 5)})
+        assert sketch_point(odd) == EvaluationPoint(2, (-2,), (5,), {})
 
 
 class TestFlip:
@@ -309,7 +353,8 @@ class TestFlip:
     def test_truth_flip_changes_correctness(self, grading_sketch):
         # making mistral right on every true-a item it used to miss
         flipped = flip_labels(grading_sketch, "mistral", "true-a")
-        assert correct_counts(flipped, "mistral") == (237 - 26, 43)
+        point = sketch_point(flipped)
+        assert (point.correct_a[1], point.correct_b[1]) == (237 - 26, 43)
         assert marginalize(flipped, "mistral").r_a == 27 - 26 + (237 - 26)
 
     def test_truth_flip_requires_split(self, grading_bare):

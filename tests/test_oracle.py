@@ -22,13 +22,13 @@ from crosscheck import (
     marginalize,
     pair_counts,
     point_axiom_violations,
+    sketch_point,
 )
 from ._referees import (
     BudgetExceededError,
     enumerate_variety,
     induced_correct_b,
     meets_pair_bounds,
-    sketch_point,
     split_combinations,
 )
 from ._strategies import ROSTER, sketches

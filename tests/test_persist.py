@@ -20,6 +20,7 @@ from crosscheck import (
     DecisionRecord,
     EvaluationSketch,
     FormatError,
+    IndependentParams,
     IngestError,
     Marginals,
     OverallSpec,
@@ -31,6 +32,7 @@ from crosscheck import (
     atomic_write_text,
     decisions_to_csv_text,
     emit_trace,
+    generate_decisions,
     ingest,
     load_sketch,
     parse_claims,
@@ -432,6 +434,8 @@ class TestTraceFormats:
         dict(GOOD_TRACE, spec={"kind": "overall", "threshold": None, "strict": True}),
         # q - r_b cannot be taken: an int past the float range from a float
         dict(slice_with(intervals_b=[[10**400, 10**400], [1, 1]]), q=0.5),
+        # no run names a classifier ""
+        dict(GOOD_TRACE, classifiers=["", "v"]),
     ])
     def test_trace_schema_violations_are_format_errors(self, obj):
         with pytest.raises(FormatError):
@@ -541,10 +545,11 @@ def referee_svg(trace: RefereeTrace) -> str:
         return render_traces([trace])
 
 
-# ids with quotes, backslashes, control characters, non-ASCII and lone
-# surrogates, all of which json.dumps escapes
+# non-empty ids with quotes, backslashes, control characters, non-ASCII
+# and lone surrogates, all of which json.dumps escapes
 IDS = st.text(
     st.sampled_from('a"\\\n\t\x00\x1f\x7fé€😀\ud800') | st.characters(),
+    min_size=1,
     max_size=6,
 )
 THRESHOLDS = st.fractions(0, 1, max_denominator=12)
@@ -960,6 +965,45 @@ class TestCsvIngest:
         with pytest.raises(IngestError):
             ingest(self.write(tmp_path, "item_id,u\n"), "xml")
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, tmp_path, end):
+        path = tmp_path / "table.csv"
+        path.write_bytes(end.join(["item_id,u,v,truth", "x1,a,b,a", "", "x2,b,b,b", ""]).encode())
+        result = ingest(str(path), "csv")
+        assert result.records == (
+            DecisionRecord("x1", {"u": "a", "v": "b"}, "a"),
+            DecisionRecord("x2", {"u": "b", "v": "b"}, "b"),
+        )
+        path.write_bytes(end.join(["item_id,u,truth", "x1,a,a", "", "x2,b"]).encode())
+        with pytest.raises(IngestError, match="^row 4: expected 3 columns"):
+            ingest(str(path), "csv")
+
+    @pytest.mark.parametrize("inner", ["\r", "\r\n", "\n"])
+    def test_quoted_line_end_in_a_cell_survives(self, tmp_path, inner):
+        path = tmp_path / "table.csv"
+        path.write_bytes(f'item_id,"c{inner}1",v\n"x{inner}",a,b\n'.encode())
+        result = ingest(str(path), "csv")
+        assert result.roster == (f"c{inner}1", "v")
+        assert [rec.item_id for rec in result.records] == [f"x{inner}"]
+
+    def test_oversized_cell_names_its_row(self, tmp_path):
+        # past the csv module's field size limit, which ingest leaves as it is
+        big = "x" * 200_000
+        with pytest.raises(IngestError, match="^row 1: field larger than field limit"):
+            ingest(self.write(tmp_path, f"item_id,{big}\nx1,a\n"), "csv")
+        with pytest.raises(IngestError, match="^row 3: field larger than field limit"):
+            ingest(self.write(tmp_path, f"item_id,u\nx1,a\n{big},b\nx3,a\n"), "csv")
+        assert csv.field_size_limit() == 131072
+
+    def test_nul_byte_reads_or_is_an_ingest_error(self, tmp_path):
+        # the csv module reads a NUL from Python 3.11 on, and refuses it before
+        try:
+            result = ingest(self.write(tmp_path, "item_id,u\nx\x001,a\n"), "csv")
+        except IngestError as exc:
+            assert str(exc).startswith("row 2: ")
+        else:
+            assert [rec.item_id for rec in result.records] == ["x\x001"]
+
     def test_byte_order_mark(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("\ufeffitem_id,u,truth\nx1,a,b\n", encoding="utf-8")
@@ -1118,6 +1162,41 @@ class TestDecisionCsv:
         path.write_text(decisions_to_csv_text(decisions, ("u", "v"), truth))
         result = ingest(str(path), "csv")
         assert records_to_decisions(result) == (decisions, truth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.text(st.sampled_from('c\r\n,"'), min_size=1, max_size=4),
+                 min_size=1, max_size=4, unique=True),
+        st.text(st.sampled_from('x\r\n,"'), max_size=3),
+        st.integers(1, 12),
+        st.integers(0, 2**16),
+    )
+    def test_generated_tables_read_back(self, table_dir, ids, prefix, q, seed):
+        # ids and item ids that hold "\r", "\n", "\r\n", "," or '"'
+        half = Fraction(1, 2)
+        params = IndependentParams(half, [half] * len(ids), [half] * len(ids))
+        drawn, drawn_truth = generate_decisions(ids, params, q, seed)
+        decisions = {prefix + item: row for item, row in drawn.items()}
+        truth = {prefix + item: label for item, label in drawn_truth.items()}
+        text = decisions_to_csv_text(decisions, ids, truth)
+        path = table_dir / "generated.csv"
+        path.write_bytes(text.encode())
+        result = ingest(str(path), "csv")
+        assert result.roster == tuple(ids)
+        assert result.dropped == ()
+        assert [rec.item_id for rec in result.records] == sorted(decisions)
+        got_decisions, got_truth = records_to_decisions(result)
+        assert sketch_from_decisions(got_decisions, result.roster, got_truth) == (
+            sketch_from_decisions(decisions, ids, truth)
+        )
+        if "\r" not in prefix + "".join(ids):
+            # the bytes a writer ending its rows in "\n" gives
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(["item_id", *ids, "truth"])
+            for item in sorted(decisions):
+                writer.writerow([item, *(decisions[item][cid] for cid in ids), truth[item]])
+            assert text == buffer.getvalue()
 
 
 # ----------------------------------------------- ingest against the referee

@@ -75,4 +75,4 @@ def test_tables_sketch_cleanly():
     sketch = sketch_from_decisions(decisions, ("u", "v", "w"), truth)
     assert sketch.q == 200
     assert validate_sketch(sketch) == []
-    assert sketch.has_truth
+    assert sketch.truth_split is not None

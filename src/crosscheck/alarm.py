@@ -126,6 +126,8 @@ def _window(q: int, margs: Sequence[Marginals], spec: SafetySpec) -> tuple[int, 
     classifier's :func:`_safe_qa_bounds` within [0, q]; first > last when
     none.  For totals in [0, q] the last is at least -1 (the threshold
     lies in [0, 1]), so ``safe[last + 1:]`` is every flag after it."""
+    if not isinstance(spec, SafetySpec):
+        raise SketchError(f"spec must be a PerLabelSpec or OverallSpec, not {type(spec).__name__}")
     lo, hi = 0, q
     for m in margs:
         first, last = _safe_qa_bounds(q, m.r_a, spec)
@@ -232,8 +234,8 @@ class AlarmTrace(_Value):
     def columns(self) -> list[Iterable]:
         """The slices column by column, each an iterable over q_a = 0..q to
         be read once: q_a, the lo and hi ends of every classifier's label-a
-        interval in roster order, the same for label b, then safe_exists and
-        refined.  The trace writers read only this."""
+        interval in roster order, the same for label b, then safe_exists.
+        The trace writers read only this."""
         q, ends_a, ends_b = self.q, [], []
         for r_a, r_b in self.marginals:  # 0 <= r_a = q - r_b <= q
             # max(0, r_a - q + q_a) and min(q_a, r_a) for q_a = 0..q
@@ -242,7 +244,7 @@ class AlarmTrace(_Value):
             # max(0, r_b - q_a) and min(q - q_a, r_b)
             ends_b.append(chain(range(r_b, 0, -1), repeat(0, q - r_b + 1)))
             ends_b.append(chain(repeat(r_b, q - r_b), range(r_b, -1, -1)))
-        return [range(q + 1), *ends_a, *ends_b, self.safe, repeat(self.refined, q + 1)]
+        return [range(q + 1), *ends_a, *ends_b, self.safe]
 
 
 # a term a*h + b + sum of g * floor((n*h + c) / d) in the hypothesis h, all

@@ -181,21 +181,6 @@ def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
     )
 
 
-def pattern_covariance(sketch: EvaluationSketch, first: str, second: str) -> Fraction:
-    """Observable covariance of a pair's decisions, label-symmetric.
-
-    With n_aa, r_i and r_j the pair's both-"a" count and the two
-    classifiers' "a" totals, it is (n_aa q - r_i r_j) / q^2; agreeing on
-    "b" gives the same value exactly when the pair's counts sum to q, so
-    a sketch whose counts do not is refused as corrupted.
-    """
-    pair = pair_counts(sketch, first, second)
-    q, total, n_aa = sketch.q, sum(pair.values()), pair["aa"]
-    if total != q:
-        raise SketchError(f"pair ({first!r}, {second!r}) counts sum to {total}, not q = {q}")
-    return Fraction(n_aa * q - (n_aa + pair["ab"]) * (n_aa + pair["ba"]), q * q)
-
-
 def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     """Exact ratio statistics of a truth-split sketch.
 
@@ -203,36 +188,33 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     Accuracies and within-label correlations are None whenever their
     label has no items.
     """
-    if sketch.truth_split is None:
-        raise SketchError("ratio statistics need a truth split")
     problems = validate_sketch(sketch)
     if problems:
         raise SketchError("invalid sketch: " + "; ".join(problems))
-    q = sketch.q
-    point = sketch_point(sketch)
-    q_a = point.q_a
-    ids = sketch.classifiers
+    q, point, ids = sketch.q, sketch_point(sketch), sketch.classifiers
+    q_a, q_b, c_b = point.q_a, q - point.q_a, point.correct_b
     keys = {(i, j): (ids[i], ids[j]) for i, j in point.pair_correct}
-    accuracy = []
-    gamma = []
+    accuracy, gamma = [], []
     # side 0 is the true-a items, side 1 the true-b items
-    for side, (size, correct) in enumerate(((q_a, point.correct_a), (q - q_a, point.correct_b))):
+    for side, (size, correct) in enumerate(((q_a, point.correct_a), (q_b, c_b))):
         acc = tuple(Fraction(c, size) if size else None for c in correct)
         accuracy.append(acc)
         gamma.append(MappingProxyType({
             keys[i, j]: Fraction(joint[side], size) - acc[i] * acc[j] if size else None
             for (i, j), joint in point.pair_correct.items()
         }))
-    delta = {key: pattern_covariance(sketch, *key) for key in keys.values()}
+    # the pattern covariance (n_aa q - r_i r_j) / q^2: k says "a" where it is
+    # right on true-a or wrong on true-b, r_k = c_a,k + q_b - c_b,k, and a pair
+    # both do where both are right on true-a or both wrong on true-b,
+    # n_aa = j_a + q_b - c_b,i - c_b,j + j_b
+    r = [c_a + q_b - c for c_a, c in zip(point.correct_a, c_b)]
+    delta = {
+        keys[i, j]: Fraction((j_a + q_b - c_b[i] - c_b[j] + j_b) * q - r[i] * r[j], q * q)
+        for (i, j), (j_a, j_b) in point.pair_correct.items()
+    }
+    # fields in order: p_a, p_b, then accuracy and gamma on each side
     return PSpaceStats(
-        classifiers=ids,
-        p_a=Fraction(q_a, q),
-        p_b=Fraction(q - q_a, q),
-        accuracy_a=accuracy[0],
-        accuracy_b=accuracy[1],
-        gamma_a=gamma[0],
-        gamma_b=gamma[1],
-        delta=MappingProxyType(delta),
+        ids, Fraction(q_a, q), Fraction(q_b, q), *accuracy, *gamma, MappingProxyType(delta)
     )
 
 

@@ -227,7 +227,7 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
         '      "safe_exists": \0,\n'
         f'      "refined": {"true" if trace.refined else "false"}\n    }}'
     ).split("\0")
-    *ints, safe, _ = trace.columns()
+    *ints, safe = trace.columns()
     digits = list(map(str, range(trace.q + 1)))
     values = [*(map(digits.__getitem__, c) for c in ints), map(("false", "true").__getitem__, safe)]
     # after a slice's last value: its close and the next slice's open, or,
@@ -288,7 +288,7 @@ def trace_to_csv_text(trace: AlarmTrace) -> str:
     names = [f"{cid}_{x}" for cid in trace.classifiers for x in ("lo_a", "hi_a", "lo_b", "hi_b")]
     # the ids are the only cells that need quoting: the body is ints alone
     (header,) = _csv_lines([["q_a", *names, "safe_exists"]])
-    q_a, *ends, safe, _ = trace.columns()
+    q_a, *ends, safe = trace.columns()
     # each classifier's lo_a, hi_a, lo_b, hi_b out of the label-major ends
     n = 2 * len(trace.classifiers)
     ends = [ends[i] for k in range(0, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
@@ -346,12 +346,25 @@ def _pairs_by_index(claimed: object, sketch: EvaluationSketch) -> dict:
     """A claims file's pair claims, keyed "first,second", by index pair."""
     if not isinstance(claimed, dict):
         raise FormatError("'pair_correct' must be a JSON object")
-    pairs: dict = {}
+    ids, pairs = sketch.classifiers, {}
+    most = max(cid.count(",") for cid in ids)
     for key, entry in claimed.items():
-        ids = key.split(",")
-        if len(ids) != 2:
+        # cut at the comma whose sides are two ids as written, else with
+        # blanks stripped ("claude, mistral"); no id holds more than ``most``
+        # commas, so only the first most + 1 commas can end the first id
+        parts = key.split(",")
+        ends = range(1, min(len(parts), most + 2))
+        cuts = [(",".join(parts[:k]), ",".join(parts[k:])) for k in ends]
+        for sides in (cuts, [(first.strip(), second.strip()) for first, second in cuts]):
+            named = {tuple(sorted(map(ids.index, cut))) for cut in sides if {*cut} <= {*ids}}
+            if named:
+                break
+        if len(named) > 1:
+            raise FormatError(f"pair key {key!r} is ambiguous: it names {len(named)} pairs")
+        if not named and len(parts) != 2:
             raise FormatError(f"pair key {key!r} must be 'first,second' classifier ids")
-        i, j = sorted(sketch.index_of(cid.strip()) for cid in ids)
+        # one comma and no pair: index_of names the unknown id
+        ((i, j),) = named or [sorted(map(sketch.index_of, sides[0]))]
         # joint correctness is symmetric, so order only normalizes the
         # key, and a pair named in both orders is one pair named twice
         if (i, j) in pairs:

@@ -25,13 +25,13 @@ from crosscheck import (
     marginalize,
     min_count_above,
     pair_counts,
+    pspace_stats,
     records_to_decisions,
     run_alarm,
     sketch_from_decisions,
     sketch_point,
     solve_independent,
 )
-from crosscheck.axioms import pattern_covariance
 
 from ._referees import (
     enumerate_variety,
@@ -201,6 +201,7 @@ def test_criterion_08_covariance_routes_agree(grading_sketch):
     pairs_checked = 0
     for sketch in sketches:
         roster = sketch.classifiers
+        delta = pspace_stats(sketch).delta
         for i in range(len(roster)):
             for j in range(i + 1, len(roster)):
                 pair = pair_counts(sketch, roster[i], roster[j])
@@ -210,9 +211,9 @@ def test_criterion_08_covariance_routes_agree(grading_sketch):
                 via_a = f_aa - (f_aa + f_ab) * (f_aa + f_ba)
                 via_b = f_bb - (f_ba + f_bb) * (f_ab + f_bb)
                 assert via_a == via_b
-                assert pattern_covariance(sketch, roster[i], roster[j]) == via_a
+                assert delta[roster[i], roster[j]] == via_a
                 pairs_checked += 1
-    assert pattern_covariance(grading_sketch, "claude", "mistral") == (
+    assert pspace_stats(grading_sketch).delta["claude", "mistral"] == (
         Fraction(-570, 78961))
     print(f"criterion 08 PASS: both covariance definitions agree on "
           f"{pairs_checked} pairs including the fixture")

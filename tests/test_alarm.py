@@ -803,6 +803,7 @@ class TestTraceInvariant:
         (dict(marginals=[Marginals(1, 1)]), "must be tuples"),
         (dict(safe=iter((False, True, False))), "must be tuples"),
         (dict(classifiers=("",)), "non-empty strings"),
+        (dict(spec="x"), "spec must be a PerLabelSpec or OverallSpec, not str"),
     ])
     def test_refused(self, fields, message):
         with pytest.raises(SketchError, match=message):

@@ -17,13 +17,11 @@ from crosscheck import (
     point_axiom_violations,
     pspace_stats,
     sketch_point,
-    validate_sketch,
 )
 from crosscheck.axioms import (
     _pair_axiom_sum,
     _single_axiom_residual,
     pair_bounds,
-    pattern_covariance,
 )
 
 from ._referees import (
@@ -168,47 +166,29 @@ class TestPairAxioms:
 class TestPatternCovariance:
     def test_fixture_values(self, grading_sketch):
         q_sq = 281 * 281
-        assert pattern_covariance(grading_sketch, "claude", "mistral") == Fraction(
-            -570, q_sq
-        )
-        assert pattern_covariance(grading_sketch, "claude", "gpt4") == Fraction(
-            3209, q_sq
-        )
-        assert pattern_covariance(grading_sketch, "mistral", "gpt4") == Fraction(
-            988, q_sq
-        )
+        assert pspace_stats(grading_sketch).delta == {
+            ("claude", "mistral"): Fraction(-570, q_sq),
+            ("claude", "gpt4"): Fraction(3209, q_sq),
+            ("mistral", "gpt4"): Fraction(988, q_sq),
+        }
 
-    def test_symmetric_in_arguments(self, grading_sketch):
-        assert pattern_covariance(
-            grading_sketch, "gpt4", "claude"
-        ) == pattern_covariance(grading_sketch, "claude", "gpt4")
-
-    def test_mismatch_detected(self):
-        # counts that do not sum to q break the label symmetry of the covariance
-        bad = EvaluationSketch(("u", "v"), 3, {"aa": 1, "ab": 1})
-        with pytest.raises(SketchError):
-            pattern_covariance(bad, "u", "v")
-        # with n_aa == n_bb both labels give the same wrong value (1/20),
-        # so only the count sum shows that 8 items are not q = 10
-        short = EvaluationSketch(("u", "v"), 10, {"aa": 2, "ab": 3, "ba": 1, "bb": 2})
-        assert validate_sketch(short)
-        with pytest.raises(SketchError, match="sum to 8, not q = 10"):
-            pattern_covariance(short, "u", "v")
-
-    @given(sketches(min_size=2, max_size=3))
+    @given(sketches(min_size=2, max_size=3, with_truth=True))
     @settings(max_examples=60)
     def test_both_definitions_agree(self, sketch):
         ids = sketch.classifiers
-        pair = pair_counts(sketch, ids[0], ids[1])
-        q = Fraction(sketch.q)
-        via_a = Fraction(pair["aa"]) / q - (
-            Fraction(pair["aa"] + pair["ab"]) / q
-        ) * (Fraction(pair["aa"] + pair["ba"]) / q)
-        via_b = Fraction(pair["bb"]) / q - (
-            Fraction(pair["bb"] + pair["ba"]) / q
-        ) * (Fraction(pair["bb"] + pair["ab"]) / q)
-        value = pattern_covariance(sketch, ids[0], ids[1])
-        assert value == via_a == via_b
+        delta = pspace_stats(sketch).delta
+        assert len(delta) == len(ids) * (len(ids) - 1) // 2
+        for (first, second), value in delta.items():
+            assert ids.index(first) < ids.index(second)
+            pair = pair_counts(sketch, first, second)
+            q = Fraction(sketch.q)
+            via_a = Fraction(pair["aa"]) / q - (
+                Fraction(pair["aa"] + pair["ab"]) / q
+            ) * (Fraction(pair["aa"] + pair["ba"]) / q)
+            via_b = Fraction(pair["bb"]) / q - (
+                Fraction(pair["bb"] + pair["ba"]) / q
+            ) * (Fraction(pair["bb"] + pair["ab"]) / q)
+            assert value == via_a == via_b
 
 
 def reconstruct_pair_frequencies(
@@ -331,6 +311,14 @@ class TestPSpaceStats:
         bad = EvaluationSketch(("u",), 2, {"a": 1}, {"a": (1, 0)})
         with pytest.raises(SketchError):
             pspace_stats(bad)
+        # with n_aa == n_bb both labels give the same wrong covariance
+        # (1/20), so only the count sum shows that 8 items are not q = 10
+        short = EvaluationSketch(
+            ("u", "v"), 10, {"aa": 2, "ab": 3, "ba": 1, "bb": 2},
+            {"aa": (1, 1), "ab": (3, 0), "ba": (0, 1), "bb": (2, 0)},
+        )
+        with pytest.raises(SketchError, match="got 8, expected 10"):
+            pspace_stats(short)
 
     def test_reconstruction_round_trip(self, grading_sketch):
         for first, second in (

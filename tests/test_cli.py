@@ -62,6 +62,25 @@ class TestSketch:
         assert "accuracy" not in out
         assert "pattern covariance" not in out
 
+    def test_invalid_sketch_prints_its_violations_and_no_truth_lines(self, capsys, tmp_path):
+        # the counts hold 8 items, not q = 10; the truth split matches them
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({
+            "classifiers": ["u", "v"], "q": 10,
+            "counts": {"aa": 2, "ab": 3, "ba": 1, "bb": 2},
+            "truth_split": {"aa": [1, 1], "ab": [3, 0], "ba": [0, 1], "bb": [2, 0]},
+        }))
+        code, out, err = run(capsys, "sketch", str(path))
+        assert code == EXIT_ERROR
+        assert err == ""
+        assert out.splitlines() == [
+            "q: 10",
+            "classifiers: u, v",
+            "marginals u: said-a 5, said-b 3",
+            "marginals v: said-a 3, said-b 5",
+            "violation: pattern counts do not sum to Q (got 8, expected 10)",
+        ]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sketch", "nosuch.json")
         assert code == EXIT_ERROR

@@ -450,6 +450,9 @@ class TestEvaluationPoint:
         point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (2, 0)})
         problems = point_bound_violations(point, 4)
         assert problems == ["pair (0,1) joint correct on a is 2, outside [0, 1]"]
+        point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (1, -1)})
+        problems = point_bound_violations(point, 4)
+        assert problems == ["pair (0,1) joint correct on b is -1, outside [0, 1]"]
 
     def test_clean_point(self):
         point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (1, 1)})

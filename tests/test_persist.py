@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -654,7 +655,7 @@ def assert_written_as_referees(trace):
     assert trace_to_csv_text(trace) == referee_csv(ref)
     flat = [
         (s.q_a, *(end for iv in s.intervals_a + s.intervals_b for end in iv),
-         s.safe_exists, s.refined)
+         s.safe_exists)
         for s in ref.slices
     ]
     assert [list(column) for column in trace.columns()] == [list(c) for c in zip(*flat)]
@@ -766,6 +767,10 @@ class TestSvg:
         labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "ensemble: u\ufffdv+w\ufffd\ufffd\ufffd\tx" in labels
 
+    def test_no_trace_rejected(self):
+        with pytest.raises(SketchError, match="nothing to render"):
+            render_traces([])
+
     def test_mixed_q_rejected(self, grading_sketch):
         small = EvaluationSketch(("u",), 1, {"a": 1})
         with pytest.raises(Exception):
@@ -842,6 +847,43 @@ class TestClaimsFormat:
     def test_non_integer_counts_rejected(self, grading_sketch, claims):
         with pytest.raises(FormatError):
             parse_claims(json.dumps(claims), grading_sketch)
+
+    @staticmethod
+    def pairs_named(roster, key):
+        sketch = EvaluationSketch(roster, 1, {"a" * len(roster): 1})
+        point = {"q_a": 1, "correct_a": [1] * len(roster), "correct_b": [0] * len(roster),
+                 "pair_correct": {key: [1, 0]}}
+        return set(parse_claims(json.dumps({"point": point}), sketch).point.pair_correct)
+
+    @pytest.mark.parametrize("roster, key, pair", [
+        # an id that holds a comma: the one cut whose sides are both ids
+        (("a,b", "c", "d"), "a,b,c", (0, 1)),
+        (("a,b", "c", "d"), "d,a,b", (0, 2)),
+        (("a,b", "c,d"), "c,d,a,b", (0, 1)),
+        (("a,b", "c"), "a,b , c", (0, 1)),
+        # ids as written come first, so " c" can be named
+        (("x", "c", " c"), "x, c", (0, 2)),
+        (("x", "c", " c"), "x,c", (0, 1)),
+        (("x", "c", " c"), " c,c", (1, 2)),
+        # failing that, the sides with blanks stripped
+        (("x", "c", " c"), "x, c ", (0, 1)),
+        (("claude", "mistral"), " mistral , claude", (0, 1)),
+    ])
+    def test_pair_key_is_cut_at_the_comma_between_two_ids(self, roster, key, pair):
+        assert self.pairs_named(roster, key) == {pair}
+
+    @pytest.mark.parametrize("roster, key, message", [
+        (("a,b", "c", "a", "b,c"), "a,b,c", "pair key 'a,b,c' is ambiguous: it names 2 pairs"),
+        (("u", "v"), "u,w", "unknown classifier 'w'"),
+        (("u", "v"), " w ,v", "unknown classifier 'w'"),
+        (("u", "v"), "u", "pair key 'u' must be 'first,second' classifier ids"),
+        (("u", "v"), "u,v,w", "must be 'first,second'"),
+        (("a,b", "c"), "a,b,d", "must be 'first,second'"),
+        (("u", "v"), "," * 100_000, "must be 'first,second'"),
+    ])
+    def test_pair_key_that_names_no_one_pair(self, roster, key, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            self.pairs_named(roster, key)
 
 
 class TestParamsFormat:

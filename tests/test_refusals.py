@@ -176,6 +176,13 @@ def test_rosters_refuse(call, ids):
         call(ids)
 
 
+@pytest.mark.parametrize("value", [None, "x", HALF, {"threshold": HALF}])
+@pytest.mark.parametrize("call", [run_alarm, count_safe_hypotheses])
+def test_runs_refuse_a_spec_of_another_type(call, value):
+    with pytest.raises(SketchError, match="spec must be a PerLabelSpec or OverallSpec"):
+        call(UV, value)
+
+
 def test_what_the_benchmark_passes_is_accepted():
     """Tuples of Fractions and of distinct ids, and the lists a file holds."""
     thirds = (Fraction(1, 3), Fraction(2, 3))

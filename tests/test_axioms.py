@@ -172,6 +172,22 @@ class TestPatternCovariance:
             ("mistral", "gpt4"): Fraction(988, q_sq),
         }
 
+    def test_mismatch_detected(self):
+        # counts that do not sum to q break the label symmetry of the covariance
+        bad = EvaluationSketch(
+            ("u", "v"), 3, {"aa": 1, "ab": 1}, {"aa": (1, 0), "ab": (0, 1)}
+        )
+        with pytest.raises(SketchError):
+            pspace_stats(bad)
+        # with n_aa == n_bb both labels give the same wrong covariance
+        # (1/20), so only the count sum shows that 8 items are not q = 10
+        short = EvaluationSketch(
+            ("u", "v"), 10, {"aa": 2, "ab": 3, "ba": 1, "bb": 2},
+            {"aa": (1, 1), "ab": (3, 0), "ba": (0, 1), "bb": (2, 0)},
+        )
+        with pytest.raises(SketchError, match="got 8, expected 10"):
+            pspace_stats(short)
+
     @given(sketches(min_size=2, max_size=3, with_truth=True))
     @settings(max_examples=60)
     def test_both_definitions_agree(self, sketch):
@@ -311,14 +327,6 @@ class TestPSpaceStats:
         bad = EvaluationSketch(("u",), 2, {"a": 1}, {"a": (1, 0)})
         with pytest.raises(SketchError):
             pspace_stats(bad)
-        # with n_aa == n_bb both labels give the same wrong covariance
-        # (1/20), so only the count sum shows that 8 items are not q = 10
-        short = EvaluationSketch(
-            ("u", "v"), 10, {"aa": 2, "ab": 3, "ba": 1, "bb": 2},
-            {"aa": (1, 1), "ab": (3, 0), "ba": (0, 1), "bb": (2, 0)},
-        )
-        with pytest.raises(SketchError, match="got 8, expected 10"):
-            pspace_stats(short)
 
     def test_reconstruction_round_trip(self, grading_sketch):
         for first, second in (

@@ -21,34 +21,34 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "alarm": ("AlarmTrace", "QaSlice", "Verdict", "min_count_above", "run_alarm"),
     "axioms": (
-        "IntInterval", "feasible_interval_label_a", "feasible_interval_label_b",
-        "joint_correct_a_window", "point_axiom_violations", "pspace_stats",
+        "EvaluationPoint", "PSpaceStats", "feasible_interval_label_a",
+        "feasible_interval_label_b", "joint_correct_a_window", "point_axiom_violations",
+        "point_bound_violations", "pspace_stats", "sketch_point",
     ),
     "independent": (
         "Diagnosis", "IndependentParams", "IndependentSolution", "forward_model",
-        "rational_sqrt", "solve_independent",
+        "parse_params", "rational_sqrt", "solve_independent",
     ),
     "model": (
-        "FLIP_MODES", "LABEL_A", "LABEL_B", "LABELS", "EvaluationPoint",
-        "EvaluationSketch", "Marginals", "OverallSpec", "PerLabelSpec", "PSpaceStats",
-        "SafetySpec", "SketchError", "all_patterns", "flip_labels", "flip_position",
-        "marginalize", "other_label", "pair_counts", "point_bound_violations",
-        "sketch_from_decisions", "sketch_point", "validate_sketch",
+        "FLIP_MODES", "LABEL_A", "LABEL_B", "LABELS", "EvaluationSketch", "IntInterval",
+        "Marginals", "OverallSpec", "PerLabelSpec", "SafetySpec", "SketchError",
+        "all_patterns", "flip_labels", "flip_position", "marginalize", "other_label",
+        "pair_counts", "validate_sketch",
     ),
     "oracle": (
         "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "SummaryReport", "check_summary",
-        "enumerate_evaluations", "evaluation_count",
+        "enumerate_evaluations", "evaluation_count", "parse_claims",
     ),
     "persist": (
         "FormatError", "IngestError", "atomic_write_text", "emit_trace", "load_sketch",
-        "parse_claims", "parse_params", "parse_sketch", "parse_trace", "save_sketch",
-        "sketch_to_text", "trace_to_csv_text", "trace_to_json_text",
+        "parse_sketch", "parse_trace", "save_sketch", "sketch_to_text", "trace_to_csv_text",
+        "trace_to_json_text",
     ),
     "svg": ("render_traces",),
     "synth": ("generate_decisions",),
     "tables": (
         "DecisionRecord", "IngestResult", "decisions_to_csv_text", "ingest",
-        "records_to_decisions",
+        "records_to_decisions", "sketch_from_decisions",
     ),
 }
 

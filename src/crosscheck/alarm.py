@@ -12,19 +12,17 @@ requirement.
 from __future__ import annotations
 
 import enum
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product, repeat
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .axioms import (
-    IntInterval,
-    feasible_interval_label_a,
-    feasible_interval_label_b,
-)
+from . import _on_first_use
 from .model import (
     EvaluationSketch,
+    IntInterval,
     Marginals,
     OverallSpec,
     PerLabelSpec,
@@ -38,6 +36,15 @@ from .model import (
     pair_counts,
     validate_sketch,
 )
+
+# Only AlarmTrace.slices calls the interval functions, so axioms is
+# imported on their first use, through this module's __getattr__; slices
+# looks them up on the module (``_alarm.feasible_interval_label_a``), so
+# that a replacement set on ``crosscheck.alarm`` is the one it calls.
+__getattr__ = _on_first_use(
+    globals(), {"axioms": ("feasible_interval_label_a", "feasible_interval_label_b")}
+)
+_alarm = sys.modules[__name__]
 
 
 class Verdict(enum.Enum):
@@ -223,8 +230,8 @@ class AlarmTrace(_Value):
         return tuple(
             QaSlice(
                 q_a,
-                tuple(feasible_interval_label_a(q, q_a, m) for m in margs),
-                tuple(feasible_interval_label_b(q, q_a, m) for m in margs),
+                tuple(_alarm.feasible_interval_label_a(q, q_a, m) for m in margs),
+                tuple(_alarm.feasible_interval_label_b(q, q_a, m) for m in margs),
                 safe,
                 self.refined,
             )
@@ -447,6 +454,9 @@ def _resolve_roster(
 ) -> tuple[tuple[str, ...], str]:
     if pair is None:
         return sketch.classifiers, "ensemble"
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] == pair[1]:
+        _roster(pair[:1])  # an id that is no id keeps the roster's message
+        raise SketchError(f"pair mode needs two distinct classifier ids, got {pair[0]!r} twice")
     ids = _roster(pair)
     if len(ids) != 2:
         raise SketchError("pair mode needs exactly two distinct classifier ids")

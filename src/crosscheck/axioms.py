@@ -4,41 +4,35 @@ Everything here is exact integer or rational arithmetic.  The central
 objects are closed integer intervals of feasible per-label correctness
 counts for a hypothesised number of true-a items, and the constraints a
 pair of classifiers must jointly satisfy on top of the per-classifier
-ones.
+ones.  An evaluation point holds the correctness counts themselves: the
+one a truth-split sketch realizes (:func:`sketch_point`, read by
+:func:`pspace_stats`), or one a claims file names, which
+:func:`point_bound_violations` and :func:`point_axiom_violations` audit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from operator import mul
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
-    EvaluationPoint,
+    LABEL_A,
+    LABEL_B,
+    LABELS,
     EvaluationSketch,
+    IntInterval,
     Marginals,
-    PSpaceStats,
     SketchError,
+    _is_int,
+    _is_ints,
+    _Value,
     marginalize,
     pair_counts,
-    sketch_point,
     validate_sketch,
 )
-
-
-class IntInterval(NamedTuple):
-    """Closed integer interval [lo, hi]; empty when lo > hi."""
-
-    lo: int
-    hi: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo > self.hi
-
-    def __contains__(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
 
 
 def _single_axiom_residual(
@@ -181,6 +175,133 @@ def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
     )
 
 
+class EvaluationPoint(_Value):
+    """A candidate ground truth: the unobservable correctness counts.
+
+    ``pair_correct`` maps index pairs (i, j) with i < j to the pair's
+    joint correct counts (both right on true-a items, both right on
+    true-b items).  Construction checks that the counts are ints, never
+    bools, in lists or tuples.  Bounds relative to a test are checked by
+    :func:`point_bound_violations` so claimed points from untrusted
+    summaries can be represented and then reported on.
+    """
+
+    q_a: int
+    correct_a: tuple[int, ...]
+    correct_b: tuple[int, ...]
+    pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None
+
+    def __init__(
+        self,
+        q_a: int,
+        correct_a: Sequence[int],
+        correct_b: Sequence[int],
+        pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None = None,
+    ) -> None:
+        if not (_is_int(q_a) and _is_ints(correct_a) and _is_ints(correct_b)):
+            raise SketchError("q_a must be an int, correct_a and correct_b lists or tuples of ints")
+        size = len(correct_a)
+        if len(correct_b) != size:
+            raise SketchError("correct_a and correct_b must have one entry per classifier")
+        pairs = pair_correct
+        if pairs is not None:
+            if not isinstance(pairs, Mapping):
+                raise SketchError("pair_correct must map index pairs to joint counts")
+            for key, entry in pairs.items():
+                if not (_is_ints(key, True) and 0 <= key[0] < key[1] < size):
+                    raise SketchError(f"bad pair key {key!r} for {size} classifiers")
+                if not _is_ints(entry, True):
+                    raise SketchError(f"pair {key!r}: joint counts must be a pair of integers")
+            pairs = MappingProxyType({tuple(key): tuple(pairs[key]) for key in sorted(pairs)})
+        self._store(q_a, tuple(correct_a), tuple(correct_b), pairs)
+
+    @property
+    def size(self) -> int:
+        return len(self.correct_a)
+
+
+# a pattern's letters as the 0/1 flags "said a" and "said b"
+_SAID = {LABEL_A: bytes.maketrans(b"ab", b"\1\0"), LABEL_B: bytes.maketrans(b"ab", b"\0\1")}
+
+
+def sketch_point(sketch: EvaluationSketch) -> EvaluationPoint:
+    """The evaluation point a truth-split sketch realizes: q_a, each
+    classifier's correct counts on each label, and every pair's (i < j)
+    joint correct counts.  Like :func:`marginalize`, it does not validate
+    the sketch.
+
+    Per label, the split is read as its item counts and each classifier's
+    0/1 flags (gave that label?) per pattern, and each sum is a C-level
+    walk: k's right answers are the counts times k's flags, and a pair's
+    joint count sums one's right answers where the other's flag is set.
+    """
+    split = sketch.truth_split
+    if split is None:
+        raise SketchError("sketch has no truth split")
+    size = sketch.size
+    pairs = list(combinations(range(size), 2))
+    patterns = "".join(split).encode()
+    sums = []
+    for side, label in enumerate(LABELS):
+        counts = [entry[side] for entry in split.values()]
+        said = [patterns[k::size].translate(_SAID[label]) for k in range(size)]
+        right = [list(map(mul, counts, flags)) for flags in said]
+        joint = [sum(compress(right[i], said[j])) for i, j in pairs]
+        sums.append((sum(counts), [sum(r) for r in right], joint))
+    (q_a, correct_a, joint_a), (_, correct_b, joint_b) = sums
+    return EvaluationPoint(q_a, correct_a, correct_b, dict(zip(pairs, zip(joint_a, joint_b))))
+
+
+def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:
+    """Lattice-bound violations of a point relative to a test of size q."""
+    problems: list[str] = []
+    q_a = point.q_a
+    if not 0 <= q_a <= q:
+        problems.append(f"q_a={q_a} outside [0, {q}]")
+    # a q_a outside [0, q] is reported above; each label's size is then
+    # clamped at 0, and the message prints the range actually checked
+    cap_a, cap_b = max(q_a, 0), max(q - q_a, 0)
+    for i, (c_a, c_b) in enumerate(zip(point.correct_a, point.correct_b)):
+        if not 0 <= c_a <= cap_a:
+            problems.append(f"correct_a[{i}]={c_a} outside [0, {cap_a}]")
+        if not 0 <= c_b <= cap_b:
+            problems.append(f"correct_b[{i}]={c_b} outside [0, {cap_b}]")
+    if point.pair_correct:
+        for (i, j), (ja, jb) in point.pair_correct.items():
+            cap_a = min(point.correct_a[i], point.correct_a[j])
+            cap_b = min(point.correct_b[i], point.correct_b[j])
+            if not 0 <= ja <= cap_a:
+                problems.append(
+                    f"pair ({i},{j}) joint correct on a is {ja}, outside [0, {cap_a}]"
+                )
+            if not 0 <= jb <= cap_b:
+                problems.append(
+                    f"pair ({i},{j}) joint correct on b is {jb}, outside [0, {cap_b}]"
+                )
+    return problems
+
+
+class PSpaceStats(NamedTuple):
+    """Exact ratio statistics of a truth-split sketch.
+
+    Per-classifier accuracies are None when their label has no items.
+    ``gamma_a``/``gamma_b`` are the pair correlations of correctness
+    within each label (None when undefined); ``delta`` is the observable
+    pattern covariance of each pair, which never needs the truth split.
+    Mapping keys are classifier id pairs in roster order, and
+    :func:`pspace_stats` gives the mappings read-only.
+    """
+
+    classifiers: tuple[str, ...]
+    p_a: Fraction
+    p_b: Fraction
+    accuracy_a: tuple[Fraction | None, ...]
+    accuracy_b: tuple[Fraction | None, ...]
+    gamma_a: Mapping[tuple[str, str], Fraction | None]
+    gamma_b: Mapping[tuple[str, str], Fraction | None]
+    delta: Mapping[tuple[str, str], Fraction]
+
+
 def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     """Exact ratio statistics of a truth-split sketch.
 
@@ -227,7 +348,7 @@ def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> 
     two true-a counts must meet its :func:`pair_bounds`, the constraint
     the alarm enforces.  At N <= 2 a point that passes is realized by
     some ground truth.  Bound violations (see
-    :func:`model.point_bound_violations`) are assumed already reported
+    :func:`point_bound_violations`) are assumed already reported
     by the caller.
     """
     problems: list[str] = []

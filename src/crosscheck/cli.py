@@ -24,7 +24,6 @@ from .model import (
     _rational,
     flip_labels,
     marginalize,
-    sketch_from_decisions,
     validate_sketch,
 )
 from .persist import (
@@ -33,8 +32,6 @@ from .persist import (
     atomic_write_text,
     emit_trace,
     load_sketch,
-    parse_claims,
-    parse_params,
     save_sketch,
 )
 
@@ -45,13 +42,15 @@ from .persist import (
 __getattr__ = _on_first_use(globals(), {
     "alarm": ("Verdict", "check_qa_range", "count_safe_hypotheses", "run_alarm"),
     "axioms": ("pspace_stats",),
-    "independent": ("solve_independent",),
+    "independent": ("parse_params", "solve_independent"),
     "oracle": (
         "DEFAULT_SPLIT_BUDGET", "SummaryClaims", "check_summary", "enumerate_evaluations",
-        "evaluation_count",
+        "evaluation_count", "parse_claims",
     ),
     "synth": ("generate_decisions",),
-    "tables": ("decisions_to_csv_text", "ingest", "records_to_decisions"),
+    "tables": (
+        "decisions_to_csv_text", "ingest", "records_to_decisions", "sketch_from_decisions",
+    ),
 })
 _cli = sys.modules[__name__]
 
@@ -214,7 +213,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if not result.records:
         raise IngestError("no usable records after ingestion")
     decisions, truth = _cli.records_to_decisions(result)
-    sketch = sketch_from_decisions(decisions, result.roster, truth)
+    sketch = _cli.sketch_from_decisions(decisions, result.roster, truth)
     save_sketch(sketch, args.out)
     print(f"kept {len(result.records)} items over {len(result.roster)} classifiers")
     for item_id, reason in result.dropped:
@@ -311,7 +310,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     claims = _cli.SummaryClaims({})
     if args.claims:
         with open(args.claims, encoding="utf-8") as handle:
-            claims = parse_claims(handle.read(), sketch)
+            claims = _cli.parse_claims(handle.read(), sketch)
     budget = _cli.DEFAULT_SPLIT_BUDGET if args.budget is None else args.budget
     report = _cli.check_summary(sketch, claims, budget=budget)
     for violation in report.violations:
@@ -341,7 +340,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     with open(args.params, encoding="utf-8") as handle:
-        ids, params = parse_params(handle.read())
+        ids, params = _cli.parse_params(handle.read())
     if ids is None:
         ids = tuple(f"clf{k + 1}" for k in range(params.size))
     decisions, truth = _cli.generate_decisions(ids, params, args.q, args.seed)

@@ -7,6 +7,8 @@ implements that recovery in exact rational arithmetic.  When the
 observed frequencies do not admit an in-range, real, rational solution,
 the solver reports a diagnosis instead of inventing numbers; that
 report is the assumption-failure alarm, not an error condition.
+:func:`parse_params` reads the parameter file that ``generate`` draws
+from.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     all_patterns,
     validate_sketch,
 )
+from .persist import FormatError, _load_json, _require_keys
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -80,6 +83,28 @@ class IndependentParams(_Value):
 
     def _sort_key(self) -> tuple:
         return (self.p_a, *self.accuracy_a)
+
+
+def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
+    """Parameter file for generation: prevalence plus per-label accuracies.
+
+    Returns optional classifier ids (None when the file does not name
+    them) and the parameter point.  Rationals are "n/d" strings.
+    :func:`generate_decisions` checks the ids.
+    """
+    obj = _load_json(text)
+    _require_keys(
+        obj, ("p_a", "accuracy_a", "accuracy_b"), ("classifiers",), "params file"
+    )
+    ids = obj.get("classifiers")
+    # a tuple of a string would be a roster of its characters
+    if "classifiers" in obj and not isinstance(ids, list):
+        raise FormatError("params file: 'classifiers' must be a list")
+    try:
+        params = IndependentParams(obj["p_a"], obj["accuracy_a"], obj["accuracy_b"])
+    except SketchError as exc:
+        raise FormatError(f"bad parameters: {exc}") from None
+    return None if ids is None else tuple(ids), params
 
 
 def forward_model(params: IndependentParams) -> dict[str, Fraction]:

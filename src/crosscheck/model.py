@@ -5,13 +5,17 @@ decision pattern the classifiers can produce, the number of test items
 that produced it, optionally split by the true label when an answer key
 is available.  Counts are plain Python integers and ratios appear only
 as `fractions.Fraction` values; nothing in this module touches floats.
+
+This module holds what every command loads: the sketch, its marginals,
+pair tables and checks, the safety specs and the value types they share.
+A sketch is built from decisions in :mod:`crosscheck.tables`, and the
+evaluation point a truth split realizes is read in
+:mod:`crosscheck.axioms`.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
@@ -136,6 +140,20 @@ class Marginals(NamedTuple):
     r_b: int
 
 
+class IntInterval(NamedTuple):
+    """Closed integer interval [lo, hi]; empty when lo > hi."""
+
+    lo: int
+    hi: int
+
+    @property
+    def is_empty(self) -> bool:
+        return self.lo > self.hi
+
+    def __contains__(self, value: int) -> bool:
+        return self.lo <= value <= self.hi
+
+
 class EvaluationSketch(_Value):
     """Counts of joint decision patterns produced on a test of ``q`` items.
 
@@ -216,83 +234,6 @@ class EvaluationSketch(_Value):
             raise SketchError(
                 f"unknown classifier {classifier!r}; roster is {list(self.classifiers)}"
             ) from None
-
-
-def sketch_from_decisions(
-    decisions: Mapping[str, Mapping[str, str]],
-    classifiers: Sequence[str],
-    truth: Mapping[str, str] | None = None,
-) -> EvaluationSketch:
-    """Aggregate per-item decisions into a sketch.
-
-    ``decisions`` maps item id to {classifier id: canonical label}; every
-    item must carry a response from every classifier in ``classifiers``.
-    When ``truth`` is given it must cover every item, and the resulting
-    sketch carries a truth split.
-
-    Items are tallied by their response mapping object (and truth label)
-    first, and only the distinct mappings are checked, so items that
-    share one mapping, as :func:`records_to_decisions` gives them, cost a
-    count each.  On a bad item the error names the first one.
-    """
-    ids = _roster(classifiers)
-    if not decisions:
-        raise SketchError("no items to sketch")
-    rows = decisions.values()
-    try:
-        if truth is None:
-            tally = Counter(map(id, rows))
-        else:
-            tally = Counter(zip(map(id, rows), map(truth.__getitem__, decisions)))
-        by_id = dict(zip(map(id, rows), rows))
-        counts: dict[str, int] = {}
-        split: dict[str, list[int]] | None = None if truth is None else {}
-        for key, n in tally.items():
-            row = by_id[key if split is None else key[0]]
-            labels = [row[cid] for cid in ids]
-            if not all(label in LABELS for label in labels):
-                raise SketchError
-            pattern = "".join(labels)
-            counts[pattern] = counts.get(pattern, 0) + n
-            if split is not None:
-                if key[1] not in LABELS:
-                    raise SketchError
-                split.setdefault(pattern, [0, 0])[0 if key[1] == LABEL_A else 1] += n
-    except (KeyError, TypeError, SketchError):
-        # a missing response or truth, or a label that is not canonical:
-        # the per-item checks find the first item it belongs to
-        _raise_first_bad_item(decisions, ids, truth)
-        raise
-    return EvaluationSketch(
-        ids,
-        len(decisions),
-        counts,
-        None if split is None else {p: (a, b) for p, (a, b) in split.items()},
-    )
-
-
-def _raise_first_bad_item(
-    decisions: Mapping[str, Mapping[str, str]],
-    ids: tuple[str, ...],
-    truth: Mapping[str, str] | None,
-) -> None:
-    """Raise the SketchError for the first item that cannot be sketched."""
-    for item, row in decisions.items():
-        for cid in ids:
-            if cid not in row:
-                raise SketchError(f"item {item!r} has no response from classifier {cid!r}")
-            label = row[cid]
-            if label not in LABELS:
-                raise SketchError(
-                    f"item {item!r}, classifier {cid!r}: label {label!r} is not canonical"
-                )
-        if truth is not None:
-            if item not in truth:
-                raise SketchError(f"truth label missing for item {item!r}")
-            if truth[item] not in LABELS:
-                raise SketchError(
-                    f"item {item!r}: truth label {truth[item]!r} is not canonical"
-                )
 
 
 def marginalize(sketch: EvaluationSketch, classifier: str) -> Marginals:
@@ -382,112 +323,6 @@ def flip_labels(
     return EvaluationSketch(sketch.classifiers, sketch.q, counts, moved)
 
 
-class EvaluationPoint(_Value):
-    """A candidate ground truth: the unobservable correctness counts.
-
-    ``pair_correct`` maps index pairs (i, j) with i < j to the pair's
-    joint correct counts (both right on true-a items, both right on
-    true-b items).  Construction checks that the counts are ints, never
-    bools, in lists or tuples.  Bounds relative to a test are checked by
-    :func:`point_bound_violations` so claimed points from untrusted
-    summaries can be represented and then reported on.
-    """
-
-    q_a: int
-    correct_a: tuple[int, ...]
-    correct_b: tuple[int, ...]
-    pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None
-
-    def __init__(
-        self,
-        q_a: int,
-        correct_a: Sequence[int],
-        correct_b: Sequence[int],
-        pair_correct: Mapping[tuple[int, int], tuple[int, int]] | None = None,
-    ) -> None:
-        if not (_is_int(q_a) and _is_ints(correct_a) and _is_ints(correct_b)):
-            raise SketchError("q_a must be an int, correct_a and correct_b lists or tuples of ints")
-        size = len(correct_a)
-        if len(correct_b) != size:
-            raise SketchError("correct_a and correct_b must have one entry per classifier")
-        pairs = pair_correct
-        if pairs is not None:
-            if not isinstance(pairs, Mapping):
-                raise SketchError("pair_correct must map index pairs to joint counts")
-            for key, entry in pairs.items():
-                if not (_is_ints(key, True) and 0 <= key[0] < key[1] < size):
-                    raise SketchError(f"bad pair key {key!r} for {size} classifiers")
-                if not _is_ints(entry, True):
-                    raise SketchError(f"pair {key!r}: joint counts must be a pair of integers")
-            pairs = MappingProxyType({tuple(key): tuple(pairs[key]) for key in sorted(pairs)})
-        self._store(q_a, tuple(correct_a), tuple(correct_b), pairs)
-
-    @property
-    def size(self) -> int:
-        return len(self.correct_a)
-
-
-# a pattern's letters as the 0/1 flags "said a" and "said b"
-_SAID = {LABEL_A: bytes.maketrans(b"ab", b"\1\0"), LABEL_B: bytes.maketrans(b"ab", b"\0\1")}
-
-
-def sketch_point(sketch: EvaluationSketch) -> EvaluationPoint:
-    """The evaluation point a truth-split sketch realizes: q_a, each
-    classifier's correct counts on each label, and every pair's (i < j)
-    joint correct counts.  Like :func:`marginalize`, it does not validate
-    the sketch.
-
-    Per label, the split is read as its item counts and each classifier's
-    0/1 flags (gave that label?) per pattern, and each sum is a C-level
-    walk: k's right answers are the counts times k's flags, and a pair's
-    joint count sums one's right answers where the other's flag is set.
-    """
-    split = sketch.truth_split
-    if split is None:
-        raise SketchError("sketch has no truth split")
-    size = sketch.size
-    pairs = list(itertools.combinations(range(size), 2))
-    patterns = "".join(split).encode()
-    sums = []
-    for side, label in enumerate(LABELS):
-        counts = [entry[side] for entry in split.values()]
-        said = [patterns[k::size].translate(_SAID[label]) for k in range(size)]
-        right = [list(map(operator.mul, counts, flags)) for flags in said]
-        joint = [sum(itertools.compress(right[i], said[j])) for i, j in pairs]
-        sums.append((sum(counts), [sum(r) for r in right], joint))
-    (q_a, correct_a, joint_a), (_, correct_b, joint_b) = sums
-    return EvaluationPoint(q_a, correct_a, correct_b, dict(zip(pairs, zip(joint_a, joint_b))))
-
-
-def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:
-    """Lattice-bound violations of a point relative to a test of size q."""
-    problems: list[str] = []
-    q_a = point.q_a
-    if not 0 <= q_a <= q:
-        problems.append(f"q_a={q_a} outside [0, {q}]")
-    # a q_a outside [0, q] is reported above; each label's size is then
-    # clamped at 0, and the message prints the range actually checked
-    cap_a, cap_b = max(q_a, 0), max(q - q_a, 0)
-    for i, (c_a, c_b) in enumerate(zip(point.correct_a, point.correct_b)):
-        if not 0 <= c_a <= cap_a:
-            problems.append(f"correct_a[{i}]={c_a} outside [0, {cap_a}]")
-        if not 0 <= c_b <= cap_b:
-            problems.append(f"correct_b[{i}]={c_b} outside [0, {cap_b}]")
-    if point.pair_correct:
-        for (i, j), (ja, jb) in point.pair_correct.items():
-            cap_a = min(point.correct_a[i], point.correct_a[j])
-            cap_b = min(point.correct_b[i], point.correct_b[j])
-            if not 0 <= ja <= cap_a:
-                problems.append(
-                    f"pair ({i},{j}) joint correct on a is {ja}, outside [0, {cap_a}]"
-                )
-            if not 0 <= jb <= cap_b:
-                problems.append(
-                    f"pair ({i},{j}) joint correct on b is {jb}, outside [0, {cap_b}]"
-                )
-    return problems
-
-
 def _thresholds(strict: object, **named: object) -> list[Fraction]:
     """A spec's thresholds as Fractions in [0, 1] (each an int, a
     Fraction or an "n/d" string), in the order named; refuses a
@@ -534,24 +369,3 @@ class OverallSpec(_Value):
 
 
 SafetySpec = PerLabelSpec | OverallSpec
-
-
-class PSpaceStats(NamedTuple):
-    """Exact ratio statistics of a truth-split sketch.
-
-    Per-classifier accuracies are None when their label has no items.
-    ``gamma_a``/``gamma_b`` are the pair correlations of correctness
-    within each label (None when undefined); ``delta`` is the observable
-    pattern covariance of each pair, which never needs the truth split.
-    Mapping keys are classifier id pairs in roster order, and
-    :func:`pspace_stats` gives the mappings read-only.
-    """
-
-    classifiers: tuple[str, ...]
-    p_a: Fraction
-    p_b: Fraction
-    accuracy_a: tuple[Fraction | None, ...]
-    accuracy_b: tuple[Fraction | None, ...]
-    gamma_a: Mapping[tuple[str, str], Fraction | None]
-    gamma_b: Mapping[tuple[str, str], Fraction | None]
-    delta: Mapping[tuple[str, str], Fraction]

@@ -5,8 +5,9 @@ point against a sketch.  A claimed point of three or more classifiers
 that passes the bound and axiom checks is then searched for among the
 truth splits at its prevalence: a depth-first search in budgeted steps,
 pruned by the claim's own row sums, for one split that meets them all.
-:func:`enumerate_evaluations` walks the raw lattice of one classifier's
-outcomes for the ``enumerate`` subcommand.
+:func:`parse_claims` reads the claims file that ``verify --claims``
+audits.  :func:`enumerate_evaluations` walks the raw lattice of one
+classifier's outcomes for the ``enumerate`` subcommand.
 """
 
 from __future__ import annotations
@@ -15,20 +16,19 @@ from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .axioms import point_axiom_violations
+from .axioms import EvaluationPoint, point_axiom_violations, point_bound_violations
 from .model import (
     LABEL_A,
     LABEL_B,
-    EvaluationPoint,
     EvaluationSketch,
     Marginals,
     SketchError,
     _is_ints,
     _Value,
     marginalize,
-    point_bound_violations,
     validate_sketch,
 )
+from .persist import FormatError, _load_json, _require_keys
 
 # steps of the claim search (see _realized) that verify takes by default
 DEFAULT_SPLIT_BUDGET = 10_000_000
@@ -76,6 +76,63 @@ class SummaryClaims(_Value):
             raise SketchError("claimed marginals must map ids to pairs of integers")
         margs = {cid: Marginals(*entry) for cid, entry in marginals.items()}
         self._store(MappingProxyType(margs), point)
+
+
+def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
+    """Claims file: optional marginal totals and an optional full point.
+
+    The sketch supplies the roster so that a pair key, "first,second",
+    becomes an index pair; a pair named twice, in either order, and a key
+    that names one classifier twice are errors.  :class:`SummaryClaims` and
+    :class:`EvaluationPoint` refuse any count that is not a JSON integer.
+    """
+    obj = _load_json(text)
+    _require_keys(obj, (), ("marginals", "point"), "claims file")
+    try:
+        point = None
+        if "point" in obj:
+            raw = obj["point"]
+            keys = ("q_a", "correct_a", "correct_b")
+            _require_keys(raw, keys, ("pair_correct",), "claimed point")
+            named = "pair_correct" in raw
+            pairs = _pairs_by_index(raw["pair_correct"], sketch) if named else None
+            point = EvaluationPoint(raw["q_a"], raw["correct_a"], raw["correct_b"], pairs)
+        return SummaryClaims(obj.get("marginals", {}), point)
+    except SketchError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _pairs_by_index(claimed: object, sketch: EvaluationSketch) -> dict:
+    """A claims file's pair claims, keyed "first,second", by index pair."""
+    if not isinstance(claimed, dict):
+        raise FormatError("'pair_correct' must be a JSON object")
+    ids, pairs = sketch.classifiers, {}
+    most = max(cid.count(",") for cid in ids)
+    for key, entry in claimed.items():
+        # cut at the comma whose sides are two ids as written, else with
+        # blanks stripped ("claude, mistral"); no id holds more than ``most``
+        # commas, so only the first most + 1 commas can end the first id
+        parts = key.split(",")
+        ends = range(1, min(len(parts), most + 2))
+        cuts = [(",".join(parts[:k]), ",".join(parts[k:])) for k in ends]
+        for sides in (cuts, [(first.strip(), second.strip()) for first, second in cuts]):
+            named = {tuple(sorted(map(ids.index, cut))) for cut in sides if {*cut} <= {*ids}}
+            if named:
+                break
+        if len(named) > 1:
+            raise FormatError(f"pair key {key!r} is ambiguous: it names {len(named)} pairs")
+        if not named and len(parts) != 2:
+            raise FormatError(f"pair key {key!r} must be 'first,second' classifier ids")
+        # one comma and no pair: index_of names the unknown id
+        ((i, j),) = named or [sorted(map(sketch.index_of, sides[0]))]
+        if i == j:
+            raise FormatError(f"pair key {key!r} names classifier {ids[i]!r} twice")
+        # joint correctness is symmetric, so order only normalizes the
+        # key, and a pair named in both orders is one pair named twice
+        if (i, j) in pairs:
+            raise FormatError(f"pair claim {key!r} names a pair already claimed")
+        pairs[(i, j)] = entry
+    return pairs
 
 
 class SummaryReport(NamedTuple):

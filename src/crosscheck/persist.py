@@ -1,4 +1,5 @@
-"""File formats: sketches, traces, claims and parameters.
+"""File formats: sketches and traces, and the JSON reading that every
+file reader shares.
 
 Sketch and trace files are JSON with a canonical layout (fixed key
 order, two-space indent, rationals as "n/d" strings, trailing newline),
@@ -8,11 +9,14 @@ join over the trace's columns and the layout's fixed pieces, with no
 Python step per slice, and ``parse_trace`` reads only the bytes a run
 writes: it rebuilds the trace and requires that it writes the same text.
 All writes go through a temp-file-and-rename so readers never observe a
-half-written file.  Decision tables are read and written in
-:mod:`crosscheck.tables`.
+half-written file.
 
-Only the sketch half runs in every command, so the trace, claims and
-parameter readers import the types they build when they are called.
+Only the sketch half runs in every command, so ``parse_trace`` imports
+the trace type when it is called.  The other readers sit beside the type
+each builds, and read their JSON through :func:`_load_json` and
+:func:`_require_keys`: decision tables in :mod:`crosscheck.tables`,
+claims files in :mod:`crosscheck.oracle` and parameter files in
+:mod:`crosscheck.independent`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import (
-    EvaluationPoint,
     EvaluationSketch,
     Marginals,
     OverallSpec,
@@ -35,8 +38,6 @@ from .model import (
 
 if TYPE_CHECKING:
     from .alarm import AlarmTrace
-    from .independent import IndependentParams
-    from .oracle import SummaryClaims
 
 
 class FormatError(ValueError):
@@ -312,86 +313,3 @@ def emit_trace(trace: AlarmTrace, fmt: str, path: str) -> None:
         atomic_write_text(path, render_traces([trace]))
     else:
         raise FormatError(f"unknown trace format {fmt!r}")
-
-
-# ------------------------------------------------------------- claims/params
-
-def parse_claims(text: str, sketch: EvaluationSketch) -> SummaryClaims:
-    """Claims file: optional marginal totals and an optional full point.
-
-    The sketch supplies the roster so that a pair key, "first,second",
-    becomes an index pair; a pair named twice, in either order, is an
-    error.  :class:`SummaryClaims` and :class:`EvaluationPoint` refuse any
-    count that is not a JSON integer.
-    """
-    from .oracle import SummaryClaims
-
-    obj = _load_json(text)
-    _require_keys(obj, (), ("marginals", "point"), "claims file")
-    try:
-        point = None
-        if "point" in obj:
-            raw = obj["point"]
-            keys = ("q_a", "correct_a", "correct_b")
-            _require_keys(raw, keys, ("pair_correct",), "claimed point")
-            named = "pair_correct" in raw
-            pairs = _pairs_by_index(raw["pair_correct"], sketch) if named else None
-            point = EvaluationPoint(raw["q_a"], raw["correct_a"], raw["correct_b"], pairs)
-        return SummaryClaims(obj.get("marginals", {}), point)
-    except SketchError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def _pairs_by_index(claimed: object, sketch: EvaluationSketch) -> dict:
-    """A claims file's pair claims, keyed "first,second", by index pair."""
-    if not isinstance(claimed, dict):
-        raise FormatError("'pair_correct' must be a JSON object")
-    ids, pairs = sketch.classifiers, {}
-    most = max(cid.count(",") for cid in ids)
-    for key, entry in claimed.items():
-        # cut at the comma whose sides are two ids as written, else with
-        # blanks stripped ("claude, mistral"); no id holds more than ``most``
-        # commas, so only the first most + 1 commas can end the first id
-        parts = key.split(",")
-        ends = range(1, min(len(parts), most + 2))
-        cuts = [(",".join(parts[:k]), ",".join(parts[k:])) for k in ends]
-        for sides in (cuts, [(first.strip(), second.strip()) for first, second in cuts]):
-            named = {tuple(sorted(map(ids.index, cut))) for cut in sides if {*cut} <= {*ids}}
-            if named:
-                break
-        if len(named) > 1:
-            raise FormatError(f"pair key {key!r} is ambiguous: it names {len(named)} pairs")
-        if not named and len(parts) != 2:
-            raise FormatError(f"pair key {key!r} must be 'first,second' classifier ids")
-        # one comma and no pair: index_of names the unknown id
-        ((i, j),) = named or [sorted(map(sketch.index_of, sides[0]))]
-        # joint correctness is symmetric, so order only normalizes the
-        # key, and a pair named in both orders is one pair named twice
-        if (i, j) in pairs:
-            raise FormatError(f"pair claim {key!r} names a pair already claimed")
-        pairs[(i, j)] = entry
-    return pairs
-
-
-def parse_params(text: str) -> tuple[tuple[str, ...] | None, IndependentParams]:
-    """Parameter file for generation: prevalence plus per-label accuracies.
-
-    Returns optional classifier ids (None when the file does not name
-    them) and the parameter point.  Rationals are "n/d" strings.
-    :func:`generate_decisions` checks the ids.
-    """
-    from .independent import IndependentParams
-
-    obj = _load_json(text)
-    _require_keys(
-        obj, ("p_a", "accuracy_a", "accuracy_b"), ("classifiers",), "params file"
-    )
-    ids = obj.get("classifiers")
-    # a tuple of a string would be a roster of its characters
-    if "classifiers" in obj and not isinstance(ids, list):
-        raise FormatError("params file: 'classifiers' must be a list")
-    try:
-        params = IndependentParams(obj["p_a"], obj["accuracy_a"], obj["accuracy_b"])
-    except SketchError as exc:
-        raise FormatError(f"bad parameters: {exc}") from None
-    return None if ids is None else tuple(ids), params

@@ -1,11 +1,12 @@
-"""Decision tables: csv and jsonl ingest, and the csv that ``generate``
-writes.
+"""Decision tables: csv and jsonl ingest, the sketch built from them,
+and the csv that ``generate`` writes.
 
 A decision table has one row per item: its id, each classifier's label
 and, optionally, the true label.  :func:`ingest` reads one into sorted
 records, dropping (and reporting) items with an empty answer or, when
 the file carries truth at all, a missing truth; anything else malformed
-is an error.
+is an error.  :func:`records_to_decisions` and
+:func:`sketch_from_decisions` turn the records into a sketch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .model import LABELS
+from .model import LABEL_A, LABELS, EvaluationSketch, SketchError, _roster
 from .persist import FormatError, IngestError, _csv_lines, _load_json, _require_keys
 
 
@@ -319,6 +320,83 @@ def records_to_decisions(
     if not truths:
         return decisions, None
     return decisions, truths
+
+
+def sketch_from_decisions(
+    decisions: Mapping[str, Mapping[str, str]],
+    classifiers: Sequence[str],
+    truth: Mapping[str, str] | None = None,
+) -> EvaluationSketch:
+    """Aggregate per-item decisions into a sketch.
+
+    ``decisions`` maps item id to {classifier id: canonical label}; every
+    item must carry a response from every classifier in ``classifiers``.
+    When ``truth`` is given it must cover every item, and the resulting
+    sketch carries a truth split.
+
+    Items are tallied by their response mapping object (and truth label)
+    first, and only the distinct mappings are checked, so items that
+    share one mapping, as :func:`records_to_decisions` gives them, cost a
+    count each.  On a bad item the error names the first one.
+    """
+    ids = _roster(classifiers)
+    if not decisions:
+        raise SketchError("no items to sketch")
+    rows = decisions.values()
+    try:
+        if truth is None:
+            tally = Counter(map(id, rows))
+        else:
+            tally = Counter(zip(map(id, rows), map(truth.__getitem__, decisions)))
+        by_id = dict(zip(map(id, rows), rows))
+        counts: dict[str, int] = {}
+        split: dict[str, list[int]] | None = None if truth is None else {}
+        for key, n in tally.items():
+            row = by_id[key if split is None else key[0]]
+            labels = [row[cid] for cid in ids]
+            if not all(label in LABELS for label in labels):
+                raise SketchError
+            pattern = "".join(labels)
+            counts[pattern] = counts.get(pattern, 0) + n
+            if split is not None:
+                if key[1] not in LABELS:
+                    raise SketchError
+                split.setdefault(pattern, [0, 0])[0 if key[1] == LABEL_A else 1] += n
+    except (KeyError, TypeError, SketchError):
+        # a missing response or truth, or a label that is not canonical:
+        # the per-item checks find the first item it belongs to
+        _raise_first_bad_item(decisions, ids, truth)
+        raise
+    return EvaluationSketch(
+        ids,
+        len(decisions),
+        counts,
+        None if split is None else {p: (a, b) for p, (a, b) in split.items()},
+    )
+
+
+def _raise_first_bad_item(
+    decisions: Mapping[str, Mapping[str, str]],
+    ids: tuple[str, ...],
+    truth: Mapping[str, str] | None,
+) -> None:
+    """Raise the SketchError for the first item that cannot be sketched."""
+    for item, row in decisions.items():
+        for cid in ids:
+            if cid not in row:
+                raise SketchError(f"item {item!r} has no response from classifier {cid!r}")
+            label = row[cid]
+            if label not in LABELS:
+                raise SketchError(
+                    f"item {item!r}, classifier {cid!r}: label {label!r} is not canonical"
+                )
+        if truth is not None:
+            if item not in truth:
+                raise SketchError(f"truth label missing for item {item!r}")
+            if truth[item] not in LABELS:
+                raise SketchError(
+                    f"item {item!r}: truth label {truth[item]!r} is not canonical"
+                )
 
 
 def decisions_to_csv_text(

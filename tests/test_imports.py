@@ -41,6 +41,25 @@ def fresh_python(script, *argv):
     return done.stdout.splitlines()[-1]
 
 
+# Runs two alarms on the sketch at argv[1] and prints whether
+# crosscheck.axioms was loaded before and after their slices were first
+# read, and the sha256 of the slices' JSON.
+SLICES = """\
+import hashlib, json, sys
+from fractions import Fraction
+from crosscheck import OverallSpec, PerLabelSpec, load_sketch, run_alarm
+sketch = load_sketch(sys.argv[1])
+runs = [
+    run_alarm(sketch, PerLabelSpec(Fraction(1, 2), Fraction(1, 2))),
+    run_alarm(sketch, OverallSpec(Fraction(3, 4), False), pair=("claude", "mistral"), refine=True),
+]
+before = "crosscheck.axioms" in sys.modules
+slices = json.dumps([run.slices for run in runs]).encode()
+after = "crosscheck.axioms" in sys.modules
+print(json.dumps([before, after, hashlib.sha256(slices).hexdigest()]))
+"""
+
+
 def fresh_loads(*argv):
     """main's exit code on argv in a fresh interpreter, and every module
     it loaded beyond a bare start."""
@@ -66,7 +85,23 @@ class TestModulesLoaded:
     def test_alarm_loads_only_the_sweep(self):
         code, modules = fresh_run("alarm", GRADING, "--pair", "claude", "mistral")
         assert code == 0
-        assert modules == {"crosscheck", "cli", "model", "persist", "axioms", "alarm"}
+        assert modules == {"crosscheck", "cli", "model", "persist", "alarm"}
+
+    def test_slices_load_the_intervals_on_first_read(self):
+        """Only ``AlarmTrace.slices`` calls into axioms, which it imports on
+        first read; the digest is of the slices as they were when alarm
+        imported axioms at its own import."""
+        before, after, digest = json.loads(fresh_python(SLICES, GRADING))
+        assert (before, after) == (False, True)
+        assert digest == "ce2bb90a6ee772e587b43ffc1ef22ceb5b933025a0871944b59e075086c637e4"
+
+    def test_flip_loads_only_the_sketch(self, tmp_path):
+        code, modules = fresh_run(
+            "flip", GRADING, "--classifier", "claude", "--mode", "global",
+            "--out", str(tmp_path / "flipped.json"),
+        )
+        assert code == 0
+        assert modules == {"crosscheck", "cli", "model", "persist"}
 
     def test_ingest_loads_no_sweep(self, tmp_path):
         code, modules = fresh_run(
@@ -74,8 +109,7 @@ class TestModulesLoaded:
             "--map", "correct=b", "--out", str(tmp_path / "sketch.json"),
         )
         assert code == 0
-        assert "tables" in modules
-        assert not modules & {"alarm", "axioms"}
+        assert modules == {"crosscheck", "cli", "model", "persist", "tables"}
 
     def test_solve_independent_loads_no_alarm_or_oracle(self):
         code, modules = fresh_run("solve-independent", GRADING)
@@ -88,6 +122,21 @@ class TestModulesLoaded:
         assert code == 0
         assert "oracle" in modules
         assert not modules & {"independent", "svg", "tables"}
+
+    def test_verify_claims_loads_the_audit_alone(self):
+        code, modules = fresh_run("verify", GRADING, "--claims", GRADING_CLAIMS)
+        assert code == 0
+        assert {"oracle", "axioms"} <= modules
+        assert not modules & {"tables", "alarm", "independent"}
+
+    def test_generate_loads_no_sweep_or_audit(self, tmp_path):
+        code, modules = fresh_run(
+            "generate", "--params", DEMO_PARAMS, "--q", "20", "--seed", "1",
+            "--out", str(tmp_path / "generated.csv"),
+        )
+        assert code == 0
+        assert {"independent", "synth", "tables"} <= modules
+        assert not modules & {"alarm", "axioms", "oracle"}
 
 
 # Every command of the console smoke run, plus a refined alarm that writes

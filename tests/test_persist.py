@@ -880,6 +880,7 @@ class TestClaimsFormat:
         (("u", "v"), "u,v,w", "must be 'first,second'"),
         (("a,b", "c"), "a,b,d", "must be 'first,second'"),
         (("u", "v"), "," * 100_000, "must be 'first,second'"),
+        (("a,b", "c"), "c,c", "pair key 'c,c' names classifier 'c' twice"),
     ])
     def test_pair_key_that_names_no_one_pair(self, roster, key, message):
         with pytest.raises(FormatError, match=re.escape(message)):

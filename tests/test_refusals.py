@@ -176,6 +176,18 @@ def test_rosters_refuse(call, ids):
         call(ids)
 
 
+def test_a_pair_that_names_one_id_twice_is_refused_by_that_id(capsys, fixtures_dir):
+    message = "pair mode needs two distinct classifier ids, got 'u' twice"
+    for call in (run_alarm, count_safe_hypotheses):
+        with pytest.raises(SketchError, match=message):
+            call(UV, PerLabelSpec(HALF, HALF), pair=("u", "u"))
+    sketch = str(fixtures_dir / "llm_grading.json")
+    assert main(["alarm", sketch, "--pair", "claude", "claude"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: pair mode needs two distinct classifier ids, got 'claude' twice\n"
+    )
+
+
 @pytest.mark.parametrize("value", [None, "x", HALF, {"threshold": HALF}])
 @pytest.mark.parametrize("call", [run_alarm, count_safe_hypotheses])
 def test_runs_refuse_a_spec_of_another_type(call, value):

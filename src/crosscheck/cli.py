@@ -7,13 +7,16 @@ usage, file, or data errors.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import NoReturn, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
+
+if TYPE_CHECKING:
+    import argparse
 
 from . import _on_first_use
 from .model import (
@@ -59,20 +62,16 @@ EXIT_ERROR = 1
 EXIT_TRIGGERED = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this tool reserves 2 for the
-    alarm verdict, so usage problems exit 1 instead."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+class _Refused(ValueError):
+    """A command-line value a converter refuses, in the words the usage
+    error gives after ``argument --option:``."""
 
 
 def _fraction(text: str) -> Fraction:
     try:
         return _rational(text, "thresholds")
     except SketchError:
-        raise argparse.ArgumentTypeError(
+        raise _Refused(
             f"not an 'n/d' or decimal number with no exponent: {text!r}"
         ) from None
 
@@ -83,117 +82,8 @@ def _non_negative(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+        raise _Refused(f"not a non-negative integer: {text!r}")
     return value
-
-
-@cache
-def build_parser() -> _Parser:
-    """The command-line parser, built once per process: ``parse_args``
-    never changes it."""
-    parser = _Parser(prog="crosscheck", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("ingest", help="turn a decision table into a sketch file")
-    p.add_argument("path", help="decision table file")
-    p.add_argument("--format", choices=("csv", "jsonl"), required=True)
-    p.add_argument(
-        "--map",
-        action="append",
-        default=[],
-        metavar="SOURCE=LABEL",
-        help="map a source label to a or b; repeatable",
-    )
-    p.add_argument("--out", required=True, help="sketch file to write")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("sketch", help="print a sketch's marginals and statistics")
-    p.add_argument("path", help="sketch file")
-    p.set_defaults(func=_cmd_sketch)
-
-    p = sub.add_parser("alarm", help="scan prevalence hypotheses for safety")
-    p.add_argument("path", help="sketch file")
-    spec = p.add_mutually_exclusive_group()
-    spec.add_argument(
-        "--spec-per-label",
-        type=_fraction,
-        default=None,
-        metavar="T",
-        help="required accuracy on each label (default 1/2)",
-    )
-    spec.add_argument(
-        "--spec-overall",
-        type=_fraction,
-        default=None,
-        metavar="T",
-        help="required prevalence-weighted overall accuracy",
-    )
-    p.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="require strictly above the threshold (default) or at least it",
-    )
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--pair", nargs=2, metavar=("I", "J"), help="audit two classifiers")
-    mode.add_argument(
-        "--ensemble", action="store_true", help="audit the whole roster (default)"
-    )
-    p.add_argument(
-        "--refine-pairs",
-        action="store_true",
-        help="enforce pairwise coupling constraints inside each hypothesis",
-    )
-    p.add_argument(
-        "--qa-range",
-        nargs=2,
-        type=int,
-        metavar=("LO", "HI"),
-        help="restrict the verdict to hypotheses in [LO, HI]",
-    )
-    p.add_argument("--trace", help="write the full trace (.csv or .json)")
-    p.add_argument("--plot", help="write the full trace as a band plot (.svg)")
-    p.set_defaults(func=_cmd_alarm)
-
-    p = sub.add_parser("enumerate", help="walk the single-classifier outcome space")
-    p.add_argument("--q", type=int, required=True, help="test size")
-    p.add_argument("--count-only", action="store_true", help="print only the count")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("verify", help="audit a sketch and optional claims about it")
-    p.add_argument("path", help="sketch file")
-    p.add_argument("--claims", help="claims file (marginals and/or a point)")
-    p.add_argument(
-        "--budget",
-        type=_non_negative,
-        # DEFAULT_SPLIT_BUDGET steps, read when verify runs
-        default=None,
-        help="give up the search for a claimed point after this many steps",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "solve-independent",
-        help="recover prevalence and accuracies from three classifiers",
-    )
-    p.add_argument("path", help="sketch file with exactly three classifiers")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("generate", help="draw a synthetic labeled decision table")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--params", required=True, help="parameter file")
-    p.add_argument("--q", type=int, required=True, help="number of items")
-    p.add_argument("--out", help="write csv here instead of stdout")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("flip", help="relabel one classifier's responses")
-    p.add_argument("path", help="sketch file")
-    p.add_argument("--classifier", required=True)
-    p.add_argument("--mode", choices=FLIP_MODES, required=True)
-    p.add_argument("--out", required=True, help="sketch file to write")
-    p.set_defaults(func=_cmd_flip)
-
-    return parser
 
 
 def _parse_label_map(pairs: Sequence[str]) -> dict[str, str] | None:
@@ -208,7 +98,7 @@ def _parse_label_map(pairs: Sequence[str]) -> dict[str, str] | None:
     return label_map
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: SimpleNamespace) -> int:
     result = _cli.ingest(args.path, args.format, _parse_label_map(args.map))
     if not result.records:
         raise IngestError("no usable records after ingestion")
@@ -222,7 +112,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sketch(args: argparse.Namespace) -> int:
+def _cmd_sketch(args: SimpleNamespace) -> int:
     sketch = load_sketch(args.path)
     problems = validate_sketch(sketch)
     print(f"q: {sketch.q}")
@@ -239,12 +129,18 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
         print(f"true-a items: {stats.p_a * sketch.q} of {sketch.q}")
         for idx, cid in enumerate(sketch.classifiers):
             print(
-                f"accuracy {cid}: true-a {stats.accuracy_a[idx]}, "
-                f"true-b {stats.accuracy_b[idx]}"
+                f"accuracy {cid}: true-a {_ratio(stats.accuracy_a[idx])}, "
+                f"true-b {_ratio(stats.accuracy_b[idx])}"
             )
         for (first, second), value in stats.delta.items():
             print(f"pattern covariance {first},{second}: {value}")
     return EXIT_OK
+
+
+def _ratio(value: Fraction | None) -> str:
+    """An accuracy as ``sketch`` prints it: None, for a label with no
+    items, is ``undefined``."""
+    return "undefined" if value is None else str(value)
 
 
 def _trace_format(path: str) -> str:
@@ -255,7 +151,7 @@ def _trace_format(path: str) -> str:
     raise FormatError(f"cannot infer a trace format from {path!r}")
 
 
-def _cmd_alarm(args: argparse.Namespace) -> int:
+def _cmd_alarm(args: SimpleNamespace) -> int:
     # check the output names first, so a bad one costs no work and no output
     trace_fmt = _trace_format(args.trace) if args.trace else None
     if trace_fmt == "svg":
@@ -296,7 +192,7 @@ def _cmd_alarm(args: argparse.Namespace) -> int:
     return EXIT_OK if safe else EXIT_TRIGGERED
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     if args.count_only:
         print(_cli.evaluation_count(args.q))
         return EXIT_OK
@@ -305,7 +201,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     sketch = load_sketch(args.path)
     claims = _cli.SummaryClaims({})
     if args.claims:
@@ -323,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_ERROR
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     sketch = load_sketch(args.path)
     solution = _cli.solve_independent(sketch)
     if not solution.consistent:
@@ -338,7 +234,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: SimpleNamespace) -> int:
     with open(args.params, encoding="utf-8") as handle:
         ids, params = _cli.parse_params(handle.read())
     if ids is None:
@@ -353,7 +249,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_flip(args: argparse.Namespace) -> int:
+def _cmd_flip(args: SimpleNamespace) -> int:
     sketch = load_sketch(args.path)
     flipped = flip_labels(sketch, args.classifier, args.mode)
     save_sketch(flipped, args.out)
@@ -361,13 +257,211 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Arg(NamedTuple):
+    """One argument of a subcommand, as both argv readers take it."""
+
+    flag: str  # an option's flag ("--out"), or a positional's name ("path")
+    help: str | None = None
+    kind: str = "store"  # "store", "store_true", "append" or "boolean" (--x / --no-x)
+    nargs: int | None = None  # None: one value; n: a list of n values
+    convert: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    group: str | None = None  # the options of one group exclude each other
+    metavar: str | tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+# Every subcommand: its help line, the function that runs it, and its
+# arguments in the order help lists them.  main reads argv from this
+# table (_read_argv), and build_parser builds argparse from it.
+_COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Arg, ...]]] = {
+    "ingest": ("turn a decision table into a sketch file", _cmd_ingest, (
+        _Arg("path", "decision table file"),
+        _Arg("--format", choices=("csv", "jsonl"), required=True),
+        _Arg("--map", "map a source label to a or b; repeatable", kind="append",
+             default=[], metavar="SOURCE=LABEL"),
+        _Arg("--out", "sketch file to write", required=True),
+    )),
+    "sketch": ("print a sketch's marginals and statistics", _cmd_sketch, (
+        _Arg("path", "sketch file"),
+    )),
+    "alarm": ("scan prevalence hypotheses for safety", _cmd_alarm, (
+        _Arg("path", "sketch file"),
+        _Arg("--spec-per-label", "required accuracy on each label (default 1/2)",
+             convert=_fraction, group="spec", metavar="T"),
+        _Arg("--spec-overall", "required prevalence-weighted overall accuracy",
+             convert=_fraction, group="spec", metavar="T"),
+        _Arg("--strict", "require strictly above the threshold (default) or at least it",
+             kind="boolean", default=True),
+        _Arg("--pair", "audit two classifiers", nargs=2, group="mode", metavar=("I", "J")),
+        _Arg("--ensemble", "audit the whole roster (default)", kind="store_true",
+             default=False, group="mode"),
+        _Arg("--refine-pairs", "enforce pairwise coupling constraints inside each hypothesis",
+             kind="store_true", default=False),
+        _Arg("--qa-range", "restrict the verdict to hypotheses in [LO, HI]", nargs=2,
+             convert=int, metavar=("LO", "HI")),
+        _Arg("--trace", "write the full trace (.csv or .json)"),
+        _Arg("--plot", "write the full trace as a band plot (.svg)"),
+    )),
+    "enumerate": ("walk the single-classifier outcome space", _cmd_enumerate, (
+        _Arg("--q", "test size", convert=int, required=True),
+        _Arg("--count-only", "print only the count", kind="store_true", default=False),
+    )),
+    "verify": ("audit a sketch and optional claims about it", _cmd_verify, (
+        _Arg("path", "sketch file"),
+        _Arg("--claims", "claims file (marginals and/or a point)"),
+        # None: DEFAULT_SPLIT_BUDGET steps, read when verify runs
+        _Arg("--budget", "give up the search for a claimed point after this many steps",
+             convert=_non_negative),
+    )),
+    "solve-independent": (
+        "recover prevalence and accuracies from three classifiers", _cmd_solve, (
+            _Arg("path", "sketch file with exactly three classifiers"),
+        ),
+    ),
+    "generate": ("draw a synthetic labeled decision table", _cmd_generate, (
+        _Arg("--seed", convert=int, required=True),
+        _Arg("--params", "parameter file", required=True),
+        _Arg("--q", "number of items", convert=int, required=True),
+        _Arg("--out", "write csv here instead of stdout"),
+    )),
+    "flip": ("relabel one classifier's responses", _cmd_flip, (
+        _Arg("path", "sketch file"),
+        _Arg("--classifier", required=True),
+        _Arg("--mode", choices=FLIP_MODES, required=True),
+        _Arg("--out", "sketch file to write", required=True),
+    )),
+}
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read from
+    ``_COMMANDS`` without argparse, or None for any argv this reader does
+    not take exactly: no command, an option not spelled in full,
+    ``--opt=value``, ``-h``, ``--``, a value that starts with '-', too few
+    or too many values, a value its conversion or choices refuse, a
+    missing required argument, two options of one exclusive group, or an
+    option other than an append given twice.  main hands those to
+    argparse, which words the help or the usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    positionals = [arg for arg in arguments if arg.flag[0] != "-"]
+    options = {arg.flag: arg for arg in arguments if arg.flag[0] == "-"}
+    options.update({"--no-" + arg.flag[2:]: arg for arg in arguments if arg.kind == "boolean"})
+    values = {
+        arg.dest: list(arg.default) if arg.kind == "append" else arg.default
+        for arg in arguments
+    }
+    seen: set[str] = set()
+    groups: set[str] = set()
+    at = 1
+    while at < len(argv):
+        token = argv[at]
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            arg, count = positionals.pop(0), 1
+        else:
+            arg = options.get(token)
+            if arg is None or arg.group in groups or (arg.dest in seen and arg.kind != "append"):
+                return None
+            if arg.group is not None:
+                groups.add(arg.group)
+            at += 1
+            count = 0 if arg.kind in ("store_true", "boolean") else arg.nargs or 1
+        raw = argv[at : at + count]
+        at += count
+        if len(raw) < count or any(text[:1] == "-" for text in raw):
+            return None
+        try:
+            read = [arg.convert(text) for text in raw] if arg.convert else list(raw)
+        except ValueError:
+            return None
+        if arg.choices is not None and any(value not in arg.choices for value in read):
+            return None
+        seen.add(arg.dest)
+        if not count:
+            values[arg.dest] = token == arg.flag
+        elif arg.kind == "append":
+            values[arg.dest].append(read[0])
+        else:
+            values[arg.dest] = read if arg.nargs else read[0]
+    if positionals or any(arg.required and arg.dest not in seen for arg in arguments):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the ``_COMMANDS`` table, built once per
+    process (``parse_args`` never changes it).  main parses with it only
+    the argv that ``_read_argv`` does not take, so that help and every
+    usage error keep argparse's words."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse exits 2 on usage errors; this tool reserves 2 for the
+        alarm verdict, so usage problems exit 1 instead."""
+
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+    def typed(convert: Callable[[str], object]) -> Callable[[str], object]:
+        def read(text: str) -> object:
+            try:
+                return convert(text)
+            except _Refused as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        # argparse names the type in its words for any other refusal
+        read.__name__ = convert.__name__
+        return read
+
+    parser = Parser(prog="crosscheck", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        groups = {}
+        for arg in arguments:
+            settings: dict[str, object] = {
+                "action": argparse.BooleanOptionalAction if arg.kind == "boolean" else arg.kind,
+                "help": arg.help,
+                "default": arg.default,
+            }
+            if arg.kind in ("store", "append"):
+                settings.update(
+                    nargs=arg.nargs, choices=arg.choices, metavar=arg.metavar,
+                    type=typed(arg.convert) if arg.convert else None,
+                )
+            if arg.required:
+                settings["required"] = True
+            target = p
+            if arg.group is not None:
+                if arg.group not in groups:
+                    groups[arg.group] = p.add_mutually_exclusive_group()
+                target = groups[arg.group]
+            target.add_argument(arg.flag, **settings)
+        p.set_defaults(func=func)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_ERROR
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else EXIT_ERROR
     try:
         return args.func(args)
     # SketchError, FormatError and IngestError are ValueErrors

@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crosscheck
 from crosscheck import load_sketch, parse_trace, sketch_point
@@ -79,6 +81,21 @@ class TestSketch:
             "marginals u: said-a 5, said-b 3",
             "marginals v: said-a 3, said-b 5",
             "violation: pattern counts do not sum to Q (got 8, expected 10)",
+        ]
+
+    def test_label_with_no_items_has_undefined_accuracy(self, capsys, tmp_path):
+        path = tmp_path / "no-true-a.json"
+        path.write_text(json.dumps({
+            "classifiers": ["x", "y"], "q": 3, "counts": {"ab": 2, "bb": 1},
+            "truth_split": {"ab": [0, 2], "bb": [0, 1]},
+        }))
+        code, out, err = run(capsys, "sketch", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[4:] == [
+            "true-a items: 0 of 3",
+            "accuracy x: true-a undefined, true-b 1/3",
+            "accuracy y: true-a undefined, true-b 1",
+            "pattern covariance x,y: 0",
         ]
 
     def test_missing_file(self, capsys):
@@ -788,3 +805,138 @@ class TestUsage:
 
     def test_exit_codes_are_distinct(self):
         assert (EXIT_OK, EXIT_ERROR, EXIT_TRIGGERED) == (0, 1, 2)
+
+
+# Every argv form that the benchmark's workloads and the README run: main
+# reads each from the command table, without argparse.
+TABLE_FORMS = [
+    ("ingest", "decisions.csv", "--format", "csv", "--map", "incorrect=a", "--map", "correct=b",
+     "--out", "ingested.json"),
+    ("ingest", "good.jsonl", "--format", "jsonl", "--out", "ingest-good-jsonl.json"),
+    ("alarm", "grading.json", "--pair", "claude", "mistral"),
+    ("alarm", "grading.json", "--ensemble", "--qa-range", "100", "200"),
+    ("alarm", "grading.json", "--pair", "claude", "mistral", "--refine-pairs"),
+    ("alarm", "grading.json", "--refine-pairs"),
+    ("alarm", "grading.json", "--pair", "claude", "mistral", "--refine-pairs",
+     "--trace", "refined.json", "--plot", "refined.svg"),
+    ("alarm", "grading.json", "--pair", "claude", "mistral", "--refine-pairs",
+     "--trace", "refined.csv"),
+    ("alarm", "grading.json", "--pair", "claude", "mistral", "--trace", "plain.json"),
+    ("alarm", "good.json"),
+    ("alarm", "good.json", "--spec-per-label", "3/5"),
+    ("alarm", "good.json", "--spec-overall", "3/5"),
+    ("alarm", "good.json", "--refine-pairs", "--trace", "refined.json"),
+    ("alarm", "good.json", "--trace", "plain.json", "--plot", "plain.svg"),
+    ("alarm", "split.json", "--trace", "split-trace.csv"),
+    ("alarm", "small.json", "--trace", "small-plain.csv"),
+    ("sketch", "grading.json"),
+    ("verify", "grading.json"),
+    ("verify", "grading.json", "--claims", "claims.json"),
+    ("solve-independent", "grading.json"),
+    ("flip", "grading.json", "--classifier", "claude", "--mode", "global", "--out", "flipped.json"),
+    ("ingest", GRADING_CSV, "--format", "csv", "--map", "incorrect=a", "--map", "correct=b",
+     "--out", "/tmp/grading.json"),
+    ("sketch", GRADING),
+    ("alarm", GRADING, "--pair", "mistral", "gpt4"),
+    ("alarm", GRADING, "--ensemble", "--qa-range", "100", "200"),
+    ("alarm", GRADING, "--refine-pairs", "--spec-per-label", "1/3"),
+    ("alarm", GRADING, "--no-strict"),
+    ("alarm", GRADING, "--trace", "out.csv"),
+    ("alarm", GRADING, "--plot", "out.svg"),
+    ("verify", GRADING),
+    ("verify", GRADING, "--claims", "claims.json", "--budget", "10000000"),
+    ("solve-independent", EXACT),
+    ("enumerate", "--q", "3", "--count-only"),
+    ("generate", "--params", DEMO_PARAMS, "--q", "20", "--seed", "1", "--out", "generated.csv"),
+]
+
+ARGUMENTS = {name: arguments for name, (_, _, arguments) in cli._COMMANDS.items()}
+FLAGS = sorted(
+    {arg.flag for arguments in ARGUMENTS.values() for arg in arguments if arg.flag[0] == "-"}
+    | {"--no-strict", "-h", "--help", "--"}
+)
+NOISE = ("", "X", "-", "-1", "-x", "x", "1e5", "3/0", "1/2/3", "csvv", "Global", " 1", "1_0")
+
+
+def values(arg):
+    """Values ``arg`` takes, and now and then one that its conversion or
+    choices refuse or that starts with '-'."""
+    if arg.choices:
+        return st.sampled_from((*arg.choices, *arg.choices, "csvv", "Global"))
+    if arg.convert is int:
+        return st.sampled_from(("0", "1", "7", "100", "200", "-1", "x", "1.5"))
+    if arg.convert is not None:
+        return st.sampled_from(("1/2", "3/5", "0.75", "1", "0", "4", "x", "1e5", "3/0", "-1"))
+    return st.sampled_from(("X", "sketch.json", "a=b", "claude", "", "-x"))
+
+
+@st.composite
+def spelled(draw, arg):
+    """One argument as the table spells it."""
+    if arg.flag[0] != "-":
+        return [draw(values(arg))]
+    if arg.kind == "boolean":
+        return [draw(st.sampled_from((arg.flag, "--no-" + arg.flag[2:])))]
+    if arg.kind == "store_true":
+        return [arg.flag]
+    return [arg.flag, *(draw(values(arg)) for _ in range(arg.nargs or 1))]
+
+
+# an exact flag, an abbreviation, --opt=value, a stray value or any text
+STRAY = st.one_of(
+    st.sampled_from(FLAGS),
+    st.sampled_from(FLAGS).flatmap(
+        lambda flag: st.integers(1, len(flag) - 1).map(lambda k: flag[:k])
+    ),
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(NOISE)).map("=".join),
+    st.sampled_from(NOISE),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command and most of its arguments spelled as the table takes them,
+    in any order, then up to two edits: a stray token put in or put in
+    place of another, a token taken out, or an argument given twice."""
+    command = draw(st.sampled_from([*ARGUMENTS, "", "alar", "alarms", "-h", "--help"]))
+    arguments = ARGUMENTS.get(command, ())
+    argv = []
+    for arg in draw(st.permutations(arguments)):
+        needed = arg.required or arg.flag[0] != "-"
+        if draw(st.sampled_from((True, True, True, False) if needed else (True, False))):
+            argv += draw(spelled(arg))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete", "repeat")))
+        if edit == "insert":
+            argv.insert(at, draw(STRAY))
+        elif edit == "replace" and argv:
+            argv[min(at, len(argv) - 1)] = draw(STRAY)
+        elif edit == "delete" and argv:
+            del argv[min(at, len(argv) - 1)]
+        elif edit == "repeat" and arguments:
+            argv[at:at] = draw(spelled(draw(st.sampled_from(arguments))))
+    return [command, *argv]
+
+
+class TestArgvReader:
+    @pytest.mark.parametrize("argv", TABLE_FORMS, ids=" ".join)
+    def test_benchmark_and_readme_forms_take_the_table(self, argv):
+        read = cli._read_argv(argv)
+        assert read is not None
+        assert vars(read) == vars(build_parser.__wrapped__().parse_args(argv))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(argvs())
+    def test_reader_takes_argv_only_as_argparse_reads_it(self, argv):
+        # the reader never raises; what it takes, argparse reads the same
+        read = cli._read_argv(argv)
+        if read is not None:
+            assert vars(read) == vars(build_parser.__wrapped__().parse_args(argv))
+
+    def test_each_call_gets_its_own_map_list(self):
+        argv = ["ingest", "t.csv", "--format", "csv", "--out", "s.json"]
+        first, second = cli._read_argv(argv), cli._read_argv(argv)
+        assert first.map == second.map == []
+        assert first.map is not second.map

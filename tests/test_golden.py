@@ -1,7 +1,8 @@
 """Byte-for-byte pins of the alarm's user-visible output on the fixture.
 
 The README's worked `alarm` examples are pinned as exact stdout and exit
-code; the trace and plot files as SHA-256 digests of their bytes.  Any
+code; the trace and plot files as SHA-256 digests of their bytes; the
+help and usage-error text as exact stdout, stderr and exit code.  Any
 drift in verdicts, counts, trace serialization or plot layout fails
 here.  A deliberate change updates these values and says so in
 CHANGES.md; to recompute a digest, run the command and `sha256sum` the
@@ -9,6 +10,7 @@ file it wrote.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -146,3 +148,329 @@ def test_large_q_refined_alarm(capsys, tmp_path, large_q_sketch, options, stdout
     assert capsys.readouterr().out == f"wrote {trace}\n" + stdout
     with open(trace, "rb") as handle:
         assert hashlib.sha256(handle.read()).hexdigest() == digest
+
+
+# What each help request and three usage errors print at COLUMNS=80, as
+# (exit code, stdout, stderr) on Python 3.11 and 3.12: argparse words them,
+# from a parser built out of the same table the commands read argv from.
+USAGE_TEXT = {
+    ('--help',): (
+        0,
+        """\
+usage: crosscheck [-h]
+                  {ingest,sketch,alarm,enumerate,verify,solve-independent,generate,flip}
+                  ...
+
+Command-line front end. Exit codes are part of the interface: 0 for success, 2
+when an alarm run ends Triggered (so pipelines can branch on the verdict), and
+1 for usage, file, or data errors.
+
+positional arguments:
+  {ingest,sketch,alarm,enumerate,verify,solve-independent,generate,flip}
+    ingest              turn a decision table into a sketch file
+    sketch              print a sketch's marginals and statistics
+    alarm               scan prevalence hypotheses for safety
+    enumerate           walk the single-classifier outcome space
+    verify              audit a sketch and optional claims about it
+    solve-independent   recover prevalence and accuracies from three
+                        classifiers
+    generate            draw a synthetic labeled decision table
+    flip                relabel one classifier's responses
+
+options:
+  -h, --help            show this help message and exit
+""",
+        '',
+    ),
+    ('ingest', '--help'): (
+        0,
+        """\
+usage: crosscheck ingest [-h] --format {csv,jsonl} [--map SOURCE=LABEL] --out
+                         OUT
+                         path
+
+positional arguments:
+  path                  decision table file
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,jsonl}
+  --map SOURCE=LABEL    map a source label to a or b; repeatable
+  --out OUT             sketch file to write
+""",
+        '',
+    ),
+    ('sketch', '--help'): (
+        0,
+        """\
+usage: crosscheck sketch [-h] path
+
+positional arguments:
+  path        sketch file
+
+options:
+  -h, --help  show this help message and exit
+""",
+        '',
+    ),
+    ('alarm', '--help'): (
+        0,
+        """\
+usage: crosscheck alarm [-h] [--spec-per-label T | --spec-overall T]
+                        [--strict | --no-strict] [--pair I J | --ensemble]
+                        [--refine-pairs] [--qa-range LO HI] [--trace TRACE]
+                        [--plot PLOT]
+                        path
+
+positional arguments:
+  path                  sketch file
+
+options:
+  -h, --help            show this help message and exit
+  --spec-per-label T    required accuracy on each label (default 1/2)
+  --spec-overall T      required prevalence-weighted overall accuracy
+  --strict, --no-strict
+                        require strictly above the threshold (default) or at
+                        least it
+  --pair I J            audit two classifiers
+  --ensemble            audit the whole roster (default)
+  --refine-pairs        enforce pairwise coupling constraints inside each
+                        hypothesis
+  --qa-range LO HI      restrict the verdict to hypotheses in [LO, HI]
+  --trace TRACE         write the full trace (.csv or .json)
+  --plot PLOT           write the full trace as a band plot (.svg)
+""",
+        '',
+    ),
+    ('enumerate', '--help'): (
+        0,
+        """\
+usage: crosscheck enumerate [-h] --q Q [--count-only]
+
+options:
+  -h, --help    show this help message and exit
+  --q Q         test size
+  --count-only  print only the count
+""",
+        '',
+    ),
+    ('verify', '--help'): (
+        0,
+        """\
+usage: crosscheck verify [-h] [--claims CLAIMS] [--budget BUDGET] path
+
+positional arguments:
+  path             sketch file
+
+options:
+  -h, --help       show this help message and exit
+  --claims CLAIMS  claims file (marginals and/or a point)
+  --budget BUDGET  give up the search for a claimed point after this many
+                   steps
+""",
+        '',
+    ),
+    ('solve-independent', '--help'): (
+        0,
+        """\
+usage: crosscheck solve-independent [-h] path
+
+positional arguments:
+  path        sketch file with exactly three classifiers
+
+options:
+  -h, --help  show this help message and exit
+""",
+        '',
+    ),
+    ('generate', '--help'): (
+        0,
+        """\
+usage: crosscheck generate [-h] --seed SEED --params PARAMS --q Q [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --seed SEED
+  --params PARAMS  parameter file
+  --q Q            number of items
+  --out OUT        write csv here instead of stdout
+""",
+        '',
+    ),
+    ('flip', '--help'): (
+        0,
+        """\
+usage: crosscheck flip [-h] --classifier CLASSIFIER --mode
+                       {global,true-a,true-b} --out OUT
+                       path
+
+positional arguments:
+  path                  sketch file
+
+options:
+  -h, --help            show this help message and exit
+  --classifier CLASSIFIER
+  --mode {global,true-a,true-b}
+  --out OUT             sketch file to write
+""",
+        '',
+    ),
+    (): (
+        1,
+        '',
+        """\
+usage: crosscheck [-h]
+                  {ingest,sketch,alarm,enumerate,verify,solve-independent,generate,flip}
+                  ...
+crosscheck: error: the following arguments are required: command
+""",
+    ),
+    ('alarm', 'X', '--qa-range', '5'): (
+        1,
+        '',
+        """\
+usage: crosscheck alarm [-h] [--spec-per-label T | --spec-overall T]
+                        [--strict | --no-strict] [--pair I J | --ensemble]
+                        [--refine-pairs] [--qa-range LO HI] [--trace TRACE]
+                        [--plot PLOT]
+                        path
+crosscheck alarm: error: argument --qa-range: expected 2 arguments
+""",
+    ),
+    ('alarm', 'X', '--spec-per-label', '1/2', '--spec-overall', '1/2'): (
+        1,
+        '',
+        """\
+usage: crosscheck alarm [-h] [--spec-per-label T | --spec-overall T]
+                        [--strict | --no-strict] [--pair I J | --ensemble]
+                        [--refine-pairs] [--qa-range LO HI] [--trace TRACE]
+                        [--plot PLOT]
+                        path
+crosscheck alarm: error: argument --spec-overall: not allowed with argument --spec-per-label
+""",
+    ),
+}
+
+# Python 3.10's BooleanOptionalAction adds " (default: True)" to a help line
+PY310 = {
+    ('alarm', '--help'): (
+        0,
+        """\
+usage: crosscheck alarm [-h] [--spec-per-label T | --spec-overall T]
+                        [--strict | --no-strict] [--pair I J | --ensemble]
+                        [--refine-pairs] [--qa-range LO HI] [--trace TRACE]
+                        [--plot PLOT]
+                        path
+
+positional arguments:
+  path                  sketch file
+
+options:
+  -h, --help            show this help message and exit
+  --spec-per-label T    required accuracy on each label (default 1/2)
+  --spec-overall T      required prevalence-weighted overall accuracy
+  --strict, --no-strict
+                        require strictly above the threshold (default) or at
+                        least it (default: True)
+  --pair I J            audit two classifiers
+  --ensemble            audit the whole roster (default)
+  --refine-pairs        enforce pairwise coupling constraints inside each
+                        hypothesis
+  --qa-range LO HI      restrict the verdict to hypotheses in [LO, HI]
+  --trace TRACE         write the full trace (.csv or .json)
+  --plot PLOT           write the full trace as a band plot (.svg)
+""",
+        '',
+    ),
+}
+
+# Python 3.13 breaks long usage lines at other places
+PY313 = {
+    ('--help',): (
+        0,
+        """\
+usage: crosscheck [-h]
+                  {ingest,sketch,alarm,enumerate,verify,solve-independent,generate,flip} ...
+
+Command-line front end. Exit codes are part of the interface: 0 for success, 2
+when an alarm run ends Triggered (so pipelines can branch on the verdict), and
+1 for usage, file, or data errors.
+
+positional arguments:
+  {ingest,sketch,alarm,enumerate,verify,solve-independent,generate,flip}
+    ingest              turn a decision table into a sketch file
+    sketch              print a sketch's marginals and statistics
+    alarm               scan prevalence hypotheses for safety
+    enumerate           walk the single-classifier outcome space
+    verify              audit a sketch and optional claims about it
+    solve-independent   recover prevalence and accuracies from three
+                        classifiers
+    generate            draw a synthetic labeled decision table
+    flip                relabel one classifier's responses
+
+options:
+  -h, --help            show this help message and exit
+""",
+        '',
+    ),
+    ('ingest', '--help'): (
+        0,
+        """\
+usage: crosscheck ingest [-h] --format {csv,jsonl} [--map SOURCE=LABEL]
+                         --out OUT
+                         path
+
+positional arguments:
+  path                  decision table file
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,jsonl}
+  --map SOURCE=LABEL    map a source label to a or b; repeatable
+  --out OUT             sketch file to write
+""",
+        '',
+    ),
+    ('flip', '--help'): (
+        0,
+        """\
+usage: crosscheck flip [-h] --classifier CLASSIFIER
+                       --mode {global,true-a,true-b} --out OUT
+                       path
+
+positional arguments:
+  path                  sketch file
+
+options:
+  -h, --help            show this help message and exit
+  --classifier CLASSIFIER
+  --mode {global,true-a,true-b}
+  --out OUT             sketch file to write
+""",
+        '',
+    ),
+    (): (
+        1,
+        '',
+        """\
+usage: crosscheck [-h]
+                  {ingest,sketch,alarm,enumerate,verify,solve-independent,generate,flip} ...
+crosscheck: error: the following arguments are required: command
+""",
+    ),
+}
+
+
+def pinned_usage(argv):
+    if sys.version_info[:2] == (3, 10):
+        return PY310.get(argv, USAGE_TEXT[argv])
+    if sys.version_info >= (3, 13):
+        return PY313.get(argv, USAGE_TEXT[argv])
+    return USAGE_TEXT[argv]
+
+
+@pytest.mark.parametrize("argv", list(USAGE_TEXT), ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_error_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    assert (code, *capsys.readouterr()) == pinned_usage(argv)

@@ -1,6 +1,6 @@
 """What a process imports: the package resolves its exports on first use,
 each subcommand loads only the modules it runs, and none loads the
-``dataclasses`` framework."""
+``dataclasses`` framework or ``argparse``."""
 
 import importlib
 import json
@@ -163,10 +163,23 @@ COMMANDS = [
 @pytest.mark.parametrize("code, argv", COMMANDS, ids=[" ".join(argv) for _, argv in COMMANDS])
 def test_no_command_loads_the_dataclasses_framework(code, argv, tmp_path):
     """The value types are plain classes and named tuples, so no command
-    pays for ``dataclasses`` and the ``inspect`` it imports."""
+    pays for ``dataclasses`` and the ``inspect`` it imports; and main reads
+    argv from its command table, so none pays for ``argparse`` and the
+    ``gettext`` and ``locale`` that its messages load."""
     done, loaded = fresh_loads(*(arg.format(out=tmp_path) for arg in argv))
     assert done == code
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["alarm", "--help"]),
+    (1, ["alarm", GRADING, "--qa-range", "5"]),
+    (1, []),
+], ids=["help", "usage-error", "no-arguments"])
+def test_help_and_usage_errors_import_argparse_when_asked(code, argv):
+    done, loaded = fresh_loads(*argv)
+    assert done == code
+    assert "argparse" in loaded
 
 
 class TestLazySurface:

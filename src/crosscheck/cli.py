@@ -94,6 +94,8 @@ def _parse_label_map(pairs: Sequence[str]) -> dict[str, str] | None:
         source, sep, target = pair.partition("=")
         if not sep or not source:
             raise IngestError(f"bad --map entry {pair!r}; want SOURCE=LABEL")
+        if source in label_map:
+            raise IngestError(f"--map gives source {source!r} twice")
         label_map[source] = target
     return label_map
 
@@ -463,7 +465,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = exc.code
             return code if isinstance(code, int) else EXIT_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (`crosscheck enumerate | head -1`): nothing
+        # to say, and the flush at exit writes to devnull, not to the pipe;
+        # not 0, since what was written was not all read
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     # SketchError, FormatError and IngestError are ValueErrors
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections import Counter
 from itertools import repeat
 from operator import itemgetter
@@ -115,6 +116,9 @@ class _CsvRows:
 
 
 _scan = json.JSONDecoder().scan_once
+# a line's opening `{"item_id": "S"`, where S decodes to itself, and the
+# rest R of the line, which holds no "\n"
+_HEAD = r'\{[ \t]*"item_id"[ \t]*:[ \t]*"([^"\\\x00-\x1f]+)"(.*)'
 
 
 class _JsonlRows:
@@ -134,6 +138,23 @@ class _JsonlRows:
     plus the ':' of the other strings: equality leaves no key repeated and
     every other object empty.  Any other line is read again by the hooked
     decoder and checked key by key, which words its error.
+
+    A line that opens with ``{"item_id": "S"``, blanks or tabs around the
+    key and its ':', where the id S is not empty and holds no '"', no '\\'
+    and no control character, is decoded once per distinct remainder R,
+    the text after S.  When a line with R gives a record, by either
+    decoder, and its decoded id is S, every later line with R yields that
+    line's values and truth under its own S, undecoded.  After a member's
+    string value JSON's grammar does not read the string's content, and
+    such an S is a valid string that decodes to itself, so a line with R
+    is well formed exactly when any other line with R is, and decodes to
+    the same record but for the id.  Its ':' are the other line's, less
+    the other id's and plus S's, and S holds no '\\', so no escape starts
+    in S.  Both lines have the same keys, ``item_id`` and then R's, so the
+    certificate's finding, or the hooked decoder's, that no key repeats
+    holds for the later line too.  A remainder that restates ``item_id``
+    repeats a key, which both decoders refuse; the decoded id must be S
+    besides, so such a remainder is never remembered.
     """
 
     unit = "line"
@@ -146,7 +167,17 @@ class _JsonlRows:
     def __iter__(self) -> Iterator[_Row]:
         roster = None
         colons = 0  # the ':' of the roster ids
+        head = re.compile(_HEAD).match  # compiled on first use: csv never pays
+        seen: dict[str, tuple[tuple, object]] = {}  # R -> (values, truth)
         for line_no, line in enumerate(self._lines, start=1):
+            opening = head(line)
+            if opening is not None:
+                rest = opening[2]
+                record = seen.get(rest)
+                if record is not None:
+                    values, truth = record
+                    yield line_no, opening[1], values, truth
+                    continue
             try:
                 obj, end = _scan(line, 0)
                 item_id, responses = obj["item_id"], obj["responses"]
@@ -190,7 +221,10 @@ class _JsonlRows:
                             f"{sorted(responses)} but the roster is {sorted(roster)}"
                         )
                     responses = {cid: responses[cid] for cid in roster}
-            yield line_no, item_id, tuple(responses.values()), obj.get("truth")
+            values, truth = tuple(responses.values()), obj.get("truth")
+            if opening is not None and item_id == opening[1]:
+                seen[rest] = values, truth
+            yield line_no, item_id, values, truth
         if roster is None:
             raise IngestError("no records found")
 
@@ -200,9 +234,10 @@ def _read_rows(
 ) -> IngestResult:
     """The one row loop of both formats.
 
-    A row's raw responses are mapped once per distinct tuple of them:
-    every later row with the same tuple reuses the shared mapping, or the
-    reason such a row is dropped.
+    A row's raw responses are mapped once per distinct tuple of them, in
+    one C-level pass unless a cell is unmapped or empty: every later row
+    with the same tuple reuses the shared mapping, or the reason such a
+    row is dropped.
     """
     # raw value -> canonical label, or None for an empty cell (an empty
     # string, a JSON null, or no truth at all); :func:`_unmapped` words
@@ -221,17 +256,18 @@ def _read_rows(
 
     def responses_of(values: tuple, line_no: int) -> Mapping[str, str] | str:
         """The shared responses mapping of a row, or why it is dropped."""
-        where = f"{rows.unit} {line_no}"
-        mapped = []
-        for cid, raw in zip(rows.roster, values):
-            try:
-                label = table[raw]
-            except (KeyError, TypeError):
-                raise _unmapped(raw, label_map, where)
-            if label is None:
-                return f"empty response for classifier {cid}"
-            mapped.append(label)
-        key = tuple(mapped)
+        try:
+            key = tuple(map(table.__getitem__, values))
+        except (KeyError, TypeError):
+            key = (None,)
+        if None in key:  # the first unmapped or empty cell, in roster order
+            for cid, raw in zip(rows.roster, values):
+                try:
+                    label = table[raw]
+                except (KeyError, TypeError):
+                    raise _unmapped(raw, label_map, f"{rows.unit} {line_no}")
+                if label is None:
+                    return f"empty response for classifier {cid}"
         if key not in shared:
             shared[key] = MappingProxyType(dict(zip(rows.roster, key)))
         return shared[key]
@@ -288,9 +324,12 @@ def ingest(
     decoder reads each jsonl line, and a count of its ':' certifies a
     well-formed record (see :class:`_JsonlRows`); a line it does not
     certify is decoded again with the duplicate-key hook and checked key
-    by key.  A row's labels are looked up in a table built from
-    ``label_map`` once per distinct tuple of raw answers, and records
-    that give the same answers share one read-only responses mapping.
+    by key.  A line that opens with a plain ``"item_id"`` is decoded once
+    per distinct text after its id: a later line with that text takes
+    that line's record under its own id.  A row's labels are looked up in
+    a table built from ``label_map`` once per distinct tuple of raw
+    answers, and records that give the same answers share one read-only
+    responses mapping.
     """
     with open(path, encoding="utf-8-sig", newline="" if fmt == "csv" else None) as handle:
         # the file's text is not kept beside its lines; csv keeps its line

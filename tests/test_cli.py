@@ -806,6 +806,49 @@ class TestUsage:
     def test_exit_codes_are_distinct(self):
         assert (EXIT_OK, EXIT_ERROR, EXIT_TRIGGERED) == (0, 1, 2)
 
+    @staticmethod
+    def module_env(buffered):
+        src = pathlib.Path(crosscheck.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_reader_that_stops_after_one_line_leaves_stderr_empty(self, buffered):
+        # `crosscheck enumerate --q 300 | head -1`: exit 1, since not all of
+        # the output was read, and no "Broken pipe" or "Exception ignored"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crosscheck.cli", "enumerate", "--q", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.module_env(buffered),
+        )
+        assert proc.stdout.readline() == b"0 0 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (EXIT_ERROR, b"")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--q", "3", "--count-only"),
+        ("alarm", GRADING, "--pair", "mistral", "gpt4"),
+    ], ids=["enumerate", "alarm"])
+    def test_output_to_a_pipe_already_closed_is_an_error_without_text(self, buffered, argv):
+        # a short output sits in the buffer until main flushes it, so the
+        # closed pipe shows there and not in the flush at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "crosscheck.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=self.module_env(buffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_ERROR, b"")
+
 
 # Every argv form that the benchmark's workloads and the README run: main
 # reads each from the command table, without argparse.

@@ -196,8 +196,92 @@ class TestDuplicateKeys:
         def hooked(line, where=None):
             raise AssertionError(f"{where} reached the hooked decoder")
 
+        scanned = []
+
+        def plain(line, start):
+            scanned.append(line)
+            return scan(line, start)
+
+        scan = tables._scan
         monkeypatch.setattr(tables, "_load_json", hooked)
+        monkeypatch.setattr(tables, "_scan", plain)
         assert len(ingest(str(path), "jsonl").records) == 16
+        # 8 distinct remainders after the id, each decoded once (the file's
+        # last line is the empty one after its final "\n")
+        assert scanned[:-1] == [line for line in path.read_text().split("\n")[:8]]
+        assert scanned[-1] == ""
+
+    def test_jsonl_remainder_read_by_the_hooked_decoder_is_remembered(
+        self, tmp_path, monkeypatch
+    ):
+        """A ':' in a label sends a line to the hooked decoder; a later line
+        with that line's remainder takes the record read there."""
+        path = tmp_path / "table.jsonl"
+        path.write_text("".join(
+            json.dumps({"item_id": f"x{k}", "responses": {"u": ["is:a", "no"][k % 2]}}) + "\n"
+            for k in range(6)
+        ))
+        hooked = []
+
+        def counted(line, where=None):
+            hooked.append(where)
+            return load(line, where)
+
+        load = tables._load_json
+        monkeypatch.setattr(tables, "_load_json", counted)
+        label_map = {"is:a": "a", "no": "b"}
+        assert ingest(str(path), "jsonl", label_map) == referee_ingest(str(path), "jsonl", label_map)
+        assert hooked == ["line 1"]
+
+    @pytest.mark.parametrize("restated", [
+        '{"item_id": "x3", "responses": {"u": "a"}, "item_id": "x3"}',
+        '{"item_id":"x3","responses":{"u":"a"},"item_id":"x2"}',
+        '{"item_id": "x3", "item_id": "x3", "responses": {"u": "a"}}',
+    ])
+    def test_jsonl_remainder_that_restates_the_id_is_refused_after_a_hit(
+        self, tmp_path, restated
+    ):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"item_id": "x1", "responses": {"u": "a"}}\n'
+                        '{"item_id": "x2", "responses": {"u": "a"}}\n' + restated + "\n")
+        with pytest.raises(IngestError, match="^line 3: duplicate key 'item_id'$"):
+            ingest(str(path), "jsonl")
+
+    @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":"), (",\t", "\t:\t")],
+                             ids=["dumps", "compact", "tabs"])
+    @pytest.mark.parametrize("item, cid", [("item-", "c"), ("urn:item:", "openai:c")])
+    def test_jsonl_lines_that_share_a_remainder_decode_once(
+        self, tmp_path, monkeypatch, separators, item, cid
+    ):
+        """Whatever blanks or tabs stand around the opening's ':', each
+        remainder after the id is decoded once, and the records are the
+        referee's; an id spelled with an escape is decoded on every line."""
+        lines = [
+            json.dumps({"item_id": f"{item}{k}",
+                        "responses": {f"{cid}{n}": "ab"[k >> n & 1] for n in range(2)},
+                        "truth": "ab"[k >> 1 & 1]}, separators=separators)
+            for k in range(12)
+        ]
+        if separators[1] == "\t:\t":
+            lines = [line.replace("{", "{\t", 1) for line in lines]
+        # ids holding '"', a backslash or an escaped ':' are not plain ids
+        escaped = ['say \\"hi\\"', "back\\\\slash", "urn\\u003ay"]
+        lines += [lines[k].replace(f"{item}{k}", f"{spelled}{k}", 1)
+                  for k, spelled in enumerate(escaped)]
+        path = tmp_path / "table.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        scanned = []
+
+        def plain(line, start):
+            scanned.append(line)
+            return scan(line, start)
+
+        scan = tables._scan
+        monkeypatch.setattr(tables, "_scan", plain)
+        got = ingest(str(path), "jsonl")
+        assert got == referee_ingest(str(path), "jsonl")
+        assert {'say "hi"0', "back\\slash1", "urn:y2"} <= {rec.item_id for rec in got.records}
+        assert scanned == [*lines[:4], *lines[12:], ""]
 
 
 class TestSketchFormat:
@@ -1244,8 +1328,10 @@ class TestDecisionCsv:
 
 # ----------------------------------------------- ingest against the referee
 
-# item ids, some of which csv has to quote, and ids and labels with a ":"
-ITEM_IDS = ["x1", "x2", "x3", "x4", "a,b", 'say "hi"', "two\nlines", " s", "é", "urn:x"]
+# item ids, some of which csv has to quote, and ids and labels with a ":";
+# in jsonl, '"', "\n" and "\\" are spelled as escapes, and a tab raw or so
+ITEM_IDS = ["x1", "x2", "x3", "x4", "a,b", 'say "hi"', "two\nlines", " s", "é", "urn:x",
+            "back\\slash", "tab\there"]
 CLASSIFIER_IDS = ["u", "v", "w,x", 'q"t', "z y", "openai:m"]
 CSV_CELLS = ["a", "b", "", "yes", "no", "maybe", "A", "is:a"]
 # what a jsonl response or truth may hold besides text: empties, and
@@ -1285,17 +1371,26 @@ def draw_item(draw, k: int) -> str:
     return item if sometimes(draw, 5) else f"{item}{k}"
 
 
-def json_object(pairs) -> str:
+# (opening, colon, comma) of a jsonl record: json.dumps's, compact, and
+# tabs or blanks on both sides of each ':'
+LAYOUTS = [("{", ": ", ", "), ("{", ":", ","), ("{\t", "\t:\t", ",\t"), ("{ ", " : ", " ,  ")]
+
+
+def json_object(pairs, layout=LAYOUTS[0]) -> str:
     """An object from key/value texts, repeated keys and all."""
-    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+    opening, colon, comma = layout
+    return opening + comma.join(f"{k}{colon}{v}" for k, v in pairs) + "}"
 
 
 def spell(draw, value) -> str:
     """``value`` as JSON; the ':' of a string, half of the time, spelled
-    as the escape that decodes to it."""
+    as the escape that decodes to it, and a tab, half of the time, raw,
+    which JSON does not allow in a string."""
     text = json.dumps(value)
     if isinstance(value, str) and ":" in value and draw(st.booleans()):
         text = text.replace(":", draw(st.sampled_from(["\\u003a", "\\u003A"])))
+    if isinstance(value, str) and "\t" in value and draw(st.booleans()):
+        text = text.replace("\\t", "\t")
     return text
 
 
@@ -1336,8 +1431,10 @@ def draw_record(draw, label_map, roster, k: int) -> str:
         cids = draw(st.permutations(cids))
     elif fault == 4 and cids:  # a classifier named twice
         cids.insert(draw(st.integers(0, len(cids))), cids[0])
+    layout = draw(st.sampled_from(LAYOUTS))
     responses = json_object(
-        (spell(draw, cid), spell(draw, draw_cell(draw, label_map, JSON_CELLS))) for cid in cids
+        [(spell(draw, cid), spell(draw, draw_cell(draw, label_map, JSON_CELLS))) for cid in cids],
+        layout,
     )
     item = draw_item(draw, k)
     if fault == 5:
@@ -1348,20 +1445,32 @@ def draw_record(draw, label_map, roster, k: int) -> str:
         pairs.append(('"truth"', spell(draw, truth)))
     if fault == 6:
         pairs.append(('"notes"', '"x"'))
-    elif fault == 7:
-        pairs.insert(1, ('"item_id"', spell(draw, "urn:x3")))
+    elif fault == 7:  # item_id restated, after the first or last with the same id
+        if draw(st.booleans()):
+            pairs.insert(1, ('"item_id"', spell(draw, "urn:x3")))
+        else:
+            pairs.append(('"item_id"', spell(draw, item)))
     elif fault < 11:
         pairs = draw(st.permutations(pairs))
     elif fault == 11:
         pairs = [('"item_id"', spell(draw, item)), ('"responses"', '["a"]')]
     elif fault == 12:
         pairs = pairs[1:]
-    text = json_object(pairs)
+    text = json_object(pairs, layout)
     if fault == 13:
         return f"  {text} "
     if fault == 14:
         return draw(st.sampled_from(["[1]", '"x"', "null", "{bad", "{}", "\ufeff{}"]))
     return text
+
+
+# a record's opening up to its first id literal, then that literal
+ID_LITERAL = re.compile(r'(\{[ \t]*"item_id"[ \t]*:[ \t]*)("(?:[^"\\]|\\.)*")')
+# openings for a line that takes an earlier line's remainder: some well
+# formed, some with a character before the record or a space JSON does not
+# allow, where the line must still be an error
+OPENINGS = ['{"item_id":', '{\t"item_id" :\t', ' {"item_id": ', 'x{"item_id": ',
+            '{\x0c"item_id": ', '{"item_id"\u2028: ', '{"item_id":\xa0']
 
 
 @st.composite
@@ -1370,8 +1479,17 @@ def jsonl_tables(draw):
     label_map = draw(st.sampled_from(LABEL_MAPS))
     roster = draw(st.lists(st.sampled_from(CLASSIFIER_IDS), min_size=0 if sometimes(draw, 3)
                            else 1, max_size=5, unique=True))
-    count = 0 if sometimes(draw, 3) else draw(st.sampled_from([4, 2, 3, 5, 6, 1]))
+    count = 0 if sometimes(draw, 3) else draw(st.sampled_from([4, 2, 3, 5, 6, 1, 8, 12]))
     lines = [draw_record(draw, label_map, roster, k) for k in range(count)]
+    for _ in range(draw(st.sampled_from([0, 1, 3, 6])) if lines else 0):
+        # a later line with an earlier line's remainder under another id
+        k = draw(st.integers(0, len(lines) - 1))
+        opening = ID_LITERAL.match(lines[k])
+        if opening:
+            head = opening[1] if draw(st.booleans()) else draw(st.sampled_from(OPENINGS))
+            item = draw(st.sampled_from([draw_item(draw, len(lines)), f"urn:y{len(lines)}", ""]))
+            again = head + spell(draw, item) + lines[k][opening.end():]
+            lines.insert(draw(st.integers(k + 1, len(lines))), again)
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         k = draw(st.integers(0, len(lines)))
         extra = draw(st.sampled_from(["blank", "space", "two", "split"]))

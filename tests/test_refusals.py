@@ -264,3 +264,22 @@ def test_cli_params_refuse_an_exponent(capsys, tmp_path):
     assert main(argv) == EXIT_ERROR
     assert "no exponent" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("maps", [
+    ["yes=a", "yes=b"],
+    ["yes=a", "yes=a"],
+    ["yes=a", "no=b", "yes=b"],
+])
+def test_a_label_map_that_gives_one_source_twice_is_refused(capsys, tmp_path, maps):
+    # no input names one key twice, --map included: the later entry is not
+    # taken over the earlier one
+    table = tmp_path / "table.csv"
+    table.write_text("item_id,u\nx1,yes\nx2,no\n")
+    out = tmp_path / "sketch.json"
+    argv = ["ingest", str(table), "--format", "csv", "--out", str(out)]
+    for entry in maps:
+        argv += ["--map", entry]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: --map gives source 'yes' twice\n")
+    assert not out.exists()

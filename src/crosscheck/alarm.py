@@ -15,7 +15,7 @@ import enum
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -166,7 +166,7 @@ class AlarmTrace(_Value):
     hypothesis q_a = 0..q (``safe``), and whether the pairs were enforced
     (``refined``).  Every feasible interval follows from the totals in
     closed form, so none is stored; :attr:`slices` builds them as
-    :class:`QaSlice` objects, and :meth:`columns` as plain ints.
+    :class:`QaSlice` objects, and :meth:`columns` as spelled ints.
 
     The constructor refuses, with SketchError, any columns that no run
     gives: it needs an int q >= 1, a tuple of distinct non-empty string
@@ -242,16 +242,17 @@ class AlarmTrace(_Value):
         """The slices column by column, each an iterable over q_a = 0..q to
         be read once: q_a, the lo and hi ends of every classifier's label-a
         interval in roster order, the same for label b, then safe_exists.
-        The trace writers read only this."""
-        q, ends_a, ends_b = self.q, [], []
+        The ints come spelled, each column a spelled value repeated beside
+        a run of one spelled 0..q.  The trace writers read only this."""
+        digits, ends_a, ends_b = list(map(str, range(self.q + 1))), [], []
         for r_a, r_b in self.marginals:  # 0 <= r_a = q - r_b <= q
             # max(0, r_a - q + q_a) and min(q_a, r_a) for q_a = 0..q
-            ends_a.append(chain(repeat(0, q - r_a), range(r_a + 1)))
-            ends_a.append(chain(range(r_a), repeat(r_a, q - r_a + 1)))
-            # max(0, r_b - q_a) and min(q - q_a, r_b)
-            ends_b.append(chain(range(r_b, 0, -1), repeat(0, q - r_b + 1)))
-            ends_b.append(chain(repeat(r_b, q - r_b), range(r_b, -1, -1)))
-        return [range(q + 1), *ends_a, *ends_b, self.safe]
+            ends_a.append(chain(repeat("0", r_b), islice(digits, r_a + 1)))
+            ends_a.append(chain(islice(digits, r_a), repeat(digits[r_a], r_b + 1)))
+            # max(0, r_b - q_a) and min(q - q_a, r_b): r_b down to 1, or to 0
+            ends_b.append(chain(islice(reversed(digits), r_a, r_a + r_b), repeat("0", r_a + 1)))
+            ends_b.append(chain(repeat(digits[r_b], r_a), islice(reversed(digits), r_a, None)))
+        return [digits, *ends_a, *ends_b, self.safe]
 
 
 # a term a*h + b + sum of g * floor((n*h + c) / d) in the hypothesis h, all

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -202,9 +201,9 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
     indent=2) + "\\n"`` would give for the obvious object.
 
     ``json.dumps`` writes only the small header (so string escaping stays
-    its own).  The O(q·N) slices follow the fixed schema: one join reads
-    :meth:`AlarmTrace.columns`, each int spelled once, interleaved with
-    the layout's fixed pieces, so no Python step runs per slice.
+    its own).  The O(q·N) slices follow the fixed schema: q + 1 copies of
+    one slice's layout take each spelled column of :meth:`AlarmTrace.columns`
+    into its stride of slots, and one join writes them: no call per value.
     """
     header = json.dumps(
         {
@@ -228,15 +227,16 @@ def trace_to_json_text(trace: AlarmTrace) -> str:
         '      "safe_exists": \0,\n'
         f'      "refined": {"true" if trace.refined else "false"}\n    }}'
     ).split("\0")
-    *ints, safe = trace.columns()
-    digits = list(map(str, range(trace.q + 1)))
-    values = [*(map(digits.__getitem__, c) for c in ints), map(("false", "true").__getitem__, safe)]
-    # after a slice's last value: its close and the next slice's open, or,
-    # after the last slice, the close of the list and of the file (the
-    # header ends in '"slices": []\n}')
-    closes = chain(repeat(f"{last},\n{first}", trace.q), (f"{last}\n  ]\n}}\n",))
-    streams = [*chain.from_iterable(zip(values, map(repeat, pieces))), values[-1], closes]
-    return "".join(chain((f"{header[:-4]}[\n{first}",), chain.from_iterable(zip(*streams))))
+    *spelled, safe = trace.columns()
+    # a slot a value, each followed by the layout's text up to the next
+    # value: after a slice's last value, its close and the next slice's open
+    row = [part for text in [*pieces, f"{last},\n{first}"] for part in (None, text)]
+    flat = row * (trace.q + 1)
+    for k, column in enumerate([*spelled, map(("false", "true").__getitem__, safe)]):
+        flat[2 * k :: len(row)] = column
+    # the header ends in '"slices": []\n}'; the first slot holds q_a = 0
+    flat[0], flat[-1] = f"{header[:-4]}[\n{first}0", f"{last}\n  ]\n}}\n"
+    return "".join(flat)
 
 
 def parse_trace(text: str) -> AlarmTrace:
@@ -293,11 +293,9 @@ def trace_to_csv_text(trace: AlarmTrace) -> str:
     # each classifier's lo_a, hi_a, lo_b, hi_b out of the label-major ends
     n = 2 * len(trace.classifiers)
     ends = [ends[i] for k in range(0, n, 2) for i in (k, k + 1, k + n, k + n + 1)]
-    digits = list(map(str, range(trace.q + 1)))
-    rows = zip(*(map(digits.__getitem__, c) for c in (q_a, *ends)), map("01".__getitem__, safe))
-    lines = [header, *map(",".join, rows), ""]
-    # the digits go before the join, so that it holds only the lines
-    del digits, rows
+    lines = [header, *map(",".join, zip(q_a, *ends, map("01".__getitem__, safe))), ""]
+    # the spelled 0..q go before the join, so that it holds only the lines
+    del q_a, ends
     return "\n".join(lines)
 
 

@@ -8,7 +8,6 @@ module where floats appear, and only for layout coordinates.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Sequence
 
 from .alarm import AlarmTrace
@@ -39,13 +38,17 @@ def _coord(value: float) -> str:
 
 
 def _runs(trace: AlarmTrace) -> list[tuple[int, int, bool]]:
-    """Maximal constant-colour runs of (first q_a, last q_a, safe)."""
-    runs: list[tuple[int, int, bool]] = []
-    first = 0
-    for safe, run in groupby(trace.safe):
-        last = first + sum(1 for _ in run) - 1
-        runs.append((first, last, safe))
-        first = last + 1
+    """Maximal constant-colour runs of (first q_a, last q_a, safe), each
+    run's end found by one ``tuple.index`` in C."""
+    flags, runs, first = trace.safe, [], 0
+    while first < len(flags):
+        safe = flags[first]
+        try:
+            end = flags.index(not safe, first)
+        except ValueError:
+            end = len(flags)
+        runs.append((first, end - 1, safe))
+        first = end
     return runs
 
 
@@ -93,14 +96,18 @@ def render_traces(traces: Sequence[AlarmTrace]) -> str:
             f'<text class="row-label" x="{_LEFT - 10}" y="{_coord(y + _ROW_H / 2)}" '
             f'text-anchor="end">{_escape(label)}</text>'
         )
+        narrow: list[str] = []
         for first, last, safe in _runs(trace):
             x = _LEFT + first * cell_w
             w = (last - first + 1) * cell_w
             kind = "band-safe" if safe else "band-unsafe"
-            parts.append(
+            # a safe run narrower than 1 unit is drawn 1 unit wide, after
+            # the band's other runs, so that none paints over it
+            (narrow if safe and w < 1 else parts).append(
                 f'<rect class="{kind}" x="{_coord(x)}" y="{y}" '
-                f'width="{_coord(w)}" height="{_ROW_H}"/>'
+                f'width="{_coord(max(w, 1) if safe else w)}" height="{_ROW_H}"/>'
             )
+        parts += narrow
     axis_y = _TOP + len(traces) * (_ROW_H + _ROW_GAP) - _ROW_GAP + 8
     parts.append(
         f'<line class="axis" x1="{_LEFT}" y1="{_coord(axis_y)}" '

@@ -731,14 +731,15 @@ def window_trace(q, totals, ids=None, refined=False, spec=DEFAULT, mode="ensembl
 
 def assert_written_as_referees(trace):
     """Both writers give the referees' bytes, the JSON reads back as the
-    trace, and the columns are the slices' values column by column."""
+    trace, and the columns are the slices' values column by column, each
+    int spelled in decimal and the safe flags as bools."""
     ref = referee_of(trace)
     text = trace_to_json_text(trace)
     assert text == referee_json(ref)
     assert parse_trace(text) == trace
     assert trace_to_csv_text(trace) == referee_csv(ref)
     flat = [
-        (s.q_a, *(end for iv in s.intervals_a + s.intervals_b for end in iv),
+        (str(s.q_a), *(str(end) for iv in s.intervals_a + s.intervals_b for end in iv),
          s.safe_exists)
         for s in ref.slices
     ]
@@ -779,11 +780,18 @@ class TestWritersAtTheEdges:
                 assert_written_as_referees(window_trace(q, totals, refined=refined))
         assert_written_as_referees(window_trace(q, (0, q) * 4, refined=True))
 
+    # the benchmark's trace shapes: N = 3 at q = 2 500 as in tall-audit,
+    # and N = 8 at q = 1 200 as in wide-refine
+    BENCHMARK_SHAPES = [
+        (2500, (1250, 1400, 1100)),
+        (1200, (600, 640, 560, 700, 520, 610, 590, 650)),
+    ]
+
     def test_benchmark_size(self):
-        """q = 2 500 and N = 3, as in the benchmark's tall-audit traces."""
-        trace = window_trace(2500, (1250, 1400, 1100), refined=True)
-        assert any(trace.safe)
-        assert_written_as_referees(trace)
+        for (q, totals), refined in product(self.BENCHMARK_SHAPES, (False, True)):
+            trace = window_trace(q, totals, refined=refined)
+            assert any(trace.safe)
+            assert_written_as_referees(trace)
 
     def test_ids_that_need_quoting_and_escapes(self):
         ids = ("w,x", 'q"t', "n\nl", "é\\\x00\u2028", "c\r", " ")
@@ -799,17 +807,18 @@ class TestWritersAtTheEdges:
         assert trace_to_csv_text(window_trace(1, (1,), ids=("c\r",))).startswith(
             'q_a,"c\r_lo_a","c\r_hi_a","c\r_lo_b","c\r_hi_b",safe_exists\n')
 
+    @pytest.mark.parametrize("q, totals", BENCHMARK_SHAPES)
     @pytest.mark.parametrize("writer, bound", [
         # the former per-slice template writer peaked at 2.13 times its text
         (trace_to_json_text, 2),
         # the csv.writer row loop peaked at 4.13 times its text
         (trace_to_csv_text, 4),
     ])
-    def test_peak_memory(self, writer, bound):
+    def test_peak_memory(self, writer, bound, q, totals):
         """Writing a benchmark-size trace holds little beyond the text: the
-        JSON join holds one pointer a value and the shared digits, the CSV
+        JSON join holds two pointers a value and the shared digits, the CSV
         join one line a slice."""
-        trace = window_trace(2500, (1250, 1400, 1100), refined=True)
+        trace = window_trace(q, totals, refined=True)
         writer(trace)
         tracemalloc.start()
         try:
@@ -850,6 +859,26 @@ class TestSvg:
         root = ET.fromstring(render_traces([run_alarm(sketch, DEFAULT)]))
         labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "ensemble: u\ufffdv+w\ufffd\ufffd\ufffd\tx" in labels
+
+    def test_narrow_safe_run_is_drawn(self):
+        """At q = 300 000 a hypothesis is 0.0024 units wide: a lone safe
+        one is drawn 1 unit wide, after the band's other runs so that none
+        paints over it."""
+        q = 300_000
+        trace = AlarmTrace(
+            q, PerLabelSpec(0, 0, False), "ensemble", ("u", "v"),
+            (Marginals(q // 2, q // 2),) * 2, tuple(q_a == 1 for q_a in range(q + 1)), True,
+        )
+        assert trace.verdict is Verdict.NOT_TRIGGERED
+        assert svg_module._runs(trace) == [(0, 0, False), (1, 1, True), (2, q, False)]
+        root = ET.fromstring(render_traces([trace]))
+        bands = [
+            (rect.get("class"), rect.get("x"), rect.get("width"))
+            for rect in root.iter("{http://www.w3.org/2000/svg}rect")
+            if "swatch" not in rect.get("class")
+        ]
+        assert [kind for kind, _, _ in bands] == ["band-unsafe", "band-unsafe", "band-safe"]
+        assert bands[-1] == ("band-safe", "150", "1")
 
     def test_no_trace_rejected(self):
         with pytest.raises(SketchError, match="nothing to render"):

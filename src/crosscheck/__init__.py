@@ -22,8 +22,7 @@ _EXPORTS = {
     "alarm": ("AlarmTrace", "QaSlice", "Verdict", "min_count_above", "run_alarm"),
     "axioms": (
         "EvaluationPoint", "PSpaceStats", "feasible_interval_label_a",
-        "feasible_interval_label_b", "joint_correct_a_window", "point_axiom_violations",
-        "point_bound_violations", "pspace_stats", "sketch_point",
+        "feasible_interval_label_b", "point_axiom_violations", "pspace_stats", "sketch_point",
     ),
     "independent": (
         "Diagnosis", "IndependentParams", "IndependentSolution", "forward_model",

@@ -7,7 +7,8 @@ pair of classifiers must jointly satisfy on top of the per-classifier
 ones.  An evaluation point holds the correctness counts themselves: the
 one a truth-split sketch realizes (:func:`sketch_point`, read by
 :func:`pspace_stats`), or one a claims file names, which
-:func:`point_bound_violations` and :func:`point_axiom_violations` audit.
+:func:`point_axiom_violations` audits with one relation applied to each
+subset of the roster that the point names.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ from .model import (
 )
 
 
-def _single_axiom_residual(
-    q: int, q_a: int, correct_a: int, correct_b: int, marginals: Marginals
-) -> int:
-    """Zero iff one classifier's correctness counts match its responses.
-
-    A classifier that says "a" ``r_a`` times and is right ``correct_a``
-    times on the ``q_a`` true-a items has no remaining freedom: its
-    true-b correctness is forced.  The residual measures the failure of
-    that forcing and vanishes exactly on consistent assignments.
-    """
-    q_b = q - q_a
-    left = q * correct_a - q_a * marginals.r_a
-    right = q * correct_b - q_b * marginals.r_b
-    return left - right
-
-
 def feasible_interval_label_a(q: int, q_a: int, marginals: Marginals) -> IntInterval:
     """Correct-on-true-a counts compatible with the response totals."""
     lo = max(0, marginals.r_a - (q - q_a))
@@ -67,59 +52,6 @@ def feasible_interval_label_b(q: int, q_a: int, marginals: Marginals) -> IntInte
     """
     lo = max(0, marginals.r_b - q_a)
     hi = min(q - q_a, marginals.r_b)
-    return IntInterval(lo, hi)
-
-
-def _pair_axiom_sum(
-    q: int,
-    q_a: int,
-    marginals_i: Marginals,
-    marginals_j: Marginals,
-    agree_a: int,
-    correct_a_i: int,
-    correct_a_j: int,
-) -> int:
-    """Forced sum of a pair's two joint correctness counts.
-
-    ``agree_a`` is the observable count of items where both classifiers
-    responded "a".  Once each classifier's own true-a correctness is
-    fixed, the number of items where both are right on true-a plus the
-    number where both are right on true-b is fully determined; only the
-    split between the two remains free, and
-    :func:`joint_correct_a_window` says which splits admit non-negative
-    pattern cells.
-    """
-    q_b = q - q_a
-    return (
-        q_b
-        - (marginals_i.r_a + marginals_j.r_a)
-        + agree_a
-        + (correct_a_i + correct_a_j)
-    )
-
-
-def joint_correct_a_window(
-    q_a: int,
-    pair: Mapping[str, int],
-    correct_a_i: int,
-    correct_a_j: int,
-) -> IntInterval:
-    """Feasible joint-correct-on-true-a counts for a pair, given both
-    classifiers' own true-a correctness.
-
-    The window is exactly the set of values for which every joint
-    pattern count splits into non-negative true-a and true-b parts, so
-    membership is equivalent to the existence of an item-level ground
-    truth realizing all the counts.
-    """
-    x = correct_a_i
-    y = correct_a_j
-    n_aa = pair["aa"]
-    n_ab = pair["ab"]
-    n_ba = pair["ba"]
-    n_bb = pair["bb"]
-    lo = max(0, x - n_ab, y - n_ba, x + y - q_a)
-    hi = min(n_aa, x, y, n_bb - q_a + x + y)
     return IntInterval(lo, hi)
 
 
@@ -144,7 +76,8 @@ def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
         x_i - x_j <= n_ab,   x_j - x_i <= n_ba,
         q_a - n_bb <= x_i + x_j <= q_a + n_aa.
 
-    Proof.  They coexist iff :func:`joint_correct_a_window` is non-empty,
+    Proof.  They coexist iff the pair's window of joint true-a counts
+    (the order-2 window of :func:`point_axiom_violations`) is non-empty,
     i.e. iff each of its four lower terms 0, x_i - n_ab, x_j - n_ba,
     x_i + x_j - q_a is at most each of its four upper terms n_aa, x_i,
     x_j, n_bb - q_a + x_i + x_j.  Write r_i = n_aa + n_ab and
@@ -181,9 +114,9 @@ class EvaluationPoint(_Value):
     ``pair_correct`` maps index pairs (i, j) with i < j to the pair's
     joint correct counts (both right on true-a items, both right on
     true-b items).  Construction checks that the counts are ints, never
-    bools, in lists or tuples.  Bounds relative to a test are checked by
-    :func:`point_bound_violations` so claimed points from untrusted
-    summaries can be represented and then reported on.
+    bools, in lists or tuples.  Bounds relative to a test are checked
+    against a sketch by :func:`point_axiom_violations`, so claimed points
+    from untrusted summaries can be represented and then reported on.
     """
 
     q_a: int
@@ -252,35 +185,6 @@ def sketch_point(sketch: EvaluationSketch) -> EvaluationPoint:
     return EvaluationPoint(q_a, correct_a, correct_b, dict(zip(pairs, zip(joint_a, joint_b))))
 
 
-def point_bound_violations(point: EvaluationPoint, q: int) -> list[str]:
-    """Lattice-bound violations of a point relative to a test of size q."""
-    problems: list[str] = []
-    q_a = point.q_a
-    if not 0 <= q_a <= q:
-        problems.append(f"q_a={q_a} outside [0, {q}]")
-    # a q_a outside [0, q] is reported above; each label's size is then
-    # clamped at 0, and the message prints the range actually checked
-    cap_a, cap_b = max(q_a, 0), max(q - q_a, 0)
-    for i, (c_a, c_b) in enumerate(zip(point.correct_a, point.correct_b)):
-        if not 0 <= c_a <= cap_a:
-            problems.append(f"correct_a[{i}]={c_a} outside [0, {cap_a}]")
-        if not 0 <= c_b <= cap_b:
-            problems.append(f"correct_b[{i}]={c_b} outside [0, {cap_b}]")
-    if point.pair_correct:
-        for (i, j), (ja, jb) in point.pair_correct.items():
-            cap_a = min(point.correct_a[i], point.correct_a[j])
-            cap_b = min(point.correct_b[i], point.correct_b[j])
-            if not 0 <= ja <= cap_a:
-                problems.append(
-                    f"pair ({i},{j}) joint correct on a is {ja}, outside [0, {cap_a}]"
-                )
-            if not 0 <= jb <= cap_b:
-                problems.append(
-                    f"pair ({i},{j}) joint correct on b is {jb}, outside [0, {cap_b}]"
-                )
-    return problems
-
-
 class PSpaceStats(NamedTuple):
     """Exact ratio statistics of a truth-split sketch.
 
@@ -339,54 +243,96 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     )
 
 
+# each order's words for a claimed true-a count outside its window, and for
+# a claimed true-b count that is not the one the responses force
+_WORDS = (
+    ("q_a={a} outside [{lo}, {hi}]", None),
+    (
+        "classifier {name}: correct_a={a} outside feasible interval [{lo}, {hi}]",
+        "classifier {name}: correct_b={b}, but the responses force {forced}",
+    ),
+    (
+        "pair ({name}): joint true-a correctness {a} outside feasible window [{lo}, {hi}]",
+        "pair ({name}): joint true-b correctness {b}, but the responses force {forced}",
+    ),
+)
+
+
+def _named(point: EvaluationPoint) -> dict[tuple[int, ...], tuple[int, int | None]]:
+    """The subsets S of the roster a point names, as sorted index tuples
+    by order, each with its claimed joint counts (J_a(S), J_b(S)): q_a for
+    the empty set, whose J_b (q - q_a) no point states, each classifier's
+    correct counts and each named pair's joint counts."""
+    named: dict = {(): (point.q_a, None)}
+    named.update(((k,), counts) for k, counts in enumerate(zip(point.correct_a, point.correct_b)))
+    named.update(point.pair_correct or {})
+    return named
+
+
 def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> list[str]:
     """Axiom failures of a claimed point against a sketch's counts.
 
-    Checks each classifier's residual and interval membership, then every
-    pair.  A pair the point names must have the forced sum and a joint
-    true-a count inside :func:`joint_correct_a_window`; any other pair's
-    two true-a counts must meet its :func:`pair_bounds`, the constraint
-    the alarm enforces.  At N <= 2 a point that passes is realized by
-    some ground truth.  Bound violations (see
-    :func:`point_bound_violations`) are assumed already reported
-    by the caller.
+    One relation, applied to each subset S of the roster that the point
+    names: the empty set (q_a), each classifier and each named pair.  Let
+    J_a(S) count the true-a items on which every member of S said a,
+    J_b(S) the true-b items on which every member said b, and m_S(p) the
+    items on which S gave pattern p (all q items for the empty set, the
+    :func:`marginalize` totals for a classifier, the :func:`pair_counts`
+    table for a pair).  The true-a count of pattern p is the Möbius
+    inverse of J_a over the subsets of S,
+
+        x_p = sum over A(p) <= T <= S of (-1)^|T - A(p)| J_a(T),
+
+    with A(p) the members that said a in p, and a ground truth needs
+    0 <= x_p <= m_S(p).  J_a(S) enters x_p with sign (-1)^|S - A(p)|, so
+    given the counts of the subsets below S these bounds leave J_a(S) one
+    window: [0, q] for q_a, :func:`feasible_interval_label_a` for a
+    classifier, and max(0, x_i - n_ab, x_j - n_ba, x_i + x_j - q_a) to
+    min(n_aa, x_i, x_j, n_bb - q_a + x_i + x_j) for a pair.  The true-b
+    items of the all-b pattern force J_b(S) = m_S(b...b) - x_(b...b).
+
+    The orders are checked in turn, and the first that has a problem ends
+    the audit, since the windows of an order rest on the counts below it.
+    A pair the point does not name must instead meet its
+    :func:`pair_bounds`, the constraint the alarm enforces.  At N <= 2 a
+    point that passes is realized by some ground truth: the cells of the
+    whole roster are a truth split, and an unnamed pair's bounds are what
+    keeps its window non-empty.
+
+    A point that passes is inside the lattice bounds, so no separate
+    bound check is needed.  The cell of the empty set is q_a, in [0, q].
+    A classifier's cells are c_a in [0, r_a] and q_a - c_a in [0, r_b],
+    so 0 <= c_a <= q_a, and its forced c_b = r_b - (q_a - c_a) lies in
+    [0, r_b] and is at most r_b - q_a + r_a = q - q_a.  A pair's window
+    lies in [0, min(c_a,i, c_a,j)], its forced j_b = n_bb - x_bb is at
+    least 0, and as the order below passed, each c_b is forced, so
+    c_b,i - j_b = n_ba - x_ba and c_b,j - j_b = n_ab - x_ab are at least 0.
     """
-    problems: list[str] = []
     ids = sketch.classifiers
     if point.size != len(ids):
         return [f"point has {point.size} classifiers, sketch has {len(ids)}"]
-    q = sketch.q
-    q_a = point.q_a
-    margs = [marginalize(sketch, cid) for cid in ids]
-    for k, cid in enumerate(ids):
-        res = _single_axiom_residual(
-            q, q_a, point.correct_a[k], point.correct_b[k], margs[k]
-        )
-        if res != 0:
-            problems.append(
-                f"classifier {cid}: correctness counts inconsistent with its "
-                f"response totals (residual {res})"
-            )
-        ia = feasible_interval_label_a(q, q_a, margs[k])
-        if point.correct_a[k] not in ia:
-            problems.append(
-                f"classifier {cid}: correct_a={point.correct_a[k]} outside "
-                f"feasible interval [{ia.lo}, {ia.hi}]"
-            )
-        ib = feasible_interval_label_b(q, q_a, margs[k])
-        if point.correct_b[k] not in ib:
-            problems.append(
-                f"classifier {cid}: correct_b={point.correct_b[k]} outside "
-                f"feasible interval [{ib.lo}, {ib.hi}]"
-            )
-    if problems:
-        return problems
-    claimed = point.pair_correct or {}
-    for i, j in combinations(range(len(ids)), 2):
-        pair = pair_counts(sketch, ids[i], ids[j])
-        x, y = point.correct_a[i], point.correct_a[j]
-        if (i, j) not in claimed:
-            b = pair_bounds(q_a, pair)
+    named = _named(point)
+    problems: list[str] = []
+    for order, (window_words, forced_words) in enumerate(_WORDS):
+        for members in combinations(range(len(ids)), order):
+            names = [ids[k] for k in members]
+            if order == 2:
+                counts = pair_counts(sketch, *names)
+            elif order == 1:
+                counts = dict(zip(LABELS, marginalize(sketch, *names)))
+            else:
+                counts = {"": sketch.q}
+            name = ", ".join(names)
+            if members in named:
+                joint_a, joint_b = named[members]
+                lo, hi, forced = _window(members, counts, named)
+                if not lo <= joint_a <= hi:
+                    problems.append(window_words.format(name=name, a=joint_a, lo=lo, hi=hi))
+                if joint_b is not None and joint_b != forced:
+                    problems.append(forced_words.format(name=name, b=joint_b, forced=forced))
+                continue
+            x, y = (point.correct_a[k] for k in members)
+            b = pair_bounds(point.q_a, counts)
             broken = [
                 bound for bound, holds in (
                     (f"x_i - x_j <= {b.max_i_minus_j}", x - y <= b.max_i_minus_j),
@@ -397,21 +343,35 @@ def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> 
             ]
             if broken:
                 problems.append(
-                    f"pair ({ids[i]}, {ids[j]}): true-a correct counts x_i={x}, "
+                    f"pair ({name}): true-a correct counts x_i={x}, "
                     f"x_j={y} break {' and '.join(broken)}"
                 )
-            continue
-        ja, jb = claimed[(i, j)]
-        forced_sum = _pair_axiom_sum(q, q_a, margs[i], margs[j], pair["aa"], x, y)
-        if ja + jb != forced_sum:
-            problems.append(
-                f"pair ({ids[i]}, {ids[j]}): joint correctness counts sum to "
-                f"{ja + jb}, but the response table forces {forced_sum}"
-            )
-        window = joint_correct_a_window(q_a, pair, x, y)
-        if ja not in window:
-            problems.append(
-                f"pair ({ids[i]}, {ids[j]}): joint true-a correctness {ja} outside "
-                f"feasible window [{window.lo}, {window.hi}]"
-            )
+        if problems:
+            break
     return problems
+
+
+def _window(
+    members: tuple[int, ...], counts: Mapping[str, int], named: Mapping
+) -> tuple[int, int, int]:
+    """The window [lo, hi] of J_a(members) that keeps each pattern's
+    true-a count x_p in [0, m_p], ``counts`` giving m_p for each pattern
+    of ``members``, and the J_b(members) that the claimed J_a forces (see
+    :func:`point_axiom_violations`)."""
+    joint_a = named[members][0]
+    moves, cells = [], {}
+    for pattern, m in counts.items():
+        said_b = [k for k, label in zip(members, pattern) if label == LABEL_B]
+        said_a = [k for k in members if k not in said_b]
+        # the Möbius inverse, by inclusion-exclusion over the members that said b
+        x = cells[pattern] = sum(
+            (-1) ** size * named[tuple(sorted(said_a + list(extra)))][0]
+            for size in range(len(said_b) + 1)
+            for extra in combinations(said_b, size)
+        )
+        # x moves with J_a(members) at sign (-1)^|said_b|: how far J_a may move
+        moves.append((-x, m - x) if len(said_b) % 2 == 0 else (x - m, x))
+    lo = joint_a + max(low for low, _ in moves)
+    hi = joint_a + min(high for _, high in moves)
+    all_b = LABEL_B * len(members)
+    return lo, hi, counts[all_b] - cells[all_b]

@@ -2,9 +2,9 @@
 
 :func:`check_summary` audits claimed marginals and a claimed evaluation
 point against a sketch.  A claimed point of three or more classifiers
-that passes the bound and axiom checks is then searched for among the
-truth splits at its prevalence: a depth-first search in budgeted steps,
-pruned by the claim's own row sums, for one split that meets them all.
+that passes the axiom checks is then searched for among the truth
+splits at its prevalence: a depth-first search in budgeted steps, pruned
+by the claim's own row sums, for one split that meets them all.
 :func:`parse_claims` reads the claims file that ``verify --claims``
 audits.  :func:`enumerate_evaluations` walks the raw lattice of one
 classifier's outcomes for the ``enumerate`` subcommand.
@@ -16,10 +16,10 @@ from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .axioms import EvaluationPoint, point_axiom_violations, point_bound_violations
+from .axioms import EvaluationPoint, _named, point_axiom_violations
 from .model import (
     LABEL_A,
-    LABEL_B,
+    LABELS,
     EvaluationSketch,
     Marginals,
     SketchError,
@@ -139,9 +139,9 @@ class SummaryReport(NamedTuple):
     """Outcome of auditing claims against a sketch.
 
     ``undecided`` is True when a claimed point of three or more
-    classifiers passed the bound and axiom checks but the exact search
-    for a ground truth realizing it ran out of budget steps: the point
-    is neither confirmed nor refuted.
+    classifiers passed the axiom checks but the exact search for a
+    ground truth realizing it ran out of budget steps: the point is
+    neither confirmed nor refuted.
     """
 
     violations: tuple[str, ...]
@@ -173,11 +173,12 @@ def _realized(sketch: EvaluationSketch, point: EvaluationPoint, budget: int) -> 
     """
     patterns = sorted(sketch.counts)
     sizes = [sketch.counts[p] for p in patterns]
-    fixed = [((), LABEL_A, point.q_a)]
-    for k in range(sketch.size):
-        fixed += [((k,), LABEL_A, point.correct_a[k]), ((k,), LABEL_B, point.correct_b[k])]
-    for pair, (joint_a, joint_b) in (point.pair_correct or {}).items():
-        fixed += [(pair, LABEL_A, joint_a), (pair, LABEL_B, joint_b)]
+    fixed = [
+        (at, label, joint)
+        for at, claimed in _named(point).items()
+        for label, joint in zip(LABELS, claimed)
+        if joint is not None
+    ]
     members, need = [], []
     for at, label, correct in fixed:
         row = {p for p in patterns if all(p[k] == label for k in at)}
@@ -231,15 +232,17 @@ def check_summary(
     """Audit claimed marginals and an optional claimed point.
 
     Marginal claims are compared against the sketch's actual totals.  A
-    claimed point is checked against the lattice bounds, then the axioms
-    (:func:`axioms.point_axiom_violations`, which holds every pair to the
-    alarm's pair constraint whether or not the point names it).  The
-    N = 1 and N = 2 axioms are complete, so at N <= 2 a point that passes
-    is realized and nothing is searched.  At N >= 3 a point that passes
-    is realized exactly when some truth split meets the row sums it fixes
-    (its q_a, each classifier's correct counts and each named pair's
-    joint counts; the unnamed pairs are free).  :func:`_realized` looks
-    for one in at most ``budget`` steps, or leaves the report undecided.
+    claimed point is checked against the axioms by one audit
+    (:func:`axioms.point_axiom_violations`): one subset check on each
+    subset the point names, which also keeps every count inside its
+    lattice bounds, and the alarm's pair constraint on every pair it
+    does not name.  The N = 1 and N = 2 axioms are complete, so at
+    N <= 2 a point that passes is realized and nothing is searched.  At
+    N >= 3 a point that passes is realized exactly when some truth split
+    meets the row sums it fixes (its q_a, each classifier's correct counts
+    and each named pair's joint counts; the unnamed pairs are free).
+    :func:`_realized` looks for one in at most ``budget`` steps, or
+    leaves the report undecided.
     Whether some ground truth realizes the sketch needs no search: the
     pattern counts of a sound sketch are non-negative and sum to q, so
     every q_a in [0, q] has a split (the all-b truth at q_a = 0, for
@@ -262,9 +265,7 @@ def check_summary(
     undecided = False
     point = claims.point
     if point is not None and not violations:
-        violations.extend(point_bound_violations(point, sketch.q))
-        if not violations:
-            violations.extend(point_axiom_violations(sketch, point))
+        violations.extend(point_axiom_violations(sketch, point))
         if not violations and sketch.size >= 3:
             found = _realized(sketch, point, budget)
             undecided = found is None

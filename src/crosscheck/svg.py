@@ -96,18 +96,19 @@ def render_traces(traces: Sequence[AlarmTrace]) -> str:
             f'<text class="row-label" x="{_LEFT - 10}" y="{_coord(y + _ROW_H / 2)}" '
             f'text-anchor="end">{_escape(label)}</text>'
         )
-        narrow: list[str] = []
+        # a run narrower than 1 unit is drawn 1 unit wide, after the band's
+        # wide runs: the unsafe ones first, then the safe ones, so that no
+        # later run paints over a safe one
+        narrow: tuple[list[str], list[str]] = ([], [])
         for first, last, safe in _runs(trace):
             x = _LEFT + first * cell_w
             w = (last - first + 1) * cell_w
             kind = "band-safe" if safe else "band-unsafe"
-            # a safe run narrower than 1 unit is drawn 1 unit wide, after
-            # the band's other runs, so that none paints over it
-            (narrow if safe and w < 1 else parts).append(
+            (narrow[safe] if w < 1 else parts).append(
                 f'<rect class="{kind}" x="{_coord(x)}" y="{y}" '
-                f'width="{_coord(max(w, 1) if safe else w)}" height="{_ROW_H}"/>'
+                f'width="{_coord(max(w, 1))}" height="{_ROW_H}"/>'
             )
-        parts += narrow
+        parts += narrow[0] + narrow[1]
     axis_y = _TOP + len(traces) * (_ROW_H + _ROW_GAP) - _ROW_GAP + 8
     parts.append(
         f'<line class="axis" x1="{_LEFT}" y1="{_coord(axis_y)}" '

@@ -23,6 +23,7 @@ from crosscheck import (
     EvaluationSketch,
     IngestError,
     IngestResult,
+    IntInterval,
     Marginals,
     PerLabelSpec,
     SafetySpec,
@@ -143,6 +144,16 @@ def referee_flip_labels(sketch: EvaluationSketch, classifier: str, mode) -> Eval
     counts = {p: a + b for p, (a, b) in new_split.items()}
     split = {p: (a, b) for p, (a, b) in new_split.items()}
     return EvaluationSketch(sketch.classifiers, sketch.q, counts, split)
+
+
+def joint_correct_a_window(q_a: int, pair, x: int, y: int) -> IntInterval:
+    """Feasible joint-correct-on-true-a counts for a pair whose true-a
+    correct counts are x and y: exactly the values for which each of the
+    pair's four patterns splits into non-negative true-a and true-b parts,
+    written out pattern by pattern (aa, ab, ba, bb)."""
+    lo = max(0, x - pair["ab"], y - pair["ba"], x + y - q_a)
+    hi = min(pair["aa"], x, y, pair["bb"] - q_a + x + y)
+    return IntInterval(lo, hi)
 
 
 def meets_pair_bounds(q_a: int, pair, x: int, y: int) -> bool:

@@ -14,10 +14,10 @@ PUBLIC = [
     "check_summary", "decisions_to_csv_text", "emit_trace", "enumerate_evaluations",
     "evaluation_count", "feasible_interval_label_a", "feasible_interval_label_b",
     "flip_labels", "flip_position", "forward_model", "generate_decisions", "ingest",
-    "joint_correct_a_window", "load_sketch", "marginalize", "min_count_above",
-    "other_label", "pair_counts", "parse_claims", "parse_params", "parse_sketch",
-    "parse_trace", "point_axiom_violations", "point_bound_violations", "pspace_stats",
-    "rational_sqrt", "records_to_decisions", "render_traces", "run_alarm", "save_sketch",
+    "load_sketch", "marginalize", "min_count_above", "other_label", "pair_counts",
+    "parse_claims", "parse_params", "parse_sketch", "parse_trace", "point_axiom_violations",
+    "pspace_stats", "rational_sqrt", "records_to_decisions", "render_traces", "run_alarm",
+    "save_sketch",
     "sketch_from_decisions", "sketch_point", "sketch_to_text", "solve_independent",
     "trace_to_csv_text", "trace_to_json_text", "validate_sketch",
 ]

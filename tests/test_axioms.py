@@ -11,22 +11,18 @@ from crosscheck import (
     SketchError,
     feasible_interval_label_a,
     feasible_interval_label_b,
-    joint_correct_a_window,
     marginalize,
     pair_counts,
     point_axiom_violations,
     pspace_stats,
     sketch_point,
 )
-from crosscheck.axioms import (
-    _pair_axiom_sum,
-    _single_axiom_residual,
-    pair_bounds,
-)
+from crosscheck.axioms import pair_bounds
 
 from ._referees import (
     enumerate_variety,
     induced_correct_b,
+    joint_correct_a_window,
     meets_pair_bounds,
 )
 from ._strategies import sketches
@@ -48,11 +44,20 @@ class TestIntInterval:
         assert 2 in iv and 5 in iv and 1 not in iv and 6 not in iv
 
 
+def single(q, r_a):
+    """A one-classifier sketch of q items, r_a of them answered a."""
+    return EvaluationSketch(("u",), q, {"a": r_a, "b": q - r_a})
+
+
 class TestSingleClassifier:
     def test_residual_frozen(self):
-        assert _single_axiom_residual(1, 1, 1, 0, Marginals(1, 0)) == 0
-        assert _single_axiom_residual(100, 60, 20, 20, Marginals(40, 60)) == 0
-        assert _single_axiom_residual(100, 60, 21, 20, Marginals(40, 60)) != 0
+        # correct_b is forced: r_b less the true-a items the classifier called b
+        assert point_axiom_violations(single(1, 1), EvaluationPoint(1, (1,), (0,))) == []
+        point = EvaluationPoint(60, (20,), (20,))
+        assert point_axiom_violations(single(100, 40), point) == []
+        assert point_axiom_violations(single(100, 40), EvaluationPoint(60, (21,), (20,))) == [
+            "classifier u: correct_b=20, but the responses force 21"
+        ]
 
     def test_interval_a_frozen(self):
         iv = feasible_interval_label_a(100, 60, Marginals(20, 80))
@@ -80,7 +85,8 @@ class TestSingleClassifier:
         images = [induced_correct_b(q, q_a, c_a, marg) for c_a in members(ia)]
         assert images == members(ib)
         for c_a, c_b in zip(members(ia), images):
-            assert _single_axiom_residual(q, q_a, c_a, c_b, marg) == 0
+            point = EvaluationPoint(q_a, (c_a,), (c_b,))
+            assert point_axiom_violations(single(q, marg.r_a), point) == []
 
     @given(sketches(min_size=1, max_size=1, max_count=5))
     @settings(max_examples=60)
@@ -109,12 +115,23 @@ def _variety_by_singles(sketch, q_a):
 
 class TestPairAxioms:
     def test_forced_sum_single_item(self):
-        # one true-a item, both classifiers respond a: each is right once
-        both_a = _pair_axiom_sum(1, 1, Marginals(1, 0), Marginals(1, 0), 1, 1, 1)
-        assert both_a == 1
+        # one true-a item, both classifiers respond a: each is right once,
+        # and no true-b item is left for the pair to be right on together
+        both_a = EvaluationSketch(("u", "v"), 1, {"aa": 1})
+        point = EvaluationPoint(1, (1, 1), (0, 0), {(0, 1): (1, 0)})
+        assert point_axiom_violations(both_a, point) == []
+        point = EvaluationPoint(1, (1, 1), (0, 0), {(0, 1): (1, 1)})
+        assert point_axiom_violations(both_a, point) == [
+            "pair (u, v): joint true-b correctness 1, but the responses force 0"
+        ]
         # one true-b item, both respond b
-        both_b = _pair_axiom_sum(1, 0, Marginals(0, 1), Marginals(0, 1), 0, 0, 0)
-        assert both_b == 1
+        both_b = EvaluationSketch(("u", "v"), 1, {"bb": 1})
+        point = EvaluationPoint(0, (0, 0), (1, 1), {(0, 1): (0, 1)})
+        assert point_axiom_violations(both_b, point) == []
+        point = EvaluationPoint(0, (0, 0), (1, 1), {(0, 1): (0, 0)})
+        assert point_axiom_violations(both_b, point) == [
+            "pair (u, v): joint true-b correctness 0, but the responses force 1"
+        ]
 
     def test_window_cuts_rectangle_corner(self):
         # two classifiers that never agree cannot both be nearly perfect
@@ -135,10 +152,11 @@ class TestPairAxioms:
         m_i = marginalize(sketch, ids[0])
         m_j = marginalize(sketch, ids[1])
         pair = pair_counts(sketch, ids[0], ids[1])
-        for q_a in range(sketch.q + 1):
+        q = sketch.q
+        for q_a in range(q + 1):
             by_singles = _variety_by_singles(sketch, q_a)
-            rect_i = feasible_interval_label_a(sketch.q, q_a, m_i)
-            rect_j = feasible_interval_label_a(sketch.q, q_a, m_j)
+            rect_i = feasible_interval_label_a(q, q_a, m_i)
+            rect_j = feasible_interval_label_a(q, q_a, m_j)
             for x in members(rect_i):
                 for y in members(rect_j):
                     feasible = meets_pair_bounds(q_a, pair, x, y)
@@ -147,12 +165,24 @@ class TestPairAxioms:
                     window = joint_correct_a_window(q_a, pair, x, y)
                     realized_ja = {p.pair_correct[(0, 1)][0] for p in points}
                     assert realized_ja == set(members(window))
-                    forced = _pair_axiom_sum(
-                        sketch.q, q_a, m_i, m_j, pair["aa"], x, y
-                    )
+                    # the audit's order-2 window is the referee's, even
+                    # when it is empty, and a realized j_b is the forced one
+                    c_b = (induced_correct_b(q, q_a, x, m_i), induced_correct_b(q, q_a, y, m_j))
+                    for ja in (window.lo - 1, window.hi + 1):
+                        jb = pair["bb"] - q_a + x + y - ja
+                        point = EvaluationPoint(q_a, (x, y), c_b, {(0, 1): (ja, jb)})
+                        assert point_axiom_violations(sketch, point) == [
+                            f"pair ({ids[0]}, {ids[1]}): joint true-a correctness {ja} "
+                            f"outside feasible window [{window.lo}, {window.hi}]"
+                        ]
                     for p in points:
                         ja, jb = p.pair_correct[(0, 1)]
-                        assert ja + jb == forced
+                        assert point_axiom_violations(sketch, p) == []
+                        off = EvaluationPoint(q_a, (x, y), c_b, {(0, 1): (ja, jb + 1)})
+                        assert point_axiom_violations(sketch, off) == [
+                            f"pair ({ids[0]}, {ids[1]}): joint true-b correctness {jb + 1}, "
+                            f"but the responses force {jb}"
+                        ]
                 # at fixed x, the generator's bounds capture exactly the coupling
                 coupled = {y for y in members(rect_j) if meets_pair_bounds(q_a, pair, x, y)}
                 b = pair_bounds(q_a, pair)
@@ -370,8 +400,10 @@ class TestPointAudit:
             real.correct_b,
             dict(real.pair_correct),
         )
-        problems = point_axiom_violations(grading_sketch, tampered)
-        assert any("residual" in p for p in problems)
+        # correct_a stays inside [102, 146], and the forced correct_b moves
+        assert point_axiom_violations(grading_sketch, tampered) == [
+            "classifier claude: correct_b=34, but the responses force 33"
+        ]
 
     def test_pair_sum_violation_reported(self, grading_sketch):
         real = sketch_point(grading_sketch)
@@ -379,8 +411,11 @@ class TestPointAudit:
         ja, jb = pairs[(0, 1)]
         pairs[(0, 1)] = (ja + 1, jb)
         tampered = EvaluationPoint(real.q_a, real.correct_a, real.correct_b, pairs)
-        problems = point_axiom_violations(grading_sketch, tampered)
-        assert any("forces" in p for p in problems)
+        # 13 lies outside the window [11, 12], and with it the responses force 32, not 33
+        assert point_axiom_violations(grading_sketch, tampered) == [
+            "pair (claude, mistral): joint true-a correctness 13 outside feasible window [11, 12]",
+            "pair (claude, mistral): joint true-b correctness 33, but the responses force 32",
+        ]
 
     @given(sketches(min_size=1, max_size=3, with_truth=True))
     @settings(max_examples=60)

@@ -379,6 +379,38 @@ class TestVerify:
             "break x_i + x_j >= 191\n"
         ))
 
+    @pytest.mark.parametrize("where, value, out", [
+        (("q_a",), 300, "q_a=300 outside [0, 281]\n"),
+        (("correct_a", 0), 147, (
+            "classifier claude: correct_a=147 outside feasible interval [102, 146]\n"
+            "violation: classifier claude: correct_b=34, but the responses force 45\n"
+        )),
+        (("correct_b", 1), 44, "classifier mistral: correct_b=44, but the responses force 43\n"),
+        # 32 is the j_b that a j_a of 13 forces, so only the window is broken
+        (("pair_correct", "claude,mistral"), [13, 32], (
+            "pair (claude, mistral): joint true-a correctness 13 "
+            "outside feasible window [11, 12]\n"
+        )),
+        (("pair_correct", "claude,gpt4"), [125, 20], (
+            "pair (claude, gpt4): joint true-b correctness 20, but the responses force 19\n"
+        )),
+        (("pair_correct", "claude,mistral"), [12, 1000000], (
+            "pair (claude, mistral): joint true-b correctness 1000000, "
+            "but the responses force 33\n"
+        )),
+    ], ids=["q_a", "correct_a", "correct_b", "joint_a", "joint_b", "joint_b_million"])
+    def test_tampered_shipped_claims(self, capsys, tmp_path, where, value, out):
+        claims = json.loads(pathlib.Path(GRADING_CLAIMS).read_text())
+        *keys, last = where
+        target = claims["point"]
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(claims))
+        code, printed, err = run(capsys, "verify", GRADING, "--claims", str(path))
+        assert (code, printed, err) == (EXIT_ERROR, "violation: " + out, "")
+
     @pytest.mark.parametrize("keys", [
         ("mistral,claude", "claude,mistral"),
         ("claude,mistral", "mistral, claude"),

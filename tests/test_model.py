@@ -22,7 +22,7 @@ from crosscheck import (
     marginalize,
     other_label,
     pair_counts,
-    point_bound_violations,
+    point_axiom_violations,
     sketch_from_decisions,
     sketch_point,
     validate_sketch,
@@ -432,31 +432,41 @@ class TestEvaluationPoint:
         with pytest.raises(SketchError):
             EvaluationPoint(1, (1, 1), (1, 1), {(0, 2): (0, 0)})
 
+    # the audit's subset check keeps every count inside its lattice bounds
+    SINGLE = EvaluationSketch(("u",), 5, {"a": 4, "b": 1})
+    # a pair table on 4 items that the points below fit
+    PAIR = EvaluationSketch(("u", "v"), 4, {"aa": 2, "ba": 1, "bb": 1})
+
     def test_bound_violations(self):
         point = EvaluationPoint(3, (4,), (0,))
-        assert point_bound_violations(point, 5) == ["correct_a[0]=4 outside [0, 3]"]
-        assert point_bound_violations(EvaluationPoint(6, (0,), (0,)), 5) == [
+        assert point_axiom_violations(self.SINGLE, point) == [
+            "classifier u: correct_a=4 outside feasible interval [2, 3]",
+            "classifier u: correct_b=0, but the responses force 2",
+        ]
+        assert point_axiom_violations(self.SINGLE, EvaluationPoint(6, (0,), (0,))) == [
             "q_a=6 outside [0, 5]"
         ]
-        # out of range, a label's size is clamped at 0: the message shows [0, 0]
-        assert point_bound_violations(EvaluationPoint(-5, (1,), (0,)), 5) == [
-            "q_a=-5 outside [0, 5]", "correct_a[0]=1 outside [0, 0]"
+        # a q_a out of range ends the audit before any classifier is checked
+        assert point_axiom_violations(self.SINGLE, EvaluationPoint(-5, (1,), (0,))) == [
+            "q_a=-5 outside [0, 5]"
         ]
-        assert point_bound_violations(EvaluationPoint(7, (0,), (1,)), 5) == [
-            "q_a=7 outside [0, 5]", "correct_b[0]=1 outside [0, 0]"
+        assert point_axiom_violations(self.SINGLE, EvaluationPoint(7, (0,), (1,))) == [
+            "q_a=7 outside [0, 5]"
         ]
 
     def test_pair_bounds(self):
         point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (2, 0)})
-        problems = point_bound_violations(point, 4)
-        assert problems == ["pair (0,1) joint correct on a is 2, outside [0, 1]"]
+        assert point_axiom_violations(self.PAIR, point) == [
+            "pair (u, v): joint true-a correctness 2 outside feasible window [1, 1]"
+        ]
         point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (1, -1)})
-        problems = point_bound_violations(point, 4)
-        assert problems == ["pair (0,1) joint correct on b is -1, outside [0, 1]"]
+        assert point_axiom_violations(self.PAIR, point) == [
+            "pair (u, v): joint true-b correctness -1, but the responses force 1"
+        ]
 
     def test_clean_point(self):
         point = EvaluationPoint(2, (1, 2), (1, 1), {(0, 1): (1, 1)})
-        assert point_bound_violations(point, 4) == []
+        assert point_axiom_violations(self.PAIR, point) == []
 
 
 class TestSpecs:

@@ -237,8 +237,9 @@ class TestCheckSummary:
         # r_a=2 at q_a=2 allows correct_a in [0, 2], but correct_b is then forced
         point = EvaluationPoint(2, (2,), (0,))
         report = check_summary(sketch, SummaryClaims({}, point))
-        assert not report.ok
-        assert any("residual" in v for v in report.violations)
+        assert report == SummaryReport(
+            ("classifier u: correct_b=0, but the responses force 2",), False
+        )
 
     def test_jointly_unrealizable_singles(self):
         # each count is feasible alone; no single ground truth gives both
@@ -314,10 +315,11 @@ class TestCheckSummary:
 
 @st.composite
 def audit_cases(draw, sizes=(1, 2, 3)):
-    """A sketch on at most 8 items and a point within its lattice bounds,
-    with a random subset of its pairs claimed.  The point is a realized
-    one, one that meets every classifier's own axioms (anywhere in its
-    intervals, or at their ends), or any point of the lattice."""
+    """A sketch on at most 8 items and a point, with a random subset of
+    its pairs claimed.  The point is a realized one, one that meets every
+    classifier's own axioms (anywhere in its intervals, or at their ends),
+    any point of the lattice, or one whose every count lies in [-2, q + 2],
+    mostly outside the lattice bounds."""
     size = draw(st.sampled_from(sizes))
     q = draw(st.integers(1, 8))
     patterns = all_patterns(size)
@@ -327,7 +329,7 @@ def audit_cases(draw, sizes=(1, 2, 3)):
         counts[pattern] = counts.get(pattern, 0) + 1
     # c1, c2, ...: the ids of ROSTER, which holds three
     sketch = EvaluationSketch(tuple(f"c{k}" for k in range(1, size + 1)), q, counts)
-    kind = draw(st.sampled_from(("realized", "consistent", "corner", "lattice")))
+    kind = draw(st.sampled_from(("realized", "consistent", "corner", "lattice", "unbounded")))
     if kind == "realized":
         split = {}
         for pattern, n in counts.items():
@@ -335,6 +337,15 @@ def audit_cases(draw, sizes=(1, 2, 3)):
             split[pattern] = (true_a, n - true_a)
         full = sketch_point(EvaluationSketch(sketch.classifiers, q, counts, split))
         q_a, c_a, c_b, pairs = full.q_a, full.correct_a, full.correct_b, full.pair_correct
+    elif kind == "unbounded":
+        count = st.integers(-2, q + 2)
+        q_a = draw(count)
+        c_a = [draw(count) for _ in range(size)]
+        c_b = [draw(count) for _ in range(size)]
+        pairs = {
+            pair: (draw(count), draw(count))
+            for pair in itertools.combinations(range(size), 2)
+        }
     else:
         q_a = draw(st.integers(0, q))
         c_a, c_b = [], []
@@ -426,6 +437,7 @@ class TestAuditAgainstEnumeration:
         if broken:
             assert not realized(sketch, point)
             problems = point_axiom_violations(sketch, point)
-            if not any(p.startswith("classifier ") for p in problems):
+            # the pairs are checked once q_a and every classifier pass
+            if not any(p.startswith(("q_a=", "classifier ")) for p in problems):
                 for first, second in broken:
                     assert any(p.startswith(f"pair ({first}, {second}): true-a") for p in problems)

@@ -871,14 +871,33 @@ class TestSvg:
         )
         assert trace.verdict is Verdict.NOT_TRIGGERED
         assert svg_module._runs(trace) == [(0, 0, False), (1, 1, True), (2, q, False)]
+        bands = self.bands(trace)
+        assert [kind for kind, _, _ in bands] == ["band-unsafe", "band-unsafe", "band-safe"]
+        assert bands[-1] == ("band-safe", "150", "1")
+
+    def test_narrow_unsafe_run_is_drawn(self):
+        """At q = 300 000 a lone unsafe hypothesis, 0.0024 units wide, is
+        drawn 1 unit wide after the band's wide runs."""
+        q, lone = 300_000, 150_000
+        trace = AlarmTrace(
+            q, PerLabelSpec(0, 0, False), "ensemble", ("u", "v"),
+            (Marginals(lone, lone),) * 2, tuple(q_a != lone for q_a in range(q + 1)), True,
+        )
+        runs = [(0, lone - 1, True), (lone, lone, False), (lone + 1, q, True)]
+        assert svg_module._runs(trace) == runs
+        assert self.bands(trace) == [
+            ("band-safe", "150", "360"), ("band-safe", "510", "360"), ("band-unsafe", "510", "1"),
+        ]
+
+    @staticmethod
+    def bands(trace):
+        """(class, x, width) of each band rect that ``render_traces`` draws."""
         root = ET.fromstring(render_traces([trace]))
-        bands = [
+        return [
             (rect.get("class"), rect.get("x"), rect.get("width"))
             for rect in root.iter("{http://www.w3.org/2000/svg}rect")
             if "swatch" not in rect.get("class")
         ]
-        assert [kind for kind, _, _ in bands] == ["band-unsafe", "band-unsafe", "band-safe"]
-        assert bands[-1] == ("band-safe", "150", "1")
 
     def test_no_trace_rejected(self):
         with pytest.raises(SketchError, match="nothing to render"):

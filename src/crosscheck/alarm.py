@@ -379,26 +379,35 @@ class _Sweep:
         The pair rule.  At a hypothesis h let classifier k's safe interval
         be [L_k, U_k], U_k = min(h, r_k), and let n_aa^ij count the items
         on which both i and j said "a".  Integer counts x_k in [L_k, U_k]
-        that meet every pair's :func:`.axioms.pair_bounds` at h exist iff
-        every interval is non-empty and L_i + L_j <= h + n_aa^ij for every
-        pair.
+        that meet, at h, the four bounds of every pair's table n_aa..n_bb,
+
+            x_i - x_j <= n_ab,   x_j - x_i <= n_ba,
+            h - n_bb <= x_i + x_j <= h + n_aa,
+
+        exist iff every interval is non-empty and L_i + L_j <= h + n_aa^ij
+        for every pair.  The four bounds are the cross comparisons of the
+        pair's window of joint true-a counts (see
+        :func:`.axioms.point_axiom_violations`),
+        max(0, x_i - n_ab, x_j - n_ba, x_i + x_j - h) <=
+        min(n_aa, x_i, x_j, n_bb - h + x_i + x_j): x_i - n_ab <= x_j,
+        x_j - n_ba <= x_i, 0 <= n_bb - h + x_i + x_j and
+        x_i + x_j - h <= n_aa.
 
         Only if: x >= L, and x_i + x_j <= h + n_aa^ij is a pair bound.
 
-        If, over the rationals.  Every constraint but the lower ends holds
-        at every real truth split at h: its counts lie in [0, min(h, r_k)],
-        and the proof of pair_bounds shows that its four bounds are what a
-        real split of the pair's table meets.  Take the difference-bound
+        If, over the rationals.  Every constraint but the lower ends holds at
+        every real truth split at h: its counts lie in [0, min(h, r_k)], and
+        its joint true-a count lies in each pair's window, so the window is not
+        empty and its four cross comparisons hold.  Take the difference-bound
         matrix with one edge per constraint, node +x_k and node -x_k per
-        classifier; k's lower end is the edge +x_k -> -x_k, of weight
-        -2 L_k.  Cut any cycle at its lower-end edges.  Each remaining path
-        runs from some -x_a to some +x_b and sums to x_a + x_b <= c.  Every
-        real split meets that, so c >= min(2h, r_a + r_b, h + n_aa^ab)
-        (fill the true-a items into the "aa" items first), or c >= 2 U_a
-        when a = b.  Charge half of each -2 L_k to each neighbouring path:
-        the cycle weighs the sum of c - L_a - L_b >= 0.  A cycle with no
-        lower-end edge weighs >= 0 because real splits meet it.  So no
-        cycle is negative.
+        classifier; k's lower end is the edge +x_k -> -x_k, of weight -2 L_k.
+        Cut any cycle at its lower-end edges.  Each remaining path runs from
+        some -x_a to some +x_b and sums to x_a + x_b <= c.  Every real split
+        meets that, so c >= min(2h, r_a + r_b, h + n_aa^ab) (fill the true-a
+        items into the "aa" items first), or c >= 2 U_a when a = b.  Charge
+        half of each -2 L_k to each neighbouring path: the cycle weighs the sum
+        of c - L_a - L_b >= 0.  A cycle with no lower-end edge weighs >= 0
+        because real splits meet it.  So no cycle is negative.
 
         If, over the integers.  A shortest path from -x_k to +x_k with no
         lower-end edge weighs >= 2 U_k, the edge of k's upper end.

@@ -2,13 +2,12 @@
 
 Everything here is exact integer or rational arithmetic.  The central
 objects are closed integer intervals of feasible per-label correctness
-counts for a hypothesised number of true-a items, and the constraints a
-pair of classifiers must jointly satisfy on top of the per-classifier
-ones.  An evaluation point holds the correctness counts themselves: the
-one a truth-split sketch realizes (:func:`sketch_point`, read by
-:func:`pspace_stats`), or one a claims file names, which
-:func:`point_axiom_violations` audits with one relation applied to each
-subset of the roster that the point names.
+counts for a hypothesised number of true-a items.  An evaluation point
+holds the correctness counts themselves: the one a truth-split sketch
+realizes (:func:`sketch_point`, read by :func:`pspace_stats`), or one a
+claims file names, which :func:`point_axiom_violations` audits with one
+window rule applied to each subset of the roster whose proper subsets
+the point names.
 """
 
 from __future__ import annotations
@@ -30,6 +29,9 @@ from .model import (
     _is_int,
     _is_ints,
     _Value,
+    all_patterns,
+    # not called here: perfbench/tracer.py wraps these two names in this
+    # module, and counts a name it cannot find as a missing wrapper
     marginalize,
     pair_counts,
     validate_sketch,
@@ -53,59 +55,6 @@ def feasible_interval_label_b(q: int, q_a: int, marginals: Marginals) -> IntInte
     lo = max(0, marginals.r_b - q_a)
     hi = min(q - q_a, marginals.r_b)
     return IntInterval(lo, hi)
-
-
-class PairBounds(NamedTuple):
-    """The four bounds a pair table puts on the two true-a correct counts
-    x_i and x_j (see :func:`pair_bounds`)."""
-
-    max_i_minus_j: int  # x_i - x_j <= n_ab
-    max_j_minus_i: int  # x_j - x_i <= n_ba
-    min_sum: int  # q_a - n_bb <= x_i + x_j
-    max_sum: int  # x_i + x_j <= q_a + n_aa
-
-
-def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
-    """The pair constraint: what a pair's response table adds, on top of
-    each classifier's own feasible interval, about its two true-a
-    correct counts x_i and x_j at hypothesis ``q_a``.
-
-    Two counts inside their own feasible intervals
-    (:func:`feasible_interval_label_a`) coexist on one ground truth iff
-
-        x_i - x_j <= n_ab,   x_j - x_i <= n_ba,
-        q_a - n_bb <= x_i + x_j <= q_a + n_aa.
-
-    Proof.  They coexist iff the pair's window of joint true-a counts
-    (the order-2 window of :func:`point_axiom_violations`) is non-empty,
-    i.e. iff each of its four lower terms 0, x_i - n_ab, x_j - n_ba,
-    x_i + x_j - q_a is at most each of its four upper terms n_aa, x_i,
-    x_j, n_bb - q_a + x_i + x_j.  Write r_i = n_aa + n_ab and
-    r_j = n_aa + n_ba for the two "a" totals and q_b = q - q_a, so the
-    own intervals are max(0, r_i - q_b) <= x_i <= min(q_a, r_i) and the
-    same for x_j with r_j.  Of the 16 comparisons:
-
-    - 0 <= n_aa, x_i - n_ab <= x_i, x_j - n_ba <= x_j and
-      x_i + x_j - q_a <= n_bb - q_a + x_i + x_j (that is 0 <= n_bb)
-      always hold;
-    - 0 <= x_i, 0 <= x_j, x_i - n_ab <= n_aa (x_i <= r_i),
-      x_j - n_ba <= n_aa (x_j <= r_j), x_i + x_j - q_a <= x_i
-      (x_j <= q_a) and x_i + x_j - q_a <= x_j (x_i <= q_a) are the own
-      intervals;
-    - x_i - n_ab <= n_bb - q_a + x_i + x_j unfolds to
-      x_j >= q_a - n_bb - n_ab = r_j - q_b, and
-      x_j - n_ba <= n_bb - q_a + x_i + x_j to x_i >= r_i - q_b: the own
-      lower bounds again;
-    - the remaining four, x_i - n_ab <= x_j, x_j - n_ba <= x_i,
-      0 <= n_bb - q_a + x_i + x_j and x_i + x_j - q_a <= n_aa, are the
-      four bounds above.
-
-    Every bound has two variables with unit coefficients, so with the
-    own intervals a set of pairs forms an integer octagon.
-    """
-    return PairBounds(
-        pair["ab"], pair["ba"], q_a - pair["bb"], q_a + pair["aa"]
-    )
 
 
 class EvaluationPoint(_Value):
@@ -243,18 +192,24 @@ def pspace_stats(sketch: EvaluationSketch) -> PSpaceStats:
     )
 
 
-# each order's words for a claimed true-a count outside its window, and for
-# a claimed true-b count that is not the one the responses force
+# each order's words for a claimed true-a count outside its window, for a
+# claimed true-b count that is not the one the responses force, and for an
+# unnamed subset whose window is empty; every point names the empty set and
+# each classifier, and none names a triple
+_EMPTY = "no joint true-a correctness fits the feasible window [{lo}, {hi}]"
 _WORDS = (
-    ("q_a={a} outside [{lo}, {hi}]", None),
+    ("q_a={a} outside [{lo}, {hi}]", None, None),
     (
         "classifier {name}: correct_a={a} outside feasible interval [{lo}, {hi}]",
         "classifier {name}: correct_b={b}, but the responses force {forced}",
+        None,
     ),
     (
         "pair ({name}): joint true-a correctness {a} outside feasible window [{lo}, {hi}]",
         "pair ({name}): joint true-b correctness {b}, but the responses force {forced}",
+        "pair ({name}): " + _EMPTY,
     ),
+    (None, None, "triple ({name}): " + _EMPTY),
 )
 
 
@@ -272,13 +227,13 @@ def _named(point: EvaluationPoint) -> dict[tuple[int, ...], tuple[int, int | Non
 def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> list[str]:
     """Axiom failures of a claimed point against a sketch's counts.
 
-    One relation, applied to each subset S of the roster that the point
-    names: the empty set (q_a), each classifier and each named pair.  Let
-    J_a(S) count the true-a items on which every member of S said a,
-    J_b(S) the true-b items on which every member said b, and m_S(p) the
-    items on which S gave pattern p (all q items for the empty set, the
-    :func:`marginalize` totals for a classifier, the :func:`pair_counts`
-    table for a pair).  The true-a count of pattern p is the Möbius
+    One relation, applied to each subset S of the roster whose proper
+    subsets the point all names: the empty set (q_a), each classifier,
+    each pair, and each triple whose three pairs it names.  Let J_a(S)
+    count the true-a items on which every member of S said a, J_b(S) the
+    true-b items on which every member said b, and m_S(p) the items on
+    which S gave pattern p, for each of S's 2^|S| patterns (all q items
+    for the empty set).  The true-a count of pattern p is the Möbius
     inverse of J_a over the subsets of S,
 
         x_p = sum over A(p) <= T <= S of (-1)^|T - A(p)| J_a(T),
@@ -288,16 +243,19 @@ def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> 
     given the counts of the subsets below S these bounds leave J_a(S) one
     window: [0, q] for q_a, :func:`feasible_interval_label_a` for a
     classifier, and max(0, x_i - n_ab, x_j - n_ba, x_i + x_j - q_a) to
-    min(n_aa, x_i, x_j, n_bb - q_a + x_i + x_j) for a pair.  The true-b
-    items of the all-b pattern force J_b(S) = m_S(b...b) - x_(b...b).
+    min(n_aa, x_i, x_j, n_bb - q_a + x_i + x_j) for a pair.  A subset the
+    point names must have its J_a(S) in the window, and the true-b items
+    of the all-b pattern force J_b(S) = m_S(b...b) - x_(b...b).  A subset
+    it does not name must have a window that is not empty.  For a pair
+    whose classifiers passed, that is four of the window's comparisons,
+    x_i - n_ab <= x_j, x_j - n_ba <= x_i, x_i + x_j - q_a <= n_aa and
+    0 <= n_bb - q_a + x_i + x_j: the alarm's pair rule.
 
     The orders are checked in turn, and the first that has a problem ends
     the audit, since the windows of an order rest on the counts below it.
-    A pair the point does not name must instead meet its
-    :func:`pair_bounds`, the constraint the alarm enforces.  At N <= 2 a
-    point that passes is realized by some ground truth: the cells of the
-    whole roster are a truth split, and an unnamed pair's bounds are what
-    keeps its window non-empty.
+    A point that passes and reaches the whole roster (always at N <= 2,
+    and at N = 3 when it names every pair) is realized by some ground
+    truth: the roster's cells at any J_a in its window are a truth split.
 
     A point that passes is inside the lattice bounds, so no separate
     bound check is needed.  The cell of the empty set is q_a, in [0, q].
@@ -313,60 +271,52 @@ def point_axiom_violations(sketch: EvaluationSketch, point: EvaluationPoint) -> 
         return [f"point has {point.size} classifiers, sketch has {len(ids)}"]
     named = _named(point)
     problems: list[str] = []
-    for order, (window_words, forced_words) in enumerate(_WORDS):
-        for members in combinations(range(len(ids)), order):
-            names = [ids[k] for k in members]
-            if order == 2:
-                counts = pair_counts(sketch, *names)
-            elif order == 1:
-                counts = dict(zip(LABELS, marginalize(sketch, *names)))
-            else:
-                counts = {"": sketch.q}
-            name = ", ".join(names)
-            if members in named:
-                joint_a, joint_b = named[members]
-                lo, hi, forced = _window(members, counts, named)
-                if not lo <= joint_a <= hi:
-                    problems.append(window_words.format(name=name, a=joint_a, lo=lo, hi=hi))
-                if joint_b is not None and joint_b != forced:
-                    problems.append(forced_words.format(name=name, b=joint_b, forced=forced))
+    reached: list[tuple[int, ...]] = [()]
+    while reached and not problems:
+        order = len(reached[0])
+        window_words, forced_words, empty_words = _WORDS[order]
+        for members in reached:
+            counts = dict.fromkeys(all_patterns(order), 0)
+            for pattern, n in sketch.counts.items():
+                counts["".join([pattern[k] for k in members])] += n
+            name = ", ".join(ids[k] for k in members)
+            joint_a, joint_b = named.get(members, (0, None))
+            lo, hi, forced = _window(members, counts, named, joint_a)
+            if members not in named:
+                if lo > hi:
+                    problems.append(empty_words.format(name=name, lo=lo, hi=hi))
                 continue
-            x, y = (point.correct_a[k] for k in members)
-            b = pair_bounds(point.q_a, counts)
-            broken = [
-                bound for bound, holds in (
-                    (f"x_i - x_j <= {b.max_i_minus_j}", x - y <= b.max_i_minus_j),
-                    (f"x_j - x_i <= {b.max_j_minus_i}", y - x <= b.max_j_minus_i),
-                    (f"x_i + x_j >= {b.min_sum}", x + y >= b.min_sum),
-                    (f"x_i + x_j <= {b.max_sum}", x + y <= b.max_sum),
-                ) if not holds
-            ]
-            if broken:
-                problems.append(
-                    f"pair ({name}): true-a correct counts x_i={x}, "
-                    f"x_j={y} break {' and '.join(broken)}"
-                )
-        if problems:
-            break
+            if not lo <= joint_a <= hi:
+                problems.append(window_words.format(name=name, a=joint_a, lo=lo, hi=hi))
+            if joint_b is not None and joint_b != forced:
+                problems.append(forced_words.format(name=name, b=joint_b, forced=forced))
+        # the subsets one order up whose proper subsets are all named
+        reached = [
+            (*base, k)
+            for base in named if len(base) == order
+            for k in range(base[-1] + 1 if base else 0, len(ids))
+            if all(sub in named for sub in combinations((*base, k), order))
+        ]
     return problems
 
 
 def _window(
-    members: tuple[int, ...], counts: Mapping[str, int], named: Mapping
+    members: tuple[int, ...], counts: Mapping[str, int], named: Mapping, joint_a: int
 ) -> tuple[int, int, int]:
     """The window [lo, hi] of J_a(members) that keeps each pattern's
     true-a count x_p in [0, m_p], ``counts`` giving m_p for each pattern
-    of ``members``, and the J_b(members) that the claimed J_a forces (see
+    of ``members`` and ``named`` J_a of each subset below it, and the
+    J_b(members) that a J_a(members) of ``joint_a`` forces (see
     :func:`point_axiom_violations`)."""
-    joint_a = named[members][0]
     moves, cells = [], {}
     for pattern, m in counts.items():
         said_b = [k for k, label in zip(members, pattern) if label == LABEL_B]
         said_a = [k for k in members if k not in said_b]
-        # the Möbius inverse, by inclusion-exclusion over the members that said b
-        x = cells[pattern] = sum(
+        # the Möbius inverse, by inclusion-exclusion over the members that
+        # said b; with all of them, the subset is ``members`` itself
+        x = cells[pattern] = (-1) ** len(said_b) * joint_a + sum(
             (-1) ** size * named[tuple(sorted(said_a + list(extra)))][0]
-            for size in range(len(said_b) + 1)
+            for size in range(len(said_b))
             for extra in combinations(said_b, size)
         )
         # x moves with J_a(members) at sign (-1)^|said_b|: how far J_a may move

@@ -1,10 +1,11 @@
 """The audit behind ``verify``, and the single-classifier outcome walk.
 
 :func:`check_summary` audits claimed marginals and a claimed evaluation
-point against a sketch.  A claimed point of three or more classifiers
-that passes the axiom checks is then searched for among the truth
-splits at its prevalence: a depth-first search in budgeted steps, pruned
-by the claim's own row sums, for one split that meets them all.
+point against a sketch.  A claimed point that passes the axiom checks
+but leaves some proper subset of the roster unnamed (at N = 3 a pair,
+at N >= 4 always) is then searched for among the truth splits at its
+prevalence: a depth-first search in budgeted steps, pruned by the
+claim's own row sums, for one split that meets them all.
 :func:`parse_claims` reads the claims file that ``verify --claims``
 audits.  :func:`enumerate_evaluations` walks the raw lattice of one
 classifier's outcomes for the ``enumerate`` subcommand.
@@ -23,6 +24,7 @@ from .model import (
     EvaluationSketch,
     Marginals,
     SketchError,
+    _is_int,
     _is_ints,
     _Value,
     marginalize,
@@ -138,10 +140,10 @@ def _pairs_by_index(claimed: object, sketch: EvaluationSketch) -> dict:
 class SummaryReport(NamedTuple):
     """Outcome of auditing claims against a sketch.
 
-    ``undecided`` is True when a claimed point of three or more
-    classifiers passed the axiom checks but the exact search for a
-    ground truth realizing it ran out of budget steps: the point is
-    neither confirmed nor refuted.
+    ``undecided`` is True when a claimed point passed the axiom checks,
+    which could not settle it because it leaves some proper subset of the
+    roster unnamed, and the exact search for a ground truth realizing it
+    ran out of budget steps: the point is neither confirmed nor refuted.
     """
 
     violations: tuple[str, ...]
@@ -233,15 +235,16 @@ def check_summary(
 
     Marginal claims are compared against the sketch's actual totals.  A
     claimed point is checked against the axioms by one audit
-    (:func:`axioms.point_axiom_violations`): one subset check on each
-    subset the point names, which also keeps every count inside its
-    lattice bounds, and the alarm's pair constraint on every pair it
-    does not name.  The N = 1 and N = 2 axioms are complete, so at
-    N <= 2 a point that passes is realized and nothing is searched.  At
-    N >= 3 a point that passes is realized exactly when some truth split
-    meets the row sums it fixes (its q_a, each classifier's correct counts
-    and each named pair's joint counts; the unnamed pairs are free).
-    :func:`_realized` looks for one in at most ``budget`` steps, or
+    (:func:`axioms.point_axiom_violations`): one window on each subset of
+    the roster whose proper subsets the point names, which also keeps
+    every count inside its lattice bounds.  When the point names every
+    proper subset of the roster (always at N <= 2, and at N = 3 when it
+    names every pair), the roster's own window is reached, and a point
+    that passes is realized: nothing is searched.  Otherwise a point that
+    passes is realized exactly when some truth split meets the row sums
+    it fixes (its q_a, each classifier's correct counts and each named
+    pair's joint counts; the unnamed pairs are free).  :func:`_realized`
+    looks for one in at most ``budget`` steps, a non-negative int, or
     leaves the report undecided.
     Whether some ground truth realizes the sketch needs no search: the
     pattern counts of a sound sketch are non-negative and sum to q, so
@@ -249,6 +252,8 @@ def check_summary(
     one).  Structural invalidity of the sketch itself is reported as
     violations rather than raised, since auditing bad data is the point.
     """
+    if not (_is_int(budget) and budget >= 0):
+        raise SketchError("budget must be a non-negative integer")
     violations = validate_sketch(sketch)
     roster = set(sketch.classifiers)
     for cid in sorted(claims.marginals):
@@ -266,7 +271,9 @@ def check_summary(
     point = claims.point
     if point is not None and not violations:
         violations.extend(point_axiom_violations(sketch, point))
-        if not violations and sketch.size >= 3:
+        # the audit reaches the whole roster when the point names all of
+        # its 2^N - 1 proper subsets, the empty set included
+        if not violations and len(_named(point)) < 2 ** sketch.size - 1:
             found = _realized(sketch, point, budget)
             undecided = found is None
             if found is False:

@@ -35,7 +35,6 @@ from crosscheck import (
     rational_sqrt,
     validate_sketch,
 )
-from crosscheck.axioms import pair_bounds
 
 
 def referee_sketch_entries(size: int, counts, truth_split):
@@ -144,6 +143,58 @@ def referee_flip_labels(sketch: EvaluationSketch, classifier: str, mode) -> Eval
     counts = {p: a + b for p, (a, b) in new_split.items()}
     split = {p: (a, b) for p, (a, b) in new_split.items()}
     return EvaluationSketch(sketch.classifiers, sketch.q, counts, split)
+
+
+class PairBounds(NamedTuple):
+    """The four bounds a pair table puts on the two true-a correct counts
+    x_i and x_j (see :func:`pair_bounds`)."""
+
+    max_i_minus_j: int  # x_i - x_j <= n_ab
+    max_j_minus_i: int  # x_j - x_i <= n_ba
+    min_sum: int  # q_a - n_bb <= x_i + x_j
+    max_sum: int  # x_i + x_j <= q_a + n_aa
+
+
+def pair_bounds(q_a: int, pair: Mapping[str, int]) -> PairBounds:
+    """The pair constraint: what a pair's response table adds, on top of
+    each classifier's own feasible interval, about its two true-a
+    correct counts x_i and x_j at hypothesis ``q_a``; the referee for the
+    audit's order-2 window and for the alarm's pair rule.
+
+    Two counts inside their own feasible intervals coexist on one ground
+    truth iff
+
+        x_i - x_j <= n_ab,   x_j - x_i <= n_ba,
+        q_a - n_bb <= x_i + x_j <= q_a + n_aa.
+
+    Proof.  They coexist iff the pair's window of joint true-a counts
+    (:func:`joint_correct_a_window`) is non-empty, i.e. iff each of its
+    four lower terms 0, x_i - n_ab, x_j - n_ba, x_i + x_j - q_a is at most
+    each of its four upper terms n_aa, x_i, x_j, n_bb - q_a + x_i + x_j.
+    Write r_i = n_aa + n_ab and r_j = n_aa + n_ba for the two "a" totals
+    and q_b = q - q_a, so the own intervals are
+    max(0, r_i - q_b) <= x_i <= min(q_a, r_i) and the same for x_j with
+    r_j.  Of the 16 comparisons:
+
+    - 0 <= n_aa, x_i - n_ab <= x_i, x_j - n_ba <= x_j and
+      x_i + x_j - q_a <= n_bb - q_a + x_i + x_j (that is 0 <= n_bb)
+      always hold;
+    - 0 <= x_i, 0 <= x_j, x_i - n_ab <= n_aa (x_i <= r_i),
+      x_j - n_ba <= n_aa (x_j <= r_j), x_i + x_j - q_a <= x_i
+      (x_j <= q_a) and x_i + x_j - q_a <= x_j (x_i <= q_a) are the own
+      intervals;
+    - x_i - n_ab <= n_bb - q_a + x_i + x_j unfolds to
+      x_j >= q_a - n_bb - n_ab = r_j - q_b, and
+      x_j - n_ba <= n_bb - q_a + x_i + x_j to x_i >= r_i - q_b: the own
+      lower bounds again;
+    - the remaining four, x_i - n_ab <= x_j, x_j - n_ba <= x_i,
+      0 <= n_bb - q_a + x_i + x_j and x_i + x_j - q_a <= n_aa, are the
+      four bounds above.
+
+    Every bound has two variables with unit coefficients, so with the
+    own intervals a set of pairs forms an integer octagon.
+    """
+    return PairBounds(pair["ab"], pair["ba"], q_a - pair["bb"], q_a + pair["aa"])
 
 
 def joint_correct_a_window(q_a: int, pair, x: int, y: int) -> IntInterval:

@@ -40,13 +40,14 @@ from crosscheck import (
     trace_to_json_text,
 )
 from crosscheck.alarm import _safe_qa_bounds, count_safe_hypotheses
-from crosscheck.axioms import PairBounds, pair_bounds
 from crosscheck.cli import EXIT_OK, EXIT_TRIGGERED, main
 
 from ._referees import (
     LabelMinimums,
     OverallMinimum,
+    PairBounds,
     enumerate_variety,
+    pair_bounds,
     pairwise_safe_exists,
     referee_safe_hypotheses,
     safe_threshold,

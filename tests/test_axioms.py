@@ -17,13 +17,13 @@ from crosscheck import (
     pspace_stats,
     sketch_point,
 )
-from crosscheck.axioms import pair_bounds
 
 from ._referees import (
     enumerate_variety,
     induced_correct_b,
     joint_correct_a_window,
     meets_pair_bounds,
+    pair_bounds,
 )
 from ._strategies import sketches
 

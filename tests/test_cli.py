@@ -333,6 +333,15 @@ def write_point_claims(tmp_path, q_a, correct_a, correct_b):
     return str(path)
 
 
+def shipped_claims_without(tmp_path, pair):
+    """The shipped claims with ``pair`` ("first,second") left unnamed."""
+    claims = json.loads(pathlib.Path(GRADING_CLAIMS).read_text())
+    del claims["point"]["pair_correct"][pair]
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(claims))
+    return str(path)
+
+
 # the ground truth whose true-a items are exactly the seven aaa items
 EXACT_POINT = (7, [7, 7, 7], [16, 16, 16])
 
@@ -351,17 +360,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", GRADING, "--claims", claims)
         assert (code, out) == (EXIT_OK, "ok\n")
 
-    def test_shipped_claims_are_searched_under_a_raised_budget(self, capsys):
-        # the sketch has 1 993 031 040 split combinations, but the budget
-        # counts search steps, so the default one confirms the true point
-        code, out, _ = run(capsys, "verify", GRADING, "--claims", GRADING_CLAIMS)
+    def test_shipped_claims_are_searched_under_a_raised_budget(self, capsys, tmp_path):
+        # with one pair dropped the claims are searched: the sketch has
+        # 1 993 031 040 split combinations, but the budget counts search
+        # steps, so the default one confirms the true point
+        claims = shipped_claims_without(tmp_path, "mistral,gpt4")
+        code, out, _ = run(capsys, "verify", GRADING, "--claims", claims)
         assert (code, out) == (EXIT_OK, "ok\n")
-        argv = ("verify", GRADING, "--claims", GRADING_CLAIMS, "--budget", "2000000000")
+        argv = ("verify", GRADING, "--claims", claims, "--budget", "2000000000")
         assert run(capsys, *argv) == (EXIT_OK, "ok\n", "")
 
-    def test_budget_counts_search_steps(self, capsys):
-        # one step per pattern of the fixture's seven, with no backtracking
-        argv = ("verify", GRADING, "--claims", GRADING_CLAIMS, "--budget")
+    def test_budget_counts_search_steps(self, capsys, tmp_path):
+        # the shipped claims name every pair, so the whole roster's window
+        # settles them and no step is taken
+        argv = ("verify", GRADING, "--claims", GRADING_CLAIMS, "--budget", "0")
+        assert run(capsys, *argv) == (EXIT_OK, "ok\n", "")
+        # with one pair dropped, one step per pattern of the fixture's
+        # seven, with no backtracking
+        claims = shipped_claims_without(tmp_path, "mistral,gpt4")
+        argv = ("verify", GRADING, "--claims", claims, "--budget")
         assert run(capsys, *argv, "7") == (EXIT_OK, "ok\n", "")
         assert run(capsys, *argv, "6") == (
             EXIT_OK, "note: ground-truth enumeration skipped (budget exceeded)\nok\n", ""
@@ -370,13 +387,15 @@ class TestVerify:
     def test_unclaimed_pairs_meet_the_alarms_pair_constraint(self, capsys, tmp_path):
         # each count lies in its own interval, but (claude, mistral) and
         # (mistral, gpt4) cannot reach their least true-a sums at q_a=237
+        # (x_i + x_j >= 117 and >= 191), so their "bb" cells would need
+        # 15 and 1 true-a items more than they hold
         claims = write_point_claims(tmp_path, 237, [102, 0, 190], [0, 17, 0])
         code, out, _ = run(capsys, "verify", GRADING, "--claims", claims)
         assert (code, out) == (EXIT_ERROR, (
-            "violation: pair (claude, mistral): true-a correct counts x_i=102, x_j=0 "
-            "break x_i + x_j >= 117\n"
-            "violation: pair (mistral, gpt4): true-a correct counts x_i=0, x_j=190 "
-            "break x_i + x_j >= 191\n"
+            "violation: pair (claude, mistral): no joint true-a correctness fits "
+            "the feasible window [0, -15]\n"
+            "violation: pair (mistral, gpt4): no joint true-a correctness fits "
+            "the feasible window [0, -1]\n"
         ))
 
     @pytest.mark.parametrize("where, value, out", [
@@ -398,7 +417,13 @@ class TestVerify:
             "pair (claude, mistral): joint true-b correctness 1000000, "
             "but the responses force 33\n"
         )),
-    ], ids=["q_a", "correct_a", "correct_b", "joint_a", "joint_b", "joint_b_million"])
+        # every pair passes, but with (claude, mistral) at [11, 34] the
+        # three pairs leave no joint true-a count for the whole roster
+        (("pair_correct", "claude,mistral"), [11, 34], (
+            "triple (claude, mistral, gpt4): no joint true-a correctness fits "
+            "the feasible window [12, 11]\n"
+        )),
+    ], ids=["q_a", "correct_a", "correct_b", "joint_a", "joint_b", "joint_b_million", "triple"])
     def test_tampered_shipped_claims(self, capsys, tmp_path, where, value, out):
         claims = json.loads(pathlib.Path(GRADING_CLAIMS).read_text())
         *keys, last = where

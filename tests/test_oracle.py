@@ -246,10 +246,11 @@ class TestCheckSummary:
         sketch = EvaluationSketch(("u", "v"), 4, {"ab": 2, "ba": 2})
         point = EvaluationPoint(3, (2, 2), (1, 1))
         report = check_summary(sketch, SummaryClaims({}, point))
-        # the pair constraint refutes it without a search: with no
-        # agreeing items, the two true-a counts sum to at most q_a
+        # the pair's window refutes it without a search: with no agreeing
+        # items, a joint true-a count of at least x_i + x_j - q_a = 1 has
+        # no "aa" item to sit on
         assert report.violations == (
-            "pair (u, v): true-a correct counts x_i=2, x_j=2 break x_i + x_j <= 3",
+            "pair (u, v): no joint true-a correctness fits the feasible window [1, 0]",
         )
 
     def test_budget_skip(self):
@@ -258,9 +259,15 @@ class TestCheckSummary:
             {"aaa": (1, 0), "aab": (1, 0), "abb": (0, 1), "bbb": (0, 1)},
         )
         sketch = EvaluationSketch(truth.classifiers, truth.q, dict(truth.counts))
-        # at N = 3 a point that passes the bounds and the axioms is
+        # at N = 3 a point that names every pair reaches the whole roster's
+        # window, which settles it with no search
+        full = sketch_point(truth)
+        report = check_summary(sketch, SummaryClaims({}, full), budget=0)
+        assert report == SummaryReport((), False)
+        # with a pair left unnamed, a point that passes the axioms is
         # confirmed only by the search, which takes 4 steps, one per pattern
-        point = sketch_point(truth)
+        pairs = {key: joint for key, joint in full.pair_correct.items() if key != (1, 2)}
+        point = EvaluationPoint(full.q_a, full.correct_a, full.correct_b, pairs)
         assert check_summary(sketch, SummaryClaims({}, point)) == SummaryReport((), False)
         assert check_summary(sketch, SummaryClaims({}, point), budget=4) == SummaryReport(
             (), False
@@ -293,6 +300,15 @@ class TestCheckSummary:
         assert check_summary(sketch, claims, budget=5) == check_summary(sketch, claims)
         assert check_summary(sketch, claims, budget=4) == SummaryReport((), True)
 
+    @pytest.mark.parametrize("budget", [-1, 1.5, 10.0, True, False, None, "7"])
+    def test_budget_must_be_a_non_negative_int(self, budget):
+        # a negative or fractional budget never counts down to 0, so the
+        # search would run unbounded; a bool is no count of steps
+        sketch = EvaluationSketch(ROSTER, 4, {"aab": 1, "aba": 1, "baa": 1, "bbb": 1})
+        claims = SummaryClaims({}, EvaluationPoint(2, (1, 1, 1), (1, 1, 1)))
+        with pytest.raises(SketchError, match="budget must be a non-negative integer"):
+            check_summary(sketch, claims, budget=budget)
+
     def test_claim_with_millions_of_splits_is_settled_at_once(self):
         # 7**8 = 5 764 801 splits, but 8 search steps; a walk that built
         # the point of each split ran for seconds on this true claim
@@ -314,12 +330,14 @@ class TestCheckSummary:
 
 
 @st.composite
-def audit_cases(draw, sizes=(1, 2, 3)):
+def audit_cases(draw, sizes=(1, 2, 3), every_pair=False):
     """A sketch on at most 8 items and a point, with a random subset of
-    its pairs claimed.  The point is a realized one, one that meets every
-    classifier's own axioms (anywhere in its intervals, or at their ends),
-    any point of the lattice, or one whose every count lies in [-2, q + 2],
-    mostly outside the lattice bounds."""
+    its pairs claimed, or all of them if ``every_pair``.  The point is a
+    realized one, a realized one with one pair moved (its j_a by +-1 and
+    its j_b the other way, so the pair's forced count still holds), one
+    that meets every classifier's own axioms (anywhere in its intervals,
+    or at their ends), any point of the lattice, or one whose every count
+    lies in [-2, q + 2], mostly outside the lattice bounds."""
     size = draw(st.sampled_from(sizes))
     q = draw(st.integers(1, 8))
     patterns = all_patterns(size)
@@ -329,14 +347,18 @@ def audit_cases(draw, sizes=(1, 2, 3)):
         counts[pattern] = counts.get(pattern, 0) + 1
     # c1, c2, ...: the ids of ROSTER, which holds three
     sketch = EvaluationSketch(tuple(f"c{k}" for k in range(1, size + 1)), q, counts)
-    kind = draw(st.sampled_from(("realized", "consistent", "corner", "lattice", "unbounded")))
-    if kind == "realized":
+    kinds = ("realized", "moved", "consistent", "corner", "lattice", "unbounded")
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("realized", "moved"):
         split = {}
         for pattern, n in counts.items():
             true_a = draw(st.integers(0, n))
             split[pattern] = (true_a, n - true_a)
         full = sketch_point(EvaluationSketch(sketch.classifiers, q, counts, split))
         q_a, c_a, c_b, pairs = full.q_a, full.correct_a, full.correct_b, full.pair_correct
+        if kind == "moved" and pairs:
+            key, d = draw(st.sampled_from(sorted(pairs))), draw(st.sampled_from((-1, 1)))
+            pairs = {**pairs, key: (pairs[key][0] + d, pairs[key][1] - d)}
     elif kind == "unbounded":
         count = st.integers(-2, q + 2)
         q_a = draw(count)
@@ -365,7 +387,7 @@ def audit_cases(draw, sizes=(1, 2, 3)):
                      draw(st.integers(0, min(c_b[i], c_b[j]))))
             for i, j in itertools.combinations(range(size), 2)
         }
-    claimed = {key: value for key, value in pairs.items() if draw(st.booleans())}
+    claimed = {key: value for key, value in pairs.items() if every_pair or draw(st.booleans())}
     return sketch, EvaluationPoint(q_a, c_a, c_b, claimed)
 
 
@@ -422,9 +444,24 @@ class TestAuditAgainstEnumeration:
         assert not report.undecided
         assert report.ok == realized(sketch, point)
 
-    @given(audit_cases(sizes=(3,)))
+    @given(audit_cases(sizes=(3,), every_pair=True))
+    # every pair passes, and only the triple's window, [1, 0], refutes it
+    @example((EvaluationSketch(ROSTER, 5, {"aaa": 2, "abb": 1, "baa": 1, "bbb": 1}),
+              EvaluationPoint(2, (1, 1, 1), (1, 1, 1),
+                              {(0, 1): (1, 0), (0, 2): (0, 1), (1, 2): (1, 1)})))
+    @settings(max_examples=300, deadline=None)
+    def test_n3_claims_naming_every_pair_need_no_search(self, case):
+        # the whole roster's window settles them, so no budget is needed
+        sketch, point = case
+        report = check_summary(sketch, SummaryClaims({}, point), budget=0)
+        assert not report.undecided
+        assert report.ok == realized(sketch, point)
+
+    @given(audit_cases(sizes=(3, 4)))
     @settings(max_examples=200, deadline=None)
     def test_realized_points_pass_the_axioms(self, case):
+        # at N = 4 a point that names a triple's three pairs meets the
+        # triple's window too, which every realized point must pass
         sketch, point = case
         if realized(sketch, point):
             assert point_axiom_violations(sketch, point) == []
@@ -440,4 +477,5 @@ class TestAuditAgainstEnumeration:
             # the pairs are checked once q_a and every classifier pass
             if not any(p.startswith(("q_a=", "classifier ")) for p in problems):
                 for first, second in broken:
-                    assert any(p.startswith(f"pair ({first}, {second}): true-a") for p in problems)
+                    prefix = f"pair ({first}, {second}): no joint true-a correctness"
+                    assert any(p.startswith(prefix) for p in problems)
